@@ -9,12 +9,14 @@
 # merged example-program coverage against the checked-in golden
 # (tests/goldens/coverage.json), and a profile_diff of two identical
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
-# additionally runs the microbenchmarks. After the primary build, two
+# additionally runs the microbenchmarks. After the primary build, three
 # hardening builds run: one with the telemetry layer compiled out
-# (-DRETICLE_NO_TELEMETRY=ON) and one under ThreadSanitizer exercising
+# (-DRETICLE_NO_TELEMETRY=ON), one under ThreadSanitizer exercising
 # the concurrent batch-compile path, concurrent compiled-simulation
-# VM runs, and the SAT portfolio's racing lane threads. Run from anywhere; builds into
-# <repo>/build (plus build-notelem/ and build-tsan/ siblings).
+# VM runs, and the SAT portfolio's racing lane threads, and one under
+# AddressSanitizer + UndefinedBehaviorSanitizer exercising the packed
+# waveform path. Run from anywhere; builds into <repo>/build (plus
+# build-notelem/, build-tsan/ and build-asan/ siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -310,5 +312,29 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
     "$repo/examples/programs/scalar_adds.ret"
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
+
+echo "== ASan+UBSan build: packed waveform path =="
+# Waveform values travel as packed 64-bit words; the VM packs lanes that
+# straddle word boundaries and every sink walks words by shift and
+# offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
+# no recovery) an oversized shift, and _GLIBCXX_ASSERTIONS a container
+# index past its end. The wide fixture carries 96- and 128-bit signals.
+asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+cmake -B "$repo/build-asan" -S "$repo" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$asan_flags -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="$asan_flags"
+cmake --build "$repo/build-asan" -j"$jobs" \
+    --target wave_test sim_vm_test coverage_test reticlec json_check
+"$repo/build-asan/tests/wave_test"
+"$repo/build-asan/tests/sim_vm_test"
+"$repo/build-asan/tests/coverage_test"
+"$repo/build-asan/tools/reticlec" --device=small \
+    --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
+    --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \
+    --coverage="$out/wide.asan.coverage.json" \
+    "$repo/tests/inputs/wide_wires.ret"
+"$repo/build-asan/tools/json_check" --jsonl --require=schema \
+    "$out/wide.asan.wave.jsonl"
 
 echo "ok: build, tests, and all emitted artifacts check out"

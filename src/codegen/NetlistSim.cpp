@@ -544,8 +544,8 @@ Result<interp::Trace> reticle::codegen::simulate(const Module &M,
     if (Frame.waveActive()) {
       Frame.recorder().cycle(Cycle);
       for (size_t W = 0; W < WaveIds.size(); ++W)
-        Frame.recorder().record(static_cast<unsigned>(W),
-                                Signals.at(WaveIds[W]));
+        Frame.recorder().recordBits(static_cast<unsigned>(W),
+                                    Signals.at(WaveIds[W]));
     }
     // Clock edge: FDRE and DSP P registers capture.
     std::map<size_t, Bits> NextFdre = State.FdreQ;

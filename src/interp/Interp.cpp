@@ -125,7 +125,7 @@ Result<Trace> reticle::interp::interpret(const Function &Fn,
     if (Frame.waveActive()) {
       Frame.recorder().cycle(Cycle);
       for (ir::ValueId Id = 0; Id < DU.numValues(); ++Id)
-        Frame.recorder().record(Id, Env[Id].toBits());
+        Frame.recorder().recordBits(Id, Env[Id].toBits());
     }
 
     // Eval(env, R): all registers update simultaneously on the clock edge,

@@ -15,6 +15,11 @@ using namespace reticle::interp;
 
 namespace {
 
+/// True for a JSON integer literal. Fractions, exponents and integers
+/// beyond int64 parse as doubles; reading those with asInt() would
+/// truncate or overflow, so trace values must be exact integers.
+bool isInteger(const obs::Json &J) { return J.kind() == obs::Json::Kind::Int; }
+
 /// Converts one JSON value to a typed interpreter value, or explains why
 /// it cannot be.
 Result<Value> convertValue(const obs::Json &J, const ir::Type &Ty,
@@ -22,13 +27,15 @@ Result<Value> convertValue(const obs::Json &J, const ir::Type &Ty,
   if (Ty.isBool()) {
     if (J.isBool())
       return Value::makeBool(J.asBool());
-    if (J.isNumber() && (J.asInt() == 0 || J.asInt() == 1))
+    if (isInteger(J) && (J.asInt() == 0 || J.asInt() == 1))
       return Value::makeBool(J.asInt() != 0);
     return fail<Value>(Where + ": expected a boolean");
   }
   if (Ty.lanes() == 1) {
     if (!J.isNumber())
       return fail<Value>(Where + ": expected an integer");
+    if (!isInteger(J))
+      return fail<Value>(Where + ": expected an integer, got " + J.str());
     return Value::splat(Ty, J.asInt());
   }
   if (!J.isArray())
@@ -42,6 +49,9 @@ Result<Value> convertValue(const obs::Json &J, const ir::Type &Ty,
   for (const obs::Json &Lane : J.items()) {
     if (!Lane.isNumber())
       return fail<Value>(Where + ": expected an array of integers");
+    if (!isInteger(Lane))
+      return fail<Value>(Where + ": expected an array of integers, lane " +
+                         std::to_string(Lanes.size()) + " is " + Lane.str());
     Lanes.push_back(Lane.asInt());
   }
   return Value::fromLanes(Ty, std::move(Lanes));
@@ -83,6 +93,10 @@ Result<Trace> sim::parseInputTrace(const std::string &Text,
     Step &S = Out.appendStep();
     for (const auto &[Name, Val] : CycleObj.members()) {
       if (CycleKeyReserved && Name == "cycle") {
+        if (Val.isNumber() && !isInteger(Val))
+          return fail<Trace>(Where + ": reserved key 'cycle' is " +
+                             Val.str() + ", expected the integer " +
+                             std::to_string(CycleNo));
         if (!Val.isNumber() ||
             Val.asInt() != static_cast<int64_t>(CycleNo))
           return fail<Trace>(

@@ -9,9 +9,50 @@
 #include "obs/Json.h"
 
 #include <algorithm>
+#include <bit>
 
 using namespace reticle;
 using namespace reticle::sim;
+
+namespace {
+
+/// The bits a signal of \p Width keeps in its top word.
+uint64_t topMask(unsigned Width) {
+  unsigned Rem = Width % 64;
+  return Rem == 0 ? ~uint64_t(0) : (uint64_t(1) << Rem) - 1;
+}
+
+/// Word \p I of \p Words read as a normalized value of \p Width: words
+/// past the span read as zero and the top word is masked to the width.
+uint64_t wordAt(std::span<const uint64_t> Words, size_t I, unsigned Width) {
+  uint64_t W = I < Words.size() ? Words[I] : 0;
+  return I + 1 == waveWords(Width) ? W & topMask(Width) : W;
+}
+
+/// Appends the low \p Width bits of \p Words to \p Out, MSB first.
+void appendBits(std::string &Out, std::span<const uint64_t> Words,
+                unsigned Width) {
+  size_t At = Out.size();
+  Out.resize(At + Width);
+  char *P = Out.data() + At;
+  for (size_t I = waveWords(Width); I-- > 0;) {
+    uint64_t W = I < Words.size() ? Words[I] : 0;
+    for (unsigned B = std::min(64u, Width - static_cast<unsigned>(I) * 64);
+         B-- > 0;)
+      *P++ = static_cast<char>('0' + ((W >> B) & 1));
+  }
+}
+
+} // namespace
+
+void sim::packBits(const std::vector<bool> &Bits, unsigned Width,
+                   std::vector<uint64_t> &Out) {
+  Out.assign(waveWords(Width), 0);
+  size_t N = std::min<size_t>(Bits.size(), Width);
+  for (size_t B = 0; B < N; ++B)
+    if (Bits[B])
+      Out[B / 64] |= uint64_t(1) << (B % 64);
+}
 
 std::string sim::bitsToString(const std::vector<bool> &Bits) {
   std::string S;
@@ -38,7 +79,13 @@ Status WaveRecorder::begin(std::vector<WaveSignal> Sigs) {
   if (!Sink)
     return Status::success();
   Signals = std::move(Sigs);
-  Last.assign(Signals.size(), {});
+  WordBase.clear();
+  size_t Words = 0;
+  for (const WaveSignal &S : Signals) {
+    WordBase.push_back(Words);
+    Words += waveWords(S.Width);
+  }
+  Last.assign(Words, 0);
   Seen.assign(Signals.size(), 0);
   *SignalsCount += Signals.size();
   return Sink->begin(Signals);
@@ -49,30 +96,58 @@ void WaveRecorder::cycle(uint64_t Cycle) {
     Sink->beginCycle(Cycle);
 }
 
-void WaveRecorder::record(unsigned Id, std::vector<bool> Bits) {
+void WaveRecorder::record(unsigned Id, std::span<const uint64_t> Words) {
   if (!Sink || Id >= Signals.size())
     return;
-  Bits.resize(Signals[Id].Width, false);
-  bool Changed = !Seen[Id] || Bits != Last[Id];
-  ++*Events;
-  if (Changed && Toggles) {
-    if (!Seen[Id]) {
-      *Toggles += Bits.size();
-    } else {
-      uint64_t Flipped = 0;
-      for (size_t I = 0; I < Bits.size(); ++I)
-        Flipped += Bits[I] != Last[Id][I];
-      *Toggles += Flipped;
-    }
+  const unsigned Width = Signals[Id].Width;
+  const size_t N = waveWords(Width);
+  if (Words.size() != N || (Words[N - 1] & ~topMask(Width)) != 0) {
+    Scratch.resize(N);
+    for (size_t I = 0; I < N; ++I)
+      Scratch[I] = wordAt(Words, I, Width);
+    Words = {Scratch.data(), N};
   }
-  Sink->value(Id, Bits, Changed);
-  Seen[Id] = 1;
-  Last[Id] = std::move(Bits);
+  uint64_t *Prev = Last.data() + WordBase[Id];
+  bool Changed = true;
+  if (!Seen[Id]) {
+    // First sight: every bit counts as a toggle.
+    Seen[Id] = 1;
+    PendingToggles += Width;
+  } else {
+    uint64_t Flipped = 0;
+    for (size_t I = 0; I < N; ++I)
+      Flipped += std::popcount(Prev[I] ^ Words[I]);
+    PendingToggles += Flipped;
+    Changed = Flipped != 0;
+  }
+  ++PendingEvents;
+  Sink->value(Id, Words, Changed);
+  if (Changed)
+    std::copy(Words.begin(), Words.end(), Prev);
+}
+
+void WaveRecorder::recordBits(unsigned Id, const std::vector<bool> &Bits) {
+  if (!Sink || Id >= Signals.size())
+    return;
+  packBits(Bits, Signals[Id].Width, Scratch);
+  // Packed words already have the normalized shape, so record() reads
+  // Scratch without rewriting it.
+  record(Id, Scratch);
+}
+
+void WaveRecorder::flushCounts() {
+  if (!Sink)
+    return;
+  *Events += PendingEvents;
+  *Toggles += PendingToggles;
+  PendingEvents = 0;
+  PendingToggles = 0;
 }
 
 Status WaveRecorder::finish(bool Aborted) {
   if (!Sink)
     return Status::success();
+  flushCounts();
   return Sink->finish(Aborted);
 }
 
@@ -82,18 +157,35 @@ Status WaveRecorder::finish(bool Aborted) {
 
 Status WaveCapture::begin(const std::vector<WaveSignal> &Signals) {
   Sigs = Signals;
+  LastOffset.assign(Sigs.size(), NoValue);
   return Status::success();
 }
 
 void WaveCapture::beginCycle(uint64_t Cycle) {
-  ByCycle.resize(std::max<size_t>(ByCycle.size(), Cycle + 1));
+  size_t Had = ByCycle.size();
+  ByCycle.resize(std::max<size_t>(Had, Cycle + 1));
+  for (size_t C = Had; C < ByCycle.size(); ++C)
+    ByCycle[C].reserve(Sigs.size());
 }
 
-void WaveCapture::value(unsigned Id, const std::vector<bool> &Bits,
+void WaveCapture::value(unsigned Id, std::span<const uint64_t> Words,
                         bool Changed) {
+  if (Id >= Sigs.size())
+    return;
   if (ByCycle.empty())
     ByCycle.emplace_back();
-  ByCycle.back().push_back(Event{Id, Bits, Changed});
+  const unsigned Width = Sigs[Id].Width;
+  const size_t N = waveWords(Width);
+  size_t &Prev = LastOffset[Id];
+  bool Same = Prev != NoValue;
+  for (size_t I = 0; Same && I < N; ++I)
+    Same = Arena[Prev + I] == wordAt(Words, I, Width);
+  if (!Same) {
+    Prev = Arena.size();
+    for (size_t I = 0; I < N; ++I)
+      Arena.push_back(wordAt(Words, I, Width));
+  }
+  ByCycle.back().push_back(Event{Id, Changed, Prev});
 }
 
 Status WaveCapture::finish(bool WasAborted) {
@@ -102,14 +194,14 @@ Status WaveCapture::finish(bool WasAborted) {
   return Status::success();
 }
 
-const std::vector<bool> *WaveCapture::valueAt(uint64_t Cycle,
-                                              std::string_view Name) const {
+std::optional<std::span<const uint64_t>>
+WaveCapture::valueAt(uint64_t Cycle, std::string_view Name) const {
   if (Cycle >= ByCycle.size())
-    return nullptr;
+    return std::nullopt;
   for (const Event &E : ByCycle[Cycle])
-    if (E.Id < Sigs.size() && Sigs[E.Id].Name == Name)
-      return &E.Bits;
-  return nullptr;
+    if (Sigs[E.Id].Name == Name)
+      return words(E);
+  return std::nullopt;
 }
 
 //===----------------------------------------------------------------------===//
@@ -141,7 +233,7 @@ Status sim::replay(
       if (C >= Cap.cycles())
         continue;
       for (const WaveCapture::Event &E : Cap.eventsByCycle()[C])
-        Out.value(Offset[I] + E.Id, E.Bits, E.Changed);
+        Out.value(Offset[I] + E.Id, Cap.words(E), E.Changed);
     }
   }
   return Out.finish(Aborted);
@@ -153,41 +245,74 @@ Status sim::replay(
 
 Status ToggleCoverageSink::begin(const std::vector<WaveSignal> &Signals) {
   Sigs = Signals;
-  Last.assign(Sigs.size(), {});
+  WordBase.clear();
+  BitBase.clear();
+  size_t Words = 0, Bits = 0;
+  for (const WaveSignal &S : Sigs) {
+    WordBase.push_back(Words);
+    BitBase.push_back(Bits);
+    Words += waveWords(S.Width);
+    Bits += S.Width;
+  }
+  Last.assign(Words, 0);
+  Rises.assign(Bits, 0);
+  Falls.assign(Bits, 0);
   Seen.assign(Sigs.size(), 0);
   return Status::success();
 }
 
 void ToggleCoverageSink::beginCycle(uint64_t) {}
 
-void ToggleCoverageSink::value(unsigned Id, const std::vector<bool> &Bits,
+void ToggleCoverageSink::value(unsigned Id, std::span<const uint64_t> Words,
                                bool Changed) {
   if (Id >= Sigs.size())
     return;
+  const unsigned Width = Sigs[Id].Width;
+  const size_t N = waveWords(Width);
+  uint64_t *Prev = Last.data() + WordBase[Id];
   if (!Seen[Id]) {
     // Baseline: the first reported value is an x->v assignment, not a
     // toggle.
     Seen[Id] = 1;
-    Last[Id] = Bits;
+    for (size_t I = 0; I < N; ++I)
+      Prev[I] = wordAt(Words, I, Width);
     return;
   }
   if (!Changed)
     return;
-  const std::vector<bool> &Prev = Last[Id];
-  size_t Width = std::min<size_t>(Sigs[Id].Width,
-                                  std::max(Prev.size(), Bits.size()));
-  for (size_t B = 0; B < Width; ++B) {
-    bool Old = B < Prev.size() && Prev[B];
-    bool New = B < Bits.size() && Bits[B];
-    if (Old == New)
+  uint64_t *Rise = Rises.data() + BitBase[Id];
+  uint64_t *Fall = Falls.data() + BitBase[Id];
+  for (size_t I = 0; I < N; ++I) {
+    uint64_t Old = Prev[I];
+    uint64_t New = wordAt(Words, I, Width);
+    uint64_t Flipped = Old ^ New;
+    if (Flipped == 0)
       continue;
-    Cov.hit("sim.toggle", Sigs[Id].Name + "[" + std::to_string(B) +
-                              (New ? "]:01" : "]:10"));
+    for (uint64_t R = Flipped & New; R != 0; R &= R - 1)
+      ++Rise[I * 64 + std::countr_zero(R)];
+    for (uint64_t F = Flipped & Old; F != 0; F &= F - 1)
+      ++Fall[I * 64 + std::countr_zero(F)];
+    Prev[I] = New;
   }
-  Last[Id] = Bits;
 }
 
-Status ToggleCoverageSink::finish(bool) { return Status::success(); }
+Status ToggleCoverageSink::finish(bool) {
+  // Bins appear only for edges seen, named after the flattened bit.
+  for (size_t Id = 0; Id < Sigs.size(); ++Id) {
+    for (unsigned B = 0; B < Sigs[Id].Width; ++B) {
+      size_t At = BitBase[Id] + B;
+      for (auto [Count, Edge] : {std::pair{Rises[At], "]:01"},
+                                 std::pair{Falls[At], "]:10"}})
+        if (Count != 0)
+          Cov.hit("sim.toggle",
+                  Sigs[Id].Name + "[" + std::to_string(B) + Edge, Count);
+    }
+  }
+  // A second finish must not count the same edges twice.
+  std::fill(Rises.begin(), Rises.end(), 0);
+  std::fill(Falls.begin(), Falls.end(), 0);
+  return Status::success();
+}
 
 #ifndef RETICLE_NO_TELEMETRY
 
@@ -210,6 +335,9 @@ std::string VcdWriter::idCode(unsigned Id) {
 
 Status VcdWriter::begin(const std::vector<WaveSignal> &Signals) {
   Sigs = Signals;
+  Codes.clear();
+  for (unsigned Id = 0; Id < Sigs.size(); ++Id)
+    Codes.push_back(idCode(Id));
   Out += "$version reticle wave writer $end\n";
   Out += "$timescale 1ns $end\n";
   Out += "$scope module " + Top + " $end\n";
@@ -236,7 +364,7 @@ Status VcdWriter::begin(const std::vector<WaveSignal> &Signals) {
   auto EmitVar = [&](unsigned Id) {
     const WaveSignal &S = Sigs[Id];
     std::string Leaf = LeafOf(S.Name);
-    Out += "$var wire " + std::to_string(S.Width) + " " + idCode(Id) + " " +
+    Out += "$var wire " + std::to_string(S.Width) + " " + Codes[Id] + " " +
            Leaf;
     if (S.Width > 1)
       Out += " [" + std::to_string(S.Width - 1) + ":0]";
@@ -259,36 +387,43 @@ Status VcdWriter::begin(const std::vector<WaveSignal> &Signals) {
   // as x before the first clock edge.
   Out += "$dumpvars\n";
   for (unsigned Id = 0; Id < Sigs.size(); ++Id) {
-    if (Sigs[Id].Width == 1)
-      Out += "x" + idCode(Id) + "\n";
-    else
-      Out += "bx " + idCode(Id) + "\n";
+    Out += Sigs[Id].Width == 1 ? "x" : "bx ";
+    Out += Codes[Id];
+    Out += '\n';
   }
   Out += "$end\n";
   return Status::success();
 }
 
 void VcdWriter::beginCycle(uint64_t Cycle) {
-  Out += "#" + std::to_string(Cycle) + "\n";
+  Out += '#';
+  Out += std::to_string(Cycle);
+  Out += '\n';
   LastCycle = Cycle;
   AnyCycle = true;
 }
 
-void VcdWriter::value(unsigned Id, const std::vector<bool> &Bits,
+void VcdWriter::value(unsigned Id, std::span<const uint64_t> Words,
                       bool Changed) {
   if (!Changed || Id >= Sigs.size())
     return;
   if (Sigs[Id].Width == 1) {
-    Out += Bits.empty() || !Bits[0] ? "0" : "1";
-    Out += idCode(Id) + "\n";
-    return;
+    Out += !Words.empty() && (Words[0] & 1) ? '1' : '0';
+  } else {
+    Out += 'b';
+    appendBits(Out, Words, Sigs[Id].Width);
+    Out += ' ';
   }
-  Out += "b" + bitsToString(Bits) + " " + idCode(Id) + "\n";
+  Out += Codes[Id];
+  Out += '\n';
 }
 
 Status VcdWriter::finish(bool Aborted) {
-  if (AnyCycle)
-    Out += "#" + std::to_string(LastCycle + 1) + "\n";
+  if (AnyCycle) {
+    Out += '#';
+    Out += std::to_string(LastCycle + 1);
+    Out += '\n';
+  }
   if (Aborted)
     Out += "$comment aborted $end\n";
   return Status::success();
@@ -299,7 +434,8 @@ Status VcdWriter::finish(bool Aborted) {
 //===----------------------------------------------------------------------===//
 
 WaveJsonWriter::WaveJsonWriter(std::string Top, std::string Engine)
-    : Top(std::move(Top)), Engine(std::move(Engine)) {}
+    : Top(std::move(Top)), Engine(std::move(Engine)),
+      RecordHead("{\"cycle\":0,\"signal\":") {}
 
 static const char *kindName(WaveSignal::Kind K) {
   switch (K) {
@@ -315,6 +451,7 @@ static const char *kindName(WaveSignal::Kind K) {
 
 Status WaveJsonWriter::begin(const std::vector<WaveSignal> &Signals) {
   Sigs = Signals;
+  Quoted.clear();
   obs::Json Header = obs::Json::object();
   Header.set("schema", "reticle-wave-v1");
   Header.set("top", Top);
@@ -326,6 +463,7 @@ Status WaveJsonWriter::begin(const std::vector<WaveSignal> &Signals) {
     Sig.set("width", S.Width);
     Sig.set("kind", kindName(S.SigKind));
     List.push(std::move(Sig));
+    Quoted.push_back(obs::Json::quote(S.Name));
   }
   Header.set("signals", std::move(List));
   Out += Header.str() + "\n";
@@ -333,19 +471,21 @@ Status WaveJsonWriter::begin(const std::vector<WaveSignal> &Signals) {
 }
 
 void WaveJsonWriter::beginCycle(uint64_t C) {
-  Cycle = C;
+  RecordHead = "{\"cycle\":" + std::to_string(C) + ",\"signal\":";
   Cycles = std::max(Cycles, C + 1);
 }
 
-void WaveJsonWriter::value(unsigned Id, const std::vector<bool> &Bits,
+void WaveJsonWriter::value(unsigned Id, std::span<const uint64_t> Words,
                            bool /*Changed*/) {
   if (Id >= Sigs.size())
     return;
   // Records are emitted for every signal every cycle (no suppression), so
   // consumers can join on {cycle, signal} without reconstructing state.
-  Out += "{\"cycle\":" + std::to_string(Cycle) +
-         ",\"signal\":" + obs::Json::quote(Sigs[Id].Name) +
-         ",\"value\":\"" + bitsToString(Bits) + "\"}\n";
+  Out += RecordHead;
+  Out += Quoted[Id];
+  Out += ",\"value\":\"";
+  appendBits(Out, Words, Sigs[Id].Width);
+  Out += "\"}\n";
 }
 
 Status WaveJsonWriter::finish(bool Aborted) {

@@ -11,13 +11,19 @@
 /// the gate-level netlist simulator stream every port and named internal
 /// signal, cycle by cycle, into a `sim::WaveSink`.
 ///
+/// Values travel as packed 64-bit words: bit b of a signal sits in word
+/// b/64 at position b%64 (the flattened LSB-first order `Value::toBits`
+/// produces), a signal of width W spans `waveWords(W)` words, and bits at
+/// or above W are zero. Change detection is a word compare, a toggle
+/// count is the popcount of old XOR new.
+///
 /// The flow has three pieces:
 ///
 ///  - `WaveSink` — the engine-facing interface. An engine declares its
 ///    signal set once (`begin`), marks each cycle (`beginCycle`), and
-///    reports every signal's flattened bit value (`value`). `finish`
-///    flushes; an aborted run (simulation error, cycle budget) still
-///    produces well-formed, truncated-but-parseable output, mirroring the
+///    reports every signal's packed value (`value`). `finish` flushes; an
+///    aborted run (simulation error, cycle budget) still produces
+///    well-formed, truncated-but-parseable output, mirroring the
 ///    remark-flush contract of failed compiles.
 ///  - `WaveRecorder` — the engine-side driver. It owns last-value change
 ///    detection (so writers can suppress no-change events), feeds the
@@ -42,6 +48,8 @@
 #include "support/Result.h"
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,6 +73,15 @@ struct WaveSignal {
       : Name(std::move(Name)), Width(Width == 0 ? 1 : Width), SigKind(K) {}
 };
 
+/// Number of packed words a signal of \p Width bits occupies.
+inline size_t waveWords(unsigned Width) { return (Width + 63) / 64; }
+
+/// Packs flattened LSB-first bits into \p Out (resized to
+/// `waveWords(Width)`); bits past \p Width are dropped, missing ones read
+/// as zero.
+void packBits(const std::vector<bool> &Bits, unsigned Width,
+              std::vector<uint64_t> &Out);
+
 /// Renders flattened bits (LSB first, as Value::toBits produces) as the
 /// MSB-first binary string used by `reticle-wave-v1` records.
 std::string bitsToString(const std::vector<bool> &Bits);
@@ -82,10 +99,12 @@ public:
   /// Starts cycle \p Cycle (monotonically increasing from 0).
   virtual void beginCycle(uint64_t Cycle) = 0;
 
-  /// Reports signal \p Id's value this cycle. \p Changed is false when the
-  /// bits equal the previous cycle's (writers may then suppress the
-  /// event); the first report of a signal is always marked changed.
-  virtual void value(unsigned Id, const std::vector<bool> &Bits,
+  /// Reports signal \p Id's value this cycle as packed words (see the
+  /// file comment); the span is only valid for the call. \p Changed is
+  /// false when the value equals the previous cycle's (writers may then
+  /// suppress the event); the first report of a signal is always marked
+  /// changed.
+  virtual void value(unsigned Id, std::span<const uint64_t> Words,
                      bool Changed) = 0;
 
   /// Flushes. \p Aborted marks a run that stopped early (error or cycle
@@ -96,10 +115,15 @@ public:
 /// The engine-side recorder: change detection, counters, optional sink.
 /// Engines construct one per run; with a null sink every call is a cheap
 /// no-op, so the engine's per-cycle loop needs no branches beyond
-/// `active()`.
+/// `active()`. Event and toggle counts accumulate per run and land in
+/// `sim.events` / `sim.toggles` at finish() or destruction, whichever
+/// comes first.
 class WaveRecorder {
 public:
   WaveRecorder(WaveSink *Sink, const obs::Context &Ctx);
+  ~WaveRecorder() { flushCounts(); }
+  WaveRecorder(const WaveRecorder &) = delete;
+  WaveRecorder &operator=(const WaveRecorder &) = delete;
 
   bool active() const { return Sink != nullptr; }
 
@@ -108,36 +132,49 @@ public:
 
   void cycle(uint64_t Cycle);
 
-  /// Records one value event: counts it under `sim.events`, counts the
-  /// changed bits under `sim.toggles`, normalizes the bit count to the
-  /// declared width, and forwards with the change flag.
-  void record(unsigned Id, std::vector<bool> Bits);
+  /// Records one value event: counts it, counts the bits that differ from
+  /// the previous value (every bit on first sight) as toggles, normalizes
+  /// the words to the declared width, and forwards with the change flag.
+  void record(unsigned Id, std::span<const uint64_t> Words);
+
+  /// Packs \p Bits once and records them; for engines that hold values as
+  /// flattened bit vectors.
+  void recordBits(unsigned Id, const std::vector<bool> &Bits);
 
   Status finish(bool Aborted);
 
 private:
+  void flushCounts();
+
   WaveSink *Sink = nullptr;
   obs::Counter *Events = nullptr;
   obs::Counter *Toggles = nullptr;
   obs::Counter *SignalsCount = nullptr;
   std::vector<WaveSignal> Signals;
-  std::vector<std::vector<bool>> Last;
+  /// Signal Id's previous value starts at Last[WordBase[Id]].
+  std::vector<size_t> WordBase;
+  std::vector<uint64_t> Last;
+  std::vector<uint64_t> Scratch;
   std::vector<uint8_t> Seen;
+  uint64_t PendingEvents = 0;
+  uint64_t PendingToggles = 0;
 };
 
 /// An in-memory sink: buffers every event so a run (complete or aborted)
 /// can be inspected by tests or replayed into file writers afterwards.
+/// Values live in one word arena; an event whose value equals its
+/// signal's previous one shares that value's words.
 class WaveCapture : public WaveSink {
 public:
   struct Event {
     unsigned Id = 0;
-    std::vector<bool> Bits;
     bool Changed = true;
+    size_t Offset = 0; ///< first arena word of the value
   };
 
   Status begin(const std::vector<WaveSignal> &Signals) override;
   void beginCycle(uint64_t Cycle) override;
-  void value(unsigned Id, const std::vector<bool> &Bits,
+  void value(unsigned Id, std::span<const uint64_t> Words,
              bool Changed) override;
   Status finish(bool Aborted) override;
 
@@ -149,12 +186,23 @@ public:
     return ByCycle;
   }
 
-  /// The bits signal \p Name reported at \p Cycle, or null when absent.
-  const std::vector<bool> *valueAt(uint64_t Cycle,
-                                   std::string_view Name) const;
+  /// The packed value \p E carries (`waveWords` of its signal's width).
+  std::span<const uint64_t> words(const Event &E) const {
+    return {Arena.data() + E.Offset, waveWords(Sigs[E.Id].Width)};
+  }
+
+  /// The value signal \p Name reported at \p Cycle, or nullopt when
+  /// absent.
+  std::optional<std::span<const uint64_t>>
+  valueAt(uint64_t Cycle, std::string_view Name) const;
 
 private:
+  static constexpr size_t NoValue = ~size_t(0);
+
   std::vector<WaveSignal> Sigs;
+  std::vector<uint64_t> Arena;
+  /// Arena offset of each signal's most recent value, or NoValue.
+  std::vector<size_t> LastOffset;
   std::vector<std::vector<Event>> ByCycle;
   bool Done = false;
   bool Aborted = false;
@@ -175,24 +223,33 @@ Status replay(
 /// 0->1 transition and `name[b]:10` on 1->0 (bit indices are the
 /// flattened LSB-first positions the engines report). The first reported
 /// value of a signal sets its baseline and records no transition; there
-/// is no x->v toggle. Engine-agnostic: the driver replays captured
-/// interpreter/netlist runs (with per-engine name prefixes) into one
-/// sink. Present in every build — under RETICLE_NO_TELEMETRY the
-/// registry is the inline no-op, so recording vanishes with it.
+/// is no x->v toggle. Edges are counted per bit in flat arrays while the
+/// run streams (old XOR new, split into rises and falls) and land in the
+/// registry once, at finish() — aborted runs included. Engine-agnostic:
+/// reticlec replays captured interpreter/netlist runs (with per-engine
+/// name prefixes) into one sink. Present in every build — under
+/// RETICLE_NO_TELEMETRY the registry is the inline no-op, so recording
+/// vanishes with it.
 class ToggleCoverageSink : public WaveSink {
 public:
   explicit ToggleCoverageSink(obs::Coverage &Cov) : Cov(Cov) {}
 
   Status begin(const std::vector<WaveSignal> &Signals) override;
   void beginCycle(uint64_t Cycle) override;
-  void value(unsigned Id, const std::vector<bool> &Bits,
+  void value(unsigned Id, std::span<const uint64_t> Words,
              bool Changed) override;
   Status finish(bool Aborted) override;
 
 private:
   obs::Coverage &Cov;
   std::vector<WaveSignal> Sigs;
-  std::vector<std::vector<bool>> Last;
+  /// Signal Id's previous value is Last[WordBase[Id] ..], and its bit b
+  /// counts edges at Rises / Falls[BitBase[Id] + b].
+  std::vector<size_t> WordBase;
+  std::vector<size_t> BitBase;
+  std::vector<uint64_t> Last;
+  std::vector<uint64_t> Rises;
+  std::vector<uint64_t> Falls;
   std::vector<uint8_t> Seen;
 };
 
@@ -209,7 +266,7 @@ public:
 
   Status begin(const std::vector<WaveSignal> &Signals) override;
   void beginCycle(uint64_t Cycle) override;
-  void value(unsigned Id, const std::vector<bool> &Bits,
+  void value(unsigned Id, std::span<const uint64_t> Words,
              bool Changed) override;
   Status finish(bool Aborted) override;
 
@@ -223,6 +280,8 @@ private:
   std::string Top;
   std::string Out;
   std::vector<WaveSignal> Sigs;
+  /// idCode(Id) for every declared signal, computed once in begin().
+  std::vector<std::string> Codes;
   uint64_t LastCycle = 0;
   bool AnyCycle = false;
 };
@@ -237,7 +296,7 @@ public:
 
   Status begin(const std::vector<WaveSignal> &Signals) override;
   void beginCycle(uint64_t Cycle) override;
-  void value(unsigned Id, const std::vector<bool> &Bits,
+  void value(unsigned Id, std::span<const uint64_t> Words,
              bool Changed) override;
   Status finish(bool Aborted) override;
 
@@ -248,7 +307,10 @@ private:
   std::string Engine;
   std::string Out;
   std::vector<WaveSignal> Sigs;
-  uint64_t Cycle = 0;
+  /// Each signal's name as a JSON string literal, quoted once in begin().
+  std::vector<std::string> Quoted;
+  /// `{"cycle":<n>,"signal":` for the current cycle.
+  std::string RecordHead;
   uint64_t Cycles = 0;
 };
 

@@ -27,8 +27,8 @@
 ///    (computing all next states before storing any, so registers update
 ///    simultaneously).
 ///  - boundary metadata: input/output ports (how trace `Value`s map onto
-///    table words) and the waveform signal list (how table words flatten
-///    back into the per-cycle bit vectors a `WaveSink` observes).
+///    table words) and the waveform signal list (how table words pack
+///    into the per-cycle values a `WaveSink` observes).
 ///
 /// Instructions operate on an operand stack of 64-bit words; the verifier
 /// checks stack discipline and operand bounds ahead of execution, and the
@@ -97,10 +97,10 @@ unsigned opOperands(Op O);
 unsigned opPops(Op O);
 unsigned opPushes(Op O);
 
-/// One named signal in the word table, with enough metadata to flatten
-/// its words back into the LSB-first bit vector the wave layer observes:
-/// lane L contributes the low `min(LaneWidth, Width - L*LaneWidth)` bits
-/// of word `Base + L`.
+/// One named signal in the word table, with enough metadata to pack its
+/// words into the LSB-first word layout the wave layer observes: lane L
+/// contributes the low `min(LaneWidth, Width - L*LaneWidth)` bits of word
+/// `Base + L`, at flattened bit `L*LaneWidth`.
 struct SignalInfo {
   std::string Name;
   unsigned Width = 1;     ///< flattened bit count

@@ -300,6 +300,44 @@ L_Select : {
 #endif
 }
 
+/// Rebuilds a packed port wider than one word from its table words (64
+/// flattened bits per word, LSB first). Cold: only netlist programs with
+/// ports over 64 bits reach it, so it stays out of the per-cycle output
+/// path's layout.
+[[gnu::cold]] Value unpackWidePort(const ir::Type &Ty,
+                                   const uint64_t *Words) {
+  std::vector<bool> Bits(Ty.totalBits());
+  for (size_t B = 0; B < Bits.size(); ++B)
+    Bits[B] = (Words[B / 64] >> (B % 64)) & 1;
+  return Value::fromBits(Ty, Bits);
+}
+
+/// Packs signal \p S from the state table into the wave layer's word
+/// layout: lane L's low bits land at flattened bit L * LaneWidth of
+/// \p Out, which holds waveWords(S.Width) words.
+void packSignal(const SignalInfo &S, const uint64_t *Words, uint64_t *Out) {
+  const size_t N = waveWords(S.Width);
+  if (S.LaneWidth == 64) {
+    // Netlist tables (and 64-bit IR lanes) already hold the packed layout.
+    std::copy_n(Words + S.Base, N, Out);
+  } else if (S.Lanes == 1) {
+    Out[0] = Words[S.Base];
+  } else {
+    std::fill_n(Out, N, 0);
+    for (unsigned L = 0, Bit = 0; L < S.Lanes && Bit < S.Width;
+         ++L, Bit += S.LaneWidth) {
+      unsigned Take = std::min(S.LaneWidth, S.Width - Bit);
+      uint64_t V = Words[S.Base + L] & maskOf(Take);
+      unsigned Sh = Bit % 64;
+      Out[Bit / 64] |= V << Sh;
+      if (Sh + Take > 64) // the lane straddles a word boundary
+        Out[Bit / 64 + 1] |= V >> (64 - Sh);
+    }
+  }
+  if (S.Width % 64 != 0)
+    Out[N - 1] &= maskOf(S.Width % 64);
+}
+
 /// Every SampleEvery-th cycle of a profiled run times its eval and
 /// commit segment executions; the others run untimed, keeping the
 /// clock-read overhead off the hot path.
@@ -331,11 +369,16 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
   Proto.seal();
 
   EngineFrame Frame(Wave, Ctx, "sim.vm.cycles");
+  // One signal's packed words at a time: the recorder consumes each value
+  // before the next is packed.
+  std::vector<uint64_t> WaveBuf;
   if (Frame.waveActive()) {
     std::vector<WaveSignal> WaveSigs;
     WaveSigs.reserve(P.Signals.size());
-    for (const SignalInfo &S : P.Signals)
+    for (const SignalInfo &S : P.Signals) {
       WaveSigs.push_back({S.Name, S.Width, S.Kind});
+      WaveBuf.resize(std::max(WaveBuf.size(), waveWords(S.Width)));
+    }
     if (Status S = Frame.recorder().begin(std::move(WaveSigs)); !S)
       return fail<Trace>(S.error());
   }
@@ -384,22 +427,6 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
     Ctx.counter("obs.profile.ops_unattributed") +=
         Prof->TotalOps - Prof->AttributedOps;
     Ctx.counter("obs.profile.sampled_cycles") += Prof->SampledCycles;
-  };
-
-  // Reads a signal's table words back into the LSB-first flattened bit
-  // vector the wave layer observes.
-  std::vector<bool> BitBuf;
-  auto GatherBits = [&](uint32_t Base, unsigned Width, unsigned LaneWidth,
-                        unsigned Lanes) -> const std::vector<bool> & {
-    BitBuf.assign(Width, false);
-    unsigned Bit = 0;
-    for (unsigned L = 0; L < Lanes && Bit < Width; ++L) {
-      unsigned Take = std::min(LaneWidth, Width - Bit);
-      uint64_t W = Words[Base + L];
-      for (unsigned K = 0; K < Take; ++K)
-        BitBuf[Bit++] = (W >> K) & 1;
-    }
-    return BitBuf;
   };
 
   Trace Out;
@@ -475,18 +502,16 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
           Lanes[L] = static_cast<int64_t>((W >> (L * Wd)) & maskOf(Wd));
         return Value::fromLanes(Po.Ty, std::move(Lanes));
       }
-      return Value::fromBits(
-          Po.Ty, GatherBits(Po.Base, Po.Ty.totalBits(),
-                            std::min(64u, Po.Ty.totalBits()),
-                            (Po.Ty.totalBits() + 63) / 64));
+      return unpackWidePort(Po.Ty, Words.data() + Po.Base);
     });
 
     if (Frame.waveActive()) {
-      Frame.recorder().cycle(Cycle);
+      WaveRecorder &Rec = Frame.recorder();
+      Rec.cycle(Cycle);
       for (size_t Id = 0; Id < P.Signals.size(); ++Id) {
         const SignalInfo &S = P.Signals[Id];
-        Frame.recorder().record(
-            Id, GatherBits(S.Base, S.Width, S.LaneWidth, S.Lanes));
+        packSignal(S, Words.data(), WaveBuf.data());
+        Rec.record(Id, {WaveBuf.data(), waveWords(S.Width)});
       }
     }
 

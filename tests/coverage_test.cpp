@@ -20,10 +20,23 @@
 #include "core/Session.h"
 #include "core/Stats.h"
 #include "device/Device.h"
+#include "interp/Interp.h"
+#include "interp/TraceIo.h"
 #include "interp/Wave.h"
+#include "ir/Parser.h"
 #include "obs/Json.h"
+#include "obs/Remarks.h"
+#include "obs/Telemetry.h"
+#include "sim/Compile.h"
+#include "sim/Vm.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <optional>
+#include <random>
+#include <span>
+#include <sstream>
 
 using namespace reticle;
 using obs::Coverage;
@@ -39,6 +52,46 @@ const char *MacSource = R"(
     y:i8 = reg[0](t1, en) @??;
   }
 )";
+
+/// A packed wave value, LSB word first.
+std::vector<uint64_t> words(std::initializer_list<uint64_t> W) { return W; }
+
+/// The low \p Width bits of packed \p W, LSB first.
+std::vector<bool> unpack(std::span<const uint64_t> W, unsigned Width) {
+  std::vector<bool> Bits(Width);
+  for (unsigned B = 0; B < Width; ++B)
+    Bits[B] = (W[B / 64] >> (B % 64)) & 1;
+  return Bits;
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << Path;
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The per-bit definition of toggle coverage, computed from unpacked
+/// values: each bit that differs between a signal's consecutive reports
+/// hits `name[bit]:01` or `name[bit]:10`; the first report only seeds.
+struct ToggleReference {
+  explicit ToggleReference(std::vector<sim::WaveSignal> Signals)
+      : Sigs(std::move(Signals)), Last(Sigs.size()) {}
+
+  void report(unsigned Id, const std::vector<bool> &Bits) {
+    if (Last[Id])
+      for (size_t B = 0; B < Bits.size(); ++B)
+        if (Bits[B] != (*Last[Id])[B])
+          ++Bins[Sigs[Id].Name + "[" + std::to_string(B) +
+                 (Bits[B] ? "]:01" : "]:10")];
+    Last[Id] = Bits;
+  }
+
+  std::vector<sim::WaveSignal> Sigs;
+  std::vector<std::optional<std::vector<bool>>> Last;
+  std::map<std::string, uint64_t> Bins;
+};
 
 //===----------------------------------------------------------------------===//
 // Serialization (pure functions over a snapshot: valid in every build)
@@ -212,11 +265,11 @@ TEST(ToggleCoverage, RecordsPerBitEdges) {
   sim::ToggleCoverageSink Sink(Cov);
   ASSERT_TRUE(Sink.begin({sim::WaveSignal("y", 2)}).ok());
   Sink.beginCycle(0);
-  Sink.value(0, {false, true}, true); // first observation only seeds
+  Sink.value(0, words({0b10}), true); // first observation only seeds
   Sink.beginCycle(1);
-  Sink.value(0, {true, false}, true); // bit0 0->1, bit1 1->0
+  Sink.value(0, words({0b01}), true); // bit0 0->1, bit1 1->0
   Sink.beginCycle(2);
-  Sink.value(0, {true, false}, false); // unchanged: no edges
+  Sink.value(0, words({0b01}), false); // unchanged: no edges
   ASSERT_TRUE(Sink.finish(false).ok());
 
   CoverageSnapshot S = Cov.snapshot();
@@ -232,13 +285,177 @@ TEST(ToggleCoverage, RecordsPerBitEdges) {
 TEST(ToggleCoverage, NarrowedValueReadsAsZeroBits) {
   Coverage Cov;
   sim::ToggleCoverageSink Sink(Cov);
-  ASSERT_TRUE(Sink.begin({sim::WaveSignal("w", 2)}).ok());
+  ASSERT_TRUE(
+      Sink.begin({sim::WaveSignal("w", 2), sim::WaveSignal("x", 65)}).ok());
   Sink.beginCycle(0);
-  Sink.value(0, {true, true}, true);
+  Sink.value(0, words({0b11}), true);
+  Sink.value(1, words({1, 1}), true);
   Sink.beginCycle(1);
-  Sink.value(0, {true}, true); // missing bit1 means 0: a 1->0 edge
+  Sink.value(0, words({0b01}), true); // bit1 now 0: a 1->0 edge
+  Sink.value(1, words({1}), true);    // missing word reads as zero
   ASSERT_TRUE(Sink.finish(false).ok());
-  EXPECT_EQ(Cov.snapshot().at("sim.toggle").at("w[1]:10"), 1u);
+  CoverageSnapshot S = Cov.snapshot();
+  EXPECT_EQ(S.at("sim.toggle").at("w[1]:10"), 1u);
+  EXPECT_EQ(S.at("sim.toggle").at("x[64]:10"), 1u);
+  EXPECT_EQ(S.at("sim.toggle").size(), 2u);
+}
+
+TEST(ToggleCoverage, BinsLandOnceAtFinish) {
+  Coverage Cov;
+  sim::ToggleCoverageSink Sink(Cov);
+  ASSERT_TRUE(Sink.begin({sim::WaveSignal("b", 1)}).ok());
+  for (uint64_t C = 0; C < 5; ++C) {
+    Sink.beginCycle(C);
+    Sink.value(0, words({C % 2}), true);
+  }
+  EXPECT_TRUE(Cov.empty());
+  ASSERT_TRUE(Sink.finish(false).ok());
+  ASSERT_TRUE(Sink.finish(false).ok()); // a second finish adds nothing
+  CoverageSnapshot S = Cov.snapshot();
+  EXPECT_EQ(S.at("sim.toggle").at("b[0]:01"), 2u);
+  EXPECT_EQ(S.at("sim.toggle").at("b[0]:10"), 2u);
+}
+
+// Packed toggle counting against the per-bit definition: random values
+// on signals at and around the word boundaries, some cycles unchanged,
+// compared bin for bin.
+TEST(ToggleCoverage, MatchesBitLevelReference) {
+  std::vector<sim::WaveSignal> Sigs;
+  for (unsigned W : {1u, 63u, 64u, 65u, 128u})
+    Sigs.emplace_back(std::string("s").append(std::to_string(W)), W);
+  Coverage Cov;
+  sim::ToggleCoverageSink Sink(Cov);
+  ASSERT_TRUE(Sink.begin(Sigs).ok());
+  ToggleReference Ref(Sigs);
+
+  std::mt19937_64 Rng(7);
+  std::vector<std::vector<bool>> Cur;
+  for (const sim::WaveSignal &S : Sigs)
+    Cur.emplace_back(S.Width, false);
+  std::vector<uint64_t> Packed;
+  for (uint64_t C = 0; C < 40; ++C) {
+    Sink.beginCycle(C);
+    for (unsigned Id = 0; Id < Sigs.size(); ++Id) {
+      std::vector<bool> Next = Cur[Id];
+      if (C == 0 || Rng() % 4 != 0) // every fourth value repeats
+        for (size_t B = 0; B < Next.size(); ++B)
+          if (Rng() % 3 == 0)
+            Next[B] = !Next[B];
+      sim::packBits(Next, Sigs[Id].Width, Packed);
+      Sink.value(Id, Packed, C == 0 || Next != Cur[Id]);
+      Ref.report(Id, Next);
+      Cur[Id] = std::move(Next);
+    }
+  }
+  ASSERT_TRUE(Sink.finish(false).ok());
+  ASSERT_FALSE(Ref.Bins.empty());
+  EXPECT_EQ(Cov.snapshot()["sim.toggle"], Ref.Bins);
+}
+
+// The wide fixture (an i64<2> and an i24<4> with a lane straddling the
+// word boundary) captured on both VM engines and replayed the way
+// `reticlec --run --coverage` does.
+TEST(ToggleCoverage, WideFixtureReplayMatchesBitLevelReference) {
+  std::string Dir = RETICLE_TEST_INPUTS_DIR;
+  Result<ir::Function> Fn = ir::parseFunction(slurp(Dir + "/wide_wires.ret"));
+  ASSERT_TRUE(Fn.ok()) << Fn.error();
+  Result<interp::Trace> In = sim::parseInputTrace(
+      slurp(Dir + "/wide_wires.trace.json"), Fn.value());
+  ASSERT_TRUE(In.ok()) << In.error();
+  core::CompileOptions Options;
+  Options.Dev = device::Device::small();
+  Result<core::CompileResult> R = core::compile(Fn.value(), Options);
+  ASSERT_TRUE(R.ok()) << R.error();
+  Result<sim::Program> IrProg = sim::compile(Fn.value());
+  Result<sim::Program> NetProg = sim::compile(R.value().Verilog);
+  ASSERT_TRUE(IrProg.ok()) << IrProg.error();
+  ASSERT_TRUE(NetProg.ok()) << NetProg.error();
+
+  sim::WaveCapture CapIr, CapNet;
+  ASSERT_TRUE(sim::execute(IrProg.value(), In.value(), &CapIr).ok());
+  ASSERT_TRUE(sim::execute(NetProg.value(), In.value(), &CapNet).ok());
+  std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources = {
+      {&CapIr, "vm-ir"}, {&CapNet, "vm-netlist"}};
+  Coverage Cov;
+  sim::ToggleCoverageSink Sink(Cov);
+  ASSERT_TRUE(sim::replay(Sources, Sink).ok());
+
+  // The reference walks the same events unpacked to bits, in replay
+  // order, under the same prefixed names.
+  std::vector<sim::WaveSignal> Merged;
+  std::vector<unsigned> Offset;
+  for (const auto &[Cap, Prefix] : Sources) {
+    Offset.push_back(static_cast<unsigned>(Merged.size()));
+    for (const sim::WaveSignal &S : Cap->signals())
+      Merged.emplace_back(Prefix + "." + S.Name, S.Width);
+  }
+  ToggleReference Ref(Merged);
+  for (uint64_t C = 0; C < In.value().size(); ++C)
+    for (size_t I = 0; I < Sources.size(); ++I) {
+      const sim::WaveCapture &Cap = *Sources[I].first;
+      for (const sim::WaveCapture::Event &E : Cap.eventsByCycle()[C])
+        Ref.report(Offset[I] + E.Id,
+                   unpack(Cap.words(E), Cap.signals()[E.Id].Width));
+    }
+  ASSERT_FALSE(Ref.Bins.empty());
+  // Both engines saw edges on the high word of w and on the straddling
+  // lane's bits in both words of v.
+  EXPECT_TRUE(Ref.Bins.count("vm-ir.w[127]:01") ||
+              Ref.Bins.count("vm-ir.w[127]:10"));
+  EXPECT_TRUE(Ref.Bins.count("vm-netlist.v[63]:01") ||
+              Ref.Bins.count("vm-netlist.v[63]:10"));
+  EXPECT_TRUE(Ref.Bins.count("vm-netlist.v[64]:01") ||
+              Ref.Bins.count("vm-netlist.v[64]:10"));
+  EXPECT_EQ(Cov.snapshot()["sim.toggle"], Ref.Bins);
+}
+
+// Counters and bins land at finish(); an engine that aborts mid-run
+// finishes its sink as aborted, so the completed cycles still count.
+TEST(ToggleCoverage, AbortedRunsKeepTheirCounts) {
+  Result<ir::Function> Fn = ir::parseFunction(MacSource);
+  ASSERT_TRUE(Fn.ok()) << Fn.error();
+  Result<sim::Program> Prog = sim::compile(Fn.value());
+  ASSERT_TRUE(Prog.ok()) << Prog.error();
+  interp::Trace In;
+  ir::Type I8 = ir::Type::makeInt(8);
+  for (int C = 0; C < 4; ++C) {
+    interp::Step &S = In.appendStep();
+    S["a"] = interp::Value::splat(I8, C + 1);
+    S["b"] = interp::Value::splat(I8, 2 * C - 1);
+    S["c"] = interp::Value::splat(I8, -C);
+    S["en"] = interp::Value::makeBool(C != 2);
+  }
+  In.steps()[2].erase("b"); // starve cycle 2
+
+  for (bool Vm : {true, false}) {
+    SCOPED_TRACE(Vm ? "vm-ir" : "interp");
+    auto Run = [&](sim::WaveSink &Sink, const obs::Context &Ctx) {
+      return Vm ? sim::execute(Prog.value(), In, &Sink, Ctx)
+                : interp::interpret(Fn.value(), In, &Sink, Ctx);
+    };
+    obs::Telemetry Telem;
+    obs::RemarkStream Rem;
+    Coverage Cov;
+    obs::Context Ctx{&Telem, &Rem, &Cov};
+    sim::ToggleCoverageSink Sink(Cov);
+    Result<interp::Trace> Out = Run(Sink, Ctx);
+    ASSERT_FALSE(Out.ok());
+    EXPECT_NE(Out.error().find("cycle 2"), std::string::npos) << Out.error();
+    uint64_t Signals = Ctx.counter("sim.signals").load();
+    ASSERT_GT(Signals, 0u);
+    EXPECT_EQ(Ctx.counter("sim.events").load(), 2 * Signals);
+
+    // The reference: the cycle 0->1 edges of the same aborted run.
+    sim::WaveCapture Cap;
+    ASSERT_FALSE(Run(Cap, obs::defaultContext()).ok());
+    ASSERT_EQ(Cap.cycles(), 2u);
+    ToggleReference Ref(Cap.signals());
+    for (uint64_t C = 0; C < 2; ++C)
+      for (const sim::WaveCapture::Event &E : Cap.eventsByCycle()[C])
+        Ref.report(E.Id, unpack(Cap.words(E), Cap.signals()[E.Id].Width));
+    ASSERT_FALSE(Ref.Bins.empty());
+    EXPECT_EQ(Cov.snapshot()["sim.toggle"], Ref.Bins);
+  }
 }
 
 //===----------------------------------------------------------------------===//

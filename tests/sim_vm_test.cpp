@@ -20,6 +20,7 @@
 #include "codegen/NetlistSim.h"
 #include "core/Compiler.h"
 #include "interp/Interp.h"
+#include "interp/TraceIo.h"
 #include "interp/Wave.h"
 #include "ir/Parser.h"
 #include "obs/Coverage.h"
@@ -29,7 +30,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
+#include <span>
+#include <sstream>
 
 using namespace reticle;
 using device::Device;
@@ -88,7 +92,10 @@ void expectWavesEqual(const WaveCapture &A, const WaveCapture &B,
     ASSERT_EQ(Ea.size(), Eb.size()) << What << " cycle " << C;
     for (size_t I = 0; I < Ea.size(); ++I) {
       EXPECT_EQ(Ea[I].Id, Eb[I].Id) << What << " cycle " << C;
-      EXPECT_EQ(Ea[I].Bits, Eb[I].Bits)
+      std::span<const uint64_t> Wa = A.words(Ea[I]);
+      std::span<const uint64_t> Wb = B.words(Eb[I]);
+      EXPECT_EQ(std::vector<uint64_t>(Wa.begin(), Wa.end()),
+                std::vector<uint64_t>(Wb.begin(), Wb.end()))
           << What << " cycle " << C << " signal "
           << A.signals()[Ea[I].Id].Name;
       EXPECT_EQ(Ea[I].Changed, Eb[I].Changed) << What << " cycle " << C;
@@ -217,6 +224,27 @@ TEST(SimVm, ParityRegisterInitAndConst) {
     }
   )");
   checkVmParity(Fn, randomTrace(Fn, 24, 7));
+}
+
+// Signals wider than one 64-bit word: an i64<2> (two whole words) and an
+// i24<4> whose lane 2 straddles the word boundary, driven by the checked-in
+// seeded trace.
+TEST(SimVm, ParityWideWires) {
+  auto Slurp = [](const std::string &Path) {
+    std::ifstream In(Path);
+    EXPECT_TRUE(In.good()) << Path;
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    return Buf.str();
+  };
+  std::string Dir = RETICLE_TEST_INPUTS_DIR;
+  Result<ir::Function> Fn =
+      ir::parseFunction(Slurp(Dir + "/wide_wires.ret"));
+  ASSERT_TRUE(Fn.ok()) << Fn.error();
+  Result<Trace> In =
+      sim::parseInputTrace(Slurp(Dir + "/wide_wires.trace.json"), Fn.value());
+  ASSERT_TRUE(In.ok()) << In.error();
+  checkVmParity(Fn.value(), In.value());
 }
 
 //===----------------------------------------------------------------------===//

@@ -25,7 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 
 using namespace reticle;
@@ -45,6 +47,14 @@ const char *MacSource = R"(
     y:i8 = reg[0](t1, en) @??;
   }
 )";
+
+/// A packed wave value, LSB word first.
+std::vector<uint64_t> words(std::initializer_list<uint64_t> W) { return W; }
+
+/// A captured value as a vector, for gtest's printing comparisons.
+std::vector<uint64_t> toVec(std::span<const uint64_t> W) {
+  return {W.begin(), W.end()};
+}
 
 ir::Function parseOk(const char *Source) {
   Result<ir::Function> Fn = ir::parseFunction(Source);
@@ -97,7 +107,7 @@ TEST(TraceApi, AppendStepFillsInPlace) {
 }
 
 //===----------------------------------------------------------------------===//
-// bitsToString
+// bitsToString / packBits
 //===----------------------------------------------------------------------===//
 
 TEST(WaveBits, RendersMsbFirst) {
@@ -105,6 +115,19 @@ TEST(WaveBits, RendersMsbFirst) {
   EXPECT_EQ(sim::bitsToString({true, false, false, true}), "1001");
   EXPECT_EQ(sim::bitsToString({true}), "1");
   EXPECT_EQ(sim::bitsToString({}), "");
+}
+
+TEST(WaveBits, PackBitsMatchesTheWordLayout) {
+  std::vector<bool> Bits(70, false);
+  Bits[0] = Bits[63] = Bits[64] = Bits[69] = true;
+  std::vector<uint64_t> W;
+  sim::packBits(Bits, 70, W);
+  EXPECT_EQ(W, words({1 | (uint64_t(1) << 63), 0b100001}));
+  // Bits past the width drop; missing ones read as zero.
+  sim::packBits(Bits, 64, W);
+  EXPECT_EQ(W, words({1 | (uint64_t(1) << 63)}));
+  sim::packBits({true}, 65, W);
+  EXPECT_EQ(W, words({1, 0}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -121,11 +144,15 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   ASSERT_TRUE(Rec.begin({WaveSignal("a", 4), WaveSignal("b", 1)}).ok());
 
   Rec.cycle(0);
-  Rec.record(0, {true, false, true, false}); // 0101
-  Rec.record(1, {true});
+  Rec.record(0, words({0b0101}));
+  Rec.record(1, words({1}));
   Rec.cycle(1);
-  Rec.record(0, {true, false, true, false}); // unchanged
-  Rec.record(1, {false});                    // flipped
+  Rec.record(0, words({0b0101})); // unchanged
+  Rec.record(1, words({0}));      // flipped
+#ifndef RETICLE_NO_TELEMETRY
+  // Counts accumulate per run and land at finish().
+  EXPECT_EQ(Ctx.counter("sim.events").load(), 0u);
+#endif
   ASSERT_TRUE(Rec.finish(false).ok());
 
   ASSERT_EQ(Cap.cycles(), 2u);
@@ -150,12 +177,37 @@ TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
   WaveRecorder Rec(&Cap, obs::defaultContext());
   ASSERT_TRUE(Rec.begin({WaveSignal("w", 4)}).ok());
   Rec.cycle(0);
-  Rec.record(0, {true}); // short: padded to 4 bits
+  Rec.recordBits(0, {true}); // short: padded to 4 bits
+  Rec.cycle(1);
+  Rec.record(0, words({0xF2, 7})); // wide: masked to 4 bits, one word
   ASSERT_TRUE(Rec.finish(false).ok());
-  const std::vector<bool> *V = Cap.valueAt(0, "w");
-  ASSERT_NE(V, nullptr);
-  EXPECT_EQ(V->size(), 4u);
-  EXPECT_EQ(sim::bitsToString(*V), "0001");
+  std::optional<std::span<const uint64_t>> V = Cap.valueAt(0, "w");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->size(), 1u);
+  EXPECT_EQ(toVec(*V), words({0b0001}));
+  V = Cap.valueAt(1, "w");
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(toVec(*V), words({0x2}));
+}
+
+TEST(WaveRecorder, CountsLandAtDestructionWithoutFinish) {
+  obs::Telemetry Telem;
+  obs::RemarkStream Rem;
+  obs::Context Ctx{&Telem, &Rem};
+  WaveCapture Cap;
+  {
+    WaveRecorder Rec(&Cap, Ctx);
+    ASSERT_TRUE(Rec.begin({WaveSignal("w", 65)}).ok());
+    Rec.cycle(0);
+    Rec.record(0, words({0, 1}));
+    Rec.cycle(1);
+    Rec.record(0, words({0b11, 0})); // three bits flip across two words
+  }
+#ifndef RETICLE_NO_TELEMETRY
+  EXPECT_EQ(Ctx.counter("sim.events").load(), 2u);
+  EXPECT_EQ(Ctx.counter("sim.toggles").load(), 65u + 3u);
+#endif
+  EXPECT_FALSE(Cap.finished());
 }
 
 TEST(WaveRecorder, NullSinkIsInert) {
@@ -166,7 +218,7 @@ TEST(WaveRecorder, NullSinkIsInert) {
   EXPECT_FALSE(Rec.active());
   ASSERT_TRUE(Rec.begin({WaveSignal("a", 1)}).ok());
   Rec.cycle(0);
-  Rec.record(0, {true});
+  Rec.record(0, words({1}));
   ASSERT_TRUE(Rec.finish(false).ok());
   EXPECT_EQ(Ctx.counter("sim.events").load(), 0u);
   EXPECT_EQ(Ctx.counter("sim.signals").load(), 0u);
@@ -180,13 +232,13 @@ TEST(WaveReplay, MergesSourcesWithPrefixes) {
   WaveCapture A, B;
   ASSERT_TRUE(A.begin({WaveSignal("y", 2)}).ok());
   A.beginCycle(0);
-  A.value(0, {true, false}, true);
+  A.value(0, words({0b01}), true);
   ASSERT_TRUE(A.finish(false).ok());
   ASSERT_TRUE(B.begin({WaveSignal("y", 2)}).ok());
   B.beginCycle(0);
-  B.value(0, {true, false}, true);
+  B.value(0, words({0b01}), true);
   B.beginCycle(1);
-  B.value(0, {false, true}, true);
+  B.value(0, words({0b10}), true);
   ASSERT_TRUE(B.finish(true).ok()); // one aborted source
 
   WaveCapture Merged;
@@ -198,8 +250,36 @@ TEST(WaveReplay, MergesSourcesWithPrefixes) {
   // the abort flag forward.
   EXPECT_EQ(Merged.cycles(), 2u);
   EXPECT_TRUE(Merged.aborted());
-  ASSERT_NE(Merged.valueAt(1, "netlist.y"), nullptr);
-  EXPECT_EQ(Merged.valueAt(1, "interp.y"), nullptr);
+  ASSERT_TRUE(Merged.valueAt(1, "netlist.y").has_value());
+  EXPECT_FALSE(Merged.valueAt(1, "interp.y").has_value());
+  EXPECT_EQ(toVec(*Merged.valueAt(1, "netlist.y")), words({0b10}));
+}
+
+TEST(WaveCapture, RepeatedValuesShareTheirWords) {
+  WaveCapture Cap;
+  ASSERT_TRUE(Cap.begin({WaveSignal("w", 128), WaveSignal("b", 1)}).ok());
+  Cap.beginCycle(0);
+  Cap.value(0, words({5, 6}), true);
+  Cap.value(1, words({1}), true);
+  Cap.beginCycle(1);
+  Cap.value(0, words({5, 6}), false);
+  Cap.value(1, words({0}), true);
+  Cap.beginCycle(2);
+  Cap.value(0, words({5}), true); // short: the missing word reads as zero
+  ASSERT_TRUE(Cap.finish(false).ok());
+
+  const auto &Events = Cap.eventsByCycle();
+  ASSERT_EQ(Events.size(), 3u);
+  EXPECT_EQ(Events[0].size(), 2u);
+  EXPECT_EQ(Events[1].size(), 2u);
+  EXPECT_EQ(Events[2].size(), 1u);
+  // The unchanged 128-bit value points at the words cycle 0 stored.
+  EXPECT_EQ(Events[1][0].Offset, Events[0][0].Offset);
+  EXPECT_FALSE(Events[1][0].Changed);
+  EXPECT_NE(Events[2][0].Offset, Events[0][0].Offset);
+  EXPECT_EQ(toVec(Cap.words(Events[1][0])), words({5, 6}));
+  EXPECT_EQ(toVec(Cap.words(Events[2][0])), words({5, 0}));
+  EXPECT_EQ(toVec(*Cap.valueAt(1, "b")), words({0}));
 }
 
 #ifndef RETICLE_NO_TELEMETRY
@@ -245,11 +325,11 @@ TEST(VcdWriter, HeaderDumpAndSuppression) {
   sim::VcdWriter W("top");
   ASSERT_TRUE(W.begin({WaveSignal("s", 1), WaveSignal("v", 8)}).ok());
   W.beginCycle(0);
-  W.value(0, {true}, true);
-  W.value(1, std::vector<bool>(8, false), true);
+  W.value(0, words({1}), true);
+  W.value(1, words({0}), true);
   W.beginCycle(1);
-  W.value(0, {true}, false); // suppressed
-  W.value(1, {true, false, false, false, false, false, false, false}, true);
+  W.value(0, words({1}), false); // suppressed
+  W.value(1, words({1}), true);
   ASSERT_TRUE(W.finish(false).ok());
   const std::string &T = W.text();
 
@@ -292,7 +372,7 @@ TEST(VcdWriter, AbortStillFlushesWellFormedOutput) {
   sim::VcdWriter W("t");
   ASSERT_TRUE(W.begin({WaveSignal("a", 1)}).ok());
   W.beginCycle(0);
-  W.value(0, {true}, true);
+  W.value(0, words({1}), true);
   ASSERT_TRUE(W.finish(true).ok());
   EXPECT_NE(W.text().find("$comment aborted $end"), std::string::npos);
   EXPECT_EQ(checkVcdShape(W.text()), "");
@@ -309,8 +389,8 @@ TEST(WaveJsonWriter, EveryLineParsesAndNothingIsSuppressed) {
                   .ok());
   for (uint64_t C = 0; C < 3; ++C) {
     W.beginCycle(C);
-    W.value(0, {true, false, false, false}, C == 0);
-    W.value(1, {false, true, false, false}, C == 0);
+    W.value(0, words({0b0001}), C == 0);
+    W.value(1, words({0b0010}), C == 0);
   }
   ASSERT_TRUE(W.finish(true).ok());
 
@@ -446,6 +526,61 @@ TEST(TraceIo, DistinctErrorPaths) {
   EXPECT_NE(Lanes, NonMonotone);
 }
 
+// JSON numbers that are not exact integers — fractions, exponents, and
+// integers past int64 (which parse as doubles) — are rejected on every
+// integer-valued key instead of being truncated, and the diagnostic names
+// the cycle and the port.
+TEST(TraceIo, RejectsNonIntegerNumbers) {
+  ir::Function Fn = parseOk(R"(
+    def f(a:i8, en:bool, v:i8<2>) -> (y:i8) {
+      y:i8 = add(a, a) @??;
+    }
+  )");
+  auto Err = [&](const std::string &Cycle1) {
+    std::string Text = R"({"schema":"reticle-input-trace-v1","cycles":[)"
+                       R"({"a":1,"en":true,"v":[1,2]},)" +
+                       Cycle1 + "]}";
+    Result<Trace> T = sim::parseInputTrace(Text, Fn);
+    EXPECT_FALSE(T.ok()) << Text;
+    return T.ok() ? std::string() : T.error();
+  };
+  auto ExpectNames = [](const std::string &Msg, const char *Port) {
+    EXPECT_NE(Msg.find("cycle 1"), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find(std::string("'") + Port + "'"), std::string::npos)
+        << Msg;
+  };
+  for (const char *A : {"2.7", "1e300", "18446744073709551616", "2.0"}) {
+    std::string Msg = Err(std::string(R"({"a":)") + A +
+                          R"(,"en":true,"v":[1,2]})");
+    ExpectNames(Msg, "a");
+    EXPECT_NE(Msg.find("expected an integer"), std::string::npos) << Msg;
+  }
+  std::string Bool = Err(R"({"a":1,"en":1.0,"v":[1,2]})");
+  ExpectNames(Bool, "en");
+  EXPECT_NE(Bool.find("expected a boolean"), std::string::npos) << Bool;
+  std::string Half = Err(R"({"a":1,"en":0.5,"v":[1,2]})");
+  ExpectNames(Half, "en");
+  std::string Lane = Err(R"({"a":1,"en":true,"v":[1,2.5]})");
+  ExpectNames(Lane, "v");
+  EXPECT_NE(Lane.find("lane 1"), std::string::npos) << Lane;
+  std::string Huge = Err(R"({"a":1,"en":true,"v":[1e300,2]})");
+  ExpectNames(Huge, "v");
+  EXPECT_NE(Huge.find("lane 0"), std::string::npos) << Huge;
+  for (const char *C : {"1.0", "1e300", "18446744073709551617"}) {
+    std::string Msg = Err(std::string(R"({"cycle":)") + C +
+                          R"(,"a":1,"en":true,"v":[1,2]})");
+    ExpectNames(Msg, "cycle");
+    EXPECT_NE(Msg.find("expected the integer 1"), std::string::npos) << Msg;
+  }
+  // Integers at the int64 edges still read exactly.
+  Result<Trace> Edge = sim::parseInputTrace(
+      R"({"schema":"reticle-input-trace-v1","cycles":[)"
+      R"({"a":-9223372036854775808,"en":1,"v":[9223372036854775807,0]}]})",
+      Fn);
+  ASSERT_TRUE(Edge.ok()) << Edge.error();
+  EXPECT_EQ(Edge.value().get(0, "en")->str(), Value::makeBool(true).str());
+}
+
 TEST(TraceIo, CycleSelfCheckAcceptsInOrderRecords) {
   ir::Function Fn = parseOk(R"(
     def f(a:i8) -> (y:i8) {
@@ -505,9 +640,11 @@ TEST(WaveEngines, InterpreterStreamsPortsAndInternals) {
   EXPECT_EQ(Kinds.at("t1"), WaveSignal::Kind::Internal);
   // The streamed output values are exactly the returned trace's.
   for (size_t C = 0; C < In.size(); ++C) {
-    const std::vector<bool> *V = Cap.valueAt(C, "y");
-    ASSERT_NE(V, nullptr) << C;
-    EXPECT_EQ(*V, Out.value().get(C, "y")->toBits()) << C;
+    std::optional<std::span<const uint64_t>> V = Cap.valueAt(C, "y");
+    ASSERT_TRUE(V.has_value()) << C;
+    std::vector<uint64_t> Want;
+    sim::packBits(Out.value().get(C, "y")->toBits(), 8, Want);
+    EXPECT_EQ(toVec(*V), Want) << C;
   }
 }
 
@@ -523,7 +660,7 @@ TEST(WaveEngines, InterpreterAbortFlushesTruncatedCapture) {
   EXPECT_TRUE(Cap.finished());
   EXPECT_TRUE(Cap.aborted());
   EXPECT_EQ(Cap.cycles(), 2u);
-  ASSERT_NE(Cap.valueAt(1, "y"), nullptr);
+  ASSERT_TRUE(Cap.valueAt(1, "y").has_value());
 #ifndef RETICLE_NO_TELEMETRY
   // Replaying the truncated capture still renders well-formed VCD.
   sim::VcdWriter W("mac");
@@ -563,12 +700,12 @@ TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
       continue;
     ++Shared;
     for (uint64_t C = 0; C < InterpCap.cycles(); ++C) {
-      const std::vector<bool> *A = InterpCap.valueAt(C, S.Name);
-      const std::vector<bool> *B = NetCap.valueAt(C, S.Name);
-      ASSERT_NE(A, nullptr) << S.Name << " cycle " << C;
-      ASSERT_NE(B, nullptr) << S.Name << " cycle " << C;
-      EXPECT_EQ(sim::bitsToString(*A), sim::bitsToString(*B))
-          << S.Name << " cycle " << C;
+      std::optional<std::span<const uint64_t>> A =
+          InterpCap.valueAt(C, S.Name);
+      std::optional<std::span<const uint64_t>> B = NetCap.valueAt(C, S.Name);
+      ASSERT_TRUE(A.has_value()) << S.Name << " cycle " << C;
+      ASSERT_TRUE(B.has_value()) << S.Name << " cycle " << C;
+      EXPECT_EQ(toVec(*A), toVec(*B)) << S.Name << " cycle " << C;
     }
   }
   EXPECT_EQ(Shared, 5u); // a, b, c, en, y
