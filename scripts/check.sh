@@ -9,14 +9,14 @@
 # merged example-program coverage against the checked-in golden
 # (tests/goldens/coverage.json), and a profile_diff of two identical
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
-# additionally runs the microbenchmarks. After the primary build, three
-# hardening builds run: one with the telemetry layer compiled out
-# (-DRETICLE_NO_TELEMETRY=ON), one under ThreadSanitizer exercising
-# the concurrent batch-compile path, concurrent compiled-simulation
-# VM runs, and the SAT portfolio's racing lane threads, and one under
+# additionally runs the microbenchmarks. After the primary build, two
+# hardening builds run: one under ThreadSanitizer exercising the
+# concurrent batch-compile path, concurrent compiled-simulation VM runs,
+# and the SAT portfolio's racing lane threads, and one under
 # AddressSanitizer + UndefinedBehaviorSanitizer exercising the packed
-# waveform path. Run from anywhere; builds into <repo>/build (plus
-# build-notelem/, build-tsan/ and build-asan/ siblings).
+# waveform path and the lexer's malformed-literal diagnostics. Run from
+# anywhere; builds into <repo>/build (plus build-tsan/ and build-asan/
+# siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -57,8 +57,7 @@ trap 'rm -rf "$out"' EXIT
     --require=stages.isel.file \
     --require=stages.cascade.file --require=stages.place.file \
     --require=stages.codegen.file "$out/stages/manifest.json"
-# Remark contents exist only when telemetry is compiled in; the stream
-# must be valid JSONL either way (empty counts as valid).
+# The remark stream must be valid JSONL.
 "$build/tools/json_check" --jsonl "$out/remarks.jsonl"
 grep -q "</svg>" "$out/plan.svg"
 
@@ -122,8 +121,9 @@ echo "== wave_diff sweep (tree engines vs compiled VM on every example) =="
 # trace through all four engines (tree-walking interpreter and netlist
 # simulator, plus the compiled-bytecode VM lowered from each source),
 # emit reticle-wave-v1 streams, and require zero-divergence joins both
-# between the tree engines and between each VM and the tree engine it
-# replaces. A VCD streamed to stdout must reach its dump section.
+# between the tree engines (on their shared ports) and between each VM
+# and the tree engine it replaces (on every signal, internal ones
+# included). A VCD streamed to stdout must reach its dump section.
 for stem in mac dot3 scalar_adds; do
     for engine in interp netlist vm-ir vm-netlist; do
         "$build/tools/reticlec" --device=small \
@@ -135,9 +135,9 @@ for stem in mac dot3 scalar_adds; do
     done
     "$build/tools/json_check" wave_diff \
         "$out/$stem.interp.wave.jsonl" "$out/$stem.netlist.wave.jsonl"
-    "$build/tools/json_check" wave_diff \
+    "$build/tools/json_check" wave_diff --all-signals \
         "$out/$stem.vm-ir.wave.jsonl" "$out/$stem.interp.wave.jsonl"
-    "$build/tools/json_check" wave_diff \
+    "$build/tools/json_check" wave_diff --all-signals \
         "$out/$stem.vm-netlist.wave.jsonl" "$out/$stem.netlist.wave.jsonl"
 done
 "$build/tools/reticlec" --device=small \
@@ -237,62 +237,6 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
     grep -q '"incremental_vs_scratch"' "$out/BENCH_place.json"
 fi
 
-echo "== telemetry-free build (-DRETICLE_NO_TELEMETRY=ON) =="
-cmake -B "$repo/build-notelem" -S "$repo" -DRETICLE_NO_TELEMETRY=ON
-cmake --build "$repo/build-notelem" -j"$jobs"
-(cd "$repo/build-notelem" && ctest --output-on-failure -j"$jobs")
-# The compiled-out build still runs the differential oracle but must
-# reject the waveform writers as a usage error (exit 2).
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=both \
-    "$repo/examples/programs/mac.ret"
-# The compiled-simulation VM is engine surface, not telemetry surface:
-# single-engine VM runs and the bytecode disassembler must work with
-# telemetry compiled out.
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=vm-ir \
-    "$repo/examples/programs/mac.ret"
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=vm-netlist \
-    --dump-sim-program=- \
-    "$repo/examples/programs/mac.ret" | grep -q "reticle-sim-program-v1"
-if "$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --vcd=- \
-    "$repo/examples/programs/mac.ret" 2>/dev/null
-then
-    echo "error: --vcd accepted in a RETICLE_NO_TELEMETRY build" >&2
-    exit 1
-fi
-# Coverage recording is telemetry surface too: --coverage must be a
-# usage error (exit 2) while the same compile without it succeeds.
-set +e
-"$repo/build-notelem/tools/reticlec" --device=small --coverage=- \
-    "$repo/examples/programs/mac.ret" >/dev/null 2>&1
-coverage_rc=$?
-set -e
-if [ "$coverage_rc" -ne 2 ]; then
-    echo "error: --coverage exited $coverage_rc (want 2) in a" \
-         "RETICLE_NO_TELEMETRY build" >&2
-    exit 1
-fi
-# So are both profile writers: the VM profile rides the telemetry
-# counters and the flamegraph fold reads the tracing span buffer.
-for flag in --profile-sim=- --profile-folded=-; do
-    set +e
-    "$repo/build-notelem/tools/reticlec" --device=small \
-        --run="$repo/examples/traces/mac.trace.json" --sim=vm-ir \
-        "$flag" "$repo/examples/programs/mac.ret" >/dev/null 2>&1
-    profile_rc=$?
-    set -e
-    if [ "$profile_rc" -ne 2 ]; then
-        echo "error: $flag exited $profile_rc (want 2) in a" \
-             "RETICLE_NO_TELEMETRY build" >&2
-        exit 1
-    fi
-done
-"$repo/build-notelem/tools/reticlec" --device=small \
-    "$repo/examples/programs/mac.ret" >/dev/null
-
 echo "== ThreadSanitizer build: concurrent batch compile =="
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -313,22 +257,26 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== ASan+UBSan build: packed waveform path =="
+echo "== ASan+UBSan build: packed waveform path, malformed input =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
 # offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
 # no recovery) an oversized shift, and _GLIBCXX_ASSERTIONS a container
 # index past its end. The wide fixture carries 96- and 128-bit signals.
+# The lexer and bytecode-assembler tests feed out-of-range and malformed
+# numeric literals, which must come back as diagnostics.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$asan_flags -g" \
     -DCMAKE_EXE_LINKER_FLAGS="$asan_flags"
 cmake --build "$repo/build-asan" -j"$jobs" \
-    --target wave_test sim_vm_test coverage_test reticlec json_check
+    --target wave_test sim_vm_test coverage_test lexer_test reticlec \
+    json_check
 "$repo/build-asan/tests/wave_test"
 "$repo/build-asan/tests/sim_vm_test"
 "$repo/build-asan/tests/coverage_test"
+"$repo/build-asan/tests/lexer_test"
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

@@ -165,9 +165,7 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Doc.set("timing", std::move(Timing));
 
   // Simulation counters (populated by `reticlec --run` / the engines'
-  // wave-enabled entry points; all zero when nothing was simulated). The
-  // section exists in every build so consumers can rely on the shape; in
-  // RETICLE_NO_TELEMETRY builds the counters read as zero.
+  // wave-enabled entry points; all zero when nothing was simulated).
   Json Sim = Json::object();
   auto Count = [&](const char *Name) { return Ctx.counter(Name).load(); };
   Sim.set("cycles", Count("sim.cycles"));
@@ -211,12 +209,9 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Doc.set("sim", std::move(Sim));
 
   // Coverage bins recorded into this compile's registry (static IR, isel
-  // pattern, and — after a --run — dynamic toggle coverage). The section
-  // exists in every build; in RETICLE_NO_TELEMETRY builds the registry
-  // snapshot is empty.
+  // pattern, and — after a --run — dynamic toggle coverage).
   Doc.set("coverage", obs::coverageJson(Ctx.coverage().snapshot()));
 
-#ifndef RETICLE_NO_TELEMETRY
   Json Registry = Ctx.Telem->countersJson();
   if (const Json *Counters = Registry.find("counters"))
     Doc.set("counters", *Counters);
@@ -225,7 +220,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
   // Latency distributions (pipeline.pass_ms[.<pass>], sat.solve_ms,
   // sim.cycle_batch_ms): log-bucketed percentile estimates per name.
   Doc.set("histograms", Ctx.Telem->histogramsJson());
-#endif
   return Doc;
 }
 

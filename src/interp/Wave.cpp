@@ -314,8 +314,6 @@ Status ToggleCoverageSink::finish(bool) {
   return Status::success();
 }
 
-#ifndef RETICLE_NO_TELEMETRY
-
 //===----------------------------------------------------------------------===//
 // VcdWriter
 //===----------------------------------------------------------------------===//
@@ -495,5 +493,3 @@ Status WaveJsonWriter::finish(bool Aborted) {
   Out += Footer.str() + "\n";
   return Status::success();
 }
-
-#endif // RETICLE_NO_TELEMETRY

@@ -35,9 +35,7 @@
 ///    stream that `json_check wave_diff` joins, and `WaveCapture` buffers
 ///    events in memory so the driver can replay one or several engine runs
 ///    (with per-engine name prefixes) into the file writers after the
-///    fact. The file writers are part of the telemetry surface and compile
-///    out under RETICLE_NO_TELEMETRY; capture and recorder stay, so engine
-///    signatures need no ifdefs.
+///    fact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -227,9 +225,7 @@ Status replay(
 /// run streams (old XOR new, split into rises and falls) and land in the
 /// registry once, at finish() — aborted runs included. Engine-agnostic:
 /// reticlec replays captured interpreter/netlist runs (with per-engine
-/// name prefixes) into one sink. Present in every build — under
-/// RETICLE_NO_TELEMETRY the registry is the inline no-op, so recording
-/// vanishes with it.
+/// name prefixes) into one sink.
 class ToggleCoverageSink : public WaveSink {
 public:
   explicit ToggleCoverageSink(obs::Coverage &Cov) : Cov(Cov) {}
@@ -252,8 +248,6 @@ private:
   std::vector<uint64_t> Falls;
   std::vector<uint8_t> Seen;
 };
-
-#ifndef RETICLE_NO_TELEMETRY
 
 /// Writes standard VCD into an in-memory buffer (the driver streams it to
 /// a file or stdout after the run, so aborted runs still flush). Signal
@@ -313,8 +307,6 @@ private:
   std::string RecordHead;
   uint64_t Cycles = 0;
 };
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace sim
 } // namespace reticle

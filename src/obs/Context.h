@@ -22,9 +22,6 @@
 ///   if (Ctx.remarksEnabled())
 ///     obs::Remark(Ctx, "isel", "pattern")...;
 ///
-/// Under `RETICLE_NO_TELEMETRY` the same struct shape delegates to the
-/// inline no-op Telemetry/RemarkStream, so call sites need no ifdefs.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETICLE_OBS_CONTEXT_H

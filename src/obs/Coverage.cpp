@@ -8,15 +8,10 @@
 
 #include "obs/Json.h"
 
-#ifndef RETICLE_NO_TELEMETRY
 #include <mutex>
-#endif
 
 using namespace reticle;
 using namespace reticle::obs;
-
-// The Json helpers compile in every build: the no-op Coverage still
-// snapshots to an empty map, and statsJson serializes that the same way.
 
 Json obs::coverageJson(const CoverageSnapshot &Spaces) {
   Json SpacesJson = Json::object();
@@ -58,8 +53,6 @@ Json obs::coverageDoc(const std::string &Program,
     Doc.set(Key, Value);
   return Doc;
 }
-
-#ifndef RETICLE_NO_TELEMETRY
 
 struct Coverage::Impl {
   mutable std::mutex Mu;
@@ -110,5 +103,3 @@ Coverage &obs::defaultCoverage() {
   static Coverage C;
   return C;
 }
-
-#endif // RETICLE_NO_TELEMETRY

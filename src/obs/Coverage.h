@@ -21,9 +21,7 @@
 ///    `sim::WaveSink`) replays per-cycle waveform events into
 ///    per-signal-bit 0->1 / 1->0 bins for both simulation engines.
 ///
-/// Like the rest of `src/obs/`, the whole API compiles out to inline
-/// no-ops under `RETICLE_NO_TELEMETRY`; collectors need no ifdefs. Like
-/// `Telemetry`, coverage is **instance-based**: `core::CompileSession`
+/// Like `Telemetry`, coverage is **instance-based**: `core::CompileSession`
 /// owns one registry per compile and threads it via `obs::Context`, with
 /// a process-wide `defaultCoverage()` backing the global session.
 ///
@@ -39,12 +37,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
-
-#ifndef RETICLE_NO_TELEMETRY
-#include <memory>
-#endif
 
 namespace reticle {
 namespace obs {
@@ -58,15 +53,11 @@ using CoverageSnapshot = std::map<std::string, std::map<std::string, uint64_t>>;
 
 /// Builds the {"spaces": {...}, "totals": {...}} fragment shared by the
 /// stats `coverage` section, the batch summary, and the standalone doc.
-/// Lives in Json.cpp-adjacent code, so only telemetry-linked callers may
-/// use it; available in every build.
 Json coverageJson(const CoverageSnapshot &Spaces);
 
 /// Wraps \p Spaces as a standalone `reticle-coverage-v1` document for
 /// \p Program.
 Json coverageDoc(const std::string &Program, const CoverageSnapshot &Spaces);
-
-#ifndef RETICLE_NO_TELEMETRY
 
 /// One coverage domain: named spaces of named bins with hit counts. All
 /// operations are thread-safe; concurrent compiles record into disjoint
@@ -106,36 +97,6 @@ private:
 
 /// The process-wide default instance, used by the global CompileSession.
 Coverage &defaultCoverage();
-
-#else // RETICLE_NO_TELEMETRY
-
-// Compiled-out variant: the full API surface as inline no-ops. Nothing
-// here references a symbol of Coverage.cpp, so translation units built
-// with RETICLE_NO_TELEMETRY link without the coverage objects. (The
-// Json-returning helpers above live in Coverage.cpp and are only
-// referenced by telemetry-linked code such as reticle_core.)
-
-class Coverage {
-public:
-  Coverage() = default;
-  Coverage(const Coverage &) = delete;
-  Coverage &operator=(const Coverage &) = delete;
-
-  void declare(std::string_view, std::string_view) {}
-  void hit(std::string_view, std::string_view, uint64_t = 1) {}
-  bool empty() const { return true; }
-  CoverageSnapshot snapshot() const { return {}; }
-  void merge(const Coverage &) {}
-  void merge(const CoverageSnapshot &) {}
-  void reset() {}
-};
-
-inline Coverage &defaultCoverage() {
-  static Coverage Noop;
-  return Noop;
-}
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace obs
 } // namespace reticle

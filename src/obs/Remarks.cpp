@@ -4,8 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#ifndef RETICLE_NO_TELEMETRY
-
 #include "obs/Remarks.h"
 
 #include "obs/Context.h"
@@ -220,5 +218,3 @@ Status reticle::obs::writeRemarksJsonl(const std::string &Path,
 }
 
 void reticle::obs::clearRemarks() { defaultRemarks().clear(); }
-
-#endif // RETICLE_NO_TELEMETRY

@@ -32,35 +32,25 @@
 ///
 /// Rendering: `text()` produces one human-readable line per remark;
 /// `jsonl()` produces the machine-readable `reticle-remarks-v1` stream
-/// (one header line, then one JSON object per remark). Defining
-/// `RETICLE_NO_TELEMETRY` compiles the whole engine out to inline no-ops,
-/// exactly like the counters.
+/// (one header line, then one JSON object per remark).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETICLE_OBS_REMARKS_H
 #define RETICLE_OBS_REMARKS_H
 
+#include "obs/Json.h"
 #include "support/Result.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
-
-#ifndef RETICLE_NO_TELEMETRY
-#include "obs/Json.h"
-
-#include <memory>
-#else
-#include <fstream>
-#endif
 
 namespace reticle {
 namespace obs {
 
 struct Context;
-
-#ifndef RETICLE_NO_TELEMETRY
 
 /// One remark domain: a buffer of committed remark records plus its own
 /// enable switch. Records are committed fully formed under the lock;
@@ -166,80 +156,6 @@ Status writeRemarksJsonl(const std::string &Path, std::string_view Program);
 
 /// Clears defaultRemarks(). Test-only.
 void clearRemarks();
-
-#else // RETICLE_NO_TELEMETRY
-
-// Compiled-out variant: the full API surface as inline no-ops. Nothing
-// here references a symbol of Remarks.cpp (or Json.cpp), so translation
-// units built with RETICLE_NO_TELEMETRY link without the obs objects.
-
-class RemarkStream {
-public:
-  RemarkStream() = default;
-  RemarkStream(const RemarkStream &) = delete;
-  RemarkStream &operator=(const RemarkStream &) = delete;
-
-  bool enabled() const { return false; }
-  void enable(bool = true) {}
-  size_t count() const { return 0; }
-  std::string text() const { return std::string(); }
-  std::string jsonl(std::string_view) const { return std::string(); }
-  Status writeText(const std::string &Path) const {
-    std::ofstream Out(Path);
-    if (!Out)
-      return Status::failure("cannot write remarks file '" + Path + "'");
-    return Status::success();
-  }
-  Status writeJsonl(const std::string &Path, std::string_view) const {
-    std::ofstream Out(Path);
-    if (!Out)
-      return Status::failure("cannot write remarks file '" + Path + "'");
-    return Status::success();
-  }
-  void clear() {}
-};
-
-inline RemarkStream &defaultRemarks() {
-  static RemarkStream Noop;
-  return Noop;
-}
-
-inline bool remarksEnabled() { return false; }
-inline void enableRemarks(bool = true) {}
-
-class Remark {
-public:
-  Remark(const char *, const char *) {}
-  Remark(RemarkStream &, const char *, const char *) {}
-  Remark(const Context &, const char *, const char *) {}
-  Remark(const Remark &) = delete;
-  Remark &operator=(const Remark &) = delete;
-  Remark &instr(std::string_view) { return *this; }
-  Remark &message(std::string) { return *this; }
-  Remark &arg(const char *, int64_t) { return *this; }
-  Remark &arg(const char *, uint64_t) { return *this; }
-  Remark &arg(const char *, int) { return *this; }
-  Remark &arg(const char *, unsigned) { return *this; }
-  Remark &arg(const char *, double) { return *this; }
-  Remark &arg(const char *, const char *) { return *this; }
-  Remark &arg(const char *, std::string) { return *this; }
-};
-
-inline size_t remarkCount() { return 0; }
-inline std::string remarksText() { return std::string(); }
-inline std::string remarksJsonl(std::string_view) { return std::string(); }
-
-inline Status writeRemarksText(const std::string &Path) {
-  return defaultRemarks().writeText(Path);
-}
-
-inline Status writeRemarksJsonl(const std::string &Path, std::string_view) {
-  return defaultRemarks().writeJsonl(Path, std::string_view());
-}
-
-inline void clearRemarks() {}
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace obs
 } // namespace reticle

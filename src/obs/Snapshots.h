@@ -15,8 +15,7 @@
 ///   diff snap/01-isel.rasm snap/02-cascade.rasm
 ///
 /// Snapshots are plain printer output over data the pipeline produces
-/// anyway; collection costs nothing unless a sink is installed, so the
-/// feature stays available (and free) in RETICLE_NO_TELEMETRY builds.
+/// anyway; collection costs nothing unless a sink is installed.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -4,8 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#ifndef RETICLE_NO_TELEMETRY
-
 #include "obs/Telemetry.h"
 
 #include "obs/Context.h"
@@ -385,5 +383,3 @@ Status reticle::obs::writeTrace(const std::string &Path) {
 Json reticle::obs::countersJson() { return defaultTelemetry().countersJson(); }
 
 void reticle::obs::resetForTest() { defaultTelemetry().reset(); }
-
-#endif // RETICLE_NO_TELEMETRY

@@ -18,9 +18,6 @@
 ///    takes a lock, so hot paths hoist the reference out of their loops:
 ///      obs::Counter &C = Ctx.counter("sat.conflicts");
 ///    after which every increment is one relaxed atomic add.
-///  - **Compile-out**: defining `RETICLE_NO_TELEMETRY` replaces the whole
-///    API with inline no-ops; no symbol of Telemetry.cpp is referenced, so
-///    release builds can drop the subsystem entirely.
 ///
 /// Telemetry is **instance-based**: a `Telemetry` object owns one registry
 /// of counters/gauges and one trace-event buffer with its own clock epoch,
@@ -41,25 +38,18 @@
 
 #include "support/Result.h"
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-
-#ifndef RETICLE_NO_TELEMETRY
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
-#else
-#include <fstream>
-#endif
+#include <string>
+#include <string_view>
 
 namespace reticle {
 namespace obs {
 
 class Json;
 struct Context;
-
-#ifndef RETICLE_NO_TELEMETRY
 
 /// A monotonically increasing event count. Increments are relaxed atomic
 /// adds; cross-thread visibility of the final totals is established by the
@@ -289,117 +279,6 @@ Json countersJson();
 
 /// Clears defaultTelemetry(). Test-only.
 void resetForTest();
-
-#else // RETICLE_NO_TELEMETRY
-
-// Compiled-out variant: the full API surface as inline no-ops. Nothing
-// here references a symbol of Telemetry.cpp, so translation units built
-// with RETICLE_NO_TELEMETRY link without the telemetry objects.
-
-class Counter {
-public:
-  uint64_t operator++() { return 0; }
-  uint64_t operator++(int) { return 0; }
-  Counter &operator+=(uint64_t) { return *this; }
-  uint64_t load() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
-public:
-  void set(double) {}
-  double load() const { return 0.0; }
-  void reset() {}
-};
-
-class Histogram {
-public:
-  void record(double) {}
-  uint64_t count() const { return 0; }
-  double sum() const { return 0.0; }
-  double max() const { return 0.0; }
-  double percentile(double) const { return 0.0; }
-  void reset() {}
-};
-
-class Telemetry {
-public:
-  Telemetry() = default;
-  Telemetry(const Telemetry &) = delete;
-  Telemetry &operator=(const Telemetry &) = delete;
-
-  Counter &counter(std::string_view) {
-    static Counter Noop;
-    return Noop;
-  }
-  Gauge &gauge(std::string_view) {
-    static Gauge Noop;
-    return Noop;
-  }
-  Histogram &histogram(std::string_view) {
-    static Histogram Noop;
-    return Noop;
-  }
-  bool tracingEnabled() const { return false; }
-  void enableTracing(bool = true) {}
-  void instant(const char *) {}
-  std::string traceJson() const { return "{\"traceEvents\":[]}"; }
-  std::string foldedStacks() const { return ""; }
-  Status writeTrace(const std::string &Path) const {
-    std::ofstream Out(Path);
-    if (!Out)
-      return Status::failure("cannot write trace file '" + Path + "'");
-    Out << traceJson() << "\n";
-    return Status::success();
-  }
-  void reset() {}
-};
-
-inline Telemetry &defaultTelemetry() {
-  static Telemetry Noop;
-  return Noop;
-}
-
-inline Counter &counter(std::string_view Name) {
-  return defaultTelemetry().counter(Name);
-}
-inline Gauge &gauge(std::string_view Name) {
-  return defaultTelemetry().gauge(Name);
-}
-
-inline bool tracingEnabled() { return false; }
-inline void enableTracing(bool = true) {}
-
-class Span {
-public:
-  explicit Span(const char *) {}
-  Span(Telemetry &, const char *) {}
-  Span(const Context &, const char *) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-  void arg(const char *, int64_t) {}
-  void arg(const char *, uint64_t) {}
-  void arg(const char *, unsigned) {}
-  void arg(const char *, double) {}
-  void arg(const char *, const char *) {}
-  void arg(const char *, const std::string &) {}
-};
-
-inline void instant(const char *) {}
-
-inline std::string traceJson() { return "{\"traceEvents\":[]}"; }
-
-inline Status writeTrace(const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::failure("cannot write trace file '" + Path + "'");
-  Out << traceJson() << "\n";
-  return Status::success();
-}
-
-inline void resetForTest() {}
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace obs
 } // namespace reticle

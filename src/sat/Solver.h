@@ -82,8 +82,7 @@ enum class Outcome : uint8_t { Sat, Unsat, Unknown };
 /// lines callers may interleave to delimit solves. Deletions can be
 /// suppressed (portfolio mode merges several lanes' logs into one stream,
 /// where a deletion by one lane must not invalidate another lane's later
-/// inferences). The writer is plain state with no telemetry dependency,
-/// so proof logging works in RETICLE_NO_TELEMETRY builds.
+/// inferences). The writer is plain state with no telemetry dependency.
 class ProofWriter {
 public:
   void add(const std::vector<Lit> &Lits) {

@@ -7,10 +7,12 @@
 #include "sim/Program.h"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 using namespace reticle;
 using namespace reticle::sim;
@@ -54,6 +56,21 @@ constexpr std::array<OpDesc, NumOps> OpTable = {{
 }};
 
 const char *SegNames[3] = {"init", "eval", "commit"};
+
+/// Parses one numeric field of the text format into \p Out: decimal, or
+/// hex after "0x" (how disassemble writes pool constants). Rejects an
+/// empty value, a sign, any other character, and a value \p Out's type
+/// cannot hold.
+template <typename T> bool parseNumber(std::string_view Text, T &Out) {
+  int Base = 10;
+  if (Text.size() > 2 && Text[0] == '0' && (Text[1] == 'x' || Text[1] == 'X')) {
+    Base = 16;
+    Text.remove_prefix(2);
+  }
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out, Base);
+  return Ec == std::errc() && Ptr == End;
+}
 
 void encodeU32(std::string &Out, uint32_t V) {
   for (unsigned I = 0; I < 4; ++I)
@@ -383,6 +400,9 @@ Result<Program> reticle::sim::assemble(const std::string &Text) {
     Val = Tok.substr(Key.size() + 1);
     return true;
   };
+  auto BadNumber = [&](const std::string &Field, const std::string &Val) {
+    return Fail(Field + " '" + Val + "' is not an unsigned integer in range");
+  };
 
   if (!NextLine(Line) || Line != "reticle-sim-program-v1")
     return Fail("missing reticle-sim-program-v1 header");
@@ -411,23 +431,30 @@ Result<Program> reticle::sim::assemble(const std::string &Text) {
           P.Name = Val;
         else if (KeyValue(Tok, "source", Val))
           P.Source = Val;
-        else if (KeyValue(Tok, "words", Val))
-          P.NumWords = static_cast<uint32_t>(std::stoul(Val));
-        else if (KeyValue(Tok, "stack", Val))
-          P.MaxStack = static_cast<uint32_t>(std::stoul(Val));
-        else
+        else if (KeyValue(Tok, "words", Val)) {
+          if (!parseNumber(Val, P.NumWords))
+            return BadNumber("words", Val);
+        } else if (KeyValue(Tok, "stack", Val)) {
+          if (!parseNumber(Val, P.MaxStack))
+            return BadNumber("stack", Val);
+        } else
           return Fail("unknown program field '" + Tok + "'");
       }
       continue;
     }
     if (Head == "const") {
-      size_t Index;
-      std::string Val;
-      if (!(Toks >> Index >> Val))
+      std::string IndexText, Val;
+      if (!(Toks >> IndexText >> Val))
         return Fail("malformed const line");
+      size_t Index = 0;
+      if (!parseNumber(IndexText, Index))
+        return BadNumber("const index", IndexText);
       if (Index != P.Pool.size())
         return Fail("const index out of order");
-      P.Pool.push_back(std::stoull(Val, nullptr, 0));
+      uint64_t Value = 0;
+      if (!parseNumber(Val, Value))
+        return BadNumber("const value", Val);
+      P.Pool.push_back(Value);
       continue;
     }
     if (Head == "signal") {
@@ -445,15 +472,19 @@ Result<Program> reticle::sim::assemble(const std::string &Text) {
             S.Kind = WaveSignal::Kind::Internal;
           else
             return Fail("unknown signal kind '" + Val + "'");
-        } else if (KeyValue(Tok, "width", Val))
-          S.Width = static_cast<unsigned>(std::stoul(Val));
-        else if (KeyValue(Tok, "lanewidth", Val))
-          S.LaneWidth = static_cast<unsigned>(std::stoul(Val));
-        else if (KeyValue(Tok, "lanes", Val))
-          S.Lanes = static_cast<unsigned>(std::stoul(Val));
-        else if (KeyValue(Tok, "base", Val))
-          S.Base = static_cast<uint32_t>(std::stoul(Val));
-        else
+        } else if (KeyValue(Tok, "width", Val)) {
+          if (!parseNumber(Val, S.Width))
+            return BadNumber("width", Val);
+        } else if (KeyValue(Tok, "lanewidth", Val)) {
+          if (!parseNumber(Val, S.LaneWidth))
+            return BadNumber("lanewidth", Val);
+        } else if (KeyValue(Tok, "lanes", Val)) {
+          if (!parseNumber(Val, S.Lanes))
+            return BadNumber("lanes", Val);
+        } else if (KeyValue(Tok, "base", Val)) {
+          if (!parseNumber(Val, S.Base))
+            return BadNumber("base", Val);
+        } else
           return Fail("unknown signal field '" + Tok + "'");
       }
       P.Signals.push_back(std::move(S));
@@ -470,9 +501,10 @@ Result<Program> reticle::sim::assemble(const std::string &Text) {
           if (!Ty)
             return Fail(Ty.error());
           I.Ty = Ty.value();
-        } else if (KeyValue(Tok, "base", Val))
-          I.Base = static_cast<uint32_t>(std::stoul(Val));
-        else if (KeyValue(Tok, "packed", Val))
+        } else if (KeyValue(Tok, "base", Val)) {
+          if (!parseNumber(Val, I.Base))
+            return BadNumber("base", Val);
+        } else if (KeyValue(Tok, "packed", Val))
           I.Packed = Val != "0";
         else
           return Fail("unknown port field '" + Tok + "'");
@@ -524,11 +556,15 @@ Result<Program> reticle::sim::assemble(const std::string &Text) {
       return Fail("unknown instruction '" + Head + "'");
     Segs[SegIx]->push_back(static_cast<uint32_t>(Found));
     for (unsigned A = 0; A < OpTable[Found].Operands; ++A) {
-      unsigned long Operand;
-      if (!(Toks >> Operand))
+      std::string Arg;
+      if (!(Toks >> Arg))
         return Fail("instruction '" + Head + "' missing operand " +
                     std::to_string(A));
-      Segs[SegIx]->push_back(static_cast<uint32_t>(Operand));
+      uint32_t Operand = 0;
+      if (!parseNumber(Arg, Operand))
+        return BadNumber("operand " + std::to_string(A) + " of '" + Head + "'",
+                         Arg);
+      Segs[SegIx]->push_back(Operand);
     }
     std::string Extra;
     if (Toks >> Extra)

@@ -7,6 +7,7 @@
 #include "support/Lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 using namespace reticle;
 
@@ -149,13 +150,23 @@ void Lexer::tokenize(const std::string &Source) {
         ++I;
       while (I < N && std::isdigit(static_cast<unsigned char>(Source[I])))
         ++I;
-      std::string Text = Source.substr(Start, I - Start);
       Col += static_cast<unsigned>(I - Start);
       Token T;
       T.Kind = TokenKind::Int;
       T.Line = TokLine;
       T.Col = TokCol;
-      T.IntValue = std::stoll(Text);
+      // The scan above took only digits, so the one possible failure is a
+      // value outside int64.
+      if (std::from_chars(Source.data() + Start, Source.data() + I, T.IntValue)
+              .ec != std::errc()) {
+        Ok = false;
+        ErrorMessage = "line " + std::to_string(TokLine) + ":" +
+                       std::to_string(TokCol) + ": integer literal '" +
+                       Source.substr(Start, I - Start) +
+                       "' does not fit in 64 bits";
+        Emit(TokenKind::Eof, TokLine, TokCol);
+        return;
+      }
       Tokens.push_back(std::move(T));
       continue;
     }

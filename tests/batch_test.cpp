@@ -115,7 +115,6 @@ TEST(Session, OptimizePassRecordsItsWork) {
 }
 
 TEST(Session, SessionsDoNotShareCounters) {
-#ifndef RETICLE_NO_TELEMETRY
   core::CompileSession A;
   core::CompileSession B;
   Result<core::CompileResult> R =
@@ -123,9 +122,6 @@ TEST(Session, SessionsDoNotShareCounters) {
   ASSERT_TRUE(R) << R.error();
   EXPECT_GT(A.context().counter("core.compiles").load(), 0u);
   EXPECT_EQ(B.context().counter("core.compiles").load(), 0u);
-#else
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
 }
 
 TEST(Session, StatsJsonReadsTheSessionRegistry) {
@@ -229,9 +225,7 @@ TEST(Batch, PerItemSessionsCaptureTheirOwnArtifacts) {
   for (const core::BatchItem &Item : Items) {
     ASSERT_TRUE(Item.ok()) << Item.Name;
     EXPECT_EQ(Item.Session->snapshots().stages().size(), 6u) << Item.Name;
-#ifndef RETICLE_NO_TELEMETRY
     EXPECT_GT(Item.Session->remarks().count(), 0u) << Item.Name;
-#endif
   }
 }
 

@@ -94,7 +94,7 @@ struct ToggleReference {
 };
 
 //===----------------------------------------------------------------------===//
-// Serialization (pure functions over a snapshot: valid in every build)
+// Serialization (pure functions over a snapshot)
 //===----------------------------------------------------------------------===//
 
 TEST(CoverageJson, HitCountsExcludeDeclaredOnlyBins) {
@@ -143,16 +143,9 @@ TEST(CoverageCollectors, SessionsAreIsolatedAndDeterministic) {
   CoverageSnapshot A = CompileOnce();
   CoverageSnapshot B = CompileOnce();
   // Two private sessions over the same source record identical coverage —
-  // nothing leaked across, nothing nondeterministic crept in. (In a
-  // RETICLE_NO_TELEMETRY build both snapshots are empty, which still
-  // satisfies the property.)
+  // nothing leaked across, nothing nondeterministic crept in.
   EXPECT_EQ(A, B);
 }
-
-// Everything below asserts recorded content, which only exists when the
-// telemetry layer is compiled in; obs_noop_test covers the compiled-out
-// no-op surface instead.
-#ifndef RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // The registry
@@ -495,7 +488,5 @@ TEST(CoverageBatch, MergedSnapshotIsASupersetOfEveryItem) {
   ASSERT_NE(Cov, nullptr);
   EXPECT_NE(Cov->find("spaces")->find("ir.op"), nullptr);
 }
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace

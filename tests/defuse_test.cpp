@@ -88,7 +88,6 @@ TEST(DefUse, BuildIsCachedUntilInvalidated) {
   EXPECT_EQ(Fn.defUse().numInputs(), 2u);
 }
 
-#ifndef RETICLE_NO_TELEMETRY
 TEST(DefUse, CountersTrackBuildsHitsAndInvalidations) {
   // A private context so the process-wide counters don't leak in.
   obs::Telemetry Telem;
@@ -110,7 +109,6 @@ TEST(DefUse, CountersTrackBuildsHitsAndInvalidations) {
   // One interned name per value, accumulated across builds.
   EXPECT_EQ(Telem.counter("ir.interner.names").load(), 4u);
 }
-#endif // RETICLE_NO_TELEMETRY
 
 TEST(DefUse, UseCountsCoverMultiUseDeadAndOutputReads) {
   Function Fn = parseOk(R"(

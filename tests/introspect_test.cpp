@@ -81,8 +81,6 @@ std::vector<Json> parseJsonl(const std::string &Text) {
 
 } // namespace
 
-#ifndef RETICLE_NO_TELEMETRY
-
 TEST_F(Introspect, RemarksOffByDefault) {
   EXPECT_FALSE(obs::remarksEnabled());
   obs::Remark("isel", "pattern").message("dropped on the floor");
@@ -164,8 +162,6 @@ TEST_F(Introspect, WriteRemarksFiles) {
   EXPECT_EQ(parseJsonl(readFile(JsonPath)).size(), 2u);
   std::filesystem::remove_all(Dir);
 }
-
-#endif // RETICLE_NO_TELEMETRY
 
 TEST_F(Introspect, SnapshotSinkRecordsPipelineStages) {
   obs::SnapshotSink Sink;

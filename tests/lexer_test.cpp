@@ -90,6 +90,31 @@ TEST(Lexer, StrayCharacterReportsLocation) {
   EXPECT_NE(Lex.error().find("1:5"), std::string::npos);
 }
 
+TEST(Lexer, OutOfRangeIntegerReportsLocation) {
+  Lexer Pos("reg[99999999999999999999999](a, en)");
+  EXPECT_FALSE(Pos.ok());
+  EXPECT_NE(Pos.error().find("line 1:5"), std::string::npos) << Pos.error();
+  EXPECT_NE(Pos.error().find("99999999999999999999999"), std::string::npos);
+  EXPECT_NE(Pos.error().find("does not fit in 64 bits"), std::string::npos);
+  // Lexing stops at the bad literal, like a stray character.
+  EXPECT_TRUE(Pos.atIdent("reg"));
+  Pos.next();
+  EXPECT_TRUE(Pos.accept(TokenKind::LBracket));
+  EXPECT_TRUE(Pos.at(TokenKind::Eof));
+
+  Lexer Neg("x\n  const[-9223372036854775809]");
+  EXPECT_FALSE(Neg.ok());
+  EXPECT_NE(Neg.error().find("line 2:9"), std::string::npos) << Neg.error();
+  EXPECT_NE(Neg.error().find("-9223372036854775809"), std::string::npos);
+
+  // The int64 extremes themselves still lex.
+  Lexer Edge("-9223372036854775808 9223372036854775807");
+  ASSERT_TRUE(Edge.ok()) << Edge.error();
+  EXPECT_EQ(Edge.next().IntValue, INT64_MIN);
+  EXPECT_EQ(Edge.next().IntValue, INT64_MAX);
+  EXPECT_TRUE(Edge.at(TokenKind::Eof));
+}
+
 TEST(Lexer, PeekAheadDoesNotConsume) {
   Lexer Lex("a b c");
   EXPECT_EQ(Lex.peek(2).Text, "c");

@@ -151,11 +151,6 @@ TEST_F(Obs, JsonParserRejectsGarbage) {
   EXPECT_TRUE(Json::parse("  {\"a\": [1, 2.5, null]}  ").ok());
 }
 
-// Everything below exercises live telemetry; under a global
-// RETICLE_NO_TELEMETRY build the API is inline no-ops and these
-// expectations do not apply (obs_noop_test covers that configuration).
-#ifndef RETICLE_NO_TELEMETRY
-
 TEST_F(Obs, CounterAccumulates) {
   obs::Counter &C = obs::counter("test.counter");
   EXPECT_EQ(C.load(), 0u);
@@ -310,8 +305,6 @@ TEST_F(Obs, FoldedStacksReconstructNesting) {
   }
 }
 
-#endif // RETICLE_NO_TELEMETRY
-
 TEST_F(Obs, StatsDocumentIsWellFormed) {
   Result<ir::Function> Fn = ir::parseFunction(R"(
     def mac(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {
@@ -343,21 +336,15 @@ TEST_F(Obs, StatsDocumentIsWellFormed) {
   EXPECT_GT(Sat->find("propagations")->asInt(), 0);
   EXPECT_EQ(B.find("utilization")->find("dsps")->asInt(), 1);
   EXPECT_GT(B.find("timing")->find("fmax_mhz")->asDouble(), 0.0);
-#ifndef RETICLE_NO_TELEMETRY
-  // Telemetry is compiled in for this test binary, so the counter
-  // registry rides along and reflects the compile that just ran.
+  // The counter registry rides along and reflects the compile that just
+  // ran.
   const Json *Counters = B.find("counters");
   ASSERT_NE(Counters, nullptr);
   ASSERT_NE(Counters->find("core.compiles"), nullptr);
   EXPECT_GE(Counters->find("core.compiles")->asInt(), 1);
   EXPECT_GE(Counters->find("sat.solves")->asInt(), 1);
-#else
-  // The compiled-out build omits the registry sections entirely.
-  EXPECT_EQ(B.find("counters"), nullptr);
-#endif
 }
 
-#ifndef RETICLE_NO_TELEMETRY
 TEST_F(Obs, CompilePipelineEmitsNestedStageSpans) {
   Result<ir::Function> Fn = ir::parseFunction(R"(
     def add1(a:i8, b:i8) -> (y:i8) {
@@ -384,7 +371,6 @@ TEST_F(Obs, CompilePipelineEmitsNestedStageSpans) {
     EXPECT_LE(numField(*E, "ts") + numField(*E, "dur"), T1 + 1e-9) << Stage;
   }
 }
-#endif // RETICLE_NO_TELEMETRY
 
 TEST_F(Obs, PrintTableRendersEverySection) {
   Json Doc = Json::object();

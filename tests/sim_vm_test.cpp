@@ -396,6 +396,53 @@ TEST(SimVm, VerifierRejectsUnknownOpcode) {
   EXPECT_FALSE(sim::verify(P).ok());
 }
 
+TEST(SimVm, AssemblerRejectsMalformedNumbers) {
+  sim::Program P = trivialProgram();
+  P.Pool = {42};
+  P.Signals.push_back({"s", 1, 1, 1, 0, sim::WaveSignal::Kind::Internal});
+  P.Eval = {uint32_t(sim::Op::LoadConst), 0,
+            uint32_t(sim::Op::StoreField), 0, 0, 64,
+            uint32_t(sim::Op::EndSeg)};
+  const std::string Text = sim::disassemble(P);
+  ASSERT_TRUE(sim::assemble(Text).ok()) << Text;
+  auto With = [&](const std::string &From, const std::string &To) {
+    std::string Out = Text;
+    size_t At = Out.find(From);
+    EXPECT_NE(At, std::string::npos) << From;
+    return At == std::string::npos ? Out : Out.replace(At, From.size(), To);
+  };
+  // Decimal constants are accepted next to the hex that disassemble writes.
+  Result<sim::Program> Dec = sim::assemble(With("const 0 0x2a", "const 0 42"));
+  ASSERT_TRUE(Dec.ok()) << Dec.error();
+  EXPECT_EQ(Dec.value().Pool, std::vector<uint64_t>{42});
+
+  // Each malformed or out-of-range field is a diagnostic that names the
+  // field and the bad value.
+  struct Case {
+    const char *From, *To, *Field, *Value;
+  };
+  const Case Cases[] = {
+      {"words=1", "words=abc", "words", "abc"},
+      {"words=1", "words=99999999999999999999999", "words",
+       "99999999999999999999999"},
+      {"words=1", "words=4294967296", "words", "4294967296"},
+      {"stack=2", "stack=2x", "stack", "2x"},
+      {"const 0 0x2a", "const 0 zz", "const value", "zz"},
+      {"const 0 0x2a", "const 0 0x10000000000000000", "const value",
+       "0x10000000000000000"},
+      {"const 0 0x2a", "const -1 0x2a", "const index", "-1"},
+      {"base=0", "base=4294967296", "base", "4294967296"},
+      {"lanes=1", "lanes=+1", "lanes", "+1"},
+      {"loadconst 0", "loadconst 4294967296", "operand 0", "4294967296"},
+  };
+  for (const Case &C : Cases) {
+    Result<sim::Program> R = sim::assemble(With(C.From, C.To));
+    ASSERT_FALSE(R.ok()) << C.To;
+    EXPECT_NE(R.error().find(C.Field), std::string::npos) << R.error();
+    EXPECT_NE(R.error().find(C.Value), std::string::npos) << R.error();
+  }
+}
+
 TEST(SimVm, ExecuteRefusesUnverifiableProgram) {
   sim::Program P = trivialProgram();
   P.Eval.clear();
@@ -482,9 +529,6 @@ TEST(SimVm, EmitterPeepholeShiftsDebugMarks) {
 }
 
 TEST(SimVm, EmitterCountsStaticOpcodeHistogram) {
-#ifdef RETICLE_NO_TELEMETRY
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   obs::Telemetry Telem;
   obs::RemarkStream Rem;
   obs::Coverage Cov;

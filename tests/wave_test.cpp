@@ -149,10 +149,8 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   Rec.cycle(1);
   Rec.record(0, words({0b0101})); // unchanged
   Rec.record(1, words({0}));      // flipped
-#ifndef RETICLE_NO_TELEMETRY
   // Counts accumulate per run and land at finish().
   EXPECT_EQ(Ctx.counter("sim.events").load(), 0u);
-#endif
   ASSERT_TRUE(Rec.finish(false).ok());
 
   ASSERT_EQ(Cap.cycles(), 2u);
@@ -164,12 +162,10 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   EXPECT_TRUE(Cap.finished());
   EXPECT_FALSE(Cap.aborted());
 
-#ifndef RETICLE_NO_TELEMETRY
   EXPECT_EQ(Ctx.counter("sim.signals").load(), 2u);
   EXPECT_EQ(Ctx.counter("sim.events").load(), 4u);
   // First sight toggles the full width (4 + 1); cycle 1 flips one bit.
   EXPECT_EQ(Ctx.counter("sim.toggles").load(), 6u);
-#endif
 }
 
 TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
@@ -203,10 +199,8 @@ TEST(WaveRecorder, CountsLandAtDestructionWithoutFinish) {
     Rec.cycle(1);
     Rec.record(0, words({0b11, 0})); // three bits flip across two words
   }
-#ifndef RETICLE_NO_TELEMETRY
   EXPECT_EQ(Ctx.counter("sim.events").load(), 2u);
   EXPECT_EQ(Ctx.counter("sim.toggles").load(), 65u + 3u);
-#endif
   EXPECT_FALSE(Cap.finished());
 }
 
@@ -281,8 +275,6 @@ TEST(WaveCapture, RepeatedValuesShareTheirWords) {
   EXPECT_EQ(toVec(Cap.words(Events[2][0])), words({5, 0}));
   EXPECT_EQ(toVec(*Cap.valueAt(1, "b")), words({0}));
 }
-
-#ifndef RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // VcdWriter
@@ -424,8 +416,6 @@ TEST(WaveJsonWriter, EveryLineParsesAndNothingIsSuppressed) {
   EXPECT_EQ(Footer.find("cycles")->asInt(), 3);
   EXPECT_TRUE(Footer.find("aborted")->asBool());
 }
-
-#endif // RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // Input-trace parsing (reticle-input-trace-v1)
@@ -661,13 +651,11 @@ TEST(WaveEngines, InterpreterAbortFlushesTruncatedCapture) {
   EXPECT_TRUE(Cap.aborted());
   EXPECT_EQ(Cap.cycles(), 2u);
   ASSERT_TRUE(Cap.valueAt(1, "y").has_value());
-#ifndef RETICLE_NO_TELEMETRY
   // Replaying the truncated capture still renders well-formed VCD.
   sim::VcdWriter W("mac");
   ASSERT_TRUE(sim::replay({{&Cap, ""}}, W).ok());
   EXPECT_NE(W.text().find("$comment aborted $end"), std::string::npos);
   EXPECT_EQ(checkVcdShape(W.text()), "");
-#endif
 }
 
 TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
@@ -741,15 +729,11 @@ TEST(WaveStats, SimSectionReflectsTheRun) {
   ASSERT_NE(Sim->find("signals"), nullptr);
   ASSERT_NE(Sim->find("interp"), nullptr);
   ASSERT_NE(Sim->find("netlist"), nullptr);
-#ifndef RETICLE_NO_TELEMETRY
   EXPECT_EQ(Sim->find("cycles")->asInt(), 4);
   EXPECT_EQ(Sim->find("interp")->find("cycles")->asInt(), 4);
   EXPECT_GT(Sim->find("interp")->find("evals")->asInt(), 0);
   EXPECT_EQ(Sim->find("signals")->asInt(), 7); // a b c en t0 t1 y
   EXPECT_GT(Sim->find("events")->asInt(), 0);
-#else
-  EXPECT_EQ(Sim->find("cycles")->asInt(), 0);
-#endif
 }
 
 } // namespace

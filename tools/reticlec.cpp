@@ -68,8 +68,7 @@
 ///                                            (requires a VM engine; in
 ///                                            --sim=both mode profiles vm-ir)
 /// Waveforms and sim profiles flush even when a run aborts
-/// mid-simulation; in a RETICLE_NO_TELEMETRY build --run works but the
-/// waveform, coverage, and profile flags are rejected. --sim=both runs all four engines and exits 1 on
+/// mid-simulation. --sim=both runs all four engines and exits 1 on
 /// the first divergence (interp vs netlist, vm-ir vs interp, vm-netlist
 /// vs netlist). With --run, --coverage additionally carries sim.toggle
 /// bins: per-signal-bit 0->1/1->0 transitions replayed from the captured
@@ -727,7 +726,6 @@ int runExecute(const DriverArgs &Args) {
       return compileError(S.error());
   }
 
-#ifndef RETICLE_NO_TELEMETRY
   // Waveforms are written from the in-memory captures after the run —
   // including aborted runs, whose partial captures replay with the
   // aborted marker so the artifacts stay parseable.
@@ -757,7 +755,6 @@ int runExecute(const DriverArgs &Args) {
   };
   if (Status S = WriteWaves(); !S)
     return usageError(S.error());
-#endif
 
   // Stats render after the run so the sim.* counters are populated.
   obs::Json Doc = core::statsJson(R.value(), InputPath, Session.context());
@@ -1191,21 +1188,6 @@ int main(int Argc, char **Argv) {
     return usageError("unknown --device '" + DeviceName +
                       "' (valid: " + DeviceChoices + ")");
 
-#ifdef RETICLE_NO_TELEMETRY
-  // Coverage recording and profiling are part of the telemetry surface; a
-  // compiled-out build still compiles (and runs) everything, it just
-  // cannot report coverage or profiles.
-  if (!Args.CoveragePath.empty())
-    return usageError("--coverage requires a telemetry-enabled build "
-                      "(RETICLE_NO_TELEMETRY is set)");
-  if (!Args.ProfileSimPath.empty())
-    return usageError("--profile-sim requires a telemetry-enabled build "
-                      "(RETICLE_NO_TELEMETRY is set)");
-  if (!Args.ProfileFoldedPath.empty())
-    return usageError("--profile-folded requires a telemetry-enabled build "
-                      "(RETICLE_NO_TELEMETRY is set)");
-#endif
-
   if (Args.Emit == "behavioral") {
     // Everything below observes the Figure-7 pipeline, which the
     // behavioral translation bypasses entirely.
@@ -1264,11 +1246,6 @@ int main(int Argc, char **Argv) {
         Args.SimEngine != "vm-ir" && Args.SimEngine != "vm-netlist")
       return usageError("--profile-sim requires a VM engine "
                         "(--sim=vm-ir, vm-netlist, or both)");
-#ifdef RETICLE_NO_TELEMETRY
-    if (!Args.VcdPath.empty() || !Args.WaveJsonPath.empty())
-      return usageError("--vcd/--wave-json require a telemetry-enabled "
-                        "build (RETICLE_NO_TELEMETRY is set)");
-#endif
     return runExecute(Args);
   }
 
