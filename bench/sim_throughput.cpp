@@ -4,15 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Measures the cycles/second of the four simulation engines — the
-/// tree-walking reference interpreter (Section 6.2) and gate-level
-/// netlist simulator, plus the compiled-bytecode VM lowered from each
-/// source (vm-ir, vm-netlist) — bare, with a waveform sink attached, and
-/// with the capture replayed into per-bit toggle-coverage bins, so the
-/// cost of full per-cycle observability is a tracked number rather than
-/// folklore. Each VM row carries `speedup_vs_tree`, its throughput
-/// relative to the same-mode tree engine it replaces (programs are
-/// compiled once, outside the timed region). The VM engines additionally
+/// Measures the cycles/second of the three simulation engines — the
+/// tree-walking reference interpreter (Section 6.2) plus the
+/// compiled-bytecode VM lowered from the source program (vm-ir) and from
+/// the generated Verilog (vm-netlist) — bare, with a waveform sink
+/// attached, and with the capture replayed into per-bit toggle-coverage
+/// bins, so the cost of full per-cycle observability is a tracked number
+/// rather than folklore. Each vm-ir row carries `speedup_vs_tree`, its
+/// throughput relative to the same-mode interpreter run (programs are
+/// compiled once, outside the timed region); each bare VM row carries
+/// `speedup_vs_seed` against a recorded baseline. The VM engines additionally
 /// run a `profiled` mode — the per-op execution-profile variant of
 /// sim::execute — whose row carries `overhead_vs_none` (its wall time
 /// over the bare run's) and the profile's attribution fraction, so the
@@ -21,7 +22,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/NetlistSim.h"
 #include "core/Compiler.h"
 #include "interp/Interp.h"
 #include "interp/Wave.h"
@@ -100,7 +100,7 @@ int main() {
 
   // Lower both compiled-simulation programs once, outside every timed
   // region: compile-once is the VM's contract, so the timer measures
-  // execution alone (the tree engines have no equivalent setup to skip).
+  // execution alone (the interpreter has no equivalent setup to skip).
   Result<sim::Program> IrProg = sim::compile(Fn.value());
   if (!IrProg) {
     std::fprintf(stderr, "vm-ir lowering failed: %s\n",
@@ -122,17 +122,18 @@ int main() {
 
   obs::Json Rows = obs::Json::array();
   bool AllOk = true;
-  // Tree-engine wall time per mode, so each VM row can report its
-  // speedup against the engine it replaces. Note the live tree engines
-  // are themselves faster than before the compiled-simulation refactor:
-  // they now ride the same flat-step trace and shared cycle skeleton,
-  // so `speedup_vs_tree` compares against an already-improved baseline.
-  std::map<std::string, double> TreeMs;
+  // Interpreter wall time per mode, so each vm-ir row can report its
+  // speedup against the engine it replaces. Note the live interpreter is
+  // itself faster than before the compiled-simulation refactor: it now
+  // rides the same flat-step trace and shared cycle skeleton, so
+  // `speedup_vs_tree` compares against an already-improved baseline.
+  std::map<std::string, double> InterpMs;
   // Pre-refactor throughput of the tree engines on this benchmark
   // (mac, 20k cycles, bare mode), measured before the shared cycle
-  // skeleton and flat-step trace landed. Each bare-mode VM row also
-  // reports `speedup_vs_seed` against the engine it replaces as it
-  // performed when the VM work started.
+  // skeleton and flat-step trace landed: the interpreter and the
+  // tree-walking netlist simulator that vm-netlist replaced. Each
+  // bare-mode VM row reports `speedup_vs_seed` against the engine it
+  // replaces as it performed when the VM work started.
   const double SeedInterpPerSec = 1493654.0;
   const double SeedNetlistPerSec = 149123.0;
   // Bare-mode wall time per VM engine, so each profiled row can report
@@ -162,9 +163,6 @@ int main() {
       auto Start = std::chrono::steady_clock::now();
       Out = Eng == "interp"
                 ? interp::interpret(Fn.value(), In, Sink,
-                                    obs::defaultContext())
-            : Eng == "netlist"
-                ? codegen::simulate(Compiled.value().Verilog, In, Sink,
                                     obs::defaultContext())
             : WithProfile
                 ? sim::execute(Eng == "vm-ir" ? IrProg.value()
@@ -207,8 +205,8 @@ int main() {
       Row.set("cycles_per_sec", PerSec);
       if (WithCoverage)
         Row.set("toggle_bins", ToggleBins);
-      if (Eng == "interp" || Eng == "netlist") {
-        TreeMs[Eng + "/" + Mode] = Ms;
+      if (Eng == "interp") {
+        InterpMs[Mode] = Ms;
         std::printf("  %-10s %-8s %10.1f %14.0f %10s\n", Engine, Mode, Ms,
                     PerSec, "-");
       } else if (WithProfile) {
@@ -229,29 +227,31 @@ int main() {
       } else {
         if (!WithWave)
           NoneMs[Eng] = Ms;
-        std::string TreeKey =
-            (Eng == "vm-ir" ? std::string("interp") : std::string("netlist")) +
-            "/" + Mode;
-        double Speedup =
-            Ms > 0.0 && TreeMs.count(TreeKey) ? TreeMs[TreeKey] / Ms : 0.0;
-        Row.set("speedup_vs_tree", Speedup);
-        if (!WithWave) {
-          double SeedPerSec =
-              Eng == "vm-ir" ? SeedInterpPerSec : SeedNetlistPerSec;
-          Row.set("speedup_vs_seed", PerSec / SeedPerSec);
+        // vm-ir compares with the same-mode interpreter run; vm-netlist
+        // has no live engine to compare with, only its seed baseline.
+        bool IsIr = Eng == "vm-ir";
+        char Col[16] = "-";
+        if (IsIr) {
+          double Speedup =
+              Ms > 0.0 && InterpMs.count(Mode) ? InterpMs[Mode] / Ms : 0.0;
+          Row.set("speedup_vs_tree", Speedup);
+          std::snprintf(Col, sizeof Col, "%.1fx", Speedup);
         }
-        std::printf("  %-10s %-8s %10.1f %14.0f %9.1fx\n", Engine, Mode, Ms,
-                    PerSec, Speedup);
+        if (!WithWave)
+          Row.set("speedup_vs_seed",
+                  PerSec / (IsIr ? SeedInterpPerSec : SeedNetlistPerSec));
+        std::printf("  %-10s %-8s %10.1f %14.0f %10s\n", Engine, Mode, Ms,
+                    PerSec, Col);
       }
     }
     Rows.push(std::move(Row));
   };
 
-  for (const char *Engine : {"interp", "netlist", "vm-ir", "vm-netlist"})
+  for (const char *Engine : {"interp", "vm-ir", "vm-netlist"})
     for (const char *Mode : {"none", "wave", "coverage"})
       Measure(Engine, Mode);
-  // Only the VM engines have a profiled executor; the tree engines have
-  // no bytecode sites to attribute.
+  // Only the VM engines have a profiled executor; the interpreter has no
+  // bytecode sites to attribute.
   for (const char *Engine : {"vm-ir", "vm-netlist"})
     Measure(Engine, "profiled");
 

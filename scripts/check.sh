@@ -14,7 +14,8 @@
 # concurrent batch-compile path, concurrent compiled-simulation VM runs,
 # and the SAT portfolio's racing lane threads, and one under
 # AddressSanitizer + UndefinedBehaviorSanitizer exercising the packed
-# waveform path and the lexer's malformed-literal diagnostics. Run from
+# waveform path, the gate-level vm-netlist lowering and the malformed-
+# input diagnostics of the lexer and the DIMACS reader. Run from
 # anywhere; builds into <repo>/build (plus build-tsan/ and build-asan/
 # siblings).
 set -eu
@@ -116,16 +117,16 @@ for stem in mac dot3 scalar_adds; do
         "$out/batch/$stem.stats.json"
 done
 
-echo "== wave_diff sweep (tree engines vs compiled VM on every example) =="
+echo "== wave_diff sweep (compiled VM vs the interpreter on every example) =="
 # The differential-simulation oracle: run every example program's input
-# trace through all four engines (tree-walking interpreter and netlist
-# simulator, plus the compiled-bytecode VM lowered from each source),
-# emit reticle-wave-v1 streams, and require zero-divergence joins both
-# between the tree engines (on their shared ports) and between each VM
-# and the tree engine it replaces (on every signal, internal ones
-# included). A VCD streamed to stdout must reach its dump section.
+# trace through all three engines (the reference interpreter, plus the
+# compiled-bytecode VM lowered from the source program and from the
+# generated Verilog), emit reticle-wave-v1 streams, and require
+# zero-divergence joins against the interpreter: vm-netlist on the
+# shared ports, vm-ir on every signal, internal ones included. A VCD
+# streamed to stdout must reach its dump section.
 for stem in mac dot3 scalar_adds; do
-    for engine in interp netlist vm-ir vm-netlist; do
+    for engine in interp vm-ir vm-netlist; do
         "$build/tools/reticlec" --device=small \
             --run="$repo/examples/traces/$stem.trace.json" --sim="$engine" \
             --wave-json="$out/$stem.$engine.wave.jsonl" \
@@ -134,11 +135,9 @@ for stem in mac dot3 scalar_adds; do
             "$out/$stem.$engine.wave.jsonl"
     done
     "$build/tools/json_check" wave_diff \
-        "$out/$stem.interp.wave.jsonl" "$out/$stem.netlist.wave.jsonl"
+        "$out/$stem.interp.wave.jsonl" "$out/$stem.vm-netlist.wave.jsonl"
     "$build/tools/json_check" wave_diff --all-signals \
         "$out/$stem.vm-ir.wave.jsonl" "$out/$stem.interp.wave.jsonl"
-    "$build/tools/json_check" wave_diff --all-signals \
-        "$out/$stem.vm-netlist.wave.jsonl" "$out/$stem.netlist.wave.jsonl"
 done
 "$build/tools/reticlec" --device=small \
     --run="$repo/examples/traces/mac.trace.json" --sim=both --vcd=- \
@@ -257,13 +256,15 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== ASan+UBSan build: packed waveform path, malformed input =="
+echo "== ASan+UBSan build: packed waveform path, gate level, malformed input =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
 # offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
 # no recovery) an oversized shift, and _GLIBCXX_ASSERTIONS a container
 # index past its end. The wide fixture carries 96- and 128-bit signals.
-# The lexer and bytecode-assembler tests feed out-of-range and malformed
+# The gate-level tests run every LUT INIT, CARRY8 and DSP48E2 shape the
+# code generator emits through the vm-netlist lowering. The lexer,
+# bytecode-assembler and DIMACS tests feed out-of-range and malformed
 # numeric literals, which must come back as diagnostics.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
@@ -271,12 +272,14 @@ cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_CXX_FLAGS="$asan_flags -g" \
     -DCMAKE_EXE_LINKER_FLAGS="$asan_flags"
 cmake --build "$repo/build-asan" -j"$jobs" \
-    --target wave_test sim_vm_test coverage_test lexer_test reticlec \
-    json_check
+    --target wave_test sim_vm_test coverage_test lexer_test \
+    gate_level_test sat_test reticlec json_check
 "$repo/build-asan/tests/wave_test"
 "$repo/build-asan/tests/sim_vm_test"
 "$repo/build-asan/tests/coverage_test"
 "$repo/build-asan/tests/lexer_test"
+"$repo/build-asan/tests/gate_level_test"
+"$repo/build-asan/tests/sat_test"
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

@@ -258,7 +258,7 @@ Status Emitter::emitDspInstr(const AsmInstr &I, const tdl::TargetDef &Def) {
   D.Params.push_back({"OPMODE", Expr::intLit(9, Opmode)});
   D.Params.push_back({"PREG", Expr::intLit(1, HasReg ? 1 : 0)});
   // Non-zero register init values have no standard DSP48E2 parameter; the
-  // PINIT extension keeps them visible to the netlist simulator (the
+  // PINIT extension keeps them visible to the netlist lowering (the
   // hardware P register powers up to zero).
   if (HasReg && !I.attrs().empty() && I.attrs()[0] != 0) {
     uint64_t Mask = (uint64_t(1) << 48) - 1;

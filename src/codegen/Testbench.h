@@ -10,7 +10,7 @@
 /// interpreter). The compiled design hands off to vendor tools for
 /// routing and bitstream generation (Figure 1); this testbench lets a
 /// standard Verilog simulator check the generated netlist in that flow —
-/// the same oracle the in-tree gate-level simulator applies natively.
+/// the same oracle vm-netlist applies in-tree.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -176,11 +176,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Interp.set("cycles", Count("interp.cycles"));
   Interp.set("evals", Count("interp.evals"));
   Sim.set("interp", std::move(Interp));
-  Json Netlist = Json::object();
-  Netlist.set("cycles", Count("netlist.cycles"));
-  Netlist.set("evals", Count("netlist.evals"));
-  Netlist.set("sweeps", Count("netlist.sweeps"));
-  Sim.set("netlist", std::move(Netlist));
   // The compiled-simulation VM: lowering activity (program geometry,
   // compile count) and execution volume (cycles, bytecode instructions
   // retired). `ops` divided by `cycles` is the per-cycle program size the

@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine-independent pieces of a per-cycle simulation run. Every
-/// simulation engine — the reference interpreter, the gate-level netlist
-/// simulator, and the bytecode VM — steps the same loop: bind the cycle's
-/// inputs from a name-ordered step map, evaluate, snapshot declared
-/// outputs into a prototype-cloned step, stream the settled state into a
-/// `WaveSink`, then commit register state. This header extracts the
-/// engine-independent parts so the engines share one skeleton instead of
-/// three hand-rolled copies:
+/// The engine-independent pieces of a per-cycle simulation run. Both
+/// simulation engines — the reference interpreter and the bytecode VM —
+/// step the same loop: bind the cycle's inputs from a name-ordered step
+/// map, evaluate, snapshot declared outputs into a prototype-cloned step,
+/// stream the settled state into a `WaveSink`, then commit register
+/// state. This header extracts the engine-independent parts so the
+/// engines share one skeleton instead of two hand-rolled copies:
 ///
 ///  - `InputBinder` — the name-sorted merge walk between a trace step's
 ///    ordered map and an engine's input slots, resolved once per run.
@@ -25,8 +24,8 @@
 ///    before the error propagates.
 ///
 /// Engines stay responsible for what is genuinely theirs: how a bound
-/// value is stored (typed `Value`, flattened bits, table words), how a
-/// cycle is evaluated, and which signals the waveform carries.
+/// value is stored (typed `Value`, table words), how a cycle is
+/// evaluated, and which signals the waveform carries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -132,8 +131,7 @@ private:
 class EngineFrame {
 public:
   /// \p OwnCounter is the engine's cycle counter name ("interp.cycles",
-  /// "netlist.cycles", "sim.vm.cycles"); `sim.cycles` is always counted
-  /// alongside it.
+  /// "sim.vm.cycles"); `sim.cycles` is always counted alongside it.
   EngineFrame(WaveSink *Wave, const obs::Context &Ctx,
               const char *OwnCounter);
 

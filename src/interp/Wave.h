@@ -8,8 +8,8 @@
 /// Execution observability for the two simulation engines. The semantics of
 /// a Reticle program are defined over per-cycle traces (Section 6.2); this
 /// layer makes those traces *watchable*: both the reference interpreter and
-/// the gate-level netlist simulator stream every port and named internal
-/// signal, cycle by cycle, into a `sim::WaveSink`.
+/// the bytecode VM stream every port and named internal signal, cycle by
+/// cycle, into a `sim::WaveSink`.
 ///
 /// Values travel as packed 64-bit words: bit b of a signal sits in word
 /// b/64 at position b%64 (the flattened LSB-first order `Value::toBits`
@@ -208,7 +208,8 @@ private:
 
 /// Replays one or more captured runs into \p Out as a single stream.
 /// Each source's signals are renamed `<prefix>.<name>` when its prefix is
-/// nonempty (the driver uses `interp` / `netlist` in `--sim=both` runs).
+/// nonempty (the driver uses `interp` / `vm-ir` / `vm-netlist` in
+/// `--sim=both` runs).
 /// Cycles are interleaved in time order; the replay finishes aborted when
 /// any source run aborted.
 Status replay(
@@ -224,7 +225,7 @@ Status replay(
 /// is no x->v toggle. Edges are counted per bit in flat arrays while the
 /// run streams (old XOR new, split into rises and falls) and land in the
 /// registry once, at finish() — aborted runs included. Engine-agnostic:
-/// reticlec replays captured interpreter/netlist runs (with per-engine
+/// reticlec replays the captured runs of every engine (with per-engine
 /// name prefixes) into one sink.
 class ToggleCoverageSink : public WaveSink {
 public:

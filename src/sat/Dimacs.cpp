@@ -7,6 +7,8 @@
 #include "sat/Dimacs.h"
 
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 
 using namespace reticle;
@@ -70,6 +72,8 @@ Result<Cnf> reticle::sat::parseDimacs(const std::string &Source) {
       long Vars = std::strtol(Source.c_str() + I, &End, 10);
       if (End == Source.c_str() + I || Vars < 0)
         return fail<Cnf>("malformed variable count");
+      if (static_cast<unsigned long>(Vars) > UINT32_MAX)
+        return fail<Cnf>("variable count exceeds 4294967295");
       I = static_cast<size_t>(End - Source.c_str());
       long NumClauses = std::strtol(Source.c_str() + I, &End, 10);
       if (End == Source.c_str() + I || NumClauses < 0)
@@ -86,6 +90,9 @@ Result<Cnf> reticle::sat::parseDimacs(const std::string &Source) {
     long L = std::strtol(Source.c_str() + I, &End, 10);
     if (End == Source.c_str() + I)
       return fail<Cnf>("malformed literal");
+    // Checked before narrowing, which also keeps std::abs off LONG_MIN.
+    if (L > INT_MAX || L < -INT_MAX)
+      return fail<Cnf>("literal magnitude exceeds 2147483647");
     I = static_cast<size_t>(End - Source.c_str());
     if (L == 0) {
       Out.Clauses.push_back(Current);

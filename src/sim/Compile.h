@@ -6,16 +6,15 @@
 ///
 /// \file
 /// The two lowering passes of the compiled-simulation layer. Both produce
-/// a verified `sim::Program` whose execution is bit-for-bit identical to
-/// the corresponding tree-walking engine:
+/// a verified `sim::Program`; executed, either one agrees with the
+/// reference interpreter on every output port, every cycle:
 ///
 ///  - `compile(ir::Function)` lowers a verified function off the cached
 ///    `ir::DefUse` analysis, reusing the same register-aware topological
 ///    order the reference interpreter evaluates in. One table word per
 ///    lane, holding the canonical (sign-extended) `interp::Value` lane.
 ///  - `compile(verilog::Module)` lowers the generated netlist's assigns
-///    and primitive instances (LUTk / CARRY8 / FDRE / DSP48E2). Where the
-///    tree-walking simulator sweeps to a fixpoint every cycle, the
+///    and primitive instances (LUTk / CARRY8 / FDRE / DSP48E2). The
 ///    lowering topologically orders the items *once* at compile time
 ///    (signal writer -> reader edges; sequential outputs are sources), so
 ///    the VM evaluates each item exactly once per cycle. Signals store
@@ -45,11 +44,12 @@ namespace sim {
 Result<Program> compile(const ir::Function &Fn,
                         const obs::Context &Ctx = obs::defaultContext());
 
-/// Lowers \p M into a simulation program equivalent to
-/// `codegen::simulate`. Fails on combinational loops (which the
-/// tree-walker only detects at run time as a failure to settle), on
-/// unknown primitives, and on expression forms outside the structural
-/// subset code generation emits.
+/// Lowers \p M, a structural netlist from code generation, into a
+/// simulation program. Each input step must provide a value for every
+/// input port (except the implicit clock); each output step holds all
+/// output ports as iN values of the port width (width-1 ports become
+/// bool). Fails on combinational loops, on unknown primitives, and on
+/// expression forms outside the structural subset code generation emits.
 Result<Program> compile(const verilog::Module &M,
                         const obs::Context &Ctx = obs::defaultContext());
 

@@ -5,17 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers a generated structural-Verilog module into a `sim::Program`
-/// equivalent to the tree-walking netlist simulator. The key change of
-/// shape: where the tree-walker re-sweeps every item to a fixpoint each
-/// cycle, this pass topologically orders the combinational items *once*
-/// (signal writer -> reader edges; FDRE/DSP-PREG outputs are sources), so
-/// the VM evaluates each item exactly once per cycle. Expressions in the
-/// structural subset (references, sized literals, bit/range selects,
-/// concatenation, replication) flatten into bit "pieces" that lower to
-/// word-level field moves — wires wider than 64 bits copy chunk by chunk
-/// and never pass through a single arithmetic word, which is what the
-/// tree-walker's `toUint` used to get wrong.
+/// Lowers a generated structural-Verilog module into a `sim::Program`,
+/// the gate-level engine (vm-netlist) that is checked against the
+/// reference interpreter. This pass topologically orders the
+/// combinational items *once* (signal writer -> reader edges; FDRE/DSP-PREG
+/// outputs are sources), so the VM evaluates each item exactly once per
+/// cycle. Expressions in the structural subset (references, sized
+/// literals, bit/range selects, concatenation, replication) flatten into
+/// bit "pieces" that lower to word-level field moves — wires wider than
+/// 64 bits copy chunk by chunk and never pass through a single arithmetic
+/// word.
 ///
 /// Signals store flattened bits packed 64 per word. Sequential state
 /// (FDRE Q, DSP P with PREG) lives in hidden state words initialized in
@@ -268,8 +267,7 @@ Result<std::vector<Piece>> flatten(const Expr &E, const Signals &Sigs) {
   }
 }
 
-/// An assignment target resolved to one signal bit range (mirrors the
-/// tree-walker's storeLValue checks and messages).
+/// An assignment target resolved to one signal bit range.
 struct LTarget {
   uint32_t Sig;
   unsigned Lo;
@@ -469,8 +467,8 @@ private:
     }
   }
 
-  /// Resolves a connection into an assignment target with the
-  /// tree-walker's width check.
+  /// Resolves a connection into an assignment target of exactly
+  /// \p ValueLen bits.
   Result<LTarget> targetOf(const Expr &Lhs, unsigned ValueLen) {
     Result<LTarget> T = lvalueOf(Lhs, Sigs);
     if (!T)
@@ -611,8 +609,8 @@ private:
 
 /// Topologically orders the items by signal writer -> reader edges.
 /// Sequential elements read nothing during evaluation, so they are
-/// sources; a cycle means real combinational feedback, which the
-/// tree-walker only detects at run time as a failure to settle.
+/// sources; a cycle means real combinational feedback and fails the
+/// lowering.
 Result<std::vector<size_t>> NetlistLowering::orderItems() {
   const std::vector<Item> &Items = M.items();
   std::map<uint32_t, std::vector<size_t>> WritersOf;
@@ -837,7 +835,7 @@ Status NetlistLowering::run() {
   auto WidthOf = [](const verilog::Port &Port) {
     return Port.Width == 0 ? 1u : Port.Width;
   };
-  // Declare ports then wires/regs, exactly as the tree-walker's table.
+  // Declare ports, then wires and regs, in module order.
   for (const verilog::Port &Port : M.ports())
     if (Status S = Sigs.declare(Port.Name, Port.Width, NextWord); !S)
       return S;

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The executor of compiled simulation programs. `sim::execute` has the
-/// same contract as `interp::interpret` and `codegen::simulate`: an input
-/// trace in, a `Result`-wrapped output trace back, an optional `WaveSink`
-/// streamed the settled state each cycle (flushed on abort), and counters
-/// reported through the `obs::Context` (`sim.cycles` shared with the tree
-/// engines, plus `sim.vm.cycles` and `sim.vm.ops`).
+/// same contract as `interp::interpret`: an input trace in, a
+/// `Result`-wrapped output trace back, an optional `WaveSink` streamed the
+/// settled state each cycle (flushed on abort), and counters reported
+/// through the `obs::Context` (`sim.cycles` shared with the interpreter,
+/// plus `sim.vm.cycles` and `sim.vm.ops`).
 ///
 /// The VM verifies the program, then runs the `Init` segment once and the
 /// `Eval`/`Commit` segments per cycle in a tight threaded loop over the
@@ -33,9 +33,10 @@ namespace reticle {
 namespace sim {
 
 /// Runs \p P over \p Inputs, one step per cycle, and returns the output
-/// trace. The result is bit-for-bit identical to the tree-walking engine
-/// the program was compiled from. \p Wave (may be null) observes the
-/// settled state each cycle.
+/// trace. The result matches the reference interpreter on the same
+/// trace: equal for a program lowered from the IR, bit for bit on every
+/// output port for one lowered from generated Verilog. \p Wave (may be
+/// null) observes the settled state each cycle.
 Result<interp::Trace> execute(const Program &P, const interp::Trace &Inputs,
                               WaveSink *Wave = nullptr,
                               const obs::Context &Ctx =

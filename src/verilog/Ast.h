@@ -55,7 +55,7 @@ public:
 
   Kind kind() const { return ExprKind; }
 
-  /// Structural accessors (used by the netlist simulator).
+  /// Structural accessors (used by the netlist lowering).
   const std::string &name() const { return Name; }
   unsigned width() const { return Width; } ///< IntLit width / Index pos /
                                            ///< Range hi / Repeat count

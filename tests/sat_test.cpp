@@ -234,6 +234,29 @@ TEST(Dimacs, RejectsMalformed) {
   EXPECT_FALSE(parseDimacs("p cnf 2 1\n1 3 0\n").ok());
   EXPECT_FALSE(parseDimacs("p cnf 2 2\n1 2 0\n").ok());
   EXPECT_FALSE(parseDimacs("p cnf 2 1\n1 2\n").ok());
+  // Out-of-range numbers are rejected, not narrowed: 2^32 + 1 would
+  // otherwise read as 1.
+  Result<Cnf> Vars = parseDimacs("p cnf 4294967297 1\n1 0\n");
+  ASSERT_FALSE(Vars.ok());
+  EXPECT_NE(Vars.error().find("variable count"), std::string::npos)
+      << Vars.error();
+  EXPECT_FALSE(parseDimacs("p cnf 99999999999999999999 1\n1 0\n").ok());
+  for (const char *Lit : {"4294967297", "-4294967297", "2147483648",
+                          "-2147483648", "-9223372036854775808",
+                          "99999999999999999999"}) {
+    Result<Cnf> R =
+        parseDimacs(std::string("p cnf 4294967295 1\n") + Lit + " 0\n");
+    ASSERT_FALSE(R.ok()) << Lit;
+    EXPECT_NE(R.error().find("literal magnitude"), std::string::npos)
+        << Lit << ": " << R.error();
+  }
+  // The extremes that do fit still parse.
+  Result<Cnf> Max =
+      parseDimacs("p cnf 4294967295 1\n2147483647 -2147483647 0\n");
+  ASSERT_TRUE(Max.ok()) << Max.error();
+  EXPECT_EQ(Max.value().NumVars, 4294967295u);
+  EXPECT_EQ(Max.value().Clauses[0],
+            (std::vector<int>{2147483647, -2147483647}));
 }
 
 TEST(Sat, StatsArePopulated) {

@@ -6,10 +6,10 @@
 ///
 /// The compiled-simulation layer's own test surface: the bytecode format
 /// (deterministic encoding, disassemble/assemble round-trips, verifier
-/// rejections) and the two lowering passes, checked differentially — the
-/// VM must produce byte-identical traces and waveforms to the tree-walking
-/// engines it replaces (interpreter for IR programs, gate-level simulator
-/// for netlist programs).
+/// rejections) and the two lowering passes, checked differentially
+/// against the reference interpreter — vm-ir must reproduce its traces
+/// and waveforms byte for byte, and vm-netlist must agree with it on
+/// every output bit and every shared port signal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "sim/Emitter.h"
 #include "sim/Vm.h"
 
-#include "codegen/NetlistSim.h"
 #include "core/Compiler.h"
 #include "interp/Interp.h"
 #include "interp/TraceIo.h"
@@ -31,7 +30,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <random>
+#include <set>
 #include <span>
 #include <sstream>
 
@@ -103,8 +104,37 @@ void expectWavesEqual(const WaveCapture &A, const WaveCapture &B,
   }
 }
 
-/// The full differential sweep for one function: vm-ir vs interp and
-/// vm-netlist vs the gate-level tree-walker, traces and waveforms both.
+/// Compares \p Got with the interpreter's \p Ref on every port signal
+/// both declare (the generated Verilog adds only internal wires), value
+/// for value, every cycle.
+void expectSharedPortsEqual(const WaveCapture &Ref, const WaveCapture &Got,
+                            const char *What) {
+  ASSERT_EQ(Ref.cycles(), Got.cycles()) << What;
+  std::set<std::string> GotPorts;
+  for (const sim::WaveSignal &S : Got.signals())
+    if (S.SigKind != sim::WaveSignal::Kind::Internal)
+      GotPorts.insert(S.Name);
+  size_t Shared = 0;
+  for (const sim::WaveSignal &S : Ref.signals()) {
+    if (S.SigKind == sim::WaveSignal::Kind::Internal)
+      continue;
+    ASSERT_TRUE(GotPorts.count(S.Name)) << What << ": no port " << S.Name;
+    ++Shared;
+    for (uint64_t C = 0; C < Ref.cycles(); ++C) {
+      std::optional<std::span<const uint64_t>> A = Ref.valueAt(C, S.Name);
+      std::optional<std::span<const uint64_t>> B = Got.valueAt(C, S.Name);
+      ASSERT_TRUE(A && B) << What << " cycle " << C << " signal " << S.Name;
+      EXPECT_EQ(std::vector<uint64_t>(A->begin(), A->end()),
+                std::vector<uint64_t>(B->begin(), B->end()))
+          << What << " cycle " << C << " signal " << S.Name;
+    }
+  }
+  EXPECT_EQ(Shared, GotPorts.size()) << What;
+}
+
+/// The full differential sweep for one function against the interpreter:
+/// vm-ir on traces and waveforms both, vm-netlist on every output bit and
+/// every shared port signal.
 void checkVmParity(const ir::Function &Fn, const Trace &Input) {
   WaveCapture InterpWave;
   Result<Trace> Expected =
@@ -127,10 +157,6 @@ void checkVmParity(const ir::Function &Fn, const Trace &Input) {
   Result<core::CompileResult> R = core::compile(Fn, Options);
   ASSERT_TRUE(R.ok()) << R.error();
 
-  WaveCapture TreeWave;
-  Result<Trace> Tree = codegen::simulate(R.value().Verilog, Input, &TreeWave);
-  ASSERT_TRUE(Tree.ok()) << Tree.error() << "\n" << R.value().Verilog.str();
-
   Result<sim::Program> NetProg = sim::compile(R.value().Verilog);
   ASSERT_TRUE(NetProg.ok()) << NetProg.error() << "\n"
                             << R.value().Verilog.str();
@@ -140,12 +166,20 @@ void checkVmParity(const ir::Function &Fn, const Trace &Input) {
   Result<Trace> VmNet = sim::execute(NetProg.value(), Input, &VmNetWave);
   ASSERT_TRUE(VmNet.ok()) << VmNet.error() << "\n"
                           << sim::disassemble(NetProg.value());
-  expectTracesEqual(Tree.value(), VmNet.value(), "vm-netlist vs netlist");
-  expectWavesEqual(TreeWave, VmNetWave, "vm-netlist vs netlist wave");
+  ASSERT_EQ(VmNet.value().size(), Expected.value().size());
+  for (size_t C = 0; C < Expected.value().size(); ++C)
+    for (const ir::Port &P : Fn.outputs()) {
+      const Value *E = Expected.value().get(C, P.Name);
+      const Value *G = VmNet.value().get(C, P.Name);
+      ASSERT_TRUE(E && G) << "cycle " << C << " output " << P.Name;
+      EXPECT_EQ(E->toBits(), G->toBits())
+          << "vm-netlist vs interp: cycle " << C << " output " << P.Name;
+    }
+  expectSharedPortsEqual(InterpWave, VmNetWave, "vm-netlist vs interp wave");
 }
 
 //===----------------------------------------------------------------------===//
-// Differential parity: vm-ir vs interp, vm-netlist vs the tree-walker.
+// Differential parity: vm-ir and vm-netlist vs the interpreter.
 //===----------------------------------------------------------------------===//
 
 TEST(SimVm, ParityCombinationalAdd) {
@@ -700,9 +734,9 @@ TEST(SimVm, TypeMismatchMatchesInterpMessage) {
 // The >64-bit DSP multiplier operand regression (silent truncation fix).
 //===----------------------------------------------------------------------===//
 
-/// A netlist whose DSP48E2 multiplies a 70-bit operand: both simulators
-/// must refuse it instead of silently truncating to the low 64 bits.
-Module wideMultiplierModule() {
+/// A netlist whose DSP48E2 multiplies a 70-bit operand: the lowering must
+/// refuse it instead of silently truncating to the low 64 bits.
+TEST(SimVm, NetlistLoweringRejectsWideDspMultiplier) {
   Module M("wide");
   M.addPort(verilog::Dir::Input, "clock", 0);
   M.addPort(verilog::Dir::Input, "a", 70);
@@ -719,28 +753,7 @@ Module wideMultiplierModule() {
   D.Connections.push_back({"C", Expr::intLit(48, 0)});
   D.Connections.push_back({"P", Expr::ref("y")});
   M.addItem(std::move(D));
-  return M;
-}
-
-Trace wideMultiplierInput() {
-  Trace T;
-  interp::Step &S = T.appendStep();
-  S["a"] = Value::fromBits(ir::Type::makeInt(1, 70),
-                           std::vector<bool>(70, true));
-  S["b"] = Value::splat(ir::Type::makeInt(18), 3);
-  return T;
-}
-
-TEST(SimVm, TreeSimulatorRejectsWideDspMultiplier) {
-  Result<Trace> Out =
-      codegen::simulate(wideMultiplierModule(), wideMultiplierInput());
-  ASSERT_FALSE(Out.ok());
-  EXPECT_NE(Out.error().find("wider than 64 bits"), std::string::npos)
-      << Out.error();
-}
-
-TEST(SimVm, NetlistLoweringRejectsWideDspMultiplier) {
-  Result<sim::Program> P = sim::compile(wideMultiplierModule());
+  Result<sim::Program> P = sim::compile(M);
   ASSERT_FALSE(P.ok());
   EXPECT_NE(P.error().find("wider than 64 bits"), std::string::npos)
       << P.error();

@@ -7,21 +7,23 @@
 /// The waveform layer end to end: the Trace convenience API the engines
 /// replay, the WaveRecorder's change detection and counters, the VCD and
 /// reticle-wave-v1 writers (including the abort-flush contract), the
-/// input-trace parser, and both engines driving a sink — with the
-/// interpreter and the gate-level simulator agreeing on every shared port
-/// signal, the property `json_check wave_diff` gates on in CI.
+/// input-trace parser, and the engines driving a sink — with the
+/// interpreter and vm-netlist (the bytecode VM running the generated
+/// Verilog) agreeing on every shared port signal, the property
+/// `json_check wave_diff` gates on in CI.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "interp/Wave.h"
 
-#include "codegen/NetlistSim.h"
 #include "core/Compiler.h"
 #include "core/Stats.h"
 #include "interp/Interp.h"
 #include "interp/TraceIo.h"
 #include "ir/Parser.h"
 #include "obs/Json.h"
+#include "sim/Compile.h"
+#include "sim/Vm.h"
 
 #include <gtest/gtest.h>
 
@@ -236,17 +238,18 @@ TEST(WaveReplay, MergesSourcesWithPrefixes) {
   ASSERT_TRUE(B.finish(true).ok()); // one aborted source
 
   WaveCapture Merged;
-  ASSERT_TRUE(sim::replay({{&A, "interp"}, {&B, "netlist"}}, Merged).ok());
+  ASSERT_TRUE(
+      sim::replay({{&A, "interp"}, {&B, "vm-netlist"}}, Merged).ok());
   ASSERT_EQ(Merged.signals().size(), 2u);
   EXPECT_EQ(Merged.signals()[0].Name, "interp.y");
-  EXPECT_EQ(Merged.signals()[1].Name, "netlist.y");
+  EXPECT_EQ(Merged.signals()[1].Name, "vm-netlist.y");
   // Cycle 1 only exists in B; the merge spans the longer run and carries
   // the abort flag forward.
   EXPECT_EQ(Merged.cycles(), 2u);
   EXPECT_TRUE(Merged.aborted());
-  ASSERT_TRUE(Merged.valueAt(1, "netlist.y").has_value());
+  ASSERT_TRUE(Merged.valueAt(1, "vm-netlist.y").has_value());
   EXPECT_FALSE(Merged.valueAt(1, "interp.y").has_value());
-  EXPECT_EQ(toVec(*Merged.valueAt(1, "netlist.y")), words({0b10}));
+  EXPECT_EQ(toVec(*Merged.valueAt(1, "vm-netlist.y")), words({0b10}));
 }
 
 TEST(WaveCapture, RepeatedValuesShareTheirWords) {
@@ -670,9 +673,10 @@ TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
   Options.Dev = device::Device::small();
   Result<core::CompileResult> R = core::compile(Fn, Options);
   ASSERT_TRUE(R.ok()) << R.error();
+  Result<sim::Program> Net = sim::compile(R.value().Verilog);
+  ASSERT_TRUE(Net.ok()) << Net.error();
   WaveCapture NetCap;
-  Result<Trace> Got = codegen::simulate(R.value().Verilog, In, &NetCap,
-                                        obs::defaultContext());
+  Result<Trace> Got = sim::execute(Net.value(), In, &NetCap);
   ASSERT_TRUE(Got.ok()) << Got.error();
 
   ASSERT_EQ(NetCap.cycles(), InterpCap.cycles());
@@ -728,7 +732,7 @@ TEST(WaveStats, SimSectionReflectsTheRun) {
   ASSERT_NE(Sim->find("toggles"), nullptr);
   ASSERT_NE(Sim->find("signals"), nullptr);
   ASSERT_NE(Sim->find("interp"), nullptr);
-  ASSERT_NE(Sim->find("netlist"), nullptr);
+  ASSERT_NE(Sim->find("vm"), nullptr);
   EXPECT_EQ(Sim->find("cycles")->asInt(), 4);
   EXPECT_EQ(Sim->find("interp")->find("cycles")->asInt(), 4);
   EXPECT_GT(Sim->find("interp")->find("evals")->asInt(), 0);

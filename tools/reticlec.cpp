@@ -53,12 +53,11 @@
 ///
 /// Run mode executes the compiled program instead of printing an
 /// artifact: the input trace (reticle-input-trace-v1 JSON) drives the
-/// reference interpreter, the gate-level netlist simulator, the bytecode
-/// VM (compiled from either source), or all of them:
+/// reference interpreter, the bytecode VM (compiled from the source
+/// program or from the generated Verilog), or all of them:
 ///     --run=<trace.json>                     execute over this input trace
 ///     --cycles=N                             simulate only the first N cycles
-///     --sim=interp|netlist|vm-ir|vm-netlist|both
-///                                            engine selection (both)
+///     --sim=interp|vm-ir|vm-netlist|both     engine selection (both)
 ///     --vcd=<file|->                         waveform as standard VCD
 ///     --wave-json=<file|->                   waveform as reticle-wave-v1 JSONL
 ///     --dump-sim-program=<file|->            compiled sim bytecode, as
@@ -68,11 +67,12 @@
 ///                                            (requires a VM engine; in
 ///                                            --sim=both mode profiles vm-ir)
 /// Waveforms and sim profiles flush even when a run aborts
-/// mid-simulation. --sim=both runs all four engines and exits 1 on
-/// the first divergence (interp vs netlist, vm-ir vs interp, vm-netlist
-/// vs netlist). With --run, --coverage additionally carries sim.toggle
-/// bins: per-signal-bit 0->1/1->0 transitions replayed from the captured
-/// waveforms of every engine that ran.
+/// mid-simulation. --sim=both runs all three engines and exits 1 on
+/// the first divergence of a VM engine from the interpreter (vm-ir vs
+/// interp, then vm-netlist vs interp). With --run, --coverage
+/// additionally carries sim.toggle bins: per-signal-bit 0->1/1->0
+/// transitions replayed from the captured waveforms of every engine that
+/// ran.
 ///
 /// With more than one input the driver switches to batch mode and
 /// compiles every program concurrently, one CompileSession per input:
@@ -108,7 +108,6 @@
 #include "core/Pipeline.h"
 #include "core/Session.h"
 #include "core/Stats.h"
-#include "codegen/NetlistSim.h"
 #include "interp/Interp.h"
 #include "interp/TraceIo.h"
 #include "interp/Wave.h"
@@ -125,14 +124,17 @@
 #include "synth/Synth.h"
 #include "tdl/Ultrascale.h"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #ifndef RETICLE_VERSION
@@ -204,8 +206,7 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "trace\n"
       "  --cycles=N                             simulate only the first N "
       "cycles\n"
-      "  --sim=interp|netlist|vm-ir|vm-netlist|both\n"
-      "                                         engine selection (both)\n"
+      "  --sim=interp|vm-ir|vm-netlist|both     engine selection (both)\n"
       "  --vcd=<file|->                         waveform as standard VCD\n"
       "  --wave-json=<file|->                   waveform as reticle-wave-v1 "
       "JSONL\n"
@@ -247,6 +248,18 @@ int usageError(const std::string &Message) {
 int compileError(const std::string &Message) {
   std::fprintf(stderr, "reticlec: error: %s\n", Message.c_str());
   return 1;
+}
+
+/// Parses a numeric flag value: decimal digits only (no sign, no blanks),
+/// the whole value consumed, and within [Min, Max].
+std::optional<uint64_t> parseCount(std::string_view Value, uint64_t Min,
+                                   uint64_t Max) {
+  uint64_t N = 0;
+  const char *End = Value.data() + Value.size();
+  auto [Ptr, Ec] = std::from_chars(Value.data(), End, N);
+  if (Ec != std::errc() || Ptr != End || N < Min || N > Max)
+    return std::nullopt;
+  return N;
 }
 
 bool isKnownStage(const std::string &Stage) {
@@ -592,8 +605,8 @@ int runExecute(const DriverArgs &Args) {
     return compileError(pipelineErrorMessage(Session, InputPath, R.error()));
   }
 
-  // The interpreter engine executes the source program; the netlist
-  // engine executes the compiled structural Verilog.
+  // The interpreter and vm-ir execute the source program; vm-netlist
+  // executes the compiled structural Verilog.
   Result<ir::Function> Fn = ir::parseFunction(Source);
   if (!Fn)
     return compileError(InputPath + ": " + Fn.error());
@@ -617,7 +630,6 @@ int runExecute(const DriverArgs &Args) {
 
   bool Both = Args.SimEngine == "both";
   bool RunInterp = Both || Args.SimEngine == "interp";
-  bool RunNetlist = Both || Args.SimEngine == "netlist";
   bool RunVmIr = Both || Args.SimEngine == "vm-ir";
   bool RunVmNetlist = Both || Args.SimEngine == "vm-netlist";
   bool WantWave = !Args.VcdPath.empty() || !Args.WaveJsonPath.empty();
@@ -648,19 +660,14 @@ int runExecute(const DriverArgs &Args) {
       return usageError(S.error());
   }
 
-  sim::WaveCapture InterpWave, NetlistWave, VmIrWave, VmNetlistWave;
+  sim::WaveCapture InterpWave, VmIrWave, VmNetlistWave;
   Result<interp::Trace> InterpOut = fail<interp::Trace>("not run");
-  Result<interp::Trace> NetlistOut = fail<interp::Trace>("not run");
   Result<interp::Trace> VmIrOut = fail<interp::Trace>("not run");
   Result<interp::Trace> VmNetlistOut = fail<interp::Trace>("not run");
   if (RunInterp)
     InterpOut = interp::interpret(Fn.value(), Drive,
                                   Capture ? &InterpWave : nullptr,
                                   Session.context());
-  if (RunNetlist)
-    NetlistOut = codegen::simulate(R.value().Verilog, Drive,
-                                   Capture ? &NetlistWave : nullptr,
-                                   Session.context());
   // --profile-sim attaches the profiled executor to one VM engine: vm-ir
   // when it runs (the primary in --sim=both mode), vm-netlist otherwise.
   bool ProfileIr = !Args.ProfileSimPath.empty() && RunVmIr;
@@ -703,8 +710,6 @@ int runExecute(const DriverArgs &Args) {
     std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources;
     if (RunInterp)
       Sources.push_back({&InterpWave, "interp"});
-    if (RunNetlist)
-      Sources.push_back({&NetlistWave, "netlist"});
     if (RunVmIr)
       Sources.push_back({&VmIrWave, "vm-ir"});
     if (RunVmNetlist)
@@ -773,46 +778,35 @@ int runExecute(const DriverArgs &Args) {
 
   if (RunInterp && !InterpOut)
     return compileError("interp: " + InterpOut.error());
-  if (RunNetlist && !NetlistOut)
-    return compileError("netlist: " + NetlistOut.error());
   if (RunVmIr && !VmIrOut)
     return compileError("vm-ir: " + VmIrOut.error());
   if (RunVmNetlist && !VmNetlistOut)
     return compileError("vm-netlist: " + VmNetlistOut.error());
 
-  // The differential checks: every output port, cycle for cycle,
-  // compared through the flattened bit representation. In both mode the
-  // tree engines check against each other as before, and each VM engine
-  // checks against the tree engine it was compiled from.
-  auto DiffTraces = [&](const char *NameA, const interp::Trace &A,
-                        const char *NameB, const interp::Trace &B) -> int {
+  // The differential checks: in both mode each VM engine checks every
+  // output port against the interpreter, cycle for cycle, through the
+  // flattened bit representation.
+  auto DiffVsInterp = [&](const char *Name, const interp::Trace &Vm) {
     for (size_t Cycle = 0; Cycle < Drive.size(); ++Cycle) {
       for (const ir::Port &P : Fn.value().outputs()) {
-        const interp::Value *Va = A.get(Cycle, P.Name);
-        const interp::Value *Vb = B.get(Cycle, P.Name);
+        const interp::Value *Va = Vm.get(Cycle, P.Name);
+        const interp::Value *Vb = InterpOut.value().get(Cycle, P.Name);
         if (!Va || !Vb || Va->toBits() != Vb->toBits())
           return compileError(
-              std::string(NameA) + " vs " + NameB +
-              " divergence at cycle " + std::to_string(Cycle) +
-              ", signal '" + P.Name + "': " + NameA + " " +
-              (Va ? sim::bitsToString(Va->toBits()) : "<missing>") + ", " +
-              NameB + " " +
+              std::string(Name) + " vs interp divergence at cycle " +
+              std::to_string(Cycle) + ", signal '" + P.Name + "': " + Name +
+              " " + (Va ? sim::bitsToString(Va->toBits()) : "<missing>") +
+              ", interp " +
               (Vb ? sim::bitsToString(Vb->toBits()) : "<missing>"));
       }
     }
     return 0;
   };
-  if (RunInterp && RunNetlist)
-    if (int Rc = DiffTraces("interp", InterpOut.value(), "netlist",
-                            NetlistOut.value()))
+  if (RunInterp && RunVmIr)
+    if (int Rc = DiffVsInterp("vm-ir", VmIrOut.value()))
       return Rc;
-  if (RunVmIr && RunInterp)
-    if (int Rc = DiffTraces("vm-ir", VmIrOut.value(), "interp",
-                            InterpOut.value()))
-      return Rc;
-  if (RunVmNetlist && RunNetlist)
-    if (int Rc = DiffTraces("vm-netlist", VmNetlistOut.value(), "netlist",
-                            NetlistOut.value()))
+  if (RunInterp && RunVmNetlist)
+    if (int Rc = DiffVsInterp("vm-netlist", VmNetlistOut.value()))
       return Rc;
 
   std::fprintf(stderr, "reticlec: run: %s: %zu cycle(s), sim=%s: ok\n",
@@ -1073,22 +1067,19 @@ int main(int Argc, char **Argv) {
       if (Args.RunTracePath.empty())
         return usageError("--run= requires an input-trace file");
     } else if (Arg.rfind("--cycles=", 0) == 0) {
-      std::string Value = Arg.substr(9);
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Value.c_str(), &End, 10);
-      if (Value.empty() || *End != '\0')
+      std::optional<uint64_t> N =
+          parseCount(std::string_view(Arg).substr(9), 0, UINT64_MAX);
+      if (!N)
         return usageError("--cycles= requires a cycle count");
-      Args.Cycles = N;
+      Args.Cycles = *N;
       Args.CyclesSet = true;
     } else if (Arg.rfind("--sim=", 0) == 0) {
       Args.SimEngine = Arg.substr(6);
       Args.SimSet = true;
-      if (Args.SimEngine != "interp" && Args.SimEngine != "netlist" &&
-          Args.SimEngine != "vm-ir" && Args.SimEngine != "vm-netlist" &&
-          Args.SimEngine != "both")
+      if (Args.SimEngine != "interp" && Args.SimEngine != "vm-ir" &&
+          Args.SimEngine != "vm-netlist" && Args.SimEngine != "both")
         return usageError("unknown --sim engine '" + Args.SimEngine +
-                          "' (valid: interp, netlist, vm-ir, vm-netlist, "
-                          "both)");
+                          "' (valid: interp, vm-ir, vm-netlist, both)");
     } else if (Arg.rfind("--vcd=", 0) == 0) {
       Args.VcdPath = Arg.substr(6);
       if (Args.VcdPath.empty())
@@ -1125,12 +1116,11 @@ int main(int Argc, char **Argv) {
         return usageError("unknown --sat-solver '" + Value +
                           "' (valid: scratch, incremental, portfolio)");
     } else if (Arg.rfind("--sat-threads=", 0) == 0) {
-      std::string Value = Arg.substr(14);
-      char *End = nullptr;
-      unsigned long Lanes = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || *End != '\0' || Lanes == 0 || Lanes > 8)
+      std::optional<uint64_t> Lanes =
+          parseCount(std::string_view(Arg).substr(14), 1, 8);
+      if (!Lanes)
         return usageError("--sat-threads= requires a lane count from 1 to 8");
-      Args.Options.SatThreads = static_cast<unsigned>(Lanes);
+      Args.Options.SatThreads = static_cast<unsigned>(*Lanes);
     } else if (Arg.rfind("--sat-proof=", 0) == 0) {
       Args.SatProofPath = Arg.substr(12);
       if (Args.SatProofPath.empty())
@@ -1141,12 +1131,11 @@ int main(int Argc, char **Argv) {
       if (Args.ScheduleFromPath.empty())
         return usageError("--schedule-from= requires a summary file");
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::string Value = Arg.substr(7);
-      char *End = nullptr;
-      unsigned long Jobs = std::strtoul(Value.c_str(), &End, 10);
-      if (Value.empty() || *End != '\0' || Jobs == 0 || Jobs > 1024)
+      std::optional<uint64_t> Jobs =
+          parseCount(std::string_view(Arg).substr(7), 1, 1024);
+      if (!Jobs)
         return usageError("--jobs= requires a positive thread count");
-      Args.Jobs = static_cast<unsigned>(Jobs);
+      Args.Jobs = static_cast<unsigned>(*Jobs);
     } else if (Arg.rfind("--out-dir=", 0) == 0) {
       Args.OutDir = Arg.substr(10);
       if (Args.OutDir.empty())
