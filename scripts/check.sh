@@ -14,8 +14,9 @@
 # concurrent batch-compile path, concurrent compiled-simulation VM runs,
 # and the SAT portfolio's racing lane threads, and one under
 # AddressSanitizer + UndefinedBehaviorSanitizer exercising the packed
-# waveform path, the gate-level vm-netlist lowering and the malformed-
-# input diagnostics of the lexer and the DIMACS reader. Run from
+# waveform path, the gate-level vm-netlist lowering, the malformed-input
+# diagnostics of the lexer and the DIMACS reader, and the SAT solver's
+# clause arena under placement (single solver and portfolio). Run from
 # anywhere; builds into <repo>/build (plus build-tsan/ and build-asan/
 # siblings).
 set -eu
@@ -83,6 +84,19 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 #       examples/programs/mac.ret
 "$build/tools/json_check" remark_diff \
     "$repo/tests/goldens/mac/remarks.jsonl" "$out/remarks-a.jsonl"
+# The same ratchet for a compile that runs the shrink search (the placed
+# program and remark stream of tests/inputs/fsm_shrink.ret on the default
+# and the small device) runs in ctest as golden_fsm_shrink_*. If a change
+# to the placement search is intentional, regenerate from the repo root
+# with
+#   build/tools/reticlec --emit=placed \
+#       -o tests/goldens/fsm_shrink/placed.rasm \
+#       --remarks-json=tests/goldens/fsm_shrink/remarks.jsonl \
+#       tests/inputs/fsm_shrink.ret
+#   build/tools/reticlec --device=small --emit=placed \
+#       -o tests/goldens/fsm_shrink/placed.small.rasm \
+#       --remarks-json=tests/goldens/fsm_shrink/remarks.small.jsonl \
+#       tests/inputs/fsm_shrink.ret
 
 echo "== portfolio determinism (remark_diff on two racing runs) =="
 # Two clause-sharing portfolio races over a program with real SAT-backed
@@ -256,7 +270,7 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== ASan+UBSan build: packed waveform path, gate level, malformed input =="
+echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
 # offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
@@ -265,7 +279,13 @@ echo "== ASan+UBSan build: packed waveform path, gate level, malformed input =="
 # The gate-level tests run every LUT INIT, CARRY8 and DSP48E2 shape the
 # code generator emits through the vm-netlist lowering. The lexer,
 # bytecode-assembler and DIMACS tests feed out-of-range and malformed
-# numeric literals, which must come back as diagnostics.
+# numeric literals, which must come back as diagnostics. The SAT solver
+# keeps every clause's literals in one growing arena and hands out
+# pointers into it; a pointer kept across the arena's growth or a
+# reduceDb compaction dangles. sat_test, place_test and batch_test drive
+# it through learning, reduction and the placement encoders, and a
+# two-lane portfolio compile with a proof log drives it from racing
+# threads.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -273,13 +293,20 @@ cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_EXE_LINKER_FLAGS="$asan_flags"
 cmake --build "$repo/build-asan" -j"$jobs" \
     --target wave_test sim_vm_test coverage_test lexer_test \
-    gate_level_test sat_test reticlec json_check
+    gate_level_test sat_test place_test batch_test reticlec json_check
 "$repo/build-asan/tests/wave_test"
 "$repo/build-asan/tests/sim_vm_test"
 "$repo/build-asan/tests/coverage_test"
 "$repo/build-asan/tests/lexer_test"
 "$repo/build-asan/tests/gate_level_test"
 "$repo/build-asan/tests/sat_test"
+"$repo/build-asan/tests/place_test"
+"$repo/build-asan/tests/batch_test"
+"$repo/build-asan/tools/reticlec" --device=small --emit=placed \
+    --sat-solver=portfolio --sat-threads=2 \
+    --sat-proof="$out/fsm_shrink.asan.proof" \
+    -o "$out/fsm_shrink.asan.rasm" "$repo/tests/inputs/fsm_shrink.ret"
+test -s "$out/fsm_shrink.asan.proof"
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

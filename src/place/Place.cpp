@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 
 using namespace reticle;
@@ -74,33 +75,114 @@ bool memberSlot(const Member &M, int64_t XBase, int64_t YBase,
 /// given, every emitted clause is guarded by it (clause ∨ ¬selector), so
 /// assuming the selector true enables the constraint and dropping the
 /// assumption switches the whole group off — the mechanism behind
-/// UNSAT-core extraction over named constraint groups. Templated over the
-/// backend so one encoding serves both a single sat::Solver and a
-/// sat::Portfolio (which mirrors clauses into every racing lane).
+/// UNSAT-core extraction over named constraint groups. Each auxiliary
+/// variable is created where it is first used, which numbers them as
+/// creating them all up front would. Templated over the backend so one
+/// encoding serves both a single sat::Solver and a sat::Portfolio (which
+/// mirrors clauses into every racing lane).
 template <typename SolverT>
-void addAtMostOne(SolverT &S, const std::vector<sat::Lit> &Lits,
+void addAtMostOne(SolverT &S, std::span<const sat::Lit> Lits,
                   std::optional<sat::Lit> Selector = std::nullopt) {
-  auto Add = [&](std::vector<sat::Lit> Clause) {
+  auto Add = [&](sat::Lit A, sat::Lit B) {
     if (Selector)
-      Clause.push_back(~*Selector);
-    S.addClause(std::move(Clause));
+      S.addClause({A, B, ~*Selector});
+    else
+      S.addBinary(A, B);
   };
   if (Lits.size() <= 1)
     return;
   if (Lits.size() == 2) {
-    Add({~Lits[0], ~Lits[1]});
+    Add(~Lits[0], ~Lits[1]);
     return;
   }
-  std::vector<sat::Var> Aux(Lits.size() - 1);
-  for (sat::Var &V : Aux)
-    V = S.newVar();
-  Add({~Lits[0], sat::Lit(Aux[0])});
+  sat::Lit Prev(S.newVar());
+  Add(~Lits[0], Prev);
   for (size_t I = 1; I + 1 < Lits.size(); ++I) {
-    Add({~Lits[I], sat::Lit(Aux[I])});
-    Add({~sat::Lit(Aux[I - 1]), sat::Lit(Aux[I])});
-    Add({~Lits[I], ~sat::Lit(Aux[I - 1])});
+    sat::Lit Next(S.newVar());
+    Add(~Lits[I], Next);
+    Add(~Prev, Next);
+    Add(~Lits[I], ~Prev);
+    Prev = Next;
   }
-  Add({~Lits.back(), ~sat::Lit(Aux.back())});
+  Add(~Lits.back(), ~Prev);
+}
+
+/// The candidate literals competing for each device slot, in one flat
+/// table indexed x * Rows + y. Index order is device::Slot's (x, y)
+/// order, which fixes the order of the slot at-most-one clauses and so of
+/// their auxiliary variables. A slot's users keep cluster, then
+/// candidate, then member order. The table is compressed: slot I's users
+/// are Users[Start[I], Start[I + 1]).
+class SlotTable {
+public:
+  SlotTable(const std::vector<std::vector<Candidate>> &Cands,
+            const std::vector<std::vector<sat::Var>> &Vars) {
+    unsigned Cols = 0;
+    for (const std::vector<Candidate> &Cs : Cands)
+      for (const Candidate &Cand : Cs)
+        for (const device::Slot &S : Cand.Slots) {
+          Cols = std::max(Cols, S.X + 1);
+          Rows = std::max(Rows, S.Y + 1);
+        }
+    Start.assign(size_t(Cols) * Rows + 1, 0);
+    for (const std::vector<Candidate> &Cs : Cands)
+      for (const Candidate &Cand : Cs)
+        for (const device::Slot &S : Cand.Slots)
+          ++Start[index(S) + 1];
+    for (size_t I = 1; I < Start.size(); ++I)
+      Start[I] += Start[I - 1];
+    Users.resize(Start.back());
+    std::vector<size_t> Fill(Start.begin(), Start.end() - 1);
+    for (size_t I = 0; I < Cands.size(); ++I)
+      for (size_t K = 0; K < Cands[I].size(); ++K)
+        for (const device::Slot &S : Cands[I][K].Slots)
+          Users[Fill[index(S)]++] = sat::Lit(Vars[I][K]);
+  }
+
+  size_t numSlots() const { return Start.size() - 1; }
+  device::Slot slot(size_t I) const {
+    return {static_cast<unsigned>(I / Rows), static_cast<unsigned>(I % Rows)};
+  }
+  std::span<const sat::Lit> users(size_t I) const {
+    return {Users.data() + Start[I], Start[I + 1] - Start[I]};
+  }
+
+private:
+  size_t index(const device::Slot &S) const { return size_t(S.X) * Rows + S.Y; }
+
+  unsigned Rows = 0;
+  std::vector<size_t> Start;
+  std::vector<sat::Lit> Users;
+};
+
+/// The choose-one and distinct constraint families over per-cluster
+/// candidates: one variable per candidate, exactly one candidate per
+/// cluster (an at-least-one clause plus an at-most-one), then at most one
+/// user per slot. A multi-member cluster may cover one slot with two
+/// members only through distinct candidates, so the slot at-most-one over
+/// candidate literals is exact. Fills \p Vars; returns false when an
+/// at-least-one clause refutes the formula.
+template <typename SolverT>
+bool encodeChoices(SolverT &S,
+                   const std::vector<std::vector<Candidate>> &Cands,
+                   std::vector<std::vector<sat::Var>> &Vars) {
+  Vars.assign(Cands.size(), {});
+  std::vector<sat::Lit> Lits;
+  for (size_t I = 0; I < Cands.size(); ++I) {
+    Lits.clear();
+    for (size_t K = 0; K < Cands[I].size(); ++K) {
+      sat::Var V = S.newVar();
+      Vars[I].push_back(V);
+      Lits.push_back(sat::Lit(V));
+    }
+    if (!S.addClause(Lits))
+      return false;
+    addAtMostOne(S, Lits);
+  }
+  SlotTable Slots(Cands, Vars);
+  for (size_t I = 0; I < Slots.numSlots(); ++I)
+    addAtMostOne(S, Slots.users(I));
+  return true;
 }
 
 class Placer {
@@ -496,14 +578,7 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   if (capacityInfeasible(B, Explain, Sp))
     return Attempt::Unsat;
 
-  sat::Solver S(Ctx);
-  if (Options.Proof)
-    S.setProof(Options.Proof);
-  // SAT variables per (cluster, candidate).
   std::vector<std::vector<Candidate>> Cands(Clusters.size());
-  std::vector<std::vector<sat::Var>> Vars(Clusters.size());
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-
   for (size_t I = 0; I < Clusters.size(); ++I) {
     Result<std::vector<Candidate>> E = enumerate(Clusters[I], B, Cap);
     if (!E) {
@@ -527,24 +602,15 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
       }
       return Attempt::Unsat; // no feasible base under these bounds
     }
-    std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Cands[I]) {
-      sat::Var V = S.newVar();
-      Vars[I].push_back(V);
-      Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots)
-        SlotUsers[Slot].push_back(sat::Lit(V));
-    }
-    // Exactly one candidate per cluster.
-    if (!S.addClause(Lits))
-      return Attempt::Unsat;
-    addAtMostOne(S, Lits);
   }
-  // Distinct slots: at most one user per slot. A multi-member cluster may
-  // cover one slot with two members only through distinct candidates, so
-  // pairwise AMO over candidate literals is exact.
-  for (auto &[Slot, Lits] : SlotUsers)
-    addAtMostOne(S, Lits);
+
+  sat::Solver S(Ctx);
+  if (Options.Proof)
+    S.setProof(Options.Proof);
+  // SAT variables per (cluster, candidate).
+  std::vector<std::vector<sat::Var>> Vars;
+  if (!encodeChoices(S, Cands, Vars))
+    return Attempt::Unsat;
 
   if (Stats) {
     ++Stats->Solves;
@@ -632,27 +698,11 @@ static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
 }
 
 template <typename SolverT> void Placer::encodePersistent(SolverT &S) {
-  // Identical constraint order to solveOnce's per-probe encoding: cluster
-  // candidate variables with exactly-one + at-most-one, then slot
-  // exclusivity. A bounded probe's encoding is this one minus the killed
+  // The same constraints as solveOnce's per-probe encoding, through the
+  // same helper. A bounded probe's encoding is this one minus the killed
   // candidates, and the kill guards propagate those false before any free
   // decision, so the persistent solver explores the same restricted space.
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-  Persist.Vars.assign(Clusters.size(), {});
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Persist.Cands[I]) {
-      sat::Var V = S.newVar();
-      Persist.Vars[I].push_back(V);
-      Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots)
-        SlotUsers[Slot].push_back(sat::Lit(V));
-    }
-    S.addClause(Lits);
-    addAtMostOne(S, Lits);
-  }
-  for (auto &[Slot, Lits] : SlotUsers)
-    addAtMostOne(S, Lits);
+  encodeChoices(S, Persist.Cands, Persist.Vars);
 
   // Bound ladders, created after every candidate/auxiliary variable so
   // free decisions reach them last, pinned to phase false so an unassumed
@@ -892,18 +942,17 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
     return sat::Lit(V);
   };
 
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-  std::map<device::Slot, size_t> SlotFirstCluster;
+  std::vector<std::vector<sat::Var>> Vars(Clusters.size());
+  std::vector<size_t> ClusterOfVar; // indexed by candidate variable
   for (size_t I = 0; I < Clusters.size(); ++I) {
     const Cluster &C = Clusters[I];
     std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Cands[I]) {
+    for (size_t K = 0; K < Cands[I].size(); ++K) {
       sat::Var V = S.newVar();
+      Vars[I].push_back(V);
       Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots) {
-        SlotUsers[Slot].push_back(sat::Lit(V));
-        SlotFirstCluster.try_emplace(Slot, I);
-      }
+      ClusterOfVar.resize(V + 1, SIZE_MAX);
+      ClusterOfVar[V] = I;
     }
     // The cluster's row span mirrors its relative adjacency constraints
     // (e.g. a cascade chain at (x, y) .. (x, y+k)).
@@ -928,10 +977,13 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
     S.addClause(std::move(Guarded));
     addAtMostOne(S, Lits);
   }
-  for (auto &[Slot, Lits] : SlotUsers) {
+  SlotTable Slots(Cands, Vars);
+  for (size_t Idx = 0; Idx < Slots.numSlots(); ++Idx) {
+    std::span<const sat::Lit> Lits = Slots.users(Idx);
     if (Lits.size() <= 1)
       continue; // a sole user can never collide
-    size_t FirstCluster = SlotFirstCluster.at(Slot);
+    device::Slot Slot = Slots.slot(Idx);
+    size_t FirstCluster = ClusterOfVar[Lits.front().var()];
     std::string Rep =
         Prog.body()[Clusters[FirstCluster].Members.front().BodyIndex].dst();
     sat::Lit Sel = MakeSelector(

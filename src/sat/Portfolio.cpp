@@ -89,6 +89,13 @@ bool Portfolio::addClause(std::vector<Lit> Lits) {
   return Ok;
 }
 
+bool Portfolio::addBinary(Lit A, Lit B) {
+  bool Ok = true;
+  for (auto &L : LaneStates)
+    Ok &= L->S.addBinary(A, B);
+  return Ok;
+}
+
 void Portfolio::setPhase(Var V, bool Phase) {
   for (auto &L : LaneStates)
     L->S.setPhase(V, Phase);

@@ -68,7 +68,7 @@ public:
   size_t numClauses() const; ///< lane 0's clause count (original + learnt)
   bool addClause(std::vector<Lit> Lits);
   bool addUnit(Lit A) { return addClause({A}); }
-  bool addBinary(Lit A, Lit B) { return addClause({A, B}); }
+  bool addBinary(Lit A, Lit B);
   void setPhase(Var V, bool Phase);
   bool ok() const;
 

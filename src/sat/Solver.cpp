@@ -52,46 +52,67 @@ Var Solver::newVar() {
   }
   SavedPhase.push_back(Phase);
   Seen.push_back(0);
-  HeapPos.push_back(-1);
+  // Activity 0: the variable waits in index order, outside the heap,
+  // until its first bump. QueueHead <= V already holds.
+  HeapPos.push_back(Waiting);
   Watches.emplace_back();
   Watches.emplace_back();
-  heapInsert(V);
   return V;
 }
 
 bool Solver::addClause(std::vector<Lit> Lits) {
+  return addLits(Lits.data(), Lits.size());
+}
+
+bool Solver::addBinary(Lit A, Lit B) {
+  Lit Lits[2] = {A, B};
+  return addLits(Lits, 2);
+}
+
+bool Solver::addLits(Lit *Lits, size_t N) {
   if (!OkFlag)
     return false;
   assert(TrailLimits.empty() && "clauses must be added at the root level");
+  if (!simplify(Lits, N))
+    return true;
+  return addSimplified(Lits, N, /*Learned=*/false);
+}
 
-  // Simplify: sort, drop duplicates, detect tautologies, drop root-false
-  // literals, and detect root-satisfied clauses.
-  std::sort(Lits.begin(), Lits.end(),
+bool Solver::simplify(Lit *Lits, size_t &N) const {
+  // Sort, drop duplicates, detect tautologies, drop root-false literals,
+  // and detect root-satisfied clauses. Kept literals are compacted to the
+  // front; the write index never passes the read index, so Lits[I - 1]
+  // and Lits[I + 1] still hold input literals when they are read.
+  std::sort(Lits, Lits + N,
             [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::vector<Lit> Out;
-  Out.reserve(Lits.size());
-  for (size_t I = 0; I < Lits.size(); ++I) {
+  size_t Keep = 0;
+  for (size_t I = 0; I < N; ++I) {
     Lit L = Lits[I];
     assert(L.var() < VarCount && "literal over unknown variable");
-    if (I + 1 < Lits.size() && Lits[I + 1] == ~L)
-      return true; // tautology: always satisfied
+    if (I + 1 < N && Lits[I + 1] == ~L)
+      return false; // tautology: always satisfied
     if (I > 0 && L == Lits[I - 1])
       continue; // duplicate
     LBool V = litValue(L);
     if (V == LBool::True)
-      return true; // satisfied at root
+      return false; // satisfied at root
     if (V == LBool::False)
       continue; // cannot help
-    Out.push_back(L);
+    Lits[Keep++] = L;
   }
-  if (Out.empty()) {
+  N = Keep;
+  return true;
+}
+
+bool Solver::addSimplified(const Lit *Lits, size_t N, bool Learned) {
+  if (N == 0) {
     OkFlag = false;
     if (Proof)
       Proof->addEmpty();
     return false;
   }
-  if (Out.size() == 1) {
-    enqueue(Out[0], NoReason);
+  if (N == 1) {
+    enqueue(Lits[0], NoReason);
     if (propagate() != NoReason) {
       OkFlag = false;
       if (Proof)
@@ -100,11 +121,20 @@ bool Solver::addClause(std::vector<Lit> Lits) {
     }
     return true;
   }
-  Clause C;
-  C.Lits = std::move(Out);
-  Clauses.push_back(std::move(C));
-  attachClause(static_cast<ClauseRef>(Clauses.size() - 1));
+  attachClause(storeClause(Lits, N, Learned));
   return true;
+}
+
+Solver::ClauseRef Solver::storeClause(const Lit *Lits, size_t N,
+                                      bool Learned) {
+  Clause C;
+  C.Offset = Arena.size();
+  C.Size = static_cast<uint32_t>(N);
+  C.Learned = Learned;
+  C.Activity = Learned ? ClauseInc : 0.0;
+  Arena.insert(Arena.end(), Lits, Lits + N);
+  Clauses.push_back(C);
+  return static_cast<ClauseRef>(Clauses.size() - 1);
 }
 
 bool Solver::importClause(const std::vector<Lit> &Lits) {
@@ -116,56 +146,20 @@ bool Solver::importClause(const std::vector<Lit> &Lits) {
   // sound against this solver's root trail too. No proof line is emitted —
   // in a merged portfolio log the exporting lane already logged the
   // addition.
-  std::vector<Lit> Sorted = Lits;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::vector<Lit> Out;
-  Out.reserve(Sorted.size());
-  for (size_t I = 0; I < Sorted.size(); ++I) {
-    Lit L = Sorted[I];
-    assert(L.var() < VarCount && "imported literal over unknown variable");
-    if (I + 1 < Sorted.size() && Sorted[I + 1] == ~L)
-      return true; // tautology
-    if (I > 0 && L == Sorted[I - 1])
-      continue;
-    LBool V = litValue(L);
-    if (V == LBool::True)
-      return true; // already satisfied at the root
-    if (V == LBool::False)
-      continue;
-    Out.push_back(L);
-  }
-  ++Stats.Imported;
-  if (Out.empty()) {
-    OkFlag = false;
-    if (Proof)
-      Proof->addEmpty();
-    return false;
-  }
-  if (Out.size() == 1) {
-    enqueue(Out[0], NoReason);
-    if (propagate() != NoReason) {
-      OkFlag = false;
-      if (Proof)
-        Proof->addEmpty();
-      return false;
-    }
+  std::vector<Lit> Kept = Lits;
+  size_t N = Kept.size();
+  if (!simplify(Kept.data(), N))
     return true;
-  }
-  Clause C;
-  C.Lits = std::move(Out);
-  C.Learned = true;
-  C.Activity = ClauseInc;
-  Clauses.push_back(std::move(C));
-  attachClause(static_cast<ClauseRef>(Clauses.size() - 1));
-  return true;
+  ++Stats.Imported;
+  return addSimplified(Kept.data(), N, /*Learned=*/true);
 }
 
 void Solver::attachClause(ClauseRef Ref) {
   const Clause &C = Clauses[Ref];
-  assert(C.Lits.size() >= 2 && "attaching a short clause");
-  Watches[(~C.Lits[0]).index()].push_back({Ref, C.Lits[1]});
-  Watches[(~C.Lits[1]).index()].push_back({Ref, C.Lits[0]});
+  assert(C.Size >= 2 && "attaching a short clause");
+  const Lit *Lits = lits(C);
+  Watches[(~Lits[0]).index()].push_back({Ref, Lits[1]});
+  Watches[(~Lits[1]).index()].push_back({Ref, Lits[0]});
 }
 
 void Solver::enqueue(Lit L, ClauseRef From) {
@@ -179,6 +173,7 @@ void Solver::enqueue(Lit L, ClauseRef From) {
 Solver::ClauseRef Solver::propagate() {
   while (PropagateHead < Trail.size()) {
     Lit P = Trail[PropagateHead++];
+    Lit NotP = ~P;
     ++Stats.Propagations;
     std::vector<Watcher> &Ws = Watches[P.index()];
     size_t Keep = 0;
@@ -189,23 +184,24 @@ Solver::ClauseRef Solver::propagate() {
         Ws[Keep++] = W;
         continue;
       }
-      Clause &C = Clauses[W.Ref];
+      // Propagation adds no clauses, so the arena cannot move under Lits.
+      const Clause &C = Clauses[W.Ref];
+      Lit *Lits = lits(C);
       // Normalize so that the false watched literal is Lits[1].
-      Lit NotP = ~P;
-      if (C.Lits[0] == NotP)
-        std::swap(C.Lits[0], C.Lits[1]);
-      assert(C.Lits[1] == NotP && "watch invariant violated");
+      if (Lits[0] == NotP)
+        std::swap(Lits[0], Lits[1]);
+      assert(Lits[1] == NotP && "watch invariant violated");
       // First literal true: keep watching.
-      if (litValue(C.Lits[0]) == LBool::True) {
-        Ws[Keep++] = {W.Ref, C.Lits[0]};
+      if (litValue(Lits[0]) == LBool::True) {
+        Ws[Keep++] = {W.Ref, Lits[0]};
         continue;
       }
       // Find a new literal to watch.
       bool Moved = false;
-      for (size_t K = 2; K < C.Lits.size(); ++K) {
-        if (litValue(C.Lits[K]) != LBool::False) {
-          std::swap(C.Lits[1], C.Lits[K]);
-          Watches[(~C.Lits[1]).index()].push_back({W.Ref, C.Lits[0]});
+      for (uint32_t K = 2; K < C.Size; ++K) {
+        if (litValue(Lits[K]) != LBool::False) {
+          std::swap(Lits[1], Lits[K]);
+          Watches[(~Lits[1]).index()].push_back({W.Ref, Lits[0]});
           Moved = true;
           break;
         }
@@ -213,8 +209,8 @@ Solver::ClauseRef Solver::propagate() {
       if (Moved)
         continue;
       // Unit or conflicting.
-      Ws[Keep++] = {W.Ref, C.Lits[0]};
-      if (litValue(C.Lits[0]) == LBool::False) {
+      Ws[Keep++] = {W.Ref, Lits[0]};
+      if (litValue(Lits[0]) == LBool::False) {
         // Conflict: restore untraversed watchers and report.
         for (size_t K = I + 1; K < Ws.size(); ++K)
           Ws[Keep++] = Ws[K];
@@ -222,7 +218,7 @@ Solver::ClauseRef Solver::propagate() {
         PropagateHead = Trail.size();
         return W.Ref;
       }
-      enqueue(C.Lits[0], W.Ref);
+      enqueue(Lits[0], W.Ref);
     }
     Ws.resize(Keep);
   }
@@ -238,6 +234,8 @@ void Solver::bumpVar(Var V) {
   }
   if (HeapPos[V] >= 0)
     heapDecrease(V);
+  else if (HeapPos[V] == Waiting)
+    heapInsert(V); // first bump: leaves the index-ordered queue
 }
 
 void Solver::bumpClause(Clause &C) {
@@ -272,8 +270,9 @@ void Solver::analyze(ClauseRef Conflict, std::vector<Lit> &Learnt,
     Clause &C = Clauses[ReasonRef];
     if (C.Learned)
       bumpClause(C);
-    for (size_t I = HaveP ? 1 : 0; I < C.Lits.size(); ++I) {
-      Lit Q = C.Lits[I];
+    const Lit *Lits = lits(C);
+    for (size_t I = HaveP ? 1 : 0; I < C.Size; ++I) {
+      Lit Q = Lits[I];
       if (HaveP && Q == P)
         continue;
       Var V = Q.var();
@@ -335,8 +334,9 @@ bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
     AnalyzeStack.pop_back();
     assert(Reason[Cur.var()] != NoReason && "decision on analyze stack");
     const Clause &C = Clauses[Reason[Cur.var()]];
-    for (size_t I = 1; I < C.Lits.size(); ++I) {
-      Lit Q = C.Lits[I];
+    const Lit *Lits = lits(C);
+    for (size_t I = 1; I < C.Size; ++I) {
+      Lit Q = Lits[I];
       Var V = Q.var();
       if (Seen[V] || Level[V] == 0)
         continue;
@@ -360,13 +360,21 @@ void Solver::backtrack(uint32_t TargetLevel) {
   if (TrailLimits.size() <= TargetLevel)
     return;
   size_t Bound = TrailLimits[TargetLevel];
+  // Unassigned variables return to the decision order: activity 0 to the
+  // index-ordered queue, the rest to the heap.
   for (size_t I = Trail.size(); I > Bound; --I) {
     Var V = Trail[I - 1].var();
     SavedPhase[V] = Assign[V] == LBool::True;
     Assign[V] = LBool::Undef;
     Reason[V] = NoReason;
-    if (HeapPos[V] < 0)
+    if (HeapPos[V] != Popped)
+      continue;
+    if (VarActivity[V] == 0.0) {
+      HeapPos[V] = Waiting;
+      QueueHead = std::min(QueueHead, V);
+    } else {
       heapInsert(V);
+    }
   }
   Trail.resize(Bound);
   TrailLimits.resize(TargetLevel);
@@ -374,18 +382,34 @@ void Solver::backtrack(uint32_t TargetLevel) {
 }
 
 Lit Solver::pickBranchLit() {
-  while (!heapEmpty()) {
-    Var V = heapPop();
-    if (Assign[V] == LBool::Undef)
-      return Lit(V, !SavedPhase[V]);
+  // Assigned variables leave either structure lazily, when they reach its
+  // front; backtrack returns them once they are unassigned again.
+  while (!heapEmpty() && Assign[OrderHeap[0]] != LBool::Undef)
+    heapPop();
+  while (QueueHead < VarCount && (HeapPos[QueueHead] != Waiting ||
+                                  Assign[QueueHead] != LBool::Undef)) {
+    if (HeapPos[QueueHead] == Waiting)
+      HeapPos[QueueHead] = Popped;
+    ++QueueHead;
   }
-  return Lit(UINT32_MAX >> 1, false); // sentinel: all assigned
+  bool QueueLive = QueueHead < VarCount;
+  if (heapEmpty() && !QueueLive)
+    return Lit(UINT32_MAX >> 1, false); // sentinel: all assigned
+  Var V;
+  if (!heapEmpty() && (!QueueLive || heapLess(OrderHeap[0], QueueHead))) {
+    V = heapPop();
+  } else {
+    V = QueueHead++;
+    HeapPos[V] = Popped;
+  }
+  return Lit(V, !SavedPhase[V]);
 }
 
 void Solver::reduceDb() {
   // Keep roughly the most active half of the learned clauses. Clauses that
   // are reasons for current assignments are locked. Since ClauseRefs are
-  // indices, removal works by rebuilding the clause list and all watches.
+  // indices, removal compacts the clause list and the literal arena in
+  // order, remaps reasons and rebuilds all watches.
   std::vector<ClauseRef> Learned;
   for (ClauseRef I = 0; I < Clauses.size(); ++I)
     if (Clauses[I].Learned)
@@ -401,22 +425,33 @@ void Solver::reduceDb() {
     if (Assign[V] != LBool::Undef && Reason[V] != NoReason)
       Locked[Reason[V]] = true;
   for (size_t I = Learned.size() / 2; I < Learned.size(); ++I)
-    if (!Locked[Learned[I]] && Clauses[Learned[I]].Lits.size() > 2)
+    if (!Locked[Learned[I]] && Clauses[Learned[I]].Size > 2)
       Drop[Learned[I]] = true;
 
-  std::vector<Clause> Kept;
+  // Offsets grow with the clause index, so every kept clause moves down
+  // (or stays) and a dropped clause's literals are still intact when its
+  // deletion is logged.
   std::vector<ClauseRef> Remap(Clauses.size(), NoReason);
-  Kept.reserve(Clauses.size());
+  ClauseRef Kept = 0;
+  size_t Tail = 0;
   for (ClauseRef I = 0; I < Clauses.size(); ++I) {
+    Clause C = Clauses[I];
     if (Drop[I]) {
       if (Proof)
-        Proof->del(Clauses[I].Lits);
+        Proof->del({lits(C), C.Size});
       continue;
     }
-    Remap[I] = static_cast<ClauseRef>(Kept.size());
-    Kept.push_back(std::move(Clauses[I]));
+    if (C.Offset != Tail) {
+      std::copy(Arena.begin() + C.Offset, Arena.begin() + C.Offset + C.Size,
+                Arena.begin() + Tail);
+      C.Offset = Tail;
+    }
+    Tail += C.Size;
+    Remap[I] = Kept;
+    Clauses[Kept++] = C;
   }
-  Clauses = std::move(Kept);
+  Clauses.resize(Kept);
+  Arena.resize(Tail);
   for (ClauseRef &R : Reason)
     if (R != NoReason)
       R = Remap[R];
@@ -558,7 +593,7 @@ void Solver::analyzeFinal(Lit FailedAssumption) {
         Core.push_back(Trail[I - 1]);
     } else {
       const Clause &C = Clauses[Reason[V]];
-      for (Lit Q : C.Lits)
+      for (Lit Q : std::span<const Lit>(lits(C), C.Size))
         if (Q.var() != V && Level[Q.var()] > 0)
           Seen[Q.var()] = 1;
     }
@@ -634,12 +669,8 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);
       } else {
-        Clause C;
-        C.Lits = Learnt;
-        C.Learned = true;
-        C.Activity = ClauseInc;
-        Clauses.push_back(std::move(C));
-        ClauseRef Ref = static_cast<ClauseRef>(Clauses.size() - 1);
+        ClauseRef Ref =
+            storeClause(Learnt.data(), Learnt.size(), /*Learned=*/true);
         attachClause(Ref);
         enqueue(Learnt[0], Ref);
         ++Stats.Learned;

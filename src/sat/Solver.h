@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,11 +86,11 @@ enum class Outcome : uint8_t { Sat, Unsat, Unknown };
 /// inferences). The writer is plain state with no telemetry dependency.
 class ProofWriter {
 public:
-  void add(const std::vector<Lit> &Lits) {
+  void add(std::span<const Lit> Lits) {
     line("", Lits);
     ++Added;
   }
-  void del(const std::vector<Lit> &Lits) {
+  void del(std::span<const Lit> Lits) {
     if (NoDeletions)
       return;
     line("d ", Lits);
@@ -120,7 +121,7 @@ public:
   uint64_t deleted() const { return Deleted; }
 
 private:
-  void line(const char *Prefix, const std::vector<Lit> &Lits) {
+  void line(const char *Prefix, std::span<const Lit> Lits) {
     Text += Prefix;
     for (Lit L : Lits) {
       long D = static_cast<long>(L.var()) + 1;
@@ -237,9 +238,10 @@ public:
   /// simplification); once false has been returned, solve() reports Unsat.
   bool addClause(std::vector<Lit> Lits);
 
-  /// Convenience forms.
-  bool addUnit(Lit A) { return addClause({A}); }
-  bool addBinary(Lit A, Lit B) { return addClause({A, B}); }
+  /// Convenience forms. addBinary applies addClause's simplification
+  /// without building a vector.
+  bool addUnit(Lit A) { return addLits(&A, 1); }
+  bool addBinary(Lit A, Lit B);
 
   /// Adds a clause learned by another solver over the same variable
   /// numbering (portfolio clause sharing). The clause is attached as a
@@ -351,9 +353,13 @@ public:
   const SolveProfile &lastProfile() const { return Profile; }
 
 private:
+  /// A clause is a slice of the shared literal arena,
+  /// Arena[Offset, Offset + Size). Propagation reorders a clause's
+  /// literals in place; reduceDb compacts the arena.
   struct Clause {
-    std::vector<Lit> Lits;
+    size_t Offset = 0;
     double Activity = 0.0;
+    uint32_t Size = 0;
     bool Learned = false;
   };
   using ClauseRef = uint32_t;
@@ -363,6 +369,20 @@ private:
     ClauseRef Ref;
     Lit Blocker;
   };
+
+  Lit *lits(const Clause &C) { return Arena.data() + C.Offset; }
+
+  /// The one add path behind addClause/addBinary/addUnit: sorts and
+  /// filters \p Lits in place, then adds what is left.
+  bool addLits(Lit *Lits, size_t N);
+  /// Sorts \p Lits by index and filters it in place: drops duplicates and
+  /// root-false literals, leaving the kept count in \p N. Returns false
+  /// when the clause is a tautology or already satisfied at the root.
+  bool simplify(Lit *Lits, size_t &N) const;
+  /// Adds a simplified clause: an empty one refutes the formula, a unit is
+  /// propagated at the root, anything longer is stored and watched.
+  bool addSimplified(const Lit *Lits, size_t N, bool Learned);
+  ClauseRef storeClause(const Lit *Lits, size_t N, bool Learned);
 
   Outcome runSolve(const std::vector<Lit> *Assumptions,
                    uint64_t ConflictBudget);
@@ -395,6 +415,7 @@ private:
 
   uint32_t VarCount = 0;
   std::vector<Clause> Clauses;
+  std::vector<Lit> Arena;                    // every clause's literals
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit::index()
 
   // Assignment trail.
@@ -405,13 +426,21 @@ private:
   std::vector<uint32_t> TrailLimits;
   size_t PropagateHead = 0;
 
-  // Branching.
+  // Branching. A decision takes the unassigned variable that is least
+  // under heapLess. Bumped variables sit in a lazy binary heap; variables
+  // with activity 0 wait outside it, in index order, behind QueueHead
+  // (every waiting variable has an index >= QueueHead). Since heapLess
+  // is a strict total order, the decision sequence does not depend on
+  // which structure holds a variable.
   std::vector<double> VarActivity;
   std::vector<bool> SavedPhase;
   double VarInc = 1.0;
   double ClauseInc = 1.0;
-  std::vector<Var> OrderHeap; // lazy binary heap keyed by activity
-  std::vector<int32_t> HeapPos;
+  std::vector<Var> OrderHeap;   // lazy binary heap ordered by heapLess
+  std::vector<int32_t> HeapPos; // heap index, or Popped / Waiting
+  static constexpr int32_t Popped = -1;  // in neither structure
+  static constexpr int32_t Waiting = -2; // activity 0, behind QueueHead
+  Var QueueHead = 0;
   void heapInsert(Var V);
   void heapDecrease(Var V);
   Var heapPop();

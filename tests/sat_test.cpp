@@ -594,6 +594,117 @@ TEST(Sat, ProofWriterRecordsRefutation) {
   EXPECT_TRUE(Proof.str().empty());
 }
 
+namespace {
+
+/// FNV-1a, 64-bit: a stable fingerprint of a proof log.
+uint64_t fnv1a64(const std::string &Text) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (unsigned char C : Text) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+size_t countLinesStartingWith(const std::string &Text,
+                              const std::string &Prefix) {
+  size_t N = 0;
+  for (size_t Pos = 0; Pos < Text.size();) {
+    if (Text.compare(Pos, Prefix.size(), Prefix) == 0)
+      ++N;
+    size_t End = Text.find('\n', Pos);
+    Pos = End == std::string::npos ? Text.size() : End + 1;
+  }
+  return N;
+}
+
+/// Pigeonhole PHP(Pigeons, Holes) over fresh variables, clauses added as
+/// in PigeonholeUnsat. With \p Selectors, pigeon I's at-least-one clause
+/// is guarded by selector I (clause or not-selector).
+void addPigeonhole(Solver &S, unsigned Pigeons, unsigned Holes,
+                   const std::vector<Lit> &Selectors,
+                   std::vector<std::vector<Var>> &P) {
+  P.assign(Pigeons, std::vector<Var>(Holes));
+  for (unsigned I = 0; I < Pigeons; ++I)
+    for (unsigned J = 0; J < Holes; ++J)
+      P[I][J] = S.newVar();
+  for (unsigned I = 0; I < Pigeons; ++I) {
+    std::vector<Lit> AtLeastOne;
+    for (unsigned J = 0; J < Holes; ++J)
+      AtLeastOne.push_back(Lit(P[I][J]));
+    if (I < Selectors.size())
+      AtLeastOne.push_back(~Selectors[I]);
+    ASSERT_TRUE(S.addClause(AtLeastOne));
+  }
+  for (unsigned J = 0; J < Holes; ++J)
+    for (unsigned I1 = 0; I1 < Pigeons; ++I1)
+      for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2)
+        ASSERT_TRUE(S.addBinary(Lit(P[I1][J], true), Lit(P[I2][J], true)));
+}
+
+} // namespace
+
+TEST(Sat, SearchTrajectoryIsPinned) {
+  // The solver's search is a pure function of the formula and the call
+  // sequence: every decision, propagation, learnt clause (literal order
+  // included), reduceDb deletion and restart. Clause storage and the
+  // decision queue are bookkeeping and must not move any of it. PHP(7,6)
+  // runs long enough to restart and to reduce the learnt database. Any
+  // change to these figures is a change of the search, which placement
+  // results and --sat-proof logs depend on.
+  Solver S;
+  ProofWriter Proof;
+  S.setProof(&Proof);
+  std::vector<std::vector<Var>> P;
+  addPigeonhole(S, 7, 6, {}, P);
+  ASSERT_EQ(S.solve(), Outcome::Unsat);
+  const Solver::Statistics &St = S.stats();
+  EXPECT_EQ(St.Decisions, 852u);
+  EXPECT_EQ(St.Propagations, 9178u);
+  EXPECT_EQ(St.Conflicts, 712u);
+  EXPECT_EQ(St.Restarts, 6u);
+  EXPECT_EQ(St.Learned, 708u);
+  const std::string &Text = Proof.str();
+  EXPECT_EQ(Text.size(), 34793u);
+  EXPECT_EQ(countLinesStartingWith(Text, "d "), 279u); // reduceDb ran
+  EXPECT_EQ(Proof.added(), 712u);
+  EXPECT_EQ(Proof.deleted(), 279u);
+  EXPECT_EQ(fnv1a64(Text), 0xcd5b5c7451b6c157ull);
+}
+
+TEST(Sat, AssumptionSearchTrajectoryIsPinned) {
+  // The same pin for solveWith, final-conflict analysis and minimizeCore:
+  // PHP(7,6) with one selector per pigeon, plus two extra selectors that
+  // place pigeons 0 and 1 outright. Minimizing the full selector list
+  // re-solves once per probe and must drop two of the nine.
+  constexpr unsigned Pigeons = 7, Holes = 6, Extra = 2;
+  Solver S;
+  ProofWriter Proof;
+  S.setProof(&Proof);
+  std::vector<Lit> Sel;
+  for (unsigned I = 0; I < Pigeons + Extra; ++I)
+    Sel.push_back(Lit(S.newVar()));
+  std::vector<std::vector<Var>> P;
+  addPigeonhole(S, Pigeons, Holes, Sel, P);
+  for (unsigned E = 0; E < Extra; ++E)
+    ASSERT_TRUE(S.addBinary(~Sel[Pigeons + E], Lit(P[E][E])));
+  ASSERT_EQ(S.solveWith(Sel), Outcome::Unsat);
+  const std::vector<Lit> Expected = {Sel[8], Sel[7], Sel[6], Sel[5],
+                                     Sel[4], Sel[3], Sel[2]};
+  EXPECT_EQ(S.unsatCore(), Expected);
+  EXPECT_EQ(S.minimizeCore(Sel, 2000), Expected);
+  const Solver::Statistics &St = S.stats();
+  EXPECT_EQ(St.Solves, 9u);
+  EXPECT_EQ(St.Decisions, 161u);
+  EXPECT_EQ(St.Propagations, 892u);
+  EXPECT_EQ(St.Conflicts, 38u);
+  EXPECT_EQ(St.Restarts, 0u);
+  EXPECT_EQ(St.Learned, 38u);
+  EXPECT_EQ(Proof.str().size(), 1859u);
+  EXPECT_EQ(Proof.added(), 40u);
+  EXPECT_EQ(fnv1a64(Proof.str()), 0x71e7dae0c1c420acull);
+}
+
 TEST(Sat, ClauseExportBufferIsBoundedAndCounted) {
   ClauseExportBuffer Buf;
   std::vector<Lit> Short = {Lit(Var(0)), Lit(Var(1), true)};
