@@ -5,21 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Measures the wall-clock of the placement shrink search (Section 5's
-/// area minimization) under the three solver strategies: `scratch`
-/// (historical behavior — a fresh SAT encoding per probe), `incremental`
-/// (one persistent solver answering every probe through the Kill-ladder
-/// assumptions, learnt clauses and activities carried across probes) and
-/// `portfolio` (the same persistent encoding raced by N diverse lanes
-/// with bounded clause exchange). Every FSM in the corpus is compiled
-/// through core::compileBatch once per mode, and the per-program rows
-/// record the probe mix (SAT-backed vs arithmetic precheck), the total
-/// and average per-probe solve time, and the clause-reuse counters the
-/// speedup comes from. The headline number is the `speedup` block:
-/// scratch-vs-incremental on the ~256-instruction FSM, where the
-/// acceptance bar is >= 1.5x. Portfolio is reported separately — its
-/// win condition is wall-clock on adversarial probes, not throughput on
-/// easy ones. Writes `BENCH_place.json` ("reticle-bench-v1") next to
-/// the binary.
+/// area minimization) under the two solver strategies: `scratch`
+/// (historical behavior — a fresh SAT encoding per probe) and
+/// `incremental` (one persistent solver answering every probe through
+/// the Kill-ladder assumptions, learnt clauses and activities carried
+/// across probes). Every FSM in the corpus is compiled through
+/// core::compileBatch once per mode, and the per-program rows record the
+/// probe mix (SAT-backed vs arithmetic precheck), the total and average
+/// per-probe solve time, and the clause-reuse counters the speedup comes
+/// from. The headline number is the `speedup` block: scratch-vs-
+/// incremental on the ~256-instruction FSM, where the acceptance bar is
+/// >= 1.5x. Writes `BENCH_place.json` ("reticle-bench-v1") next to the
+/// binary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,8 +42,6 @@ const char *modeName(place::SatMode Mode) {
     return "scratch";
   case place::SatMode::Incremental:
     return "incremental";
-  case place::SatMode::Portfolio:
-    return "portfolio";
   }
   return "?";
 }
@@ -123,11 +118,6 @@ obs::Json rowFor(const std::string &Size, place::SatMode Mode,
   Row.set("conflicts", S.Conflicts);
   Row.set("max_column", uint64_t(S.MaxColumn));
   Row.set("max_row", uint64_t(S.MaxRow));
-  if (Mode == place::SatMode::Portfolio) {
-    Row.set("portfolio_rounds", S.PortfolioRounds);
-    Row.set("portfolio_exported", S.PortfolioExported);
-    Row.set("portfolio_imported", S.PortfolioImported);
-  }
   return Row;
 }
 
@@ -145,8 +135,7 @@ int main() {
   Corpus.emplace_back("fsm_256", frontend::makeFsm(43));
 
   const place::SatMode Modes[] = {place::SatMode::Scratch,
-                                  place::SatMode::Incremental,
-                                  place::SatMode::Portfolio};
+                                  place::SatMode::Incremental};
 
   std::printf("Placement shrink-search throughput: FSM corpus on xczu3eg\n\n");
   std::printf("  %-8s %-12s %10s %10s %7s %7s %10s %9s\n", "size", "mode",
@@ -179,35 +168,27 @@ int main() {
     ByMode.push_back(std::move(Runs));
   }
 
-  // Speedup block: total shrink-phase wall-clock, scratch over each
-  // persistent mode, per program. The acceptance gate is the fsm_256
-  // incremental entry (>= 1.5x).
+  // Speedup block: total shrink-phase wall-clock, scratch over
+  // incremental, per program. The acceptance gate is the fsm_256 entry
+  // (>= 1.5x).
   obs::Json Speedup = obs::Json::array();
-  std::printf("\n  %-8s %24s %24s\n", "size", "incremental_vs_scratch",
-              "portfolio_vs_scratch");
+  std::printf("\n  %-8s %24s\n", "size", "incremental_vs_scratch");
   bool GateOk = false;
   for (size_t I = 0; I < Corpus.size(); ++I) {
     const PlaceRun &Scratch = ByMode[0][I];
     const PlaceRun &Incr = ByMode[1][I];
-    const PlaceRun &Port = ByMode[2][I];
-    if (!Scratch.Ok || !Incr.Ok || !Port.Ok)
+    if (!Scratch.Ok || !Incr.Ok)
       continue;
     double IncrX = Incr.Stats.ShrinkMs > 0.0
                        ? Scratch.Stats.ShrinkMs / Incr.Stats.ShrinkMs
-                       : 0.0;
-    double PortX = Port.Stats.ShrinkMs > 0.0
-                       ? Scratch.Stats.ShrinkMs / Port.Stats.ShrinkMs
                        : 0.0;
     obs::Json E = obs::Json::object();
     E.set("size", Corpus[I].first);
     E.set("scratch_shrink_ms", Scratch.Stats.ShrinkMs);
     E.set("incremental_shrink_ms", Incr.Stats.ShrinkMs);
-    E.set("portfolio_shrink_ms", Port.Stats.ShrinkMs);
     E.set("incremental_vs_scratch", IncrX);
-    E.set("portfolio_vs_scratch", PortX);
     Speedup.push(std::move(E));
-    std::printf("  %-8s %23.2fx %23.2fx\n", Corpus[I].first.c_str(), IncrX,
-                PortX);
+    std::printf("  %-8s %23.2fx\n", Corpus[I].first.c_str(), IncrX);
     if (Corpus[I].first == "fsm_256" && IncrX >= 1.5)
       GateOk = true;
   }

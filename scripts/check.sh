@@ -3,22 +3,20 @@
 # drive the compiler end to end and validate every machine-readable
 # artifact it emits (stats, trace, remarks, snapshot manifest, batch
 # summary) with json_check, including a remark_diff of two identical
-# runs to pin down pipeline determinism (once for the default solver
-# and once for the clause-sharing SAT portfolio, whose race must be a
-# deterministic function of the formula), a coverage_diff of the
-# merged example-program coverage against the checked-in golden
+# runs to pin down pipeline determinism, a coverage_diff of the merged
+# example-program coverage against the checked-in golden
 # (tests/goldens/coverage.json), and a profile_diff of two identical
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
 # additionally runs the microbenchmarks. After the primary build, two
 # hardening builds run: one under ThreadSanitizer exercising the
-# concurrent batch-compile path, concurrent compiled-simulation VM runs,
-# and the SAT portfolio's racing lane threads, and one under
-# AddressSanitizer + UndefinedBehaviorSanitizer exercising the packed
-# waveform path, the gate-level vm-netlist lowering, the malformed-input
-# diagnostics of the lexer and the DIMACS reader, and the SAT solver's
-# clause arena under placement (single solver and portfolio). Run from
-# anywhere; builds into <repo>/build (plus build-tsan/ and build-asan/
-# siblings).
+# concurrent batch-compile path (including placements with SAT-backed
+# shrink probes) and concurrent compiled-simulation VM runs, and one
+# under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
+# packed waveform path, the gate-level vm-netlist lowering, the
+# malformed-input diagnostics of the lexer and the DIMACS reader, and
+# the SAT solver's clause arena under placement (both shrink modes, with
+# proof logs). Run from anywhere; builds into <repo>/build (plus
+# build-tsan/ and build-asan/ siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -51,7 +49,6 @@ trap 'rm -rf "$out"' EXIT
     --require=sat.solver_mode --require=sat.shrink_ms \
     --require=sat.incremental.probes --require=sat.incremental.encodes \
     --require=sat.incremental.reused_clauses \
-    --require=sat.portfolio.rounds --require=sat.portfolio.exported \
     --require=utilization.luts "$out/stats.json"
 "$build/tools/json_check" --require=traceEvents "$out/trace.json"
 "$build/tools/json_check" --require=schema \
@@ -97,25 +94,6 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 #       -o tests/goldens/fsm_shrink/placed.small.rasm \
 #       --remarks-json=tests/goldens/fsm_shrink/remarks.small.jsonl \
 #       tests/inputs/fsm_shrink.ret
-
-echo "== portfolio determinism (remark_diff on two racing runs) =="
-# Two clause-sharing portfolio races over a program with real SAT-backed
-# shrink probes must emit byte-identical remark streams: the barrier
-# rounds, lane-ordered exchange, and lowest-lane-earliest-round winner
-# rule make the race a deterministic function of the formula, however
-# the lane threads interleave. The stream must also attribute at least
-# one probe to a winning lane.
-"$build/tools/reticlec" --device=small --emit=placed \
-    --sat-solver=portfolio --sat-threads=4 \
-    --remarks-json="$out/portfolio-a.jsonl" \
-    "$repo/tests/inputs/fsm_shrink.ret"
-"$build/tools/reticlec" --device=small --emit=placed \
-    --sat-solver=portfolio --sat-threads=4 \
-    --remarks-json="$out/portfolio-b.jsonl" \
-    "$repo/tests/inputs/fsm_shrink.ret"
-"$build/tools/json_check" remark_diff \
-    "$out/portfolio-a.jsonl" "$out/portfolio-b.jsonl"
-grep -q '"lane"' "$out/portfolio-a.jsonl"
 
 echo "== batch compile end to end =="
 "$build/tools/reticlec" --device=small --jobs="$jobs" \
@@ -251,22 +229,23 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
 fi
 
 echo "== ThreadSanitizer build: concurrent batch compile =="
+# fsm_shrink.ret on the small device runs SAT-backed shrink probes, so
+# four workers place concurrently through the solver, each on its own.
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$repo/build-tsan" -j"$jobs" \
-    --target batch_race_check sim_vm_race_check sat_portfolio_race_check \
-    reticlec json_check
+    --target batch_race_check sim_vm_race_check reticlec json_check
 "$repo/build-tsan/tests/batch_race_check"
 "$repo/build-tsan/tests/sim_vm_race_check"
-"$repo/build-tsan/tests/sat_portfolio_race_check"
 "$repo/build-tsan/tools/reticlec" --device=small --jobs=4 \
     --out-dir="$out/batch-tsan" \
     --stats-json="$out/batch-tsan/summary.json" \
     "$repo/examples/programs/mac.ret" \
     "$repo/examples/programs/dot3.ret" \
-    "$repo/examples/programs/scalar_adds.ret"
+    "$repo/examples/programs/scalar_adds.ret" \
+    "$repo/tests/inputs/fsm_shrink.ret"
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
@@ -283,9 +262,9 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # keeps every clause's literals in one growing arena and hands out
 # pointers into it; a pointer kept across the arena's growth or a
 # reduceDb compaction dangles. sat_test, place_test and batch_test drive
-# it through learning, reduction and the placement encoders, and a
-# two-lane portfolio compile with a proof log drives it from racing
-# threads.
+# it through learning, reduction and the placement encoders, and a proof
+# compile of fsm_shrink.ret per shrink mode drives it through real
+# SAT-backed probes: one persistent solver, then a fresh one per probe.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -302,11 +281,14 @@ cmake --build "$repo/build-asan" -j"$jobs" \
 "$repo/build-asan/tests/sat_test"
 "$repo/build-asan/tests/place_test"
 "$repo/build-asan/tests/batch_test"
-"$repo/build-asan/tools/reticlec" --device=small --emit=placed \
-    --sat-solver=portfolio --sat-threads=2 \
-    --sat-proof="$out/fsm_shrink.asan.proof" \
-    -o "$out/fsm_shrink.asan.rasm" "$repo/tests/inputs/fsm_shrink.ret"
-test -s "$out/fsm_shrink.asan.proof"
+for mode in incremental scratch; do
+    "$repo/build-asan/tools/reticlec" --device=small --emit=placed \
+        --sat-solver="$mode" \
+        --sat-proof="$out/fsm_shrink.$mode.asan.proof" \
+        -o "$out/fsm_shrink.$mode.asan.rasm" \
+        "$repo/tests/inputs/fsm_shrink.ret"
+    test -s "$out/fsm_shrink.$mode.asan.proof"
+done
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

@@ -56,10 +56,9 @@ struct CompileOptions {
   /// Run the placement shrinking passes (Section 5.3).
   bool Shrink = true;
   /// Shrink-search solver strategy (`--sat-solver=`): Scratch re-encodes
-  /// per probe, Incremental keeps one solver across probes, Portfolio
-  /// races SatThreads diverse lanes per probe.
+  /// per probe, Incremental keeps one solver across probes.
   place::SatMode SatMode = place::SatMode::Incremental;
-  /// Racing lanes in Portfolio mode (`--sat-threads=`).
+  /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned SatThreads = 4;
   /// Record a DRAT-style proof log of the placement SAT searches into
   /// CompileResult::SatProof (`--sat-proof=`).

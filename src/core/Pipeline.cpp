@@ -157,7 +157,6 @@ public:
     place::PlacementOptions PlaceOptions;
     PlaceOptions.Shrink = Options.Shrink;
     PlaceOptions.Mode = Options.SatMode;
-    PlaceOptions.PortfolioLanes = Options.SatThreads;
     sat::ProofWriter Proof;
     if (Options.SatProof)
       PlaceOptions.Proof = &Proof;

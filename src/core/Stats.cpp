@@ -75,9 +75,7 @@ Json reticle::core::statsJson(const CompileResult &Result,
   SatProfile.set("solver_mode",
                  Result.PlaceStats.Mode == place::SatMode::Scratch
                      ? "scratch"
-                     : Result.PlaceStats.Mode == place::SatMode::Incremental
-                           ? "incremental"
-                           : "portfolio");
+                     : "incremental");
   SatProfile.set("solves", Result.PlaceStats.Solves);
   SatProfile.set("budget_exhausted", Result.PlaceStats.BudgetExhausted);
   SatProfile.set("time_ms", Result.PlaceStats.SatMs);
@@ -95,9 +93,8 @@ Json reticle::core::statsJson(const CompileResult &Result,
   for (uint64_t Bucket : Result.PlaceStats.LearnedSizeHistogram)
     Sizes.push(Bucket);
   SatProfile.set("learned_size_histogram", std::move(Sizes));
-  // Per-probe reuse accounting for the persistent shrink solver. Both
-  // subobjects are always present (zeros outside their mode) so schema
-  // checks can `--require` them unconditionally.
+  // Per-probe reuse accounting for the persistent shrink solver, always
+  // present so schema checks can `--require` it unconditionally.
   Json Incremental = Json::object();
   Incremental.set("encodes", Result.PlaceStats.IncrementalEncodes);
   Incremental.set("probes", Result.PlaceStats.IncrementalProbes);
@@ -105,15 +102,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Incremental.set("reused_clauses", Result.PlaceStats.ReusedClauses);
   Incremental.set("reused_learned", Result.PlaceStats.ReusedLearned);
   SatProfile.set("incremental", std::move(Incremental));
-  Json Portfolio = Json::object();
-  Portfolio.set("rounds", Result.PlaceStats.PortfolioRounds);
-  Portfolio.set("exported", Result.PlaceStats.PortfolioExported);
-  Portfolio.set("imported", Result.PlaceStats.PortfolioImported);
-  Json Wins = Json::array();
-  for (uint64_t W : Result.PlaceStats.PortfolioWins)
-    Wins.push(W);
-  Portfolio.set("wins_by_lane", std::move(Wins));
-  SatProfile.set("portfolio", std::move(Portfolio));
   Json Probes = Json::array();
   for (const place::ShrinkProbe &P : Result.PlaceStats.Timeline) {
     Json Probe = Json::object();
@@ -130,8 +118,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
                                    : "budget_exhausted");
     Probe.set("conflicts", P.Conflicts);
     Probe.set("decisions", P.Decisions);
-    if (P.Lane >= 0)
-      Probe.set("lane", static_cast<uint64_t>(P.Lane));
     Probe.set("max_column", P.MaxColumn);
     Probe.set("max_row", P.MaxRow);
     Probes.push(std::move(Probe));

@@ -8,7 +8,6 @@
 
 #include "ir/DefUse.h"
 #include "obs/Context.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
 
 #include <algorithm>
@@ -77,11 +76,8 @@ bool memberSlot(const Member &M, int64_t XBase, int64_t YBase,
 /// assumption switches the whole group off — the mechanism behind
 /// UNSAT-core extraction over named constraint groups. Each auxiliary
 /// variable is created where it is first used, which numbers them as
-/// creating them all up front would. Templated over the backend so one
-/// encoding serves both a single sat::Solver and a sat::Portfolio (which
-/// mirrors clauses into every racing lane).
-template <typename SolverT>
-void addAtMostOne(SolverT &S, std::span<const sat::Lit> Lits,
+/// creating them all up front would.
+void addAtMostOne(sat::Solver &S, std::span<const sat::Lit> Lits,
                   std::optional<sat::Lit> Selector = std::nullopt) {
   auto Add = [&](sat::Lit A, sat::Lit B) {
     if (Selector)
@@ -162,8 +158,7 @@ private:
 /// members only through distinct candidates, so the slot at-most-one over
 /// candidate literals is exact. Fills \p Vars; returns false when an
 /// at-least-one clause refutes the formula.
-template <typename SolverT>
-bool encodeChoices(SolverT &S,
+bool encodeChoices(sat::Solver &S,
                    const std::vector<std::vector<Candidate>> &Cands,
                    std::vector<std::vector<sat::Var>> &Vars) {
   Vars.assign(Cands.size(), {});
@@ -209,8 +204,6 @@ private:
     /// True when the attempt reached the SAT solver (false: settled by an
     /// arithmetic precheck or an empty candidate range).
     bool SatBacked = false;
-    /// Winning portfolio lane, -1 outside Portfolio mode.
-    int Lane = -1;
   };
   /// One SAT attempt under the given bounds. On success fills
   /// \p Assignment with the chosen candidate per non-fixed cluster. A
@@ -244,13 +237,12 @@ private:
   /// solver is reused across probes.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
 
-  /// Persistent shrink-search state (Incremental/Portfolio modes): one
+  /// Persistent shrink-search state (Incremental mode): one
   /// encoding built lazily at the first SAT-backed probe and reused —
   /// learned clauses, activities and saved phases included — for every
   /// probe after it. Area bounds are not re-encoded per probe; they are
   /// assumption literals over the Kill ladders below.
   struct Persistent {
-    bool Built = false;
     /// The encoding's bounding box. Columns are clamped to the initial
     /// solution's used columns — the binary search never probes above
     /// them, and a device-wide enumeration (63x148 positions per cluster
@@ -260,8 +252,7 @@ private:
     /// high-row candidates there would prune layouts scratch mode can
     /// reach.
     Bounds Box{0, 0};
-    std::unique_ptr<sat::Solver> Inc;     // Incremental backend
-    std::unique_ptr<sat::Portfolio> Port; // Portfolio backend
+    std::unique_ptr<sat::Solver> Inc; // null until the first build
     /// Full-bounds candidates and their variables, per cluster.
     std::vector<std::vector<Candidate>> Cands;
     std::vector<std::vector<sat::Var>> Vars;
@@ -284,9 +275,9 @@ private:
   };
 
   /// Builds the persistent encoding (enumeration, constraints, ladders,
-  /// precheck table) into the mode's backend.
+  /// precheck table) into a fresh persistent solver.
   Status buildPersistent();
-  template <typename SolverT> void encodePersistent(SolverT &S);
+  void encodePersistent(sat::Solver &S);
 
   /// One shrink probe against the persistent solver: prechecks, then a
   /// bounds-as-assumptions solve on the retained encoding.
@@ -697,7 +688,7 @@ static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
   return {MX, MY};
 }
 
-template <typename SolverT> void Placer::encodePersistent(SolverT &S) {
+void Placer::encodePersistent(sat::Solver &S) {
   // The same constraints as solveOnce's per-probe encoding, through the
   // same helper. A bounded probe's encoding is this one minus the killed
   // candidates, and the kill guards propagate those false before any free
@@ -766,33 +757,17 @@ Status Placer::buildPersistent() {
       Row[C] = std::min(Row[C], Row[C - 1]);
   }
 
-  if (Options.Mode == SatMode::Portfolio) {
-    sat::Portfolio::Options PO;
-    PO.Lanes = Options.PortfolioLanes;
-    Persist.Port = std::make_unique<sat::Portfolio>(PO, Ctx);
-    if (Options.Proof)
-      Persist.Port->setProof(Options.Proof);
-    encodePersistent(*Persist.Port);
-    Persist.ProblemClauses = Persist.Port->numClauses();
-    if (Stats) {
-      Stats->Vars = Persist.Port->numVars();
-      Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    }
-  } else {
-    Persist.Inc = std::make_unique<sat::Solver>(Ctx);
-    if (Options.Proof)
-      Persist.Inc->setProof(Options.Proof);
-    encodePersistent(*Persist.Inc);
-    Persist.ProblemClauses = Persist.Inc->numClauses();
-    if (Stats) {
-      Stats->Vars = Persist.Inc->numVars();
-      Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    }
-  }
-  if (Stats)
+  Persist.Inc = std::make_unique<sat::Solver>(Ctx);
+  if (Options.Proof)
+    Persist.Inc->setProof(Options.Proof);
+  encodePersistent(*Persist.Inc);
+  Persist.ProblemClauses = Persist.Inc->numClauses();
+  if (Stats) {
+    Stats->Vars = Persist.Inc->numVars();
+    Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
     ++Stats->IncrementalEncodes;
+  }
   Ctx.counter("sat.incremental.encodes") += 1;
-  Persist.Built = true;
   Sp.arg("clauses", static_cast<uint64_t>(Persist.ProblemClauses));
   return Status::success();
 }
@@ -811,7 +786,7 @@ Placer::Attempt Placer::probe(const Bounds &B,
   if (capacityInfeasible(B, /*Explain=*/false, Sp))
     return Attempt::Unsat;
 
-  if (!Persist.Built)
+  if (!Persist.Inc)
     if (Status St = buildPersistent(); !St) {
       Err = St.error();
       return Attempt::Error;
@@ -829,9 +804,8 @@ Placer::Attempt Placer::probe(const Bounds &B,
     }
   }
 
-  const bool UsePortfolio = Options.Mode == SatMode::Portfolio;
-  size_t TotalClauses =
-      UsePortfolio ? Persist.Port->numClauses() : Persist.Inc->numClauses();
+  sat::Solver &S = *Persist.Inc;
+  size_t TotalClauses = S.numClauses();
   if (Stats) {
     ++Stats->Solves;
     Stats->ReusedClauses += Persist.ProblemClauses;
@@ -840,8 +814,7 @@ Placer::Attempt Placer::probe(const Bounds &B,
   Ctx.counter("sat.incremental.reused_clauses") += Persist.ProblemClauses;
   Ctx.counter("sat.incremental.reused_learned") +=
       TotalClauses - Persist.ProblemClauses;
-  Sp.arg("vars", static_cast<uint64_t>(UsePortfolio ? Persist.Port->numVars()
-                                                    : Persist.Inc->numVars()));
+  Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
 
   // The probe's bounds are two assumption literals at most: ban the
   // column/row suffix beyond the tried bound. Everything else — clauses,
@@ -852,21 +825,10 @@ Placer::Attempt Placer::probe(const Bounds &B,
   if (B.MaxRow < Persist.Box.MaxRow)
     Assumps.push_back(sat::Lit(Persist.RowKill[B.MaxRow + 1]));
 
-  sat::Outcome O;
-  sat::Solver::Statistics D;
-  if (UsePortfolio) {
-    O = Persist.Port->solveWith(Assumps, ConflictBudget);
-    D = Persist.Port->lastDelta();
-    // SatMs is wall-clock: the race's wall time, not the winner's summed
-    // CPU quanta.
-    D.SolveMs = Persist.Port->lastProfile().TimeMs;
-    if (Info && O != sat::Outcome::Unknown)
-      Info->Lane = static_cast<int>(Persist.Port->winnerLane());
-  } else {
-    const sat::Solver::Statistics StatsBefore = Persist.Inc->stats();
-    O = Persist.Inc->solveWith(Assumps, ConflictBudget);
-    D = sat::Solver::Statistics::delta(Persist.Inc->stats(), StatsBefore);
-  }
+  const sat::Solver::Statistics StatsBefore = S.stats();
+  sat::Outcome O = S.solveWith(Assumps, ConflictBudget);
+  sat::Solver::Statistics D =
+      sat::Solver::Statistics::delta(S.stats(), StatsBefore);
   accumulate(D, O == sat::Outcome::Unknown);
   if (Info) {
     Info->Conflicts = D.Conflicts;
@@ -878,11 +840,9 @@ Placer::Attempt Placer::probe(const Bounds &B,
   // Re-arm the ladder phases: search may have saved a true phase on a
   // kill variable; the next probe must again reach them last and false.
   for (sat::Var V : Persist.ColKill)
-    UsePortfolio ? Persist.Port->setPhase(V, false)
-                 : Persist.Inc->setPhase(V, false);
+    S.setPhase(V, false);
   for (sat::Var V : Persist.RowKill)
-    UsePortfolio ? Persist.Port->setPhase(V, false)
-                 : Persist.Inc->setPhase(V, false);
+    S.setPhase(V, false);
 
   if (O != sat::Outcome::Sat) {
     Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
@@ -894,15 +854,12 @@ Placer::Attempt Placer::probe(const Bounds &B,
   Assignment.resize(Clusters.size());
   for (size_t I = 0; I < Clusters.size(); ++I) {
     bool Chosen = false;
-    for (size_t K = 0; K < Persist.Vars[I].size(); ++K) {
-      bool Val = UsePortfolio ? Persist.Port->value(Persist.Vars[I][K])
-                              : Persist.Inc->value(Persist.Vars[I][K]);
-      if (Val) {
+    for (size_t K = 0; K < Persist.Vars[I].size(); ++K)
+      if (S.value(Persist.Vars[I][K])) {
         Assignment[I] = Persist.Cands[I][K];
         Chosen = true;
         break;
       }
-    }
     if (!Chosen) {
       Err = "internal error: satisfiable model without a chosen candidate";
       return Attempt::Error;
@@ -1070,7 +1027,6 @@ Result<AsmProgram> Placer::run() {
     P.Result = Oc;
     P.Conflicts = SI.Conflicts;
     P.Decisions = SI.Decisions;
-    P.Lane = SI.Lane;
     for (const Candidate &Cand : BestAssignment)
       for (const device::Slot &S : Cand.Slots)
         P.Slots.push_back(S);
@@ -1095,8 +1051,8 @@ Result<AsmProgram> Placer::run() {
 
   // Shrinking passes: take the used area as the bound and binary-search a
   // smaller one, re-running placement (Section 5.3). Scratch mode rebuilds
-  // the encoding per probe; Incremental/Portfolio probe one persistent
-  // solver with bounds as assumptions.
+  // the encoding per probe; Incremental probes one persistent solver with
+  // bounds as assumptions.
   auto ShrinkT0 = std::chrono::steady_clock::now();
   if (Options.Shrink && !Clusters.empty()) {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
@@ -1156,7 +1112,7 @@ Result<AsmProgram> Placer::run() {
           if (Info.SatBacked) {
             ++Stats->IncrementalProbes;
             // Scratch re-encodes per SAT-backed probe; the persistent
-            // modes count their one build inside buildPersistent().
+            // mode counts its one build inside buildPersistent().
             if (Options.Mode == SatMode::Scratch)
               ++Stats->IncrementalEncodes;
           } else {
@@ -1193,11 +1149,6 @@ Result<AsmProgram> Placer::run() {
               .arg("outcome", OutcomeName)
               .arg("conflicts", Info.Conflicts)
               .arg("decisions", Info.Decisions);
-          // Attribute the probe to the racing lane that decided it; only
-          // Portfolio mode has lanes, so the key stays absent elsewhere
-          // and single-solver remark streams are unchanged.
-          if (Info.Lane >= 0)
-            R.arg("lane", static_cast<uint64_t>(Info.Lane));
         }
         if (A == Attempt::Sat) {
           BestAssignment = std::move(Assignment);
@@ -1218,18 +1169,10 @@ Result<AsmProgram> Placer::run() {
       (Axis == 0 ? Cur.MaxColumn : Cur.MaxRow) = High;
     }
   }
-  if (Stats) {
+  if (Stats)
     Stats->ShrinkMs = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - ShrinkT0)
                           .count();
-    if (Persist.Port) {
-      const sat::Portfolio::Statistics &PS = Persist.Port->stats();
-      Stats->PortfolioRounds = PS.Rounds;
-      Stats->PortfolioExported = PS.Exported;
-      Stats->PortfolioImported = PS.Imported;
-      Stats->PortfolioWins = PS.WinsByLane;
-    }
-  }
 
   // Materialize the placed program.
   AsmProgram Placed(Prog.name());

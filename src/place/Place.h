@@ -52,10 +52,7 @@ namespace place {
 ///    across all probes; per-kind area bounds become assumption literals
 ///    over a ladder of "kill" selectors, so learned clauses, variable
 ///    activities and saved phases survive from probe to probe.
-///  - Portfolio: the persistent encoding is mirrored into N diverse
-///    solver lanes that race each probe in deterministic barrier rounds,
-///    sharing short learnt clauses between rounds.
-enum class SatMode : uint8_t { Scratch, Incremental, Portfolio };
+enum class SatMode : uint8_t { Scratch, Incremental };
 
 /// Tuning knobs for placement.
 struct PlacementOptions {
@@ -67,10 +64,12 @@ struct PlacementOptions {
   unsigned InitialCandidateCap = 128;
   /// Shrink-probe solver strategy. The initial solve (cap growth and
   /// UNSAT explanation) is always from scratch; the mode governs the
-  /// shrink probes only. Placements are byte-identical across modes in
-  /// single-thread (Scratch/Incremental) configurations.
+  /// shrink probes only. When every probe settles in the prechecks, the
+  /// placement is byte-identical across modes; otherwise only the final
+  /// area is guaranteed to agree (carried activities may pick another
+  /// layout of the same area).
   SatMode Mode = SatMode::Incremental;
-  /// Racing lanes in Portfolio mode (clamped to [1, 8] by the portfolio).
+  /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned PortfolioLanes = 4;
   /// When set, every SAT search of the run appends DRAT-style proof lines
   /// (learnt additions, deletions, assumption-core implications) here.
@@ -90,7 +89,6 @@ struct ShrinkProbe {
   unsigned Bound = 0;     ///< tried bound on the probed axis (Initial: unused)
   uint64_t Conflicts = 0; ///< solver conflicts spent on this probe
   uint64_t Decisions = 0; ///< solver decisions spent on this probe
-  int Lane = -1;          ///< winning portfolio lane (-1 outside Portfolio)
   unsigned MaxColumn = 0; ///< bounding box of the accepted layout so far
   unsigned MaxRow = 0;
   std::vector<device::Slot> Slots; ///< occupied slots of the accepted layout
@@ -137,7 +135,7 @@ struct PlacementStats {
   /// included); the headline "placement solve time" the benchmarks
   /// compare across modes.
   double ShrinkMs = 0.0;
-  /// Reuse accounting for the persistent (Incremental/Portfolio) solver.
+  /// Reuse accounting for the persistent (Incremental) solver.
   /// Scratch mode rebuilds per probe, so Encodes == SAT-backed probes
   /// there; a persistent run encodes once however many probes follow.
   uint64_t IncrementalEncodes = 0; ///< times a probe (re)built an encoding
@@ -145,11 +143,6 @@ struct PlacementStats {
   uint64_t PrecheckProbes = 0;     ///< probes settled arithmetically (no SAT)
   uint64_t ReusedClauses = 0;      ///< problem clauses carried across probes
   uint64_t ReusedLearned = 0;      ///< learnt clauses alive at probe start
-  /// Portfolio-race accounting (zero outside Portfolio mode).
-  uint64_t PortfolioRounds = 0;   ///< barrier rounds across all probes
-  uint64_t PortfolioExported = 0; ///< clauses published at exchange barriers
-  uint64_t PortfolioImported = 0; ///< import acceptances across lanes
-  std::array<uint64_t, 8> PortfolioWins{}; ///< decisive probes won per lane
   /// The initial solve plus every shrink probe, in order.
   std::vector<ShrinkProbe> Timeline;
   /// Named constraints explaining a failed placement (empty on success):

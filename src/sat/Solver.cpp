@@ -14,20 +14,14 @@
 using namespace reticle;
 using namespace reticle::sat;
 
-Solver::Solver(const obs::Context &Ctx) : Ctx(Ctx) {}
-
-Solver::Solver(const Config &Cfg, const obs::Context &Ctx)
-    : Cfg(Cfg), Ctx(Ctx) {}
-
 namespace {
-/// splitmix64: a stateless deterministic scrambler for hashed phase init.
-uint64_t phaseHash(uint64_t Seed, Var V) {
-  uint64_t Z = Seed + 0x9e3779b97f4a7c15ull * (uint64_t(V) + 1);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
+/// VSIDS decay: each conflict divides the activity increment by this.
+constexpr double VarDecay = 0.95;
+/// Luby restart unit, in conflicts.
+constexpr uint64_t RestartBase = 64;
 } // namespace
+
+Solver::Solver(const obs::Context &Ctx) : Ctx(Ctx) {}
 
 Var Solver::newVar() {
   Var V = VarCount++;
@@ -35,22 +29,11 @@ Var Solver::newVar() {
   Level.push_back(0);
   Reason.push_back(NoReason);
   VarActivity.push_back(0.0);
-  // Default phase true: for one-hot encodings (e.g. placement slots) the
+  // Initial phase true: for one-hot encodings (e.g. placement slots) the
   // first decision then *selects* the earliest candidate instead of
   // excluding candidates one by one, which yields compact first-fit-like
-  // models. Portfolio lanes diversify this through Config::Phase.
-  bool Phase = true;
-  switch (Cfg.Phase) {
-  case Config::PhaseInit::True:
-    break;
-  case Config::PhaseInit::False:
-    Phase = false;
-    break;
-  case Config::PhaseInit::Hashed:
-    Phase = phaseHash(Cfg.Seed, V) & 1;
-    break;
-  }
-  SavedPhase.push_back(Phase);
+  // models.
+  SavedPhase.push_back(true);
   Seen.push_back(0);
   // Activity 0: the variable waits in index order, outside the heap,
   // until its first bump. QueueHead <= V already holds.
@@ -75,7 +58,26 @@ bool Solver::addLits(Lit *Lits, size_t N) {
   assert(TrailLimits.empty() && "clauses must be added at the root level");
   if (!simplify(Lits, N))
     return true;
-  return addSimplified(Lits, N, /*Learned=*/false);
+  // An empty clause refutes the formula, a unit is propagated at the root,
+  // anything longer is stored and watched.
+  if (N == 0) {
+    OkFlag = false;
+    if (Proof)
+      Proof->addEmpty();
+    return false;
+  }
+  if (N == 1) {
+    enqueue(Lits[0], NoReason);
+    if (propagate() != NoReason) {
+      OkFlag = false;
+      if (Proof)
+        Proof->addEmpty();
+      return false;
+    }
+    return true;
+  }
+  attachClause(storeClause(Lits, N, /*Learned=*/false));
+  return true;
 }
 
 bool Solver::simplify(Lit *Lits, size_t &N) const {
@@ -104,27 +106,6 @@ bool Solver::simplify(Lit *Lits, size_t &N) const {
   return true;
 }
 
-bool Solver::addSimplified(const Lit *Lits, size_t N, bool Learned) {
-  if (N == 0) {
-    OkFlag = false;
-    if (Proof)
-      Proof->addEmpty();
-    return false;
-  }
-  if (N == 1) {
-    enqueue(Lits[0], NoReason);
-    if (propagate() != NoReason) {
-      OkFlag = false;
-      if (Proof)
-        Proof->addEmpty();
-      return false;
-    }
-    return true;
-  }
-  attachClause(storeClause(Lits, N, Learned));
-  return true;
-}
-
 Solver::ClauseRef Solver::storeClause(const Lit *Lits, size_t N,
                                       bool Learned) {
   Clause C;
@@ -135,23 +116,6 @@ Solver::ClauseRef Solver::storeClause(const Lit *Lits, size_t N,
   Arena.insert(Arena.end(), Lits, Lits + N);
   Clauses.push_back(C);
   return static_cast<ClauseRef>(Clauses.size() - 1);
-}
-
-bool Solver::importClause(const std::vector<Lit> &Lits) {
-  assert(TrailLimits.empty() && "imports happen at the root, between solves");
-  if (!OkFlag)
-    return false;
-  // Same simplification as addClause: the exporter's clause is formula-
-  // implied, so dropping root-false literals and root-satisfied copies is
-  // sound against this solver's root trail too. No proof line is emitted —
-  // in a merged portfolio log the exporting lane already logged the
-  // addition.
-  std::vector<Lit> Kept = Lits;
-  size_t N = Kept.size();
-  if (!simplify(Kept.data(), N))
-    return true;
-  ++Stats.Imported;
-  return addSimplified(Kept.data(), N, /*Learned=*/true);
 }
 
 void Solver::attachClause(ClauseRef Ref) {
@@ -249,7 +213,7 @@ void Solver::bumpClause(Clause &C) {
 }
 
 void Solver::decayActivities() {
-  VarInc /= Cfg.VarDecay;
+  VarInc /= VarDecay;
   ClauseInc /= 0.999;
 }
 
@@ -636,7 +600,7 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       ConflictBudget ? Stats.Conflicts + ConflictBudget : UINT64_MAX;
   uint64_t MaxLearned = Clauses.size() / 3 + 512;
   uint32_t RestartCount = 0;
-  uint64_t RestartBudget = Cfg.RestartBase * luby(RestartCount);
+  uint64_t RestartBudget = RestartBase * luby(RestartCount);
   uint64_t ConflictsHere = 0;
   std::vector<Lit> Learnt;
 
@@ -663,8 +627,6 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       recordLearnt(Learnt);
       if (Proof)
         Proof->add(Learnt);
-      if (Export && Learnt.size() <= ClauseExportBuffer::MaxLits)
-        Export->tryPush(Learnt.data(), Learnt.size());
       backtrack(BackLevel);
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);
@@ -685,7 +647,7 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       ++Stats.Restarts;
       ++RestartCount;
       ConflictsHere = 0;
-      RestartBudget = Cfg.RestartBase * luby(RestartCount);
+      RestartBudget = RestartBase * luby(RestartCount);
       backtrack(0);
       continue;
     }

@@ -30,7 +30,6 @@
 #include "obs/Context.h"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -80,10 +79,8 @@ enum class Outcome : uint8_t { Sat, Unsat, Unknown };
 /// (the disjunction of the negated core literals, which is RUP w.r.t. the
 /// formula plus the additions logged before it), and a root refutation as
 /// the empty clause — all in DIMACS literal notation, plus "c" comment
-/// lines callers may interleave to delimit solves. Deletions can be
-/// suppressed (portfolio mode merges several lanes' logs into one stream,
-/// where a deletion by one lane must not invalidate another lane's later
-/// inferences). The writer is plain state with no telemetry dependency.
+/// lines callers may interleave to delimit solves. The writer is plain
+/// state with no telemetry dependency.
 class ProofWriter {
 public:
   void add(std::span<const Lit> Lits) {
@@ -91,8 +88,6 @@ public:
     ++Added;
   }
   void del(std::span<const Lit> Lits) {
-    if (NoDeletions)
-      return;
     line("d ", Lits);
     ++Deleted;
   }
@@ -106,16 +101,12 @@ public:
     Text += Note;
     Text += '\n';
   }
-  /// Splices another writer's finished text (used when merging per-lane
-  /// portfolio logs in deterministic lane order).
-  void appendRaw(const std::string &Raw) { Text += Raw; }
   /// Moves the accumulated text out, leaving the writer empty.
   std::string take() {
     std::string Out = std::move(Text);
     Text.clear();
     return Out;
   }
-  void suppressDeletions() { NoDeletions = true; }
   const std::string &str() const { return Text; }
   uint64_t added() const { return Added; }
   uint64_t deleted() const { return Deleted; }
@@ -132,59 +123,8 @@ private:
   }
 
   std::string Text;
-  bool NoDeletions = false;
   uint64_t Added = 0;
   uint64_t Deleted = 0;
-};
-
-/// A bounded lock-free clause-publication buffer: one producer (a solver
-/// lane inside its search) pushes short learnt clauses, consumers read
-/// everything published so far after a synchronization point (the
-/// portfolio's round barrier). Pushes beyond the capacity are counted and
-/// dropped — the bound is what keeps sharing cheap. The single release
-/// store on Count publishes the slot contents to acquire-loading readers.
-class ClauseExportBuffer {
-public:
-  static constexpr size_t MaxLits = 8;
-  static constexpr size_t Capacity = 256;
-
-  /// Producer side. Returns false (and counts a drop) when the clause is
-  /// too long or the buffer is full.
-  bool tryPush(const Lit *Lits, size_t N) {
-    if (N == 0 || N > MaxLits)
-      return false;
-    uint32_t I = Count.load(std::memory_order_relaxed);
-    if (I >= Capacity) {
-      ++Dropped;
-      return false;
-    }
-    Slots[I].Size = static_cast<uint32_t>(N);
-    for (size_t K = 0; K < N; ++K)
-      Slots[I].Lits[K] = Lits[K];
-    Count.store(I + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side (call only across a synchronization point).
-  size_t size() const { return Count.load(std::memory_order_acquire); }
-  size_t litCount(size_t I) const { return Slots[I].Size; }
-  const Lit *lits(size_t I) const { return Slots[I].Lits.data(); }
-  uint64_t dropped() const { return Dropped; }
-
-  /// Resets for the next round (consumer side, between rounds).
-  void clear() {
-    Count.store(0, std::memory_order_relaxed);
-    Dropped = 0;
-  }
-
-private:
-  struct Slot {
-    uint32_t Size = 0;
-    std::array<Lit, MaxLits> Lits{};
-  };
-  std::array<Slot, Capacity> Slots{};
-  std::atomic<uint32_t> Count{0};
-  uint64_t Dropped = 0; // producer-only; read across the barrier
 };
 
 /// A CDCL SAT solver over clauses added incrementally before solve().
@@ -193,29 +133,7 @@ private:
 /// must outlive the solver.
 class Solver {
 public:
-  /// Deterministic policy knobs. The defaults reproduce the historical
-  /// single-configuration behavior bit for bit; a portfolio diversifies
-  /// lanes by varying them (see Portfolio::laneConfig). Every knob is
-  /// deterministic — Seed feeds a hash, never a stateful RNG — so a
-  /// solver's run is a pure function of its config and call sequence.
-  struct Config {
-    /// Seeds the phase scrambler when PhaseInit is Hashed.
-    uint64_t Seed = 0;
-    /// VSIDS decay: each conflict divides the activity increment by this.
-    double VarDecay = 0.95;
-    /// Luby restart unit, in conflicts.
-    uint64_t RestartBase = 64;
-    /// Initial saved phase for fresh variables. True yields first-fit
-    /// models on one-hot encodings (see newVar); False prefers exclusion;
-    /// Hashed scrambles per variable from Seed.
-    enum class PhaseInit : uint8_t { True, False, Hashed };
-    PhaseInit Phase = PhaseInit::True;
-  };
-
   explicit Solver(const obs::Context &Ctx = obs::defaultContext());
-  Solver(const Config &Cfg, const obs::Context &Ctx = obs::defaultContext());
-
-  const Config &config() const { return Cfg; }
 
   /// Creates a fresh variable and returns it.
   Var newVar();
@@ -243,20 +161,9 @@ public:
   bool addUnit(Lit A) { return addLits(&A, 1); }
   bool addBinary(Lit A, Lit B);
 
-  /// Adds a clause learned by another solver over the same variable
-  /// numbering (portfolio clause sharing). The clause is attached as a
-  /// *learned* clause, so reduceDb may age it out again. Must be called
-  /// at the root level, between solves. Returns false when the import
-  /// refutes the formula at the root.
-  bool importClause(const std::vector<Lit> &Lits);
-
   /// Attaches a DRAT-style proof sink (null detaches). The solver does
   /// not own the writer.
   void setProof(ProofWriter *P) { Proof = P; }
-
-  /// Attaches a clause-export buffer (null detaches): every learnt clause
-  /// of at most ClauseExportBuffer::MaxLits literals is published to it.
-  void setExport(ClauseExportBuffer *B) { Export = B; }
 
   /// Runs the CDCL loop. With a nonzero \p ConflictBudget the search gives
   /// up after that many conflicts and reports Unknown (used by callers
@@ -302,7 +209,6 @@ public:
     uint64_t Learned = 0;
     uint64_t Solves = 0;   ///< solve()/solveWith() calls
     uint64_t Unknowns = 0; ///< solves that exhausted their conflict budget
-    uint64_t Imported = 0; ///< clauses accepted via importClause()
     double SolveMs = 0.0;  ///< wall-clock summed over all solves
     static constexpr size_t HistogramBuckets = 8;
     /// Bucket I counts learnt clauses with LBD == I+1; the last bucket
@@ -325,7 +231,6 @@ public:
       D.Learned = After.Learned - Before.Learned;
       D.Solves = After.Solves - Before.Solves;
       D.Unknowns = After.Unknowns - Before.Unknowns;
-      D.Imported = After.Imported - Before.Imported;
       D.SolveMs = After.SolveMs - Before.SolveMs;
       for (size_t I = 0; I < HistogramBuckets; ++I) {
         D.LbdHistogram[I] = After.LbdHistogram[I] - Before.LbdHistogram[I];
@@ -379,9 +284,6 @@ private:
   /// root-false literals, leaving the kept count in \p N. Returns false
   /// when the clause is a tautology or already satisfied at the root.
   bool simplify(Lit *Lits, size_t &N) const;
-  /// Adds a simplified clause: an empty one refutes the formula, a unit is
-  /// propagated at the root, anything longer is stored and watched.
-  bool addSimplified(const Lit *Lits, size_t N, bool Learned);
   ClauseRef storeClause(const Lit *Lits, size_t N, bool Learned);
 
   Outcome runSolve(const std::vector<Lit> *Assumptions,
@@ -467,9 +369,7 @@ private:
   std::vector<Lit> Core;
   Statistics Stats;
   SolveProfile Profile;
-  Config Cfg;
   ProofWriter *Proof = nullptr;
-  ClauseExportBuffer *Export = nullptr;
   const obs::Context &Ctx;
 };
 

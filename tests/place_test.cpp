@@ -308,14 +308,13 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
 }
 
 TEST(Place, SolverModesAgreeOnFinalArea) {
-  // Scratch, incremental, and portfolio shrink searches may pick
-  // different models once learnt clauses carry over, but they must land
-  // on the same shrunk bounding box and all pass the checker.
+  // Scratch and incremental shrink searches may pick different models
+  // once learnt clauses carry over, but they must land on the same shrunk
+  // bounding box and both pass the checker.
   AsmProgram P = manyDspAdds(6);
-  unsigned Col[3], Row[3];
+  unsigned Col[2], Row[2];
   int I = 0;
-  for (SatMode Mode :
-       {SatMode::Scratch, SatMode::Incremental, SatMode::Portfolio}) {
+  for (SatMode Mode : {SatMode::Scratch, SatMode::Incremental}) {
     PlacementOptions Options;
     Options.Mode = Mode;
     PlacementStats Stats;
@@ -331,8 +330,6 @@ TEST(Place, SolverModesAgreeOnFinalArea) {
   }
   EXPECT_EQ(Col[0], Col[1]);
   EXPECT_EQ(Row[0], Row[1]);
-  EXPECT_EQ(Col[0], Col[2]);
-  EXPECT_EQ(Row[0], Row[2]);
 }
 
 TEST(Place, IncrementalModeRecordsReuseStats) {
@@ -372,30 +369,4 @@ TEST(Place, ScratchModeMatchesHistoricalAccounting) {
   EXPECT_EQ(Stats.IncrementalEncodes, Stats.IncrementalProbes);
   EXPECT_EQ(Stats.ReusedClauses, 0u);
   EXPECT_EQ(Stats.ReusedLearned, 0u);
-}
-
-TEST(Place, PortfolioModeAttributesLanes) {
-  // A portfolio run records round/exchange totals and, for each
-  // SAT-backed probe, which lane decided it (timeline Lane >= 0).
-  AsmProgram P = manyDspAdds(8);
-  PlacementOptions Options;
-  Options.Mode = SatMode::Portfolio;
-  Options.PortfolioLanes = 4;
-  PlacementStats Stats;
-  Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
-  ASSERT_TRUE(Placed.ok()) << Placed.error();
-  uint64_t Wins = 0;
-  for (uint64_t W : Stats.PortfolioWins)
-    Wins += W;
-  size_t LaneFrames = 0;
-  for (const ShrinkProbe &Frame : Stats.Timeline)
-    if (Frame.Lane >= 0) {
-      ++LaneFrames;
-      EXPECT_LT(Frame.Lane, 4);
-    }
-  EXPECT_EQ(Wins, Stats.IncrementalProbes);
-  EXPECT_EQ(LaneFrames, Stats.IncrementalProbes);
-  if (Stats.IncrementalProbes > 0)
-    EXPECT_GT(Stats.PortfolioRounds, 0u);
 }

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "sat/Dimacs.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
 #include <random>
+#include <sstream>
 
 using namespace reticle;
 using namespace reticle::sat;
@@ -553,24 +556,6 @@ TEST(Sat, SetPhaseSteersTheFirstModel) {
   }
 }
 
-TEST(Sat, ImportClauseActsLikeALearnedClause) {
-  // An imported clause constrains the search (portfolio sharing), and a
-  // root-refuting import reports failure.
-  Solver S;
-  Var A = S.newVar(), B = S.newVar();
-  ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
-  ASSERT_TRUE(S.importClause({Lit(A, true), Lit(B)}));
-  ASSERT_EQ(S.solve(), Outcome::Sat);
-  EXPECT_TRUE(S.value(B));
-  EXPECT_EQ(S.stats().Imported, 1u);
-
-  Solver T;
-  Var C = T.newVar();
-  ASSERT_TRUE(T.addUnit(Lit(C)));
-  EXPECT_FALSE(T.importClause({Lit(C, true)}));
-  EXPECT_EQ(T.solve(), Outcome::Unsat);
-}
-
 TEST(Sat, ProofWriterRecordsRefutation) {
   // The DRAT-style log of an UNSAT run ends in the empty clause and
   // carries every learnt addition in DIMACS notation.
@@ -618,12 +603,16 @@ size_t countLinesStartingWith(const std::string &Text,
   return N;
 }
 
+using Formula = std::vector<std::vector<Lit>>;
+
 /// Pigeonhole PHP(Pigeons, Holes) over fresh variables, clauses added as
 /// in PigeonholeUnsat. With \p Selectors, pigeon I's at-least-one clause
-/// is guarded by selector I (clause or not-selector).
+/// is guarded by selector I (clause or not-selector). With \p Added, every
+/// clause is also appended there, in the order it reaches the solver.
 void addPigeonhole(Solver &S, unsigned Pigeons, unsigned Holes,
                    const std::vector<Lit> &Selectors,
-                   std::vector<std::vector<Var>> &P) {
+                   std::vector<std::vector<Var>> &P,
+                   Formula *Added = nullptr) {
   P.assign(Pigeons, std::vector<Var>(Holes));
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -634,12 +623,137 @@ void addPigeonhole(Solver &S, unsigned Pigeons, unsigned Holes,
       AtLeastOne.push_back(Lit(P[I][J]));
     if (I < Selectors.size())
       AtLeastOne.push_back(~Selectors[I]);
+    if (Added)
+      Added->push_back(AtLeastOne);
     ASSERT_TRUE(S.addClause(AtLeastOne));
   }
   for (unsigned J = 0; J < Holes; ++J)
     for (unsigned I1 = 0; I1 < Pigeons; ++I1)
-      for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2)
-        ASSERT_TRUE(S.addBinary(Lit(P[I1][J], true), Lit(P[I2][J], true)));
+      for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2) {
+        Lit A(P[I1][J], true), B(P[I2][J], true);
+        if (Added)
+          Added->push_back({A, B});
+        ASSERT_TRUE(S.addBinary(A, B));
+      }
+}
+
+/// What checkRup found in a proof log.
+struct RupReport {
+  size_t Lemmas = 0;          ///< additions accepted, in log order
+  size_t Deletions = 0;       ///< "d" lines applied
+  size_t Rejected = SIZE_MAX; ///< index of the first non-RUP addition
+  bool Refuted = false;       ///< the empty clause was derived
+};
+
+/// A reverse-unit-propagation checker for the solver's DRAT-style log.
+/// The clause database starts as \p F over \p NumVars variables; each
+/// "d" line removes one clause with the same literals, and each added
+/// lemma must be RUP against the database at that point: asserting the
+/// negation of its literals and unit-propagating must reach a conflict.
+/// An accepted lemma joins the database. Checking stops at the first
+/// rejected lemma.
+RupReport checkRup(uint32_t NumVars, const Formula &F,
+                   const std::string &Proof) {
+  std::vector<std::vector<Lit>> Db;
+  std::vector<bool> Alive;
+  std::vector<std::vector<uint32_t>> Occurs(2 * NumVars); // by Lit::index()
+  std::map<std::vector<uint32_t>, std::vector<uint32_t>> ByLits;
+  auto Key = [](const std::vector<Lit> &C) {
+    std::vector<uint32_t> K;
+    for (Lit L : C)
+      K.push_back(L.index());
+    std::sort(K.begin(), K.end());
+    return K;
+  };
+  auto Add = [&](const std::vector<Lit> &C) {
+    uint32_t Id = static_cast<uint32_t>(Db.size());
+    for (Lit L : C)
+      Occurs[L.index()].push_back(Id);
+    ByLits[Key(C)].push_back(Id);
+    Db.push_back(C);
+    Alive.push_back(true);
+  };
+  std::vector<LBool> Value(NumVars, LBool::Undef);
+  auto ValueOf = [&](Lit L) {
+    LBool V = Value[L.var()];
+    if (V == LBool::Undef)
+      return V;
+    return (V == LBool::True) != L.negated() ? LBool::True : LBool::False;
+  };
+  auto IsRup = [&](const std::vector<Lit> &C) {
+    std::vector<Lit> Trail;
+    // Makes L true; false when L is already false (a conflict).
+    auto Assign = [&](Lit L) {
+      if (ValueOf(L) != LBool::Undef)
+        return ValueOf(L) == LBool::True;
+      Value[L.var()] = L.negated() ? LBool::False : LBool::True;
+      Trail.push_back(L);
+      return true;
+    };
+    bool Conflict = false;
+    for (Lit L : C)
+      Conflict = Conflict || !Assign(~L);
+    for (uint32_t Id = 0; !Conflict && Id < Db.size(); ++Id)
+      if (Alive[Id] && Db[Id].size() == 1)
+        Conflict = !Assign(Db[Id][0]);
+    for (size_t Head = 0; !Conflict && Head < Trail.size(); ++Head)
+      for (uint32_t Id : Occurs[(~Trail[Head]).index()]) {
+        if (!Alive[Id])
+          continue;
+        size_t Open = 0;
+        Lit Unit;
+        bool Satisfied = false;
+        for (Lit Q : Db[Id]) {
+          LBool V = ValueOf(Q);
+          Satisfied = Satisfied || V == LBool::True;
+          if (V == LBool::Undef) {
+            ++Open;
+            Unit = Q;
+          }
+        }
+        if (Satisfied || Open > 1)
+          continue;
+        if (Open == 0 || !Assign(Unit)) {
+          Conflict = true;
+          break;
+        }
+      }
+    for (Lit L : Trail)
+      Value[L.var()] = LBool::Undef;
+    return Conflict;
+  };
+
+  for (const std::vector<Lit> &C : F)
+    Add(C);
+  RupReport R;
+  std::istringstream Lines(Proof);
+  for (std::string Line; std::getline(Lines, Line);) {
+    if (Line.empty() || Line[0] == 'c')
+      continue;
+    bool Delete = Line.rfind("d ", 0) == 0;
+    std::istringstream Nums(Delete ? Line.substr(2) : Line);
+    std::vector<Lit> C;
+    for (long D; Nums >> D && D != 0;)
+      C.push_back(Lit(static_cast<Var>(std::labs(D) - 1), D < 0));
+    if (Delete) {
+      std::vector<uint32_t> &Ids = ByLits[Key(C)];
+      EXPECT_FALSE(Ids.empty()) << "deletion of an absent clause: " << Line;
+      if (!Ids.empty()) {
+        Alive[Ids.back()] = false;
+        Ids.pop_back();
+      }
+      ++R.Deletions;
+      continue;
+    }
+    if (!IsRup(C)) {
+      R.Rejected = R.Lemmas;
+      return R;
+    }
+    ++R.Lemmas;
+    R.Refuted = R.Refuted || C.empty();
+    Add(C);
+  }
+  return R;
 }
 
 } // namespace
@@ -705,60 +819,61 @@ TEST(Sat, AssumptionSearchTrajectoryIsPinned) {
   EXPECT_EQ(fnv1a64(Proof.str()), 0x71e7dae0c1c420acull);
 }
 
-TEST(Sat, ClauseExportBufferIsBoundedAndCounted) {
-  ClauseExportBuffer Buf;
-  std::vector<Lit> Short = {Lit(Var(0)), Lit(Var(1), true)};
-  std::vector<Lit> Long(ClauseExportBuffer::MaxLits + 1, Lit(Var(0)));
-  EXPECT_FALSE(Buf.tryPush(Long.data(), Long.size()));
-  for (size_t I = 0; I < ClauseExportBuffer::Capacity; ++I)
-    EXPECT_TRUE(Buf.tryPush(Short.data(), Short.size()));
-  EXPECT_FALSE(Buf.tryPush(Short.data(), Short.size()));
-  EXPECT_EQ(Buf.size(), ClauseExportBuffer::Capacity);
-  EXPECT_EQ(Buf.dropped(), 1u);
-  EXPECT_EQ(Buf.litCount(0), 2u);
-  EXPECT_EQ(Buf.lits(0)[0], Short[0]);
-  Buf.clear();
-  EXPECT_EQ(Buf.size(), 0u);
-  EXPECT_EQ(Buf.dropped(), 0u);
-}
+TEST(Sat, RefutationProofIsRup) {
+  // Every lemma of SearchTrajectoryIsPinned's proof, deletions applied,
+  // follows from the formula and the lemmas before it by unit
+  // propagation, and the log ends by deriving the empty clause. The
+  // checker is not vacuous: flipping the first literal of the 11th lemma
+  // makes that lemma the first one rejected.
+  Solver S;
+  ProofWriter Proof;
+  S.setProof(&Proof);
+  std::vector<std::vector<Var>> P;
+  Formula F;
+  addPigeonhole(S, 7, 6, {}, P, &F);
+  ASSERT_EQ(S.solve(), Outcome::Unsat);
+  RupReport R = checkRup(S.numVars(), F, Proof.str());
+  EXPECT_EQ(R.Rejected, SIZE_MAX);
+  EXPECT_EQ(R.Lemmas, 712u);
+  EXPECT_EQ(R.Deletions, 279u);
+  EXPECT_TRUE(R.Refuted);
 
-TEST(Sat, PortfolioAgreesWithReferenceAndAttributesWinner) {
-  // A 4-lane race decides like a single solver and names a winner lane;
-  // lane diversification must not change verdicts.
-  sat::Portfolio::Options Opts;
-  Opts.Lanes = 4;
-  Opts.RoundConflicts = 16;
-  sat::Portfolio Port(Opts);
-  Var A = Port.newVar(), B = Port.newVar(), C = Port.newVar();
-  ASSERT_TRUE(Port.addClause({Lit(A), Lit(B)}));
-  ASSERT_TRUE(Port.addBinary(Lit(A, true), Lit(C)));
-  ASSERT_TRUE(Port.addBinary(Lit(B, true), Lit(C)));
-  ASSERT_EQ(Port.solveWith({}), Outcome::Sat);
-  EXPECT_TRUE(Port.value(C));
-  EXPECT_LT(Port.winnerLane(), 4u);
-  EXPECT_EQ(Port.stats().Solves, 1u);
-  EXPECT_EQ(Port.stats().WinsByLane[Port.winnerLane()], 1u);
-
-  // Under assumptions forcing ~C the race refutes and surfaces the core.
-  ASSERT_EQ(Port.solveWith({Lit(C, true), Lit(A)}), Outcome::Unsat);
-  EXPECT_FALSE(Port.unsatCore().empty());
-}
-
-TEST(Sat, PortfolioLaneConfigsAreDiverseAndDeterministic) {
-  // Lane 0 is the reference configuration; later lanes differ from it in
-  // at least one policy knob, and the mapping is stable.
-  Solver::Config Ref = sat::Portfolio::laneConfig(0);
-  EXPECT_EQ(Ref.VarDecay, Solver::Config().VarDecay);
-  EXPECT_EQ(Ref.RestartBase, Solver::Config().RestartBase);
-  EXPECT_EQ(Ref.Phase, Solver::Config().Phase);
-  for (unsigned I = 1; I < 4; ++I) {
-    Solver::Config C = sat::Portfolio::laneConfig(I);
-    EXPECT_NE(C.Seed, Ref.Seed);
-    EXPECT_TRUE(C.VarDecay != Ref.VarDecay ||
-                C.RestartBase != Ref.RestartBase || C.Phase != Ref.Phase);
-    Solver::Config Again = sat::Portfolio::laneConfig(I);
-    EXPECT_EQ(C.Seed, Again.Seed);
-    EXPECT_EQ(C.VarDecay, Again.VarDecay);
-    EXPECT_EQ(C.RestartBase, Again.RestartBase);
+  std::string Text = Proof.str();
+  size_t Pos = 0;
+  for (unsigned Lemma = 0;; Pos = Text.find('\n', Pos) + 1) {
+    ASSERT_LT(Pos, Text.size());
+    if (Text.compare(Pos, 2, "d ") != 0 && Lemma++ == 10)
+      break;
   }
+  if (Text[Pos] == '-')
+    Text.erase(Pos, 1);
+  else
+    Text.insert(Pos, 1, '-');
+  EXPECT_EQ(checkRup(S.numVars(), F, Text).Rejected, 10u);
+}
+
+TEST(Sat, AssumptionProofIsRup) {
+  // AssumptionSearchTrajectoryIsPinned's proof: learnt clauses plus the
+  // implied clause of each failed-assumption core, every one RUP. The
+  // formula is only unsatisfiable under assumptions, so no empty clause.
+  constexpr unsigned Pigeons = 7, Holes = 6, Extra = 2;
+  Solver S;
+  ProofWriter Proof;
+  S.setProof(&Proof);
+  std::vector<Lit> Sel;
+  for (unsigned I = 0; I < Pigeons + Extra; ++I)
+    Sel.push_back(Lit(S.newVar()));
+  std::vector<std::vector<Var>> P;
+  Formula F;
+  addPigeonhole(S, Pigeons, Holes, Sel, P, &F);
+  for (unsigned E = 0; E < Extra; ++E) {
+    F.push_back({~Sel[Pigeons + E], Lit(P[E][E])});
+    ASSERT_TRUE(S.addBinary(~Sel[Pigeons + E], Lit(P[E][E])));
+  }
+  ASSERT_EQ(S.solveWith(Sel), Outcome::Unsat);
+  S.minimizeCore(Sel, 2000);
+  RupReport R = checkRup(S.numVars(), F, Proof.str());
+  EXPECT_EQ(R.Rejected, SIZE_MAX);
+  EXPECT_EQ(R.Lemmas, 40u);
+  EXPECT_FALSE(R.Refuted);
 }

@@ -19,11 +19,8 @@
 ///     -O                                     run dce/fold/vectorize first
 ///     --no-cascade                           skip the cascade rewrite
 ///     --no-shrink                            skip placement shrinking
-///     --sat-solver=scratch|incremental|portfolio
-///                                            shrink-search solver strategy
+///     --sat-solver=scratch|incremental       shrink-search solver strategy
 ///                                            (incremental)
-///     --sat-threads=N                        racing lanes in portfolio
-///                                            mode (4)
 ///     --sat-proof=<file|->                   DRAT-style proof log of the
 ///                                            placement SAT searches
 ///     --stats                                per-stage report on stderr
@@ -168,11 +165,8 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "  -O                                     run dce/fold/vectorize first\n"
       "  --no-cascade                           skip the cascade rewrite\n"
       "  --no-shrink                            skip placement shrinking\n"
-      "  --sat-solver=scratch|incremental|portfolio\n"
-      "                                         shrink-search solver strategy "
-      "(incremental)\n"
-      "  --sat-threads=N                        racing lanes in portfolio "
-      "mode (4)\n"
+      "  --sat-solver=scratch|incremental       shrink-search solver strategy\n"
+      "                                         (incremental)\n"
       "  --sat-proof=<file|->                   DRAT-style proof log of the "
       "placement\n"
       "                                         SAT searches\n"
@@ -1110,17 +1104,9 @@ int main(int Argc, char **Argv) {
         Args.Options.SatMode = place::SatMode::Scratch;
       else if (Value == "incremental")
         Args.Options.SatMode = place::SatMode::Incremental;
-      else if (Value == "portfolio")
-        Args.Options.SatMode = place::SatMode::Portfolio;
       else
         return usageError("unknown --sat-solver '" + Value +
-                          "' (valid: scratch, incremental, portfolio)");
-    } else if (Arg.rfind("--sat-threads=", 0) == 0) {
-      std::optional<uint64_t> Lanes =
-          parseCount(std::string_view(Arg).substr(14), 1, 8);
-      if (!Lanes)
-        return usageError("--sat-threads= requires a lane count from 1 to 8");
-      Args.Options.SatThreads = static_cast<unsigned>(*Lanes);
+                          "' (valid: scratch, incremental)");
     } else if (Arg.rfind("--sat-proof=", 0) == 0) {
       Args.SatProofPath = Arg.substr(12);
       if (Args.SatProofPath.empty())
