@@ -14,9 +14,9 @@
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
 # packed waveform path, the gate-level vm-netlist lowering, the
 # malformed-input diagnostics of the lexer and the DIMACS reader, and
-# the SAT solver's clause arena under placement (both shrink modes, with
-# proof logs). Run from anywhere; builds into <repo>/build (plus
-# build-tsan/ and build-asan/ siblings).
+# the SAT solver's clause arena and watcher pool under placement (both
+# shrink modes, with proof logs). Run from anywhere; builds into
+# <repo>/build (plus build-tsan/ and build-asan/ siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -94,6 +94,13 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 #       -o tests/goldens/fsm_shrink/placed.small.rasm \
 #       --remarks-json=tests/goldens/fsm_shrink/remarks.small.jsonl \
 #       tests/inputs/fsm_shrink.ret
+# golden_fsm_42_* pins the same for tests/inputs/fsm_42.ret (a shrink
+# search of 150k variables and 6 SAT-backed probes on the default
+# device); regenerate with
+#   build/tools/reticlec --emit=placed \
+#       -o tests/goldens/fsm_42/placed.rasm \
+#       --remarks-json=tests/goldens/fsm_42/remarks.jsonl \
+#       tests/inputs/fsm_42.ret
 
 echo "== batch compile end to end =="
 "$build/tools/reticlec" --device=small --jobs="$jobs" \
@@ -249,7 +256,7 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena =="
+echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena, watcher pool =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
 # offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
@@ -259,12 +266,16 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # code generator emits through the vm-netlist lowering. The lexer,
 # bytecode-assembler and DIMACS tests feed out-of-range and malformed
 # numeric literals, which must come back as diagnostics. The SAT solver
-# keeps every clause's literals in one growing arena and hands out
-# pointers into it; a pointer kept across the arena's growth or a
-# reduceDb compaction dangles. sat_test, place_test and batch_test drive
-# it through learning, reduction and the placement encoders, and a proof
-# compile of fsm_shrink.ret per shrink mode drives it through real
-# SAT-backed probes: one persistent solver, then a fresh one per probe.
+# hands out pointers into two growing buffers: the clause arena, which
+# holds every clause's literals, and the watcher pool, which holds every
+# literal's watch list. A pointer kept across either buffer's growth, or
+# across a reduceDb compaction of the arena, dangles; propagation pushes
+# onto the pool while it walks a list in it. sat_test, place_test and
+# batch_test drive both through learning, reduction and the placement
+# encoders, and proof compiles per shrink mode drive them through real
+# SAT-backed probes (one persistent solver, then a fresh one per probe):
+# fsm_shrink.ret on the small device, and fsm_42.ret on the default
+# device at 150k variables and 399k clauses.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -288,6 +299,12 @@ for mode in incremental scratch; do
         -o "$out/fsm_shrink.$mode.asan.rasm" \
         "$repo/tests/inputs/fsm_shrink.ret"
     test -s "$out/fsm_shrink.$mode.asan.proof"
+    "$repo/build-asan/tools/reticlec" --emit=placed \
+        --sat-solver="$mode" \
+        --sat-proof="$out/fsm_42.$mode.asan.proof" \
+        -o "$out/fsm_42.$mode.asan.rasm" \
+        "$repo/tests/inputs/fsm_42.ret"
+    test -s "$out/fsm_42.$mode.asan.proof"
 done
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \

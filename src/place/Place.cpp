@@ -70,6 +70,18 @@ bool memberSlot(const Member &M, int64_t XBase, int64_t YBase,
   return true;
 }
 
+/// The variables, clauses and clause literals an encoding adds to a
+/// solver: the counts behind sat::Solver::reserve.
+struct EncodingSize {
+  size_t Vars = 0;
+  size_t Clauses = 0;
+  size_t Lits = 0;
+  void clauses(size_t Count, size_t Width) {
+    Clauses += Count;
+    Lits += Count * Width;
+  }
+};
+
 /// Sequential at-most-one encoding over \p Lits. When \p Selector is
 /// given, every emitted clause is guarded by it (clause ∨ ¬selector), so
 /// assuming the selector true enables the constraint and dropping the
@@ -103,16 +115,28 @@ void addAtMostOne(sat::Solver &S, std::span<const sat::Lit> Lits,
   Add(~Lits.back(), ~Prev);
 }
 
+/// What addAtMostOne adds over \p N literals without a selector: N - 1
+/// auxiliary variables and 3N - 4 binary clauses when N >= 3, one binary
+/// clause when N == 2, nothing otherwise.
+void addAtMostOneSize(EncodingSize &Size, size_t N) {
+  if (N == 2)
+    Size.clauses(1, 2);
+  if (N >= 3) {
+    Size.Vars += N - 1;
+    Size.clauses(3 * N - 4, 2);
+  }
+}
+
 /// The candidate literals competing for each device slot, in one flat
 /// table indexed x * Rows + y. Index order is device::Slot's (x, y)
 /// order, which fixes the order of the slot at-most-one clauses and so of
 /// their auxiliary variables. A slot's users keep cluster, then
 /// candidate, then member order. The table is compressed: slot I's users
-/// are Users[Start[I], Start[I + 1]).
+/// are Users[Start[I], Start[I + 1]). Construction counts each slot's
+/// users; fill() names them once the candidate variables exist.
 class SlotTable {
 public:
-  SlotTable(const std::vector<std::vector<Candidate>> &Cands,
-            const std::vector<std::vector<sat::Var>> &Vars) {
+  explicit SlotTable(const std::vector<std::vector<Candidate>> &Cands) {
     unsigned Cols = 0;
     for (const std::vector<Candidate> &Cs : Cands)
       for (const Candidate &Cand : Cs)
@@ -127,6 +151,10 @@ public:
           ++Start[index(S) + 1];
     for (size_t I = 1; I < Start.size(); ++I)
       Start[I] += Start[I - 1];
+  }
+
+  void fill(const std::vector<std::vector<Candidate>> &Cands,
+            const std::vector<std::vector<sat::Var>> &Vars) {
     Users.resize(Start.back());
     std::vector<size_t> Fill(Start.begin(), Start.end() - 1);
     for (size_t I = 0; I < Cands.size(); ++I)
@@ -136,6 +164,7 @@ public:
   }
 
   size_t numSlots() const { return Start.size() - 1; }
+  size_t numUsers(size_t I) const { return Start[I + 1] - Start[I]; }
   device::Slot slot(size_t I) const {
     return {static_cast<unsigned>(I / Rows), static_cast<unsigned>(I % Rows)};
   }
@@ -156,11 +185,24 @@ private:
 /// cluster (an at-least-one clause plus an at-most-one), then at most one
 /// user per slot. A multi-member cluster may cover one slot with two
 /// members only through distinct candidates, so the slot at-most-one over
-/// candidate literals is exact. Fills \p Vars; returns false when an
-/// at-least-one clause refutes the formula.
+/// candidate literals is exact. First reserves the solver's room for this
+/// encoding plus \p Extra, what the caller adds after it. Fills \p Vars;
+/// returns false when an at-least-one clause refutes the formula.
 bool encodeChoices(sat::Solver &S,
                    const std::vector<std::vector<Candidate>> &Cands,
-                   std::vector<std::vector<sat::Var>> &Vars) {
+                   std::vector<std::vector<sat::Var>> &Vars,
+                   EncodingSize Extra = {}) {
+  SlotTable Slots(Cands);
+  EncodingSize Size = Extra;
+  for (const std::vector<Candidate> &Cs : Cands) {
+    Size.Vars += Cs.size();
+    Size.clauses(1, Cs.size());
+    addAtMostOneSize(Size, Cs.size());
+  }
+  for (size_t I = 0; I < Slots.numSlots(); ++I)
+    addAtMostOneSize(Size, Slots.numUsers(I));
+  S.reserve(Size.Vars, Size.Clauses, Size.Lits);
+
   Vars.assign(Cands.size(), {});
   std::vector<sat::Lit> Lits;
   for (size_t I = 0; I < Cands.size(); ++I) {
@@ -174,7 +216,7 @@ bool encodeChoices(sat::Solver &S,
       return false;
     addAtMostOne(S, Lits);
   }
-  SlotTable Slots(Cands, Vars);
+  Slots.fill(Cands, Vars);
   for (size_t I = 0; I < Slots.numSlots(); ++I)
     addAtMostOne(S, Slots.users(I));
   return true;
@@ -693,7 +735,16 @@ void Placer::encodePersistent(sat::Solver &S) {
   // same helper. A bounded probe's encoding is this one minus the killed
   // candidates, and the kill guards propagate those false before any free
   // decision, so the persistent solver explores the same restricted space.
-  encodeChoices(S, Persist.Cands, Persist.Vars);
+  // The ladders below add one variable per column and row, a monotone
+  // binary between neighbours and two guard binaries per candidate.
+  size_t Cols = size_t(Persist.Box.MaxColumn) + 1;
+  size_t Rows = size_t(Persist.Box.MaxRow) + 1;
+  EncodingSize Ladders;
+  Ladders.Vars = Cols + Rows;
+  Ladders.clauses(Cols - 1 + Rows - 1, 2);
+  for (const std::vector<Candidate> &Cs : Persist.Cands)
+    Ladders.clauses(2 * Cs.size(), 2);
+  encodeChoices(S, Persist.Cands, Persist.Vars, Ladders);
 
   // Bound ladders, created after every candidate/auxiliary variable so
   // free decisions reach them last, pinned to phase false so an unassumed
@@ -934,7 +985,8 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
     S.addClause(std::move(Guarded));
     addAtMostOne(S, Lits);
   }
-  SlotTable Slots(Cands, Vars);
+  SlotTable Slots(Cands);
+  Slots.fill(Cands, Vars);
   for (size_t Idx = 0; Idx < Slots.numSlots(); ++Idx) {
     std::span<const sat::Lit> Lits = Slots.users(Idx);
     if (Lits.size() <= 1)

@@ -43,6 +43,26 @@ Var Solver::newVar() {
   return V;
 }
 
+void Solver::reserve(size_t Vars, size_t ClauseCount, size_t Literals) {
+  size_t NewVars = VarCount + Vars;
+  Assign.reserve(NewVars);
+  Level.reserve(NewVars);
+  Reason.reserve(NewVars);
+  VarActivity.reserve(NewVars);
+  SavedPhase.reserve(NewVars);
+  Seen.reserve(NewVars);
+  HeapPos.reserve(NewVars);
+  Trail.reserve(NewVars);
+  Watches.reserve(2 * NewVars);
+  Clauses.reserve(Clauses.size() + ClauseCount);
+  Arena.reserve(Arena.size() + Literals);
+  // Each clause adds one watcher to each of two lists. A list that grows
+  // from empty to n watchers has taken blocks of 4, 8, ... up to its
+  // capacity: at most 4n slots in all. (Watchers that a root-level unit
+  // moves can take more; the pool then grows as usual.)
+  WatchPool.reserve(WatchPool.size() + 8 * ClauseCount);
+}
+
 bool Solver::addClause(std::vector<Lit> Lits) {
   return addLits(Lits.data(), Lits.size());
 }
@@ -122,8 +142,26 @@ void Solver::attachClause(ClauseRef Ref) {
   const Clause &C = Clauses[Ref];
   assert(C.Size >= 2 && "attaching a short clause");
   const Lit *Lits = lits(C);
-  Watches[(~Lits[0]).index()].push_back({Ref, Lits[1]});
-  Watches[(~Lits[1]).index()].push_back({Ref, Lits[0]});
+  watch(~Lits[0], {Ref, Lits[1]});
+  watch(~Lits[1], {Ref, Lits[0]});
+}
+
+void Solver::watch(Lit L, Watcher W) {
+  WatchList &WL = Watches[L.index()];
+  if (WL.Size == WL.Capacity) {
+    // The old block stays behind, unused. A list's abandoned blocks add up
+    // to less than its live one, so the pool stays within twice the live
+    // capacity of all lists.
+    uint32_t Capacity = WL.Capacity ? 2 * WL.Capacity : 4;
+    size_t Offset = WatchPool.size();
+    assert(Offset + Capacity <= UINT32_MAX && "watcher pool overflow");
+    WatchPool.resize(Offset + Capacity);
+    std::copy_n(WatchPool.begin() + WL.Offset, WL.Size,
+                WatchPool.begin() + Offset);
+    WL.Offset = static_cast<uint32_t>(Offset);
+    WL.Capacity = Capacity;
+  }
+  WatchPool[WL.Offset + WL.Size++] = W;
 }
 
 void Solver::enqueue(Lit L, ClauseRef From) {
@@ -139,9 +177,15 @@ Solver::ClauseRef Solver::propagate() {
     Lit P = Trail[PropagateHead++];
     Lit NotP = ~P;
     ++Stats.Propagations;
-    std::vector<Watcher> &Ws = Watches[P.index()];
-    size_t Keep = 0;
-    for (size_t I = 0; I < Ws.size(); ++I) {
+    // A moved watcher goes to a literal that is not false, so P's own list
+    // receives no push while it is walked and keeps its Offset. A push onto
+    // another list may reallocate the pool, though: Ws is re-derived after
+    // every one.
+    WatchList &WL = Watches[P.index()];
+    Watcher *Ws = WatchPool.data() + WL.Offset;
+    const uint32_t Size = WL.Size;
+    uint32_t Keep = 0;
+    for (uint32_t I = 0; I < Size; ++I) {
       Watcher W = Ws[I];
       // Cheap skip when the blocker is already true.
       if (litValue(W.Blocker) == LBool::True) {
@@ -165,7 +209,8 @@ Solver::ClauseRef Solver::propagate() {
       for (uint32_t K = 2; K < C.Size; ++K) {
         if (litValue(Lits[K]) != LBool::False) {
           std::swap(Lits[1], Lits[K]);
-          Watches[(~Lits[1]).index()].push_back({W.Ref, Lits[0]});
+          watch(~Lits[1], {W.Ref, Lits[0]});
+          Ws = WatchPool.data() + WL.Offset;
           Moved = true;
           break;
         }
@@ -176,15 +221,15 @@ Solver::ClauseRef Solver::propagate() {
       Ws[Keep++] = {W.Ref, Lits[0]};
       if (litValue(Lits[0]) == LBool::False) {
         // Conflict: restore untraversed watchers and report.
-        for (size_t K = I + 1; K < Ws.size(); ++K)
+        for (uint32_t K = I + 1; K < Size; ++K)
           Ws[Keep++] = Ws[K];
-        Ws.resize(Keep);
+        WL.Size = Keep;
         PropagateHead = Trail.size();
         return W.Ref;
       }
       enqueue(Lits[0], W.Ref);
     }
-    Ws.resize(Keep);
+    WL.Size = Keep;
   }
   return NoReason;
 }
@@ -419,8 +464,8 @@ void Solver::reduceDb() {
   for (ClauseRef &R : Reason)
     if (R != NoReason)
       R = Remap[R];
-  for (std::vector<Watcher> &Ws : Watches)
-    Ws.clear();
+  for (WatchList &WL : Watches)
+    WL.Size = 0;
   for (ClauseRef I = 0; I < Clauses.size(); ++I)
     attachClause(I);
 }

@@ -140,6 +140,13 @@ public:
   uint32_t numVars() const { return VarCount; }
   size_t numClauses() const { return Clauses.size(); }
 
+  /// Makes room for \p Vars more variables and \p Clauses more clauses
+  /// holding \p Literals literals in all: adding that much to a fresh
+  /// solver grows no container. A capacity hint only: any count, too
+  /// small or too large, leaves every result and the whole search
+  /// unchanged.
+  void reserve(size_t Vars, size_t Clauses, size_t Literals);
+
   /// Overrides the saved phase of \p V, steering the next free decision
   /// on it. The placement shrink search pins its bound-selector variables
   /// to false so an unassumed selector never tightens a bound on its own.
@@ -274,8 +281,18 @@ private:
     ClauseRef Ref;
     Lit Blocker;
   };
+  /// One literal's watch list: WatchPool[Offset, Offset + Size), in a
+  /// block of Capacity watchers.
+  struct WatchList {
+    uint32_t Offset = 0;
+    uint32_t Size = 0;
+    uint32_t Capacity = 0;
+  };
 
   Lit *lits(const Clause &C) { return Arena.data() + C.Offset; }
+  /// Appends \p W to \p L's watch list. A full list moves to the end of
+  /// the pool with twice the capacity, which may reallocate the pool.
+  void watch(Lit L, Watcher W);
 
   /// The one add path behind addClause/addBinary/addUnit: sorts and
   /// filters \p Lits in place, then adds what is left.
@@ -317,8 +334,9 @@ private:
 
   uint32_t VarCount = 0;
   std::vector<Clause> Clauses;
-  std::vector<Lit> Arena;                    // every clause's literals
-  std::vector<std::vector<Watcher>> Watches; // indexed by Lit::index()
+  std::vector<Lit> Arena;          // every clause's literals
+  std::vector<WatchList> Watches;  // indexed by Lit::index()
+  std::vector<Watcher> WatchPool;  // live and abandoned watch-list blocks
 
   // Assignment trail.
   std::vector<LBool> Assign;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -876,4 +877,130 @@ TEST(Sat, AssumptionProofIsRup) {
   EXPECT_EQ(R.Rejected, SIZE_MAX);
   EXPECT_EQ(R.Lemmas, 40u);
   EXPECT_FALSE(R.Refuted);
+}
+
+TEST(Sat, ReserveIsOnlyACapacityHint) {
+  // A reservation sets capacity and nothing else. Both pinned
+  // trajectories above come out the same with no reservation, with an
+  // exact one, and with one far too short, which every container
+  // outgrows at once.
+  struct Reservation {
+    size_t Vars, Clauses, Literals;
+  };
+  constexpr unsigned Pigeons = 7, Holes = 6, Extra = 2;
+  // PHP(7,6): one variable per pigeon and hole, one at-least-one clause
+  // of Holes literals per pigeon, one binary per hole and pigeon pair.
+  constexpr size_t PhpVars = Pigeons * Holes;
+  constexpr size_t Binaries = Holes * Pigeons * (Pigeons - 1) / 2;
+  const std::optional<Reservation> Plain[] = {
+      std::nullopt,
+      Reservation{PhpVars, Pigeons + Binaries,
+                  Pigeons * Holes + 2 * Binaries},
+      Reservation{1, 1, 1}};
+  for (const std::optional<Reservation> &R : Plain) {
+    SCOPED_TRACE(R ? "plain, " + std::to_string(R->Vars) + " vars reserved"
+                   : std::string("plain, no reservation"));
+    Solver S;
+    if (R)
+      S.reserve(R->Vars, R->Clauses, R->Literals);
+    ProofWriter Proof;
+    S.setProof(&Proof);
+    std::vector<std::vector<Var>> P;
+    addPigeonhole(S, Pigeons, Holes, {}, P);
+    ASSERT_EQ(S.solve(), Outcome::Unsat);
+    const Solver::Statistics &St = S.stats();
+    EXPECT_EQ(St.Decisions, 852u);
+    EXPECT_EQ(St.Propagations, 9178u);
+    EXPECT_EQ(St.Conflicts, 712u);
+    EXPECT_EQ(St.Restarts, 6u);
+    EXPECT_EQ(St.Learned, 708u);
+    EXPECT_EQ(Proof.str().size(), 34793u);
+    EXPECT_EQ(Proof.added(), 712u);
+    EXPECT_EQ(Proof.deleted(), 279u);
+    EXPECT_EQ(fnv1a64(Proof.str()), 0xcd5b5c7451b6c157ull);
+  }
+
+  // With selectors: Pigeons + Extra more variables, every at-least-one
+  // clause one literal longer, and Extra more binaries.
+  const std::optional<Reservation> Selected[] = {
+      std::nullopt,
+      Reservation{Pigeons + Extra + PhpVars, Pigeons + Binaries + Extra,
+                  Pigeons * (Holes + 1) + 2 * (Binaries + Extra)},
+      Reservation{1, 1, 1}};
+  for (const std::optional<Reservation> &R : Selected) {
+    SCOPED_TRACE(R ? "selectors, " + std::to_string(R->Vars) +
+                         " vars reserved"
+                   : std::string("selectors, no reservation"));
+    Solver S;
+    if (R)
+      S.reserve(R->Vars, R->Clauses, R->Literals);
+    ProofWriter Proof;
+    S.setProof(&Proof);
+    std::vector<Lit> Sel;
+    for (unsigned I = 0; I < Pigeons + Extra; ++I)
+      Sel.push_back(Lit(S.newVar()));
+    std::vector<std::vector<Var>> P;
+    addPigeonhole(S, Pigeons, Holes, Sel, P);
+    for (unsigned E = 0; E < Extra; ++E)
+      ASSERT_TRUE(S.addBinary(~Sel[Pigeons + E], Lit(P[E][E])));
+    ASSERT_EQ(S.solveWith(Sel), Outcome::Unsat);
+    const std::vector<Lit> Expected = {Sel[8], Sel[7], Sel[6], Sel[5],
+                                       Sel[4], Sel[3], Sel[2]};
+    EXPECT_EQ(S.unsatCore(), Expected);
+    EXPECT_EQ(S.minimizeCore(Sel, 2000), Expected);
+    const Solver::Statistics &St = S.stats();
+    EXPECT_EQ(St.Solves, 9u);
+    EXPECT_EQ(St.Decisions, 161u);
+    EXPECT_EQ(St.Propagations, 892u);
+    EXPECT_EQ(St.Conflicts, 38u);
+    EXPECT_EQ(St.Restarts, 0u);
+    EXPECT_EQ(St.Learned, 38u);
+    EXPECT_EQ(Proof.str().size(), 1859u);
+    EXPECT_EQ(Proof.added(), 40u);
+    EXPECT_EQ(fnv1a64(Proof.str()), 0x71e7dae0c1c420acull);
+  }
+}
+
+TEST(Sat, WatchPoolRegrowsMidPropagation) {
+  // N clauses (not-x or y or z_i), each with a fresh z_i, all watch
+  // not-x and y. The first decision sets x, and propagating it moves
+  // every watcher on x's list to its clause's z_i, whose list is empty:
+  // four new pool slots per move, 4N in all. Before the solve, x's and
+  // y's lists fill blocks of 4, 8, ..., N slots each, 4N - 8 in all, and
+  // a growing std::vector never has more spare room than its size. So
+  // without a reservation the pool reallocates before the walk of x's
+  // list ends, and the walk reads on from the new pool. (Under
+  // AddressSanitizer, a read through a pointer into the old pool is a
+  // heap-use-after-free.) A generous reservation lets the same solve run
+  // without any reallocation.
+  constexpr size_t N = 4096; // a power of two: the lists' blocks fit it
+  auto Run = [](bool Reserve, std::vector<bool> &Model) {
+    Solver S;
+    if (Reserve)
+      S.reserve(2 * (N + 2), 2 * N, 6 * N);
+    Var X = S.newVar(), Y = S.newVar();
+    std::vector<std::vector<Lit>> Clauses;
+    for (size_t I = 0; I < N; ++I) {
+      Clauses.push_back({Lit(X, true), Lit(Y), Lit(S.newVar())});
+      EXPECT_TRUE(S.addClause(Clauses.back()));
+    }
+    EXPECT_EQ(S.solve(), Outcome::Sat);
+    EXPECT_TRUE(satisfies(Clauses, S));
+    Model.clear();
+    for (Var V = 0; V < S.numVars(); ++V)
+      Model.push_back(S.value(V));
+    return S.stats();
+  };
+  std::vector<bool> Grown, Reserved;
+  Solver::Statistics A = Run(false, Grown);
+  Solver::Statistics B = Run(true, Reserved);
+  EXPECT_EQ(Grown, Reserved);
+  EXPECT_EQ(A.Decisions, B.Decisions);
+  EXPECT_EQ(A.Propagations, B.Propagations);
+  EXPECT_EQ(A.Conflicts, B.Conflicts);
+  EXPECT_EQ(A.Restarts, B.Restarts);
+  EXPECT_EQ(A.Learned, B.Learned);
+  // One decision per variable, x first, and nothing else to search.
+  EXPECT_EQ(A.Decisions, N + 2);
+  EXPECT_EQ(A.Conflicts, 0u);
 }
