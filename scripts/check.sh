@@ -14,8 +14,8 @@
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
 # packed waveform path, the gate-level vm-netlist lowering, the
 # malformed-input diagnostics of the lexer and the DIMACS reader, and
-# the SAT solver's clause arena and watcher pool under placement (both
-# shrink modes, with proof logs). Run from anywhere; builds into
+# the SAT solver's clause arena and watcher pool under placement (with
+# proof logs). Run from anywhere; builds into
 # <repo>/build (plus build-tsan/ and build-asan/ siblings).
 set -eu
 
@@ -46,7 +46,7 @@ trap 'rm -rf "$out"' EXIT
 "$build/tools/json_check" --require=schema --require=program \
     --require=timings.total_ms --require=timings.parse_ms \
     --require=place.sat.decisions \
-    --require=sat.solver_mode --require=sat.shrink_ms \
+    --require=sat.shrink_ms \
     --require=sat.incremental.probes --require=sat.incremental.encodes \
     --require=sat.incremental.reused_clauses \
     --require=utilization.luts "$out/stats.json"
@@ -208,7 +208,7 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
     # Opt-in: the microbenchmarks are informative, not gating, so the
     # default run skips them. Any bench binary the build produced runs
     # once with its defaults; each writes its BENCH_*.json into $out.
-    for bench in sim_throughput place_throughput fig4_dsp_add \
+    for bench in sim_throughput fig4_dsp_add \
                  fig13a_tensoradd fig13b_tensordot fig13c_fsm \
                  compile_time ablation; do
         if [ -x "$build/bench/$bench" ]; then
@@ -228,11 +228,6 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
          "$(grep -c '"cycles_per_sec"' "$out/BENCH_sim.json")"
     grep -q '"profiled"' "$out/BENCH_sim.json"
     grep -q '"overhead_vs_none"' "$out/BENCH_sim.json"
-    # The placement bench doc carries the per-mode series rows and the
-    # scratch-vs-persistent speedup block the acceptance bar reads.
-    "$build/tools/json_check" --require=schema --require=figure \
-        --nonempty=series --nonempty=speedup "$out/BENCH_place.json"
-    grep -q '"incremental_vs_scratch"' "$out/BENCH_place.json"
 fi
 
 echo "== ThreadSanitizer build: concurrent batch compile =="
@@ -272,8 +267,8 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # across a reduceDb compaction of the arena, dangles; propagation pushes
 # onto the pool while it walks a list in it. sat_test, place_test and
 # batch_test drive both through learning, reduction and the placement
-# encoders, and proof compiles per shrink mode drive them through real
-# SAT-backed probes (one persistent solver, then a fresh one per probe):
+# encoders, and two proof compiles drive them through a fresh initial
+# solve and the persistent solver's SAT-backed shrink probes:
 # fsm_shrink.ret on the small device, and fsm_42.ret on the default
 # device at 150k variables and 399k clauses.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
@@ -292,20 +287,16 @@ cmake --build "$repo/build-asan" -j"$jobs" \
 "$repo/build-asan/tests/sat_test"
 "$repo/build-asan/tests/place_test"
 "$repo/build-asan/tests/batch_test"
-for mode in incremental scratch; do
-    "$repo/build-asan/tools/reticlec" --device=small --emit=placed \
-        --sat-solver="$mode" \
-        --sat-proof="$out/fsm_shrink.$mode.asan.proof" \
-        -o "$out/fsm_shrink.$mode.asan.rasm" \
-        "$repo/tests/inputs/fsm_shrink.ret"
-    test -s "$out/fsm_shrink.$mode.asan.proof"
-    "$repo/build-asan/tools/reticlec" --emit=placed \
-        --sat-solver="$mode" \
-        --sat-proof="$out/fsm_42.$mode.asan.proof" \
-        -o "$out/fsm_42.$mode.asan.rasm" \
-        "$repo/tests/inputs/fsm_42.ret"
-    test -s "$out/fsm_42.$mode.asan.proof"
-done
+"$repo/build-asan/tools/reticlec" --device=small --emit=placed \
+    --sat-proof="$out/fsm_shrink.asan.proof" \
+    -o "$out/fsm_shrink.asan.rasm" \
+    "$repo/tests/inputs/fsm_shrink.ret"
+test -s "$out/fsm_shrink.asan.proof"
+"$repo/build-asan/tools/reticlec" --emit=placed \
+    --sat-proof="$out/fsm_42.asan.proof" \
+    -o "$out/fsm_42.asan.rasm" \
+    "$repo/tests/inputs/fsm_42.ret"
+test -s "$out/fsm_42.asan.proof"
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

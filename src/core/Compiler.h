@@ -55,9 +55,8 @@ struct CompileOptions {
   bool Cascade = true;
   /// Run the placement shrinking passes (Section 5.3).
   bool Shrink = true;
-  /// Shrink-search solver strategy (`--sat-solver=`): Scratch re-encodes
-  /// per probe, Incremental keeps one solver across probes.
-  place::SatMode SatMode = place::SatMode::Incremental;
+  /// Unused; kept only so perfbench builds. Delete with its assignment there.
+  unsigned SatMode = 0;
   /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned SatThreads = 4;
   /// Record a DRAT-style proof log of the placement SAT searches into

@@ -156,7 +156,6 @@ public:
              const CompileOptions &Options) override {
     place::PlacementOptions PlaceOptions;
     PlaceOptions.Shrink = Options.Shrink;
-    PlaceOptions.Mode = Options.SatMode;
     sat::ProofWriter Proof;
     if (Options.SatProof)
       PlaceOptions.Proof = &Proof;

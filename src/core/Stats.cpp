@@ -72,10 +72,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
   // block above stays as the compact aggregate consumers already depend
   // on; this section carries the full profile.
   Json SatProfile = Json::object();
-  SatProfile.set("solver_mode",
-                 Result.PlaceStats.Mode == place::SatMode::Scratch
-                     ? "scratch"
-                     : "incremental");
   SatProfile.set("solves", Result.PlaceStats.Solves);
   SatProfile.set("budget_exhausted", Result.PlaceStats.BudgetExhausted);
   SatProfile.set("time_ms", Result.PlaceStats.SatMs);

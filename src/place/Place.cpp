@@ -53,6 +53,15 @@ struct Candidate {
   std::vector<device::Slot> Slots; // one per member, in member order
 };
 
+/// The initial solve's cap on enumerated base positions per cluster; it
+/// grows (up to full enumeration) while the capped encoding is
+/// unsatisfiable.
+constexpr size_t InitialCandidateCap = 128;
+
+/// Conflicts a shrink probe may spend before it gives up and keeps the
+/// bound: probes give up rather than fight pigeonhole-hard instances.
+constexpr uint64_t ProbeConflictBudget = 50000;
+
 /// Per-kind area bounds used by the shrinking passes (exclusive).
 struct Bounds {
   unsigned MaxColumn = 0; ///< columns with index <= MaxColumn usable
@@ -247,20 +256,30 @@ private:
     /// arithmetic precheck or an empty candidate range).
     bool SatBacked = false;
   };
-  /// One SAT attempt under the given bounds. On success fills
-  /// \p Assignment with the chosen candidate per non-fixed cluster. A
-  /// nonzero \p ConflictBudget bounds the search (shrinking attempts give
-  /// up rather than fight pigeonhole-hard instances). With \p Explain set,
-  /// an unsatisfiable attempt is additionally explained: the encoding is
-  /// re-emitted with one selector literal per constraint group, the
-  /// failed-assumption core is extracted and minimized, and each surviving
-  /// group is reported as a named sat:core remark and a
-  /// PlacementStats::Core entry.
+  /// One SAT attempt on a fresh encoding under the given bounds, with at
+  /// most \p Cap candidates per cluster: the initial solve. On success
+  /// fills \p Assignment with the chosen candidate per non-fixed cluster.
+  /// With \p Explain set, an unsatisfiable attempt is additionally
+  /// explained: the encoding is re-emitted with one selector literal per
+  /// constraint group, the failed-assumption core is extracted and
+  /// minimized, and each surviving group is reported as a named sat:core
+  /// remark and a PlacementStats::Core entry.
   enum class Attempt { Sat, Unsat, Error };
   Attempt solveOnce(const Bounds &B, size_t Cap,
                     std::vector<Candidate> &Assignment, std::string &Err,
-                    uint64_t ConflictBudget = 0, bool Explain = false,
-                    SolveInfo *Info = nullptr);
+                    bool Explain, SolveInfo &Info);
+  /// The tail every SAT-backed attempt shares: solves \p S, under
+  /// \p Assumps when given and within \p ConflictBudget conflicts when
+  /// nonzero; adds the solve's statistics delta to PlacementStats, reports
+  /// its effort in \p Info and its outcome on \p Sp, and on SAT decodes
+  /// the model into \p Assignment: the candidate of \p Cands whose
+  /// variable in \p Vars is true, per cluster.
+  Attempt solveAndDecode(sat::Solver &S, const std::vector<sat::Lit> *Assumps,
+                         uint64_t ConflictBudget,
+                         const std::vector<std::vector<Candidate>> &Cands,
+                         const std::vector<std::vector<sat::Var>> &Vars,
+                         std::vector<Candidate> &Assignment, std::string &Err,
+                         SolveInfo &Info, obs::Span &Sp);
   /// Records one named core constraint (stats + sat:core remark).
   void noteCore(const std::string &Kind, const std::string &Instr,
                 const std::string &Detail);
@@ -279,20 +298,18 @@ private:
   /// solver is reused across probes.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
 
-  /// Persistent shrink-search state (Incremental mode): one
-  /// encoding built lazily at the first SAT-backed probe and reused —
-  /// learned clauses, activities and saved phases included — for every
-  /// probe after it. Area bounds are not re-encoded per probe; they are
-  /// assumption literals over the Kill ladders below.
+  /// Persistent shrink-search state: one encoding built lazily at the
+  /// first SAT-backed probe and reused — learned clauses, activities and
+  /// saved phases included — for every probe after it. Area bounds are
+  /// not re-encoded per probe; they are assumption literals over the Kill
+  /// ladders below.
   struct Persistent {
     /// The encoding's bounding box. Columns are clamped to the initial
-    /// solution's used columns — the binary search never probes above
+    /// solution's used columns: the binary search never probes above
     /// them, and a device-wide enumeration (63x148 positions per cluster
-    /// on xczu3eg) costs more to build and propagate than every scratch
-    /// re-encoding combined. Rows stay at full device height: the column
-    /// pass probes with the row bound still wide open, and dropping
-    /// high-row candidates there would prune layouts scratch mode can
-    /// reach.
+    /// on xczu3eg) is costly to build and propagate. Rows stay at full
+    /// device height: the column pass probes with the row bound still
+    /// wide open, so every row is reachable there.
     Bounds Box{0, 0};
     std::unique_ptr<sat::Solver> Inc; // null until the first build
     /// Full-bounds candidates and their variables, per cluster.
@@ -309,9 +326,9 @@ private:
     std::vector<sat::Var> RowKill;
     /// Empty-range precheck table: MinRow[I][c] is the smallest row
     /// footprint over cluster I's candidates whose column footprint is
-    /// <= c (UINT_MAX: none). Replicates scratch mode's "enumerate came
-    /// back empty" verdict without touching the solver, keeping such
-    /// probes at zero conflicts/decisions in every mode.
+    /// <= c (UINT_MAX: none). Gives a fresh bounded enumeration's "no
+    /// candidates" verdict without touching the solver, keeping such
+    /// probes at zero conflicts/decisions.
     std::vector<std::vector<unsigned>> MinRow;
     size_t ProblemClauses = 0;
   };
@@ -324,7 +341,7 @@ private:
   /// One shrink probe against the persistent solver: prechecks, then a
   /// bounds-as-assumptions solve on the retained encoding.
   Attempt probe(const Bounds &B, std::vector<Candidate> &Assignment,
-                std::string &Err, uint64_t ConflictBudget, SolveInfo *Info);
+                std::string &Err, SolveInfo &Info);
 
   const AsmProgram &Prog;
   const device::Device &Dev;
@@ -514,24 +531,29 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
     Demand[C.Prim] += C.Members.size();
   // Tall clusters (cascade chains) need that many *consecutive* rows in
   // one column; bound the number of placeable tall clusters per kind by
-  // the shortest chain height. This is a sound relaxation that rejects
-  // the pigeonhole-shaped shrink probes arithmetically.
+  // the shortest chain height. A cluster's height is its longest run of
+  // consecutive row offsets among members sharing one column expression:
+  // a row gap or a member in another column leaves room for other
+  // clusters to interleave. This is a sound relaxation that rejects the
+  // pigeonhole-shaped shrink probes arithmetically.
   std::map<ir::Resource, std::pair<size_t, unsigned>> TallClusters;
+  std::vector<std::tuple<bool, int64_t, int64_t>> Cells;
   for (const Cluster &C : Clusters) {
-    int64_t MinDy = 0, MaxDy = 0;
-    bool First = true;
-    for (const Member &M : C.Members) {
-      if (!M.Y.isVar())
-        continue;
-      if (First) {
-        MinDy = MaxDy = M.Y.offset();
-        First = false;
-      } else {
-        MinDy = std::min(MinDy, M.Y.offset());
-        MaxDy = std::max(MaxDy, M.Y.offset());
-      }
+    // (column is a variable, column offset, row offset) per member whose
+    // row is relative.
+    Cells.clear();
+    for (const Member &M : C.Members)
+      if (M.Y.isVar())
+        Cells.emplace_back(M.X.isVar(), M.X.offset(), M.Y.offset());
+    std::sort(Cells.begin(), Cells.end());
+    Cells.erase(std::unique(Cells.begin(), Cells.end()), Cells.end());
+    unsigned Height = 1, Run = 1;
+    for (size_t I = 1; I < Cells.size(); ++I) {
+      auto [PrevVar, PrevX, PrevY] = Cells[I - 1];
+      auto [Var, X, Y] = Cells[I];
+      Run = Var == PrevVar && X == PrevX && Y == PrevY + 1 ? Run + 1 : 1;
+      Height = std::max(Height, Run);
     }
-    unsigned Height = First ? 1 : static_cast<unsigned>(MaxDy - MinDy + 1);
     if (Height < 2)
       continue;
     auto &[Count, MinHeight] = TallClusters[C.Prim];
@@ -598,11 +620,9 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
 
 Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
                                   std::vector<Candidate> &Assignment,
-                                  std::string &Err,
-                                  uint64_t ConflictBudget, bool Explain,
-                                  SolveInfo *Info) {
-  if (Info)
-    *Info = {};
+                                  std::string &Err, bool Explain,
+                                  SolveInfo &Info) {
+  Info = {};
   obs::Span Sp(Ctx, "place.solve");
   Sp.arg("max_col", B.MaxColumn);
   Sp.arg("max_row", B.MaxRow);
@@ -651,26 +671,36 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
     Stats->Clauses = static_cast<unsigned>(S.numClauses());
   }
   Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-  // Snapshot-and-delta accounting: exact whether the solver is fresh (as
-  // here) or reused, and immune to the double-count a cumulative
-  // `Stats += S.stats()` produces on a persistent solver.
+  Attempt A = solveAndDecode(S, /*Assumps=*/nullptr, /*ConflictBudget=*/0,
+                             Cands, Vars, Assignment, Err, Info, Sp);
+  // The search is unbounded, so an UNSAT here is proved and has a
+  // refutation to extract a core from.
+  if (A == Attempt::Unsat && Explain)
+    explainUnsat(Cands);
+  return A;
+}
+
+Placer::Attempt Placer::solveAndDecode(
+    sat::Solver &S, const std::vector<sat::Lit> *Assumps,
+    uint64_t ConflictBudget, const std::vector<std::vector<Candidate>> &Cands,
+    const std::vector<std::vector<sat::Var>> &Vars,
+    std::vector<Candidate> &Assignment, std::string &Err, SolveInfo &Info,
+    obs::Span &Sp) {
+  // Snapshot-and-delta accounting: exact whether the solver is fresh or
+  // reused, and immune to the double-count a cumulative
+  // `Stats += S.stats()` produces on the persistent solver.
   const sat::Solver::Statistics StatsBefore = S.stats();
-  sat::Outcome O = S.solve(ConflictBudget);
-  accumulate(sat::Solver::Statistics::delta(S.stats(), StatsBefore),
-             O == sat::Outcome::Unknown);
-  if (Info) {
-    const sat::Solver::SolveProfile &P = S.lastProfile();
-    Info->Conflicts = P.Conflicts;
-    Info->Decisions = P.Decisions;
-    Info->BudgetExhausted = O == sat::Outcome::Unknown;
-    Info->SatBacked = true;
-  }
+  sat::Outcome O = Assumps ? S.solveWith(*Assumps, ConflictBudget)
+                           : S.solve(ConflictBudget);
+  sat::Solver::Statistics D =
+      sat::Solver::Statistics::delta(S.stats(), StatsBefore);
+  accumulate(D, O == sat::Outcome::Unknown);
+  Info.Conflicts = D.Conflicts;
+  Info.Decisions = D.Decisions;
+  Info.BudgetExhausted = O == sat::Outcome::Unknown;
+  Info.SatBacked = true;
   if (O != sat::Outcome::Sat) {
     Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
-    // Explain only a *proved* UNSAT: a budget-exhausted attempt has no
-    // refutation to extract a core from.
-    if (Explain && O == sat::Outcome::Unsat)
-      explainUnsat(Cands);
     return Attempt::Unsat; // Unknown (budget hit) also counts as no-shrink
   }
   Sp.arg("outcome", "sat");
@@ -731,8 +761,8 @@ static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
 }
 
 void Placer::encodePersistent(sat::Solver &S) {
-  // The same constraints as solveOnce's per-probe encoding, through the
-  // same helper. A bounded probe's encoding is this one minus the killed
+  // The same constraints as solveOnce's fresh encoding, through the same
+  // helper. A bounded probe's encoding is this one minus the killed
   // candidates, and the kill guards propagate those false before any free
   // decision, so the persistent solver explores the same restricted space.
   // The ladders below add one variable per column and row, a monotone
@@ -825,10 +855,8 @@ Status Placer::buildPersistent() {
 
 Placer::Attempt Placer::probe(const Bounds &B,
                               std::vector<Candidate> &Assignment,
-                              std::string &Err, uint64_t ConflictBudget,
-                              SolveInfo *Info) {
-  if (Info)
-    *Info = {};
+                              std::string &Err, SolveInfo &Info) {
+  Info = {};
   obs::Span Sp(Ctx, "place.solve");
   Sp.arg("max_col", B.MaxColumn);
   Sp.arg("max_row", B.MaxRow);
@@ -843,9 +871,9 @@ Placer::Attempt Placer::probe(const Bounds &B,
       return Attempt::Error;
     }
 
-  // Empty-range precheck in cluster order, mirroring scratch mode's
-  // "enumerate came back empty" verdict: such probes never reach the
-  // solver and report zero conflicts/decisions in every mode.
+  // Empty-range precheck in cluster order, the verdict a fresh bounded
+  // enumeration would reach: such probes never reach the solver and
+  // report zero conflicts/decisions.
   for (size_t I = 0; I < Clusters.size(); ++I) {
     unsigned C = std::min(B.MaxColumn, Persist.Box.MaxColumn);
     unsigned Need = Persist.MinRow[I][C];
@@ -876,17 +904,8 @@ Placer::Attempt Placer::probe(const Bounds &B,
   if (B.MaxRow < Persist.Box.MaxRow)
     Assumps.push_back(sat::Lit(Persist.RowKill[B.MaxRow + 1]));
 
-  const sat::Solver::Statistics StatsBefore = S.stats();
-  sat::Outcome O = S.solveWith(Assumps, ConflictBudget);
-  sat::Solver::Statistics D =
-      sat::Solver::Statistics::delta(S.stats(), StatsBefore);
-  accumulate(D, O == sat::Outcome::Unknown);
-  if (Info) {
-    Info->Conflicts = D.Conflicts;
-    Info->Decisions = D.Decisions;
-    Info->BudgetExhausted = O == sat::Outcome::Unknown;
-    Info->SatBacked = true;
-  }
+  Attempt A = solveAndDecode(S, &Assumps, ProbeConflictBudget, Persist.Cands,
+                             Persist.Vars, Assignment, Err, Info, Sp);
 
   // Re-arm the ladder phases: search may have saved a true phase on a
   // kill variable; the next probe must again reach them last and false.
@@ -894,29 +913,7 @@ Placer::Attempt Placer::probe(const Bounds &B,
     S.setPhase(V, false);
   for (sat::Var V : Persist.RowKill)
     S.setPhase(V, false);
-
-  if (O != sat::Outcome::Sat) {
-    Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
-    return Attempt::Unsat;
-  }
-  Sp.arg("outcome", "sat");
-
-  Assignment.clear();
-  Assignment.resize(Clusters.size());
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    bool Chosen = false;
-    for (size_t K = 0; K < Persist.Vars[I].size(); ++K)
-      if (S.value(Persist.Vars[I][K])) {
-        Assignment[I] = Persist.Cands[I][K];
-        Chosen = true;
-        break;
-      }
-    if (!Chosen) {
-      Err = "internal error: satisfiable model without a chosen candidate";
-      return Attempt::Error;
-    }
-  }
-  return Attempt::Sat;
+  return A;
 }
 
 void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
@@ -1023,8 +1020,6 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
 
 Result<AsmProgram> Placer::run() {
   ++Ctx.counter("place.runs");
-  if (Stats)
-    Stats->Mode = Options.Mode;
   if (Status St = buildClusters(); !St)
     return fail<AsmProgram>(St.error());
   Ctx.counter("place.clusters") += Clusters.size();
@@ -1035,13 +1030,12 @@ Result<AsmProgram> Placer::run() {
   Full.MaxRow = TallestColumn ? TallestColumn - 1 : 0;
 
   // First solution: grow the candidate cap until satisfiable or fully
-  // enumerated. The initial solve is always from scratch, whatever the
-  // shrink mode: it is one solve (nothing to reuse) and it owns the
-  // UNSAT-explanation path.
+  // enumerated, each attempt on a fresh encoding. The initial solve owns
+  // the UNSAT-explanation path; the shrink probes below reuse one
+  // persistent solver.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
   FullCapVal = FullCap;
-  size_t Cap = std::max<size_t>(Options.InitialCandidateCap,
-                                2 * Clusters.size() + 8);
+  size_t Cap = std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
   std::vector<Candidate> BestAssignment;
   SolveInfo Info;
   while (true) {
@@ -1053,8 +1047,7 @@ Result<AsmProgram> Placer::run() {
     // an UNSAT there is worth explaining: solveOnce then extracts and
     // emits the named constraint core.
     Attempt A = solveOnce(Full, Cap, BestAssignment, Err,
-                          /*ConflictBudget=*/0, /*Explain=*/Cap >= FullCap,
-                          &Info);
+                          /*Explain=*/Cap >= FullCap, Info);
     if (A == Attempt::Error)
       return fail<AsmProgram>(Err);
     if (A == Attempt::Sat)
@@ -1102,9 +1095,8 @@ Result<AsmProgram> Placer::run() {
         .arg("device", Dev.name());
 
   // Shrinking passes: take the used area as the bound and binary-search a
-  // smaller one, re-running placement (Section 5.3). Scratch mode rebuilds
-  // the encoding per probe; Incremental probes one persistent solver with
-  // bounds as assumptions.
+  // smaller one, re-running placement (Section 5.3). Every probe goes to
+  // one persistent solver with the bounds as assumptions.
   auto ShrinkT0 = std::chrono::steady_clock::now();
   if (Options.Shrink && !Clusters.empty()) {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
@@ -1151,33 +1143,14 @@ Result<AsmProgram> Placer::run() {
           Options.Proof->comment(
               std::string("place: shrink probe axis=") +
               (Axis == 0 ? "col" : "row") + " bound=" + std::to_string(Mid));
-        Attempt A =
-            Options.Mode == SatMode::Scratch
-                ? solveOnce(Try, FullCap, Assignment, Err,
-                            /*ConflictBudget=*/50000, /*Explain=*/false,
-                            &Info)
-                : probe(Try, Assignment, Err, /*ConflictBudget=*/50000,
-                        &Info);
+        Attempt A = probe(Try, Assignment, Err, Info);
         if (A == Attempt::Error)
           return fail<AsmProgram>(Err);
-        if (Stats) {
-          if (Info.SatBacked) {
-            ++Stats->IncrementalProbes;
-            // Scratch re-encodes per SAT-backed probe; the persistent
-            // mode counts its one build inside buildPersistent().
-            if (Options.Mode == SatMode::Scratch)
-              ++Stats->IncrementalEncodes;
-          } else {
-            ++Stats->PrecheckProbes;
-          }
-        }
-        if (Info.SatBacked) {
-          Ctx.counter("sat.incremental.probes") += 1;
-          if (Options.Mode == SatMode::Scratch)
-            Ctx.counter("sat.incremental.encodes") += 1;
-        } else {
-          Ctx.counter("sat.incremental.precheck_probes") += 1;
-        }
+        if (Stats)
+          ++(Info.SatBacked ? Stats->IncrementalProbes
+                            : Stats->PrecheckProbes);
+        Ctx.counter(Info.SatBacked ? "sat.incremental.probes"
+                                   : "sat.incremental.precheck_probes") += 1;
         Sp.arg("fits", A == Attempt::Sat ? "yes" : "no");
         const char *OutcomeName = A == Attempt::Sat ? "sat"
                                   : Info.BudgetExhausted ? "budget_exhausted"

@@ -44,31 +44,18 @@ class ProofWriter;
 
 namespace place {
 
-/// How the shrink search drives the SAT solver.
-///
-///  - Scratch: every probe builds and solves a fresh encoding (the
-///    historical behavior; kept as the equivalence oracle).
-///  - Incremental: one persistent solver carries the full-bounds encoding
-///    across all probes; per-kind area bounds become assumption literals
-///    over a ladder of "kill" selectors, so learned clauses, variable
-///    activities and saved phases survive from probe to probe.
-enum class SatMode : uint8_t { Scratch, Incremental };
-
 /// Tuning knobs for placement.
 struct PlacementOptions {
   /// Run the binary-search shrinking passes after the first solution.
+  /// The first solution comes from a fresh encoding whose per-cluster
+  /// candidate cap grows until it is satisfiable; every shrink probe then
+  /// goes to one persistent solver that carries the full-bounds encoding,
+  /// with the tried area bounds as assumption literals over a ladder of
+  /// "kill" selectors, so learned clauses, variable activities and saved
+  /// phases survive from probe to probe.
   bool Shrink = true;
-  /// Initial cap on enumerated base positions per cluster; grows
-  /// automatically (up to full enumeration) when the capped encoding is
-  /// unsatisfiable.
-  unsigned InitialCandidateCap = 128;
-  /// Shrink-probe solver strategy. The initial solve (cap growth and
-  /// UNSAT explanation) is always from scratch; the mode governs the
-  /// shrink probes only. When every probe settles in the prechecks, the
-  /// placement is byte-identical across modes; otherwise only the final
-  /// area is guaranteed to agree (carried activities may pick another
-  /// layout of the same area).
-  SatMode Mode = SatMode::Incremental;
+  /// Unused; kept only so perfbench builds. Delete with its assignment there.
+  unsigned Mode = 0;
   /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned PortfolioLanes = 4;
   /// When set, every SAT search of the run appends DRAT-style proof lines
@@ -129,16 +116,13 @@ struct PlacementStats {
   std::array<uint64_t, 8> LearnedSizeHistogram{};
   unsigned MaxColumn = 0; ///< highest column used
   unsigned MaxRow = 0;    ///< highest row used
-  /// Which shrink strategy produced the run.
-  SatMode Mode = SatMode::Incremental;
-  /// Wall-clock of the whole shrink phase (persistent encoding build
-  /// included); the headline "placement solve time" the benchmarks
-  /// compare across modes.
+  /// Wall-clock of the whole shrink phase, persistent encoding build
+  /// included.
   double ShrinkMs = 0.0;
-  /// Reuse accounting for the persistent (Incremental) solver.
-  /// Scratch mode rebuilds per probe, so Encodes == SAT-backed probes
-  /// there; a persistent run encodes once however many probes follow.
-  uint64_t IncrementalEncodes = 0; ///< times a probe (re)built an encoding
+  /// Reuse accounting for the persistent shrink solver: it is built at the
+  /// first SAT-backed probe, so a run encodes once (or never, when every
+  /// probe settles in the prechecks) however many probes follow.
+  uint64_t IncrementalEncodes = 0; ///< times a probe built an encoding
   uint64_t IncrementalProbes = 0;  ///< probes answered by the SAT solver
   uint64_t PrecheckProbes = 0;     ///< probes settled arithmetically (no SAT)
   uint64_t ReusedClauses = 0;      ///< problem clauses carried across probes

@@ -6,11 +6,21 @@
 
 #include "place/Place.h"
 
+#include "ir/Parser.h"
+#include "ir/Verifier.h"
+#include "isel/Cascade.h"
+#include "isel/Select.h"
 #include "rasm/AsmParser.h"
+#include "tdl/Ultrascale.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <functional>
 #include <random>
+#include <set>
+#include <sstream>
 
 using namespace reticle;
 using namespace reticle::place;
@@ -36,6 +46,59 @@ AsmProgram manyDspAdds(unsigned N) {
               ":i8 = add(a, b) @dsp(?\?, ?\?);\n";
   Source += "}\n";
   return parseOk(Source);
+}
+
+/// N clusters {@dsp(xI, yI), @dsp(xI+3, yI+2)}. Each straddles the two
+/// DSP columns of Device::small() (2 and 5, eight rows each), so at most
+/// six fit: x = 2, y = 0..5.
+AsmProgram crossColumnPairs(unsigned N) {
+  std::string Source = "def f(a:i8, b:i8) -> (p0:i8) {\n";
+  for (unsigned I = 0; I < N; ++I) {
+    std::string X = "x" + std::to_string(I), Y = "y" + std::to_string(I);
+    Source += "  p" + std::to_string(I) + ":i8 = add(a, b) @dsp(" + X +
+              ", " + Y + ");\n";
+    Source += "  q" + std::to_string(I) + ":i8 = add(a, b) @dsp(" + X +
+              "+3, " + Y + "+2);\n";
+  }
+  Source += "}\n";
+  return parseOk(Source);
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// What the compile pipeline hands to placement for the program at
+/// \p Path: parse, verify, select, then cascade with chains bounded by
+/// \p Dev's DSP column height.
+AsmProgram selectedAsm(const std::string &Path, const Device &Dev) {
+  Result<ir::Function> Fn = ir::parseFunction(slurp(Path));
+  EXPECT_TRUE(Fn.ok()) << Path << ": " << Fn.error();
+  Status Verified = ir::verify(Fn.value());
+  EXPECT_TRUE(Verified.ok()) << Verified.error();
+  Result<AsmProgram> Asm = isel::select(Fn.value(), tdl::ultrascale());
+  EXPECT_TRUE(Asm.ok()) << Asm.error();
+  AsmProgram Prog = Asm.take();
+  Status Cascaded = isel::cascadePass(
+      Prog, tdl::ultrascale(),
+      std::max(2u, Dev.maxHeight(ir::Resource::Dsp)));
+  EXPECT_TRUE(Cascaded.ok()) << Cascaded.error();
+  return Prog;
+}
+
+/// \p Dev cut down to columns 0..MaxColumn and rows 0..MaxRow, so that a
+/// placement on it is a placement within those bounds.
+Device truncated(const Device &Dev, unsigned MaxColumn, unsigned MaxRow) {
+  std::vector<device::Column> Columns;
+  for (unsigned X = 0; X <= MaxColumn && X < Dev.numColumns(); ++X) {
+    device::Column Col = Dev.columns()[X];
+    Col.Height = std::min(Col.Height, MaxRow + 1);
+    Columns.push_back(Col);
+  }
+  return Device(Dev.name(), std::move(Columns), Dev.lutsPerSlice());
 }
 
 } // namespace
@@ -221,6 +284,99 @@ TEST_P(PlaceRandomTest, RandomMixesAlwaysValidOrFail) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlaceRandomTest, ::testing::Range(0u, 25u));
 
+namespace {
+
+/// One draw of the justified-failure property: 1-5 clusters of 1-3
+/// members at distinct offsets, rows 0-3 (gaps allowed) and columns
+/// {0, Stride}, where Stride joins two columns of one kind (LUT columns 0
+/// and 2 of tiny, DSP columns 2 and 5 of small). A brute-force search over
+/// base positions decides feasibility, and placement must fail exactly
+/// when it finds no layout.
+void expectJustifiedVerdict(std::mt19937 &Rng) {
+  bool UseDsp = std::bernoulli_distribution(0.5)(Rng);
+  const Device Dev = UseDsp ? Device::small() : Device::tiny();
+  const ir::Resource Kind = UseDsp ? ir::Resource::Dsp : ir::Resource::Lut;
+  const unsigned Stride = UseDsp ? 3 : 2;
+  std::uniform_int_distribution<unsigned> ClusterDist(1, 5), MemberDist(1, 3),
+      RowDist(0, 3), ColumnDist(0, 1);
+  std::vector<std::vector<device::Slot>> Offsets(ClusterDist(Rng));
+  std::string Source = "def f(a:i8, b:i8) -> (t0:i8) {\n";
+  unsigned NumInstrs = 0;
+  for (size_t C = 0; C < Offsets.size(); ++C) {
+    unsigned Members = MemberDist(Rng);
+    while (Offsets[C].size() < Members) {
+      device::Slot Off{ColumnDist(Rng) * Stride, RowDist(Rng)};
+      if (std::find(Offsets[C].begin(), Offsets[C].end(), Off) !=
+          Offsets[C].end())
+        continue;
+      Offsets[C].push_back(Off);
+      auto Term = [&](const char *Var, unsigned Offset) {
+        return Var + std::to_string(C) +
+               (Offset ? "+" + std::to_string(Offset) : "");
+      };
+      Source += "  t" + std::to_string(NumInstrs++) + ":i8 = add(a, b) @" +
+                ir::resourceName(Kind) + "(" + Term("x", Off.X) + ", " +
+                Term("y", Off.Y) + ");\n";
+    }
+  }
+  Source += "}\n";
+
+  std::vector<std::vector<std::vector<device::Slot>>> Cands(Offsets.size());
+  for (size_t C = 0; C < Offsets.size(); ++C)
+    for (unsigned X = 0; X < Dev.numColumns(); ++X)
+      for (unsigned Y = 0; Y < Dev.maxHeight(Kind); ++Y) {
+        std::vector<device::Slot> Slots;
+        for (const device::Slot &Off : Offsets[C])
+          if (Dev.isValidSlot(Kind, X + Off.X, Y + Off.Y))
+            Slots.push_back({X + Off.X, Y + Off.Y});
+        if (Slots.size() == Offsets[C].size())
+          Cands[C].push_back(std::move(Slots));
+      }
+  std::set<device::Slot> Used;
+  std::function<bool(size_t)> Fits = [&](size_t C) {
+    if (C == Cands.size())
+      return true;
+    for (const std::vector<device::Slot> &Slots : Cands[C]) {
+      if (std::any_of(Slots.begin(), Slots.end(),
+                      [&](const device::Slot &S) { return Used.count(S); }))
+        continue;
+      Used.insert(Slots.begin(), Slots.end());
+      if (Fits(C + 1))
+        return true;
+      for (const device::Slot &S : Slots)
+        Used.erase(S);
+    }
+    return false;
+  };
+  bool Feasible = Fits(0);
+
+  AsmProgram P = parseOk(Source);
+  Result<AsmProgram> Placed = reticle::place::place(P, Dev);
+  EXPECT_EQ(Placed.ok(), Feasible)
+      << Dev.name() << "\n"
+      << Source << (Placed.ok() ? "" : Placed.error());
+  if (Placed.ok()) {
+    Status S = checkPlacement(P, Placed.value(), Dev);
+    EXPECT_TRUE(S.ok()) << S.error() << "\n" << Placed.value().str();
+  }
+}
+
+} // namespace
+
+class PlaceJustifiedFailureTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PlaceJustifiedFailureTest, FailsExactlyWhenNoLayoutExists) {
+  // Fifty draws per seed: a misjudged layout is rare among them.
+  std::mt19937 Rng(GetParam());
+  for (unsigned Draw = 0; Draw < 50; ++Draw) {
+    SCOPED_TRACE("draw " + std::to_string(Draw));
+    expectJustifiedVerdict(Rng);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlaceJustifiedFailureTest,
+                         ::testing::Range(0u, 40u));
+
 TEST(Place, CapacityCoreNamesResourceAndInstruction) {
   // 5 DSP instructions on a 4-slot device: the arithmetic precheck
   // refutes it, and the explanation must name the resource and a real
@@ -239,10 +395,11 @@ TEST(Place, CapacityCoreNamesResourceAndInstruction) {
 
 TEST(Place, SolverLevelUnsatYieldsMinimizedCore) {
   // Passes the capacity precheck (4 instructions, 4 slots) and the tall-
-  // cluster precheck (two chains of height >= 2, two segments fit), but no
-  // interleaving works: a contiguous pair and a gapped pair cannot share
-  // one column of four rows. The refutation must come from the SAT solver,
-  // and the minimized core must name the competing clusters.
+  // cluster precheck (one chain of height 2; the gapped pair is no run of
+  // consecutive rows, so it is not tall), but no interleaving works: a
+  // contiguous pair and a gapped pair cannot share one column of four
+  // rows. The refutation must come from the SAT solver, and the minimized
+  // core must name the competing clusters.
   AsmProgram P = parseOk(R"(
     def f(a:i8, b:i8) -> (p0:i8, p1:i8, q0:i8, q1:i8) {
       p0:i8 = add(a, b) @dsp(x, y);
@@ -269,6 +426,53 @@ TEST(Place, SolverLevelUnsatYieldsMinimizedCore) {
   // satisfiable, so the minimized core must keep both.
   EXPECT_TRUE(NamedP);
   EXPECT_TRUE(NamedQ);
+}
+
+TEST(Place, GappedPairsInterleave) {
+  // Two pairs of DSPs two rows apart fit the one four-row DSP column of
+  // tiny at rows {0, 2} and {1, 3}: a gapped pair needs no run of
+  // consecutive rows, so the tall-cluster precheck must not count it.
+  AsmProgram P = parseOk(R"(
+    def f(a:i8, b:i8) -> (p0:i8, p1:i8, q0:i8, q1:i8) {
+      p0:i8 = add(a, b) @dsp(x, y);
+      p1:i8 = add(a, b) @dsp(x, y+2);
+      q0:i8 = add(a, b) @dsp(u, v);
+      q1:i8 = add(a, b) @dsp(u, v+2);
+    }
+  )");
+  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  ASSERT_TRUE(Placed.ok()) << Placed.error();
+  Status S = checkPlacement(P, Placed.value(), Device::tiny());
+  EXPECT_TRUE(S.ok()) << S.error();
+}
+
+TEST(Place, CrossColumnClustersAreNotTall) {
+  // Each member of a cross-column pair sits alone in its column, so no
+  // cluster needs two consecutive rows anywhere; five and six of them fit.
+  for (unsigned N : {5u, 6u}) {
+    AsmProgram P = crossColumnPairs(N);
+    Result<AsmProgram> Placed = reticle::place::place(P, Device::small());
+    ASSERT_TRUE(Placed.ok()) << N << ": " << Placed.error();
+    Status S = checkPlacement(P, Placed.value(), Device::small());
+    EXPECT_TRUE(S.ok()) << N << ": " << S.error();
+  }
+}
+
+TEST(Place, SevenCrossColumnClustersFailInTheSolver) {
+  // Seven pairs demand 14 of the 16 DSP slots and none is tall, so both
+  // prechecks pass; the solver refutes seven clusters over six base
+  // positions, and its core names their choose-one constraints.
+  PlacementStats Stats;
+  Result<AsmProgram> Placed = reticle::place::place(
+      crossColumnPairs(7), Device::small(), PlacementOptions{}, &Stats);
+  ASSERT_FALSE(Placed.ok());
+  ASSERT_FALSE(Stats.Core.empty());
+  bool ChooseOne = false;
+  for (const CoreConstraint &C : Stats.Core) {
+    EXPECT_NE(C.Kind, "capacity") << C.Detail;
+    ChooseOne = ChooseOne || C.Kind == "choose-one";
+  }
+  EXPECT_TRUE(ChooseOne);
 }
 
 TEST(Place, TimelineRecordsInitialSolutionAndEveryProbe) {
@@ -307,41 +511,14 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
   EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
 }
 
-TEST(Place, SolverModesAgreeOnFinalArea) {
-  // Scratch and incremental shrink searches may pick different models
-  // once learnt clauses carry over, but they must land on the same shrunk
-  // bounding box and both pass the checker.
-  AsmProgram P = manyDspAdds(6);
-  unsigned Col[2], Row[2];
-  int I = 0;
-  for (SatMode Mode : {SatMode::Scratch, SatMode::Incremental}) {
-    PlacementOptions Options;
-    Options.Mode = Mode;
-    PlacementStats Stats;
-    Result<AsmProgram> Placed = reticle::place::place(
-        parseOk(P.str()), Device::small(), Options, &Stats);
-    ASSERT_TRUE(Placed.ok()) << Placed.error();
-    Status S = checkPlacement(P, Placed.value(), Device::small());
-    EXPECT_TRUE(S.ok()) << S.error();
-    EXPECT_EQ(Stats.Mode, Mode);
-    Col[I] = Stats.MaxColumn;
-    Row[I] = Stats.MaxRow;
-    ++I;
-  }
-  EXPECT_EQ(Col[0], Col[1]);
-  EXPECT_EQ(Row[0], Row[1]);
-}
-
 TEST(Place, IncrementalModeRecordsReuseStats) {
   // The persistent solver encodes at most once and attributes every
   // shrink probe as either precheck or SAT-backed; reused problem
   // clauses accumulate per SAT-backed probe.
   AsmProgram P = manyDspAdds(8);
-  PlacementOptions Options;
-  Options.Mode = SatMode::Incremental;
   PlacementStats Stats;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   // Timeline holds the initial frame plus one frame per shrink probe.
   EXPECT_EQ(Stats.IncrementalProbes + Stats.PrecheckProbes,
@@ -354,19 +531,75 @@ TEST(Place, IncrementalModeRecordsReuseStats) {
   EXPECT_GT(Stats.ShrinkMs, 0.0);
 }
 
-TEST(Place, ScratchModeMatchesHistoricalAccounting) {
-  // Scratch mode re-encodes per SAT-backed probe and never builds the
-  // persistent solver, so encodes == SAT-backed probes and nothing is
-  // reused.
-  AsmProgram P = manyDspAdds(8);
-  PlacementOptions Options;
-  Options.Mode = SatMode::Scratch;
-  PlacementStats Stats;
-  Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
-  ASSERT_TRUE(Placed.ok()) << Placed.error();
-  EXPECT_EQ(Stats.Mode, SatMode::Scratch);
-  EXPECT_EQ(Stats.IncrementalEncodes, Stats.IncrementalProbes);
-  EXPECT_EQ(Stats.ReusedClauses, 0u);
-  EXPECT_EQ(Stats.ReusedLearned, 0u);
+TEST(Place, PersistentProbesMatchFreshSolves) {
+  // Every shrink probe is answered by one persistent encoding with the
+  // tried bounds as assumptions. Each answer must be what a fresh solve of
+  // the same bounds gives: a no-shrink placement on the device cut down
+  // to them. A column probe tries (its bound, the tallest row); a row
+  // probe keeps the column bound the column pass settled on.
+  struct Input {
+    const char *Name;
+    AsmProgram Prog;
+    Device Dev;
+  };
+  std::string Dir = RETICLE_TEST_INPUTS_DIR;
+  std::vector<Input> Inputs;
+  Inputs.push_back({"fsm_shrink",
+                    selectedAsm(Dir + "/fsm_shrink.ret", Device::small()),
+                    Device::small()});
+  Inputs.push_back({"fsm_42",
+                    selectedAsm(Dir + "/fsm_42.ret", Device::xczu3eg()),
+                    Device::xczu3eg()});
+  // Three contiguous pairs and a gapped pair on the two eight-row DSP
+  // columns of small. The gapped pair strands the row between its
+  // members, so the column probes 2 and 4 (one DSP column) and the row
+  // probe 3 pass both prechecks and are refuted by the solver.
+  AsmProgram Designed = parseOk(R"(
+    def f(a:i8, b:i8) -> (p0:i8) {
+      p0:i8 = add(a, b) @dsp(x0, y0);
+      p1:i8 = add(a, b) @dsp(x0, y0+1);
+      q0:i8 = add(a, b) @dsp(x1, y1);
+      q1:i8 = add(a, b) @dsp(x1, y1+1);
+      r0:i8 = add(a, b) @dsp(x2, y2);
+      r1:i8 = add(a, b) @dsp(x2, y2+1);
+      g0:i8 = add(a, b) @dsp(u, v);
+      g1:i8 = add(a, b) @dsp(u, v+2);
+    }
+  )");
+  Inputs.push_back({"designed", std::move(Designed), Device::small()});
+
+  PlacementOptions Fresh;
+  Fresh.Shrink = false;
+  for (const Input &In : Inputs) {
+    PlacementStats Stats;
+    Result<AsmProgram> Placed =
+        reticle::place::place(In.Prog, In.Dev, PlacementOptions{}, &Stats);
+    ASSERT_TRUE(Placed.ok()) << In.Name << ": " << Placed.error();
+    // Each input reaches the persistent solver, not only the prechecks.
+    EXPECT_GT(Stats.IncrementalProbes, 0u) << In.Name;
+    unsigned TallestRow = std::max(In.Dev.maxHeight(ir::Resource::Lut),
+                                   In.Dev.maxHeight(ir::Resource::Dsp)) -
+                          1;
+    unsigned ColumnBound = Stats.Timeline.front().MaxColumn;
+    for (const ShrinkProbe &Probe : Stats.Timeline) {
+      if (Probe.ProbeAxis == ShrinkProbe::Axis::Initial)
+        continue;
+      bool Column = Probe.ProbeAxis == ShrinkProbe::Axis::Column;
+      unsigned C = Column ? Probe.Bound : ColumnBound;
+      unsigned R = Column ? TallestRow : Probe.Bound;
+      if (Column)
+        ColumnBound = Probe.MaxColumn;
+      if (Probe.Result == ShrinkProbe::Outcome::Budget)
+        continue;
+      bool Sat = Probe.Result == ShrinkProbe::Outcome::Sat;
+      Result<AsmProgram> Ref = reticle::place::place(
+          In.Prog, truncated(In.Dev, C, R), Fresh);
+      EXPECT_EQ(Ref.ok(), Sat)
+          << In.Name << " probe (" << C << ", " << R << ")";
+      if (Sat) {
+        EXPECT_LE(Probe.MaxColumn, C) << In.Name;
+        EXPECT_LE(Probe.MaxRow, R) << In.Name;
+      }
+    }
+  }
 }

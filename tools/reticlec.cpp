@@ -19,8 +19,6 @@
 ///     -O                                     run dce/fold/vectorize first
 ///     --no-cascade                           skip the cascade rewrite
 ///     --no-shrink                            skip placement shrinking
-///     --sat-solver=scratch|incremental       shrink-search solver strategy
-///                                            (incremental)
 ///     --sat-proof=<file|->                   DRAT-style proof log of the
 ///                                            placement SAT searches
 ///     --stats                                per-stage report on stderr
@@ -165,8 +163,6 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "  -O                                     run dce/fold/vectorize first\n"
       "  --no-cascade                           skip the cascade rewrite\n"
       "  --no-shrink                            skip placement shrinking\n"
-      "  --sat-solver=scratch|incremental       shrink-search solver strategy\n"
-      "                                         (incremental)\n"
       "  --sat-proof=<file|->                   DRAT-style proof log of the "
       "placement\n"
       "                                         SAT searches\n"
@@ -1098,15 +1094,6 @@ int main(int Argc, char **Argv) {
       Args.ProfileFoldedPath = Arg.substr(17);
       if (Args.ProfileFoldedPath.empty())
         return usageError("--profile-folded= requires a file path or '-'");
-    } else if (Arg.rfind("--sat-solver=", 0) == 0) {
-      std::string Value = Arg.substr(13);
-      if (Value == "scratch")
-        Args.Options.SatMode = place::SatMode::Scratch;
-      else if (Value == "incremental")
-        Args.Options.SatMode = place::SatMode::Incremental;
-      else
-        return usageError("unknown --sat-solver '" + Value +
-                          "' (valid: scratch, incremental)");
     } else if (Arg.rfind("--sat-proof=", 0) == 0) {
       Args.SatProofPath = Arg.substr(12);
       if (Args.SatProofPath.empty())
