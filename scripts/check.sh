@@ -9,8 +9,9 @@
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
 # additionally runs the microbenchmarks. After the primary build, two
 # hardening builds run: one under ThreadSanitizer exercising the
-# concurrent batch-compile path (including placements with SAT-backed
-# shrink probes) and concurrent compiled-simulation VM runs, and one
+# concurrent batch-compile path (including a placement that misses its
+# lower-bound box and makes a SAT-backed shrink probe) and concurrent
+# compiled-simulation VM runs, and one
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
 # packed waveform path, the gate-level vm-netlist lowering, the
 # malformed-input diagnostics of the lexer and the DIMACS reader, and
@@ -81,9 +82,9 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 #       examples/programs/mac.ret
 "$build/tools/json_check" remark_diff \
     "$repo/tests/goldens/mac/remarks.jsonl" "$out/remarks-a.jsonl"
-# The same ratchet for a compile that runs the shrink search (the placed
-# program and remark stream of tests/inputs/fsm_shrink.ret on the default
-# and the small device) runs in ctest as golden_fsm_shrink_*. If a change
+# The same ratchet for a placement of 49 clusters (the placed program and
+# remark stream of tests/inputs/fsm_shrink.ret on the default and the
+# small device) runs in ctest as golden_fsm_shrink_*. If a change
 # to the placement search is intentional, regenerate from the repo root
 # with
 #   build/tools/reticlec --emit=placed \
@@ -94,9 +95,9 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 #       -o tests/goldens/fsm_shrink/placed.small.rasm \
 #       --remarks-json=tests/goldens/fsm_shrink/remarks.small.jsonl \
 #       tests/inputs/fsm_shrink.ret
-# golden_fsm_42_* pins the same for tests/inputs/fsm_42.ret (a shrink
-# search of 150k variables and 6 SAT-backed probes on the default
-# device); regenerate with
+# golden_fsm_42_* pins the same for tests/inputs/fsm_42.ret (169 LUT
+# instructions whose one solve, 86k variables inside the lower-bound box
+# on the default device, settles the area); regenerate with
 #   build/tools/reticlec --emit=placed \
 #       -o tests/goldens/fsm_42/placed.rasm \
 #       --remarks-json=tests/goldens/fsm_42/remarks.jsonl \
@@ -231,8 +232,10 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
 fi
 
 echo "== ThreadSanitizer build: concurrent batch compile =="
-# fsm_shrink.ret on the small device runs SAT-backed shrink probes, so
-# four workers place concurrently through the solver, each on its own.
+# Four workers place concurrently through the solver, each on its own:
+# fsm_shrink.ret solves once inside its lower-bound box, and
+# mixed_chains.ret misses its box on the small device, so it also builds
+# the persistent solver for a SAT-backed shrink probe.
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
@@ -247,7 +250,8 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
     "$repo/examples/programs/mac.ret" \
     "$repo/examples/programs/dot3.ret" \
     "$repo/examples/programs/scalar_adds.ret" \
-    "$repo/tests/inputs/fsm_shrink.ret"
+    "$repo/tests/inputs/fsm_shrink.ret" \
+    "$repo/tests/inputs/mixed_chains.ret"
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
@@ -267,10 +271,14 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # across a reduceDb compaction of the arena, dangles; propagation pushes
 # onto the pool while it walks a list in it. sat_test, place_test and
 # batch_test drive both through learning, reduction and the placement
-# encoders, and two proof compiles drive them through a fresh initial
-# solve and the persistent solver's SAT-backed shrink probes:
-# fsm_shrink.ret on the small device, and fsm_42.ret on the default
-# device at 150k variables and 399k clauses.
+# encoders; place_test's chains of 60, 60 and 30 DSPs miss their
+# lower-bound box on the default device and take the persistent solver
+# through five SAT-backed probes with conflicts. Three proof compiles
+# drive both buffers under proof logging: fsm_shrink.ret on the small
+# device and fsm_42.ret on the default device (86k variables) each solve
+# once inside their lower-bound box, and mixed_chains.ret on the small
+# device misses its box, then runs a fresh full-device solve and the
+# persistent solver's SAT-backed shrink probe.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -297,6 +305,11 @@ test -s "$out/fsm_shrink.asan.proof"
     -o "$out/fsm_42.asan.rasm" \
     "$repo/tests/inputs/fsm_42.ret"
 test -s "$out/fsm_42.asan.proof"
+"$repo/build-asan/tools/reticlec" --device=small --emit=placed \
+    --sat-proof="$out/mixed_chains.asan.proof" \
+    -o "$out/mixed_chains.asan.rasm" \
+    "$repo/tests/inputs/mixed_chains.ret"
+test -s "$out/mixed_chains.asan.proof"
 "$repo/build-asan/tools/reticlec" --device=small \
     --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
     --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \

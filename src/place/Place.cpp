@@ -58,8 +58,9 @@ struct Candidate {
 /// unsatisfiable.
 constexpr size_t InitialCandidateCap = 128;
 
-/// Conflicts a shrink probe may spend before it gives up and keeps the
-/// bound: probes give up rather than fight pigeonhole-hard instances.
+/// Conflicts a shrink probe or a lower-bound attempt may spend before it
+/// gives up (a probe keeps its bound, the lower-bound box gives way to the
+/// full device) rather than fight pigeonhole-hard instances.
 constexpr uint64_t ProbeConflictBudget = 50000;
 
 /// Per-kind area bounds used by the shrinking passes (exclusive).
@@ -255,19 +256,24 @@ private:
     /// True when the attempt reached the SAT solver (false: settled by an
     /// arithmetic precheck or an empty candidate range).
     bool SatBacked = false;
+    /// True when the candidate cap cut some cluster's enumeration short,
+    /// so a larger cap could change the formula.
+    bool Capped = false;
   };
   /// One SAT attempt on a fresh encoding under the given bounds, with at
-  /// most \p Cap candidates per cluster: the initial solve. On success
+  /// most \p Cap candidates per cluster and, when \p ConflictBudget is
+  /// nonzero, at most that many conflicts: the initial solve. On success
   /// fills \p Assignment with the chosen candidate per non-fixed cluster.
-  /// With \p Explain set, an unsatisfiable attempt is additionally
-  /// explained: the encoding is re-emitted with one selector literal per
-  /// constraint group, the failed-assumption core is extracted and
-  /// minimized, and each surviving group is reported as a named sat:core
-  /// remark and a PlacementStats::Core entry.
+  /// With \p Explain set (and no budget, so an UNSAT is proved), an
+  /// unsatisfiable attempt is additionally explained: the encoding is
+  /// re-emitted with one selector literal per constraint group, the
+  /// failed-assumption core is extracted and minimized, and each surviving
+  /// group is reported as a named sat:core remark and a
+  /// PlacementStats::Core entry.
   enum class Attempt { Sat, Unsat, Error };
   Attempt solveOnce(const Bounds &B, size_t Cap,
                     std::vector<Candidate> &Assignment, std::string &Err,
-                    bool Explain, SolveInfo &Info);
+                    bool Explain, uint64_t ConflictBudget, SolveInfo &Info);
   /// The tail every SAT-backed attempt shares: solves \p S, under
   /// \p Assumps when given and within \p ConflictBudget conflicts when
   /// nonzero; adds the solve's statistics delta to PlacementStats, reports
@@ -287,10 +293,38 @@ private:
   /// attempt; \p Cands holds the enumerated candidates per cluster.
   void explainUnsat(const std::vector<std::vector<Candidate>> &Cands);
 
-  /// Arithmetic infeasibility precheck shared by every solve path: demand
-  /// vs capacity within the bounds, and cascade-chain segment capacity.
-  /// Returns true (and tags \p Sp) when \p B provably cannot fit.
+  /// What the placeable clusters demand of one resource kind, whatever
+  /// the bounds: member slots, and tall clusters (cascade chains) with the
+  /// shortest one's height.
+  struct KindDemand {
+    size_t Need = 0;
+    size_t TallNeed = 0;
+    unsigned MinHeight = 1;
+  };
+  /// Fills Demand from the clusters.
+  void tallyDemand();
+  /// The first resource kind whose demand does not fit within some bounds,
+  /// with the capacity it found there.
+  struct Shortfall {
+    ir::Resource Kind;
+    KindDemand D;
+    size_t Capacity = 0;
+    size_t SegmentCapacity = 0;
+  };
+  /// Arithmetic infeasibility precheck shared by every solve path, as a
+  /// pure predicate: demand vs capacity within \p B, and cascade-chain
+  /// segment capacity. Returns the shortfall when \p B provably cannot
+  /// fit. Monotone in each bound: a larger bound never removes capacity
+  /// or segments.
+  std::optional<Shortfall> capacityShortfall(const Bounds &B) const;
+  /// The precheck as a solve path runs it: returns true when \p B
+  /// provably cannot fit, tagging \p Sp and, with \p Explain, naming the
+  /// shortfall as a capacity core.
   bool capacityInfeasible(const Bounds &B, bool Explain, obs::Span &Sp);
+  /// The smallest bound on \p Axis (0: columns, 1: rows) that the
+  /// precheck admits with the other bound held at \p B's, found by
+  /// bisection below \p B's own bound, which must pass.
+  unsigned lowestAdmitted(Bounds B, int Axis) const;
 
   /// Delta-exact accumulation of one solve's effort into PlacementStats.
   /// Takes a Statistics *delta* (After - Before snapshots around the
@@ -352,6 +386,7 @@ private:
   std::vector<Cluster> Clusters;      // non-fixed
   std::vector<Cluster> FixedClusters; // fully literal
   std::set<device::Slot> FixedSlots;
+  std::map<ir::Resource, KindDemand> Demand; // set by tallyDemand()
 
   size_t FullCapVal = 0; // cap admitting full enumeration, set by run()
   Persistent Persist;
@@ -521,14 +556,12 @@ void Placer::noteCore(const std::string &Kind, const std::string &Instr,
         .arg("device", Dev.name());
 }
 
-bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
-                                obs::Span &Sp) {
+void Placer::tallyDemand() {
   // Capacity precheck: SAT needs no help recognizing that N instructions
   // cannot fit N-1 slots, but resolution proofs of pigeonhole formulas are
   // exponential, so rule the case out arithmetically first.
-  std::map<ir::Resource, size_t> Demand;
   for (const Cluster &C : Clusters)
-    Demand[C.Prim] += C.Members.size();
+    Demand[C.Prim].Need += C.Members.size();
   // Tall clusters (cascade chains) need that many *consecutive* rows in
   // one column; bound the number of placeable tall clusters per kind by
   // the shortest chain height. A cluster's height is its longest run of
@@ -536,7 +569,6 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
   // a row gap or a member in another column leaves room for other
   // clusters to interleave. This is a sound relaxation that rejects the
   // pigeonhole-shaped shrink probes arithmetically.
-  std::map<ir::Resource, std::pair<size_t, unsigned>> TallClusters;
   std::vector<std::tuple<bool, int64_t, int64_t>> Cells;
   for (const Cluster &C : Clusters) {
     // (column is a variable, column offset, row offset) per member whose
@@ -556,72 +588,88 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
     }
     if (Height < 2)
       continue;
-    auto &[Count, MinHeight] = TallClusters[C.Prim];
-    ++Count;
-    MinHeight = Count == 1 ? Height : std::min(MinHeight, Height);
+    KindDemand &D = Demand[C.Prim];
+    D.MinHeight = D.TallNeed == 0 ? Height : std::min(D.MinHeight, Height);
+    ++D.TallNeed;
   }
-  for (auto &[Kind, Need] : Demand) {
+}
+
+std::optional<Placer::Shortfall>
+Placer::capacityShortfall(const Bounds &B) const {
+  unsigned NumCols = std::min<unsigned>(Dev.numColumns(), B.MaxColumn + 1);
+  for (const auto &[Kind, D] : Demand) {
     size_t Capacity = 0;
     size_t SegmentCapacity = 0;
-    unsigned MinHeight = 1;
-    size_t TallNeed = 0;
-    if (auto It = TallClusters.find(Kind); It != TallClusters.end()) {
-      TallNeed = It->second.first;
-      MinHeight = It->second.second;
-    }
-    unsigned NumCols = std::min<unsigned>(Dev.numColumns(), B.MaxColumn + 1);
     for (unsigned X = 0; X < NumCols; ++X) {
       const device::Column &Col = Dev.columns()[X];
       if (Col.Kind != Kind)
         continue;
       unsigned Rows = std::min<unsigned>(Col.Height, B.MaxRow + 1);
       Capacity += Rows;
-      SegmentCapacity += Rows / MinHeight;
+      SegmentCapacity += Rows / D.MinHeight;
     }
     for (const device::Slot &S : FixedSlots)
       if (S.X <= B.MaxColumn && S.Y <= B.MaxRow &&
           Dev.columns()[S.X].Kind == Kind)
         --Capacity;
-    if (Need > Capacity || TallNeed > SegmentCapacity) {
-      Sp.arg("outcome", "precheck_unsat");
-      if (Explain) {
-        // Name the resource and a representative demanding instruction so
-        // the explanation points back into the program.
-        std::string Instr;
-        for (const Cluster &C : Clusters)
-          if (C.Prim == Kind) {
-            Instr = Prog.body()[C.Members.front().BodyIndex].dst();
-            break;
-          }
-        std::string Detail =
-            Need > Capacity
-                ? "demand for " + std::to_string(Need) + " " +
-                      std::string(ir::resourceName(Kind)) +
-                      " slot(s) exceeds the " + std::to_string(Capacity) +
-                      " available within columns <= " +
-                      std::to_string(B.MaxColumn) + ", rows <= " +
-                      std::to_string(B.MaxRow) + " on device '" + Dev.name() +
-                      "'"
-                : std::to_string(TallNeed) + " cascade chain(s) of height >= " +
-                      std::to_string(MinHeight) + " need " +
-                      std::to_string(TallNeed) +
-                      " consecutive-row segment(s) but only " +
-                      std::to_string(SegmentCapacity) + " fit in " +
-                      std::string(ir::resourceName(Kind)) +
-                      " columns <= " + std::to_string(B.MaxColumn) +
-                      ", rows <= " + std::to_string(B.MaxRow);
-        noteCore("capacity", Instr, Detail);
-      }
-      return true;
-    }
+    if (D.Need > Capacity || D.TallNeed > SegmentCapacity)
+      return Shortfall{Kind, D, Capacity, SegmentCapacity};
   }
-  return false;
+  return std::nullopt;
+}
+
+bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
+                                obs::Span &Sp) {
+  std::optional<Shortfall> F = capacityShortfall(B);
+  if (!F)
+    return false;
+  Sp.arg("outcome", "precheck_unsat");
+  if (!Explain)
+    return true;
+  // Name the resource and a representative demanding instruction so the
+  // explanation points back into the program.
+  std::string Instr;
+  for (const Cluster &C : Clusters)
+    if (C.Prim == F->Kind) {
+      Instr = Prog.body()[C.Members.front().BodyIndex].dst();
+      break;
+    }
+  std::string Kind(ir::resourceName(F->Kind));
+  std::string Detail =
+      F->D.Need > F->Capacity
+          ? "demand for " + std::to_string(F->D.Need) + " " + Kind +
+                " slot(s) exceeds the " + std::to_string(F->Capacity) +
+                " available within columns <= " + std::to_string(B.MaxColumn) +
+                ", rows <= " + std::to_string(B.MaxRow) + " on device '" +
+                Dev.name() + "'"
+          : std::to_string(F->D.TallNeed) + " cascade chain(s) of height >= " +
+                std::to_string(F->D.MinHeight) + " need " +
+                std::to_string(F->D.TallNeed) +
+                " consecutive-row segment(s) but only " +
+                std::to_string(F->SegmentCapacity) + " fit in " + Kind +
+                " columns <= " + std::to_string(B.MaxColumn) +
+                ", rows <= " + std::to_string(B.MaxRow);
+  noteCore("capacity", Instr, Detail);
+  return true;
+}
+
+unsigned Placer::lowestAdmitted(Bounds B, int Axis) const {
+  unsigned &Bound = Axis == 0 ? B.MaxColumn : B.MaxRow;
+  unsigned Low = 0, High = Bound;
+  while (Low < High) {
+    Bound = Low + (High - Low) / 2;
+    if (capacityShortfall(B))
+      Low = Bound + 1;
+    else
+      High = Bound;
+  }
+  return Low;
 }
 
 Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
                                   std::vector<Candidate> &Assignment,
                                   std::string &Err, bool Explain,
-                                  SolveInfo &Info) {
+                                  uint64_t ConflictBudget, SolveInfo &Info) {
   Info = {};
   obs::Span Sp(Ctx, "place.solve");
   Sp.arg("max_col", B.MaxColumn);
@@ -639,6 +687,7 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
       return Attempt::Error;
     }
     Cands[I] = E.take();
+    Info.Capped = Info.Capped || Cands[I].size() >= Cap;
     if (Cands[I].empty()) {
       Sp.arg("outcome", "no_candidates");
       if (Explain) {
@@ -671,10 +720,10 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
     Stats->Clauses = static_cast<unsigned>(S.numClauses());
   }
   Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-  Attempt A = solveAndDecode(S, /*Assumps=*/nullptr, /*ConflictBudget=*/0,
-                             Cands, Vars, Assignment, Err, Info, Sp);
-  // The search is unbounded, so an UNSAT here is proved and has a
-  // refutation to extract a core from.
+  Attempt A = solveAndDecode(S, /*Assumps=*/nullptr, ConflictBudget, Cands,
+                             Vars, Assignment, Err, Info, Sp);
+  // An explained search is unbounded, so an UNSAT here is proved and has
+  // a refutation to extract a core from.
   if (A == Attempt::Unsat && Explain)
     explainUnsat(Cands);
   return A;
@@ -960,8 +1009,9 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
       ClusterOfVar[V] = I;
     }
     // The cluster's row span mirrors its relative adjacency constraints
-    // (e.g. a cascade chain at (x, y) .. (x, y+k)).
-    int64_t MinDy = 0, MaxDy = 0;
+    // (e.g. a cascade chain at (x, y) .. (x, y+k)), from its lowest
+    // relative row to its highest.
+    int64_t MinDy = INT64_MAX, MaxDy = INT64_MIN;
     for (const Member &M : C.Members)
       if (M.Y.isVar()) {
         MinDy = std::min(MinDy, M.Y.offset());
@@ -1022,6 +1072,7 @@ Result<AsmProgram> Placer::run() {
   ++Ctx.counter("place.runs");
   if (Status St = buildClusters(); !St)
     return fail<AsmProgram>(St.error());
+  tallyDemand();
   Ctx.counter("place.clusters") += Clusters.size();
 
   Bounds Full{Dev.numColumns() ? Dev.numColumns() - 1 : 0, 0};
@@ -1029,35 +1080,67 @@ Result<AsmProgram> Placer::run() {
                                     Dev.maxHeight(ir::Resource::Dsp));
   Full.MaxRow = TallestColumn ? TallestColumn - 1 : 0;
 
-  // First solution: grow the candidate cap until satisfiable or fully
-  // enumerated, each attempt on a fresh encoding. The initial solve owns
-  // the UNSAT-explanation path; the shrink probes below reuse one
-  // persistent solver.
+  // First solution: grow the candidate cap (x4 per attempt) until an
+  // attempt is satisfiable or the cap admits every base position within
+  // the bounds, each attempt on a fresh encoding.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
   FullCapVal = FullCap;
-  size_t Cap = std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
+  const size_t StartCap =
+      std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
+  size_t Cap = StartCap;
   std::vector<Candidate> BestAssignment;
   SolveInfo Info;
-  while (true) {
-    std::string Err;
-    if (Options.Proof)
-      Options.Proof->comment("place: initial solve, fresh encoding, cap=" +
-                             std::to_string(Cap));
-    // Once the cap admits full enumeration the attempt is conclusive, so
-    // an UNSAT there is worth explaining: solveOnce then extracts and
-    // emits the named constraint core.
-    Attempt A = solveOnce(Full, Cap, BestAssignment, Err,
-                          /*Explain=*/Cap >= FullCap, Info);
-    if (A == Attempt::Error)
-      return fail<AsmProgram>(Err);
-    if (A == Attempt::Sat)
-      break;
-    if (Cap >= FullCap)
-      return fail<AsmProgram>("placement failed: no valid layout for " +
-                              std::to_string(Clusters.size()) +
-                              " cluster(s) on device '" + Dev.name() + "'");
-    Cap = std::min(FullCap, Cap * 4);
+  std::string Err;
+  auto FirstSolution = [&](const Bounds &B, size_t MaxCap, bool LowerBound) {
+    for (Cap = StartCap;; Cap = std::min(MaxCap, Cap * 4)) {
+      if (Options.Proof)
+        Options.Proof->comment(
+            (LowerBound ? "place: lower-bound solve columns<=" +
+                              std::to_string(B.MaxColumn) + " rows<=" +
+                              std::to_string(B.MaxRow) + ", "
+                        : std::string("place: initial solve, ")) +
+            "fresh encoding, cap=" + std::to_string(Cap));
+      // Box attempts are budgeted like probes and never explained. Once a
+      // full-device cap admits full enumeration the attempt is conclusive,
+      // so an UNSAT there is worth explaining: solveOnce then extracts and
+      // emits the named constraint core.
+      Attempt A = solveOnce(B, Cap, BestAssignment, Err,
+                            /*Explain=*/!LowerBound && Cap >= MaxCap,
+                            LowerBound ? ProbeConflictBudget : 0, Info);
+      // A box attempt that enumerated every candidate is conclusive
+      // whatever its cap; the full-device loop keeps growing to MaxCap,
+      // where it explains an UNSAT.
+      if (A != Attempt::Unsat || Cap >= MaxCap || (LowerBound && !Info.Capped))
+        return A;
+    }
+  };
+
+  // A shrinking run first tries the smallest box the capacity precheck
+  // admits: the smallest column bound with rows open, the order the
+  // shrink search minimises, then the smallest row bound under it. The
+  // precheck is sound, so no layout fits a smaller box, and a layout in
+  // this one already has the area the search would end at: no probe
+  // follows it. When no box attempt is satisfiable, the capped
+  // full-device loop runs as without shrinking.
+  std::optional<Bounds> Box;
+  Attempt First = Attempt::Unsat;
+  if (Options.Shrink && !Clusters.empty() && !capacityShortfall(Full)) {
+    Box = Full;
+    Box->MaxColumn = lowestAdmitted(Full, 0);
+    Box->MaxRow = lowestAdmitted(*Box, 1);
+    First = FirstSolution(
+        *Box, static_cast<size_t>(Box->MaxColumn + 1) * (Box->MaxRow + 1) + 1,
+        /*LowerBound=*/true);
   }
+  const bool BoxHeld = First == Attempt::Sat;
+  if (First == Attempt::Unsat)
+    First = FirstSolution(Full, FullCap, /*LowerBound=*/false);
+  if (First == Attempt::Error)
+    return fail<AsmProgram>(Err);
+  if (First == Attempt::Unsat)
+    return fail<AsmProgram>("placement failed: no valid layout for " +
+                            std::to_string(Clusters.size()) +
+                            " cluster(s) on device '" + Dev.name() + "'");
 
   // Timeline frame recorder: every frame carries the accepted layout so
   // far, so the renderer can draw the best-known floorplan under each
@@ -1084,15 +1167,31 @@ Result<AsmProgram> Placer::run() {
     Stats->Timeline.push_back(std::move(P));
   };
   RecordFrame(ShrinkProbe::Axis::Initial, 0, ShrinkProbe::Outcome::Sat, Info);
-  if (Ctx.remarksEnabled())
-    obs::Remark(Ctx, "place", "solve")
-        .message("first placement found for " +
-                 std::to_string(Clusters.size()) + " cluster(s) on '" +
-                 Dev.name() + "' (candidate cap " + std::to_string(Cap) + ")")
+  if (Ctx.remarksEnabled()) {
+    std::string BoxText =
+        Box ? "the lower-bound box columns <= " +
+                  std::to_string(Box->MaxColumn) + ", rows <= " +
+                  std::to_string(Box->MaxRow)
+            : "";
+    std::string Message = "first placement found for " +
+                          std::to_string(Clusters.size()) + " cluster(s) on '" +
+                          Dev.name() + "'";
+    if (Box && BoxHeld)
+      Message += " within " + BoxText;
+    Message += " (candidate cap " + std::to_string(Cap) + ")";
+    if (Box && !BoxHeld)
+      Message += "; " + BoxText + " gave none";
+    obs::Remark R(Ctx, "place", "solve");
+    R.message(Message)
         .arg("clusters", static_cast<uint64_t>(Clusters.size()))
         .arg("fixed_clusters", static_cast<uint64_t>(FixedClusters.size()))
         .arg("candidate_cap", static_cast<uint64_t>(Cap))
         .arg("device", Dev.name());
+    if (Box)
+      R.arg("lower_bound_column", Box->MaxColumn)
+          .arg("lower_bound_row", Box->MaxRow)
+          .arg("lower_bound", BoxHeld ? "held" : "missed");
+  }
 
   // Shrinking passes: take the used area as the bound and binary-search a
   // smaller one, re-running placement (Section 5.3). Every probe goes to
@@ -1124,7 +1223,10 @@ Result<AsmProgram> Placer::run() {
     // routing.
     obs::Counter &ShrinkIters = Ctx.counter("place.shrink_iters");
     for (int Axis = 0; Axis < 2; ++Axis) {
-      unsigned Low = 0;
+      // Every bound below the precheck's lowest admitted one is a probe
+      // the precheck would refute, so the search starts there. After a
+      // lower-bound box hit, Low == High on both axes and no probe runs.
+      unsigned Low = lowestAdmitted(Cur, Axis);
       unsigned High = Axis == 0 ? UsedBounds(BestAssignment).MaxColumn
                                 : UsedBounds(BestAssignment).MaxRow;
       while (Low < High) {
@@ -1138,7 +1240,6 @@ Result<AsmProgram> Placer::run() {
         Bounds Try = Cur;
         (Axis == 0 ? Try.MaxColumn : Try.MaxRow) = Mid;
         std::vector<Candidate> Assignment;
-        std::string Err;
         if (Options.Proof)
           Options.Proof->comment(
               std::string("place: shrink probe axis=") +

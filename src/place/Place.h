@@ -19,9 +19,10 @@
 ///
 /// Instructions sharing coordinate variables form *clusters* placed as one
 /// rigid shape; the encoding assigns each cluster exactly one base
-/// position and forbids slot overlap. After a first solution, optional
-/// shrinking passes binary-search reduced areas and re-solve, compacting
-/// the layout (Section 5.3's final paragraph).
+/// position and forbids slot overlap. Optional shrinking compacts the
+/// layout (Section 5.3's final paragraph): the first solve tries the
+/// smallest area the arithmetic capacity precheck admits, and only when
+/// that fails do binary-search passes re-solve reduced areas.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,13 +47,19 @@ namespace place {
 
 /// Tuning knobs for placement.
 struct PlacementOptions {
-  /// Run the binary-search shrinking passes after the first solution.
-  /// The first solution comes from a fresh encoding whose per-cluster
-  /// candidate cap grows until it is satisfiable; every shrink probe then
-  /// goes to one persistent solver that carries the full-bounds encoding,
-  /// with the tried area bounds as assumption literals over a ladder of
-  /// "kill" selectors, so learned clauses, variable activities and saved
-  /// phases survive from probe to probe.
+  /// Minimise the placed area, columns first, then rows. The first solve
+  /// then runs inside the smallest box the arithmetic capacity precheck
+  /// admits (the smallest column bound with rows open, then the smallest
+  /// row bound under it). No layout fits a smaller box, so when that solve
+  /// holds its layout is the result and no probe follows. Otherwise the
+  /// first solution comes from the whole device, as without shrinking,
+  /// and binary-search passes shrink it, each starting at the precheck's
+  /// bound for its axis. Each first-solve attempt is a fresh encoding
+  /// whose per-cluster candidate cap grows until it is satisfiable; every
+  /// shrink probe goes to one persistent solver that carries the
+  /// full-bounds encoding, with the tried area bounds as assumption
+  /// literals over a ladder of "kill" selectors, so learned clauses,
+  /// variable activities and saved phases survive from probe to probe.
   bool Shrink = true;
   /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned Mode = 0;
@@ -120,8 +127,8 @@ struct PlacementStats {
   /// included.
   double ShrinkMs = 0.0;
   /// Reuse accounting for the persistent shrink solver: it is built at the
-  /// first SAT-backed probe, so a run encodes once (or never, when every
-  /// probe settles in the prechecks) however many probes follow.
+  /// first SAT-backed probe, so a run encodes once (or never, when no probe
+  /// runs or every probe settles in the prechecks) however many follow.
   uint64_t IncrementalEncodes = 0; ///< times a probe built an encoding
   uint64_t IncrementalProbes = 0;  ///< probes answered by the SAT solver
   uint64_t PrecheckProbes = 0;     ///< probes settled arithmetically (no SAT)

@@ -16,8 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -62,6 +64,41 @@ AsmProgram crossColumnPairs(unsigned N) {
   }
   Source += "}\n";
   return parseOk(Source);
+}
+
+/// One cascade-shaped cluster per entry of \p Heights: that many DSP adds
+/// at (xI, yI) .. (xI, yI + height - 1).
+AsmProgram dspChains(std::initializer_list<unsigned> Heights) {
+  std::string Source = "def f(a:i8, b:i8) -> (c0_0:i8) {\n";
+  unsigned Chain = 0;
+  for (unsigned Height : Heights) {
+    std::string C = std::to_string(Chain++);
+    for (unsigned K = 0; K < Height; ++K)
+      Source += "  c" + C + "_" + std::to_string(K) + ":i8 = add(a, b) @dsp(x" +
+                C + ", y" + C + "+" + std::to_string(K) + ");\n";
+  }
+  Source += "}\n";
+  return parseOk(Source);
+}
+
+/// Three contiguous pairs and a gapped pair on the two eight-row DSP
+/// columns of small. The gapped pair strands the row between its members,
+/// so the lower-bound box (one DSP column of eight rows) holds no layout,
+/// and the column probes 3 and 4 (one DSP column) and the row probe 3
+/// pass both prechecks and are refuted by the solver.
+AsmProgram strandedRowPairs() {
+  return parseOk(R"(
+    def f(a:i8, b:i8) -> (p0:i8) {
+      p0:i8 = add(a, b) @dsp(x0, y0);
+      p1:i8 = add(a, b) @dsp(x0, y0+1);
+      q0:i8 = add(a, b) @dsp(x1, y1);
+      q1:i8 = add(a, b) @dsp(x1, y1+1);
+      r0:i8 = add(a, b) @dsp(x2, y2);
+      r1:i8 = add(a, b) @dsp(x2, y2+1);
+      g0:i8 = add(a, b) @dsp(u, v);
+      g1:i8 = add(a, b) @dsp(u, v+2);
+    }
+  )");
 }
 
 std::string slurp(const std::string &Path) {
@@ -291,7 +328,9 @@ namespace {
 /// {0, Stride}, where Stride joins two columns of one kind (LUT columns 0
 /// and 2 of tiny, DSP columns 2 and 5 of small). A brute-force search over
 /// base positions decides feasibility, and placement must fail exactly
-/// when it finds no layout.
+/// when it finds no layout. A feasible draw must also end at the area the
+/// brute force finds smallest: the smallest column bound with rows open,
+/// then the smallest row bound under it.
 void expectJustifiedVerdict(std::mt19937 &Rng) {
   bool UseDsp = std::bernoulli_distribution(0.5)(Rng);
   const Device Dev = UseDsp ? Device::small() : Device::tiny();
@@ -332,13 +371,16 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
         if (Slots.size() == Offsets[C].size())
           Cands[C].push_back(std::move(Slots));
       }
+  // Whether some layout fits within columns <= MaxColumn, rows <= MaxRow.
   std::set<device::Slot> Used;
+  unsigned MaxColumn = UINT_MAX, MaxRow = UINT_MAX;
   std::function<bool(size_t)> Fits = [&](size_t C) {
     if (C == Cands.size())
       return true;
     for (const std::vector<device::Slot> &Slots : Cands[C]) {
-      if (std::any_of(Slots.begin(), Slots.end(),
-                      [&](const device::Slot &S) { return Used.count(S); }))
+      if (std::any_of(Slots.begin(), Slots.end(), [&](const device::Slot &S) {
+            return Used.count(S) || S.X > MaxColumn || S.Y > MaxRow;
+          }))
         continue;
       Used.insert(Slots.begin(), Slots.end());
       if (Fits(C + 1))
@@ -348,16 +390,35 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
     }
     return false;
   };
-  bool Feasible = Fits(0);
+  auto FitsWithin = [&](unsigned Column, unsigned Row) {
+    Used.clear(); // a successful search leaves its layout behind
+    MaxColumn = Column;
+    MaxRow = Row;
+    return Fits(0);
+  };
+  bool Feasible = FitsWithin(UINT_MAX, UINT_MAX);
+  unsigned MinColumn = 0, MinRow = 0;
+  if (Feasible) {
+    while (!FitsWithin(MinColumn, UINT_MAX))
+      ++MinColumn;
+    while (!FitsWithin(MinColumn, MinRow))
+      ++MinRow;
+  }
 
   AsmProgram P = parseOk(Source);
-  Result<AsmProgram> Placed = reticle::place::place(P, Dev);
+  PlacementStats Stats;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Dev, PlacementOptions{}, &Stats);
   EXPECT_EQ(Placed.ok(), Feasible)
       << Dev.name() << "\n"
       << Source << (Placed.ok() ? "" : Placed.error());
   if (Placed.ok()) {
     Status S = checkPlacement(P, Placed.value(), Dev);
     EXPECT_TRUE(S.ok()) << S.error() << "\n" << Placed.value().str();
+  }
+  if (Placed.ok() && Feasible) {
+    EXPECT_EQ(Stats.MaxColumn, MinColumn) << Dev.name() << "\n" << Source;
+    EXPECT_EQ(Stats.MaxRow, MinRow) << Dev.name() << "\n" << Source;
   }
 }
 
@@ -428,6 +489,36 @@ TEST(Place, SolverLevelUnsatYieldsMinimizedCore) {
   EXPECT_TRUE(NamedQ);
 }
 
+TEST(Place, ChooseOneCoreSpansTheClustersOwnRows) {
+  // p sits at rows y+2 and y+3: it spans two rows, counted from its first
+  // member rather than from the base row. The gapped q spans three. On the
+  // one four-row DSP column of tiny, p can only take rows 2 and 3, and q
+  // needs one of them at either base, so the solver refutes the program
+  // and its core names both choose-one constraints.
+  AsmProgram P = parseOk(R"(
+    def f(a:i8, b:i8) -> (p0:i8, p1:i8, q0:i8, q1:i8) {
+      p0:i8 = add(a, b) @dsp(x, y+2);
+      p1:i8 = add(a, b) @dsp(x, y+3);
+      q0:i8 = add(a, b) @dsp(u, v);
+      q1:i8 = add(a, b) @dsp(u, v+2);
+    }
+  )");
+  PlacementStats Stats;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats);
+  ASSERT_FALSE(Placed.ok());
+  std::map<std::string, std::string> ChooseOne;
+  for (const CoreConstraint &C : Stats.Core)
+    if (C.Kind == "choose-one")
+      ChooseOne[C.Instr] = C.Detail;
+  ASSERT_EQ(ChooseOne.count("p0"), 1u);
+  ASSERT_EQ(ChooseOne.count("q0"), 1u);
+  EXPECT_NE(ChooseOne["p0"].find("spanning 2 row(s)"), std::string::npos)
+      << ChooseOne["p0"];
+  EXPECT_NE(ChooseOne["q0"].find("spanning 3 row(s)"), std::string::npos)
+      << ChooseOne["q0"];
+}
+
 TEST(Place, GappedPairsInterleave) {
   // Two pairs of DSPs two rows apart fit the one four-row DSP column of
   // tiny at rows {0, 2} and {1, 3}: a gapped pair needs no run of
@@ -476,7 +567,8 @@ TEST(Place, SevenCrossColumnClustersFailInTheSolver) {
 }
 
 TEST(Place, TimelineRecordsInitialSolutionAndEveryProbe) {
-  AsmProgram P = manyDspAdds(8);
+  // The lower-bound box misses here, so the shrink search probes.
+  AsmProgram P = strandedRowPairs();
   PlacementStats Stats;
   Result<AsmProgram> Placed =
       reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
@@ -499,6 +591,27 @@ TEST(Place, TimelineRecordsInitialSolutionAndEveryProbe) {
   EXPECT_TRUE(Stats.Core.empty());
 }
 
+TEST(Place, LowerBoundHitRecordsOnlyTheInitialFrame) {
+  // Eight DSP adds fill exactly the first DSP column of small (x = 2, eight
+  // rows), the smallest box the capacity precheck admits. The first solve
+  // runs inside it and holds, so the shrink search has nothing to probe
+  // and never builds the persistent solver.
+  AsmProgram P = manyDspAdds(8);
+  PlacementStats Stats;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
+  ASSERT_TRUE(Placed.ok()) << Placed.error();
+  ASSERT_EQ(Stats.Timeline.size(), 1u);
+  EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
+  EXPECT_EQ(Stats.IncrementalProbes, 0u);
+  EXPECT_EQ(Stats.PrecheckProbes, 0u);
+  EXPECT_EQ(Stats.ShrinkIterations, 0u);
+  EXPECT_EQ(Stats.IncrementalEncodes, 0u);
+  EXPECT_EQ(Stats.Solves, 1u);
+  EXPECT_EQ(Stats.MaxColumn, 2u);
+  EXPECT_EQ(Stats.MaxRow, 7u);
+}
+
 TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
   AsmProgram P = manyDspAdds(2);
   PlacementOptions Options;
@@ -514,8 +627,9 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
 TEST(Place, IncrementalModeRecordsReuseStats) {
   // The persistent solver encodes at most once and attributes every
   // shrink probe as either precheck or SAT-backed; reused problem
-  // clauses accumulate per SAT-backed probe.
-  AsmProgram P = manyDspAdds(8);
+  // clauses accumulate per SAT-backed probe. The lower-bound box misses
+  // here, so the search probes.
+  AsmProgram P = strandedRowPairs();
   PlacementStats Stats;
   Result<AsmProgram> Placed =
       reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
@@ -542,31 +656,23 @@ TEST(Place, PersistentProbesMatchFreshSolves) {
     AsmProgram Prog;
     Device Dev;
   };
+  // Each input misses its lower-bound box, so placement falls back to the
+  // full device and the shrink search probes.
   std::string Dir = RETICLE_TEST_INPUTS_DIR;
   std::vector<Input> Inputs;
-  Inputs.push_back({"fsm_shrink",
-                    selectedAsm(Dir + "/fsm_shrink.ret", Device::small()),
+  // Chains of 5, 5 and 3 on small: two eight-row DSP columns hold them
+  // only as 5 + 3 and 5, so the box (5, 6) is refuted and the row probe 6
+  // reaches the solver.
+  Inputs.push_back({"mixed_chains",
+                    selectedAsm(Dir + "/mixed_chains.ret", Device::small()),
                     Device::small()});
-  Inputs.push_back({"fsm_42",
-                    selectedAsm(Dir + "/fsm_42.ret", Device::xczu3eg()),
+  // Chains of 60, 60 and 30 on xczu3eg: two 120-row DSP columns hold them
+  // only as 60 + 30 and 60, so the box (41, 74) is refuted and the row
+  // probes below 89 reach the solver. The solver's clause arena and
+  // watcher pool grow through these searches.
+  Inputs.push_back({"chains_60_60_30", dspChains({60, 60, 30}),
                     Device::xczu3eg()});
-  // Three contiguous pairs and a gapped pair on the two eight-row DSP
-  // columns of small. The gapped pair strands the row between its
-  // members, so the column probes 2 and 4 (one DSP column) and the row
-  // probe 3 pass both prechecks and are refuted by the solver.
-  AsmProgram Designed = parseOk(R"(
-    def f(a:i8, b:i8) -> (p0:i8) {
-      p0:i8 = add(a, b) @dsp(x0, y0);
-      p1:i8 = add(a, b) @dsp(x0, y0+1);
-      q0:i8 = add(a, b) @dsp(x1, y1);
-      q1:i8 = add(a, b) @dsp(x1, y1+1);
-      r0:i8 = add(a, b) @dsp(x2, y2);
-      r1:i8 = add(a, b) @dsp(x2, y2+1);
-      g0:i8 = add(a, b) @dsp(u, v);
-      g1:i8 = add(a, b) @dsp(u, v+2);
-    }
-  )");
-  Inputs.push_back({"designed", std::move(Designed), Device::small()});
+  Inputs.push_back({"designed", strandedRowPairs(), Device::small()});
 
   PlacementOptions Fresh;
   Fresh.Shrink = false;
@@ -601,5 +707,33 @@ TEST(Place, PersistentProbesMatchFreshSolves) {
         EXPECT_LE(Probe.MaxRow, R) << In.Name;
       }
     }
+  }
+}
+
+TEST(Place, PackingCliffProgramsSolveOnceAtTheLowerBound) {
+  // Counts, not timings. tensordot_44 places five chains of 44 DSPs: the
+  // precheck needs all three DSP columns of xczu3eg (two chains each) and
+  // 88 rows, and the first capped solve inside that box reaches all
+  // three columns. A capped solve over the whole device reaches only two
+  // and must refute five chains in four segments, thousands of conflicts.
+  // fsm_42 is all LUTs and fits the box (1, 84) as well, so neither
+  // program makes a shrink probe.
+  struct Expect {
+    const char *File;
+    unsigned MaxColumn, MaxRow;
+  };
+  std::string Dir = RETICLE_TEST_INPUTS_DIR;
+  for (const Expect &E : {Expect{"tensordot_44.ret", 62, 87},
+                          Expect{"fsm_42.ret", 1, 84}}) {
+    AsmProgram P = selectedAsm(Dir + "/" + E.File, Device::xczu3eg());
+    PlacementStats Stats;
+    Result<AsmProgram> Placed = reticle::place::place(
+        P, Device::xczu3eg(), PlacementOptions{}, &Stats);
+    ASSERT_TRUE(Placed.ok()) << E.File << ": " << Placed.error();
+    EXPECT_EQ(Stats.Solves, 1u) << E.File;
+    EXPECT_EQ(Stats.Conflicts, 0u) << E.File;
+    EXPECT_EQ(Stats.IncrementalProbes, 0u) << E.File;
+    EXPECT_EQ(Stats.MaxColumn, E.MaxColumn) << E.File;
+    EXPECT_EQ(Stats.MaxRow, E.MaxRow) << E.File;
   }
 }
