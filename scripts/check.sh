@@ -14,9 +14,10 @@
 # compiled-simulation VM runs, and one
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
 # packed waveform path, the gate-level vm-netlist lowering, the
-# malformed-input diagnostics of the lexer and the DIMACS reader, and
-# the SAT solver's clause arena and watcher pool under placement (with
-# proof logs). Run from anywhere; builds into
+# malformed-input diagnostics of the lexer and the DIMACS reader, the
+# SAT solver's clause arena and watcher pool under placement (with
+# proof logs), and json_check's diff presets over valid and malformed
+# inputs. Run from anywhere; builds into
 # <repo>/build (plus build-tsan/ and build-asan/ siblings).
 set -eu
 
@@ -255,7 +256,7 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena, watcher pool =="
+echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena, watcher pool, diff presets =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
 # offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
@@ -278,7 +279,14 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # device and fsm_42.ret on the default device (86k variables) each solve
 # once inside their lower-bound box, and mixed_chains.ret on the small
 # device misses its box, then runs a fresh full-device solve and the
-# persistent solver's SAT-backed shrink probe.
+# persistent solver's SAT-backed shrink probe. json_check reads every
+# artifact through one reader into keyed rows for one join: each diff
+# preset runs over this section's artifacts (wide-wire waves of the
+# interpreter and vm-netlist, the mac remark golden against a live
+# stream, a coverage merge and its ratchet, two mac profiles), and each
+# malformed input (a bad line, a missing file, a wave pair with no shared
+# port, a negative or fractional coverage count) must be exit 2, the
+# diagnostic, with no sanitizer report.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -317,5 +325,71 @@ test -s "$out/mixed_chains.asan.proof"
     "$repo/tests/inputs/wide_wires.ret"
 "$repo/build-asan/tools/json_check" --jsonl --require=schema \
     "$out/wide.asan.wave.jsonl"
+
+asan_jc="$repo/build-asan/tools/json_check"
+for engine in interp vm-netlist; do
+    "$repo/build-asan/tools/reticlec" --device=small \
+        --run="$repo/tests/inputs/wide_wires.trace.json" --sim="$engine" \
+        --wave-json="$out/wide.asan.$engine.wave.jsonl" \
+        "$repo/tests/inputs/wide_wires.ret"
+done
+"$asan_jc" wave_diff \
+    "$out/wide.asan.interp.wave.jsonl" "$out/wide.asan.vm-netlist.wave.jsonl"
+"$repo/build-asan/tools/reticlec" --device=small --emit=placed \
+    --remarks-json="$out/mac.asan.remarks.jsonl" -o /dev/null \
+    "$repo/examples/programs/mac.ret"
+"$asan_jc" remark_diff \
+    "$repo/tests/goldens/mac/remarks.jsonl" "$out/mac.asan.remarks.jsonl"
+"$asan_jc" coverage_merge "$repo/tests/goldens/coverage.json" \
+    "$out/wide.asan.coverage.json" > "$out/merged.asan.coverage.json"
+"$asan_jc" coverage_diff \
+    "$repo/tests/goldens/coverage.json" "$out/merged.asan.coverage.json"
+for run in a b; do
+    "$repo/build-asan/tools/reticlec" --device=small \
+        --run="$repo/examples/traces/mac.trace.json" --sim=both \
+        --wave-json="$out/mac.asan.wave.jsonl" \
+        --profile-sim="$out/mac.asan.profile-$run.json" \
+        "$repo/examples/programs/mac.ret"
+done
+"$asan_jc" profile_diff \
+    "$out/mac.asan.profile-a.json" "$out/mac.asan.profile-b.json"
+
+# json_check <args> must exit 2 with no sanitizer report.
+expect_unusable() {
+    if "$asan_jc" "$@" > /dev/null 2> "$out/asan.err"; then rc=0; else rc=$?; fi
+    if [ "$rc" -ne 2 ] || grep -q "Sanitizer\|runtime error" "$out/asan.err"; then
+        cat "$out/asan.err"
+        echo "json_check $*: exit $rc, expected 2 with no sanitizer report"
+        exit 1
+    fi
+}
+sed '3s/.*/oops/' "$repo/tests/goldens/mac/remarks.jsonl" \
+    > "$out/malformed.remarks.jsonl"
+sed '3s/.*/oops/' "$out/wide.asan.interp.wave.jsonl" \
+    > "$out/malformed.wave.jsonl"
+sed '3s/.*/oops/' "$repo/tests/goldens/coverage.json" \
+    > "$out/malformed.coverage.json"
+sed '3s/.*/oops/' "$out/mac.asan.profile-a.json" > "$out/malformed.profile.json"
+sed '0,/"add": [0-9]*/s//"add": -1/' "$repo/tests/goldens/coverage.json" \
+    > "$out/negative.coverage.json"
+sed '0,/"add": [0-9]*/s//"add": 1.5/' "$repo/tests/goldens/coverage.json" \
+    > "$out/fractional.coverage.json"
+expect_unusable remark_diff \
+    "$repo/tests/goldens/mac/remarks.jsonl" "$out/malformed.remarks.jsonl"
+expect_unusable remark_diff "$out/missing.jsonl" "$out/mac.asan.remarks.jsonl"
+expect_unusable wave_diff \
+    "$out/wide.asan.interp.wave.jsonl" "$out/malformed.wave.jsonl"
+expect_unusable wave_diff \
+    "$out/wide.asan.interp.wave.jsonl" "$out/mac.asan.wave.jsonl"
+expect_unusable coverage_diff \
+    "$repo/tests/goldens/coverage.json" "$out/malformed.coverage.json"
+expect_unusable coverage_diff \
+    "$repo/tests/goldens/coverage.json" "$out/negative.coverage.json"
+expect_unusable coverage_diff \
+    "$repo/tests/goldens/coverage.json" "$out/fractional.coverage.json"
+expect_unusable coverage_merge "$out/negative.coverage.json"
+expect_unusable profile_diff \
+    "$out/mac.asan.profile-a.json" "$out/malformed.profile.json"
+expect_unusable profile_diff "$out/missing.json" "$out/mac.asan.profile-a.json"
 
 echo "ok: build, tests, and all emitted artifacts check out"

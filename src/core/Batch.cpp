@@ -28,41 +28,12 @@ unsigned reticle::core::batchJobCount(const BatchOptions &Options,
 
 std::vector<size_t>
 reticle::core::batchScheduleOrder(const std::vector<BatchInput> &Inputs) {
-  return batchScheduleOrder(Inputs, {});
-}
-
-std::vector<size_t> reticle::core::batchScheduleOrder(
-    const std::vector<BatchInput> &Inputs,
-    const std::map<std::string, double> &MeasuredCostMs) {
   // Statement terminators are a faithful proxy for instruction count, and
-  // counting them costs nothing compared to a compile. A prior run's
-  // measured timings beat any proxy, so measured programs use their
-  // measurement directly; unmeasured ones convert their statement count
-  // into the same currency at the measured set's average ms-per-statement
-  // rate (falling back to raw counts when nothing was measured).
-  std::vector<size_t> Stmts(Inputs.size(), 0);
+  // counting them costs nothing compared to a compile.
+  std::vector<size_t> Cost(Inputs.size(), 0);
   for (size_t I = 0; I < Inputs.size(); ++I)
-    Stmts[I] = static_cast<size_t>(
+    Cost[I] = static_cast<size_t>(
         std::count(Inputs[I].Source.begin(), Inputs[I].Source.end(), ';'));
-
-  double MeasuredMs = 0.0;
-  size_t MeasuredStmts = 0;
-  for (size_t I = 0; I < Inputs.size(); ++I)
-    if (auto It = MeasuredCostMs.find(Inputs[I].Name);
-        It != MeasuredCostMs.end()) {
-      MeasuredMs += It->second;
-      MeasuredStmts += Stmts[I];
-    }
-  double MsPerStmt =
-      MeasuredStmts ? MeasuredMs / static_cast<double>(MeasuredStmts) : 1.0;
-
-  std::vector<double> Cost(Inputs.size(), 0.0);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    auto It = MeasuredCostMs.find(Inputs[I].Name);
-    Cost[I] = It != MeasuredCostMs.end()
-                  ? It->second
-                  : static_cast<double>(Stmts[I]) * MsPerStmt;
-  }
   std::vector<size_t> Order(Inputs.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
@@ -70,32 +41,6 @@ std::vector<size_t> reticle::core::batchScheduleOrder(
     return Cost[A] > Cost[B];
   });
   return Order;
-}
-
-std::map<std::string, double>
-reticle::core::batchMeasuredCosts(const obs::Json &Summary) {
-  std::map<std::string, double> Costs;
-  if (!Summary.isObject())
-    return Costs;
-  const obs::Json *Programs = Summary.find("programs");
-  if (!Programs || !Programs->isArray())
-    return Costs;
-  for (const obs::Json &Entry : Programs->items()) {
-    if (!Entry.isObject())
-      continue;
-    const obs::Json *Name = Entry.find("program");
-    const obs::Json *Stats = Entry.find("stats");
-    if (!Name || !Name->isString() || !Stats || !Stats->isObject())
-      continue; // failed entries carry no stats
-    const obs::Json *Timings = Stats->find("timings");
-    if (!Timings || !Timings->isObject())
-      continue;
-    const obs::Json *Total = Timings->find("total_ms");
-    if (!Total)
-      continue;
-    Costs[Name->asString()] = Total->asDouble();
-  }
-  return Costs;
 }
 
 std::vector<BatchItem>
@@ -125,8 +70,7 @@ reticle::core::compileBatch(const std::vector<BatchInput> &Inputs,
 
   // Workers pull from the cost-sorted schedule so the most expensive
   // compiles start first; results still land at their input's index.
-  std::vector<size_t> Order =
-      batchScheduleOrder(Inputs, Options.MeasuredCostMs);
+  std::vector<size_t> Order = batchScheduleOrder(Inputs);
   std::atomic<size_t> NextSlot{0};
   auto Work = [&] {
     for (size_t Slot = NextSlot.fetch_add(1, std::memory_order_relaxed);

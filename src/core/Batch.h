@@ -37,7 +37,6 @@
 #include "core/Session.h"
 #include "obs/Json.h"
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,13 +64,6 @@ struct BatchOptions {
   bool CaptureSnapshots = false;
   bool EnableRemarks = false;
   bool EnableTracing = false;
-  /// Measured compile cost per program name, in milliseconds — typically
-  /// harvested from a prior run's reticle-batch-v1 summary (see
-  /// batchMeasuredCosts; the driver's `--schedule-from=`). When present,
-  /// scheduling prefers these measurements over the statement-count
-  /// estimate; programs missing from the map fall back to statement count
-  /// scaled onto the measured distribution.
-  std::map<std::string, double> MeasuredCostMs;
 };
 
 /// Outcome of one batch input: the session that compiled it (with its
@@ -95,23 +87,10 @@ std::vector<BatchItem> compileBatch(const std::vector<BatchInput> &Inputs,
                                     const BatchOptions &Options = {});
 
 /// The order compileBatch hands inputs to workers: indices into \p Inputs
-/// sorted by estimated compile cost descending, ties broken by position so
-/// the schedule is deterministic. Without measurements the estimate is the
-/// statement count; with \p MeasuredCostMs entries (prior-run timings),
-/// measured programs use their measurement and unmeasured ones interpolate
-/// statement count at the measured set's average ms-per-statement rate, so
-/// the two currencies compare sanely. Scheduling only — the
-/// Items[i] <-> Inputs[i] correspondence is unaffected.
+/// sorted by estimated compile cost, the statement count, descending, ties
+/// broken by position so the schedule is deterministic. Scheduling only —
+/// the Items[i] <-> Inputs[i] correspondence is unaffected.
 std::vector<size_t> batchScheduleOrder(const std::vector<BatchInput> &Inputs);
-std::vector<size_t>
-batchScheduleOrder(const std::vector<BatchInput> &Inputs,
-                   const std::map<std::string, double> &MeasuredCostMs);
-
-/// Harvests per-program measured costs (`timings.total_ms`) from a prior
-/// run's "reticle-batch-v1" summary document, keyed by program name.
-/// Failed entries are skipped. This is the `--schedule-from=` feed for
-/// BatchOptions::MeasuredCostMs.
-std::map<std::string, double> batchMeasuredCosts(const obs::Json &Summary);
 
 /// The merged "reticle-batch-v1" summary over a finished batch. \p Jobs
 /// records the pool size actually used (purely informational).

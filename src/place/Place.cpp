@@ -265,10 +265,11 @@ private:
   /// nonzero, at most that many conflicts: the initial solve. On success
   /// fills \p Assignment with the chosen candidate per non-fixed cluster.
   /// With \p Explain set (and no budget, so an UNSAT is proved), an
-  /// unsatisfiable attempt is additionally explained: the encoding is
-  /// re-emitted with one selector literal per constraint group, the
-  /// failed-assumption core is extracted and minimized, and each surviving
-  /// group is reported as a named sat:core remark and a
+  /// unsatisfiable attempt that no cap cut short (a precheck, an empty
+  /// range, or a solve over every candidate) is additionally explained:
+  /// the encoding is re-emitted with one selector literal per constraint
+  /// group, the failed-assumption core is extracted and minimized, and
+  /// each surviving group is reported as a named sat:core remark and a
   /// PlacementStats::Core entry.
   enum class Attempt { Sat, Unsat, Error };
   Attempt solveOnce(const Bounds &B, size_t Cap,
@@ -294,22 +295,25 @@ private:
   void explainUnsat(const std::vector<std::vector<Candidate>> &Cands);
 
   /// What the placeable clusters demand of one resource kind, whatever
-  /// the bounds: member slots, and tall clusters (cascade chains) with the
-  /// shortest one's height.
+  /// the bounds: member slots, and the height of each tall cluster
+  /// (cascade chain), ascending.
   struct KindDemand {
     size_t Need = 0;
-    size_t TallNeed = 0;
-    unsigned MinHeight = 1;
+    std::vector<unsigned> TallHeights;
   };
   /// Fills Demand from the clusters.
   void tallyDemand();
-  /// The first resource kind whose demand does not fit within some bounds,
-  /// with the capacity it found there.
+  /// The first resource kind whose demand does not fit within some bounds:
+  /// either its slots (Need > Capacity), or the Tall clusters at least
+  /// Height rows tall, which need more runs of Height consecutive rows than
+  /// the Segments that fit there.
   struct Shortfall {
     ir::Resource Kind;
-    KindDemand D;
+    size_t Need = 0;
     size_t Capacity = 0;
-    size_t SegmentCapacity = 0;
+    size_t Tall = 0;
+    unsigned Height = 0;
+    size_t Segments = 0;
   };
   /// Arithmetic infeasibility precheck shared by every solve path, as a
   /// pure predicate: demand vs capacity within \p B, and cascade-chain
@@ -563,8 +567,8 @@ void Placer::tallyDemand() {
   for (const Cluster &C : Clusters)
     Demand[C.Prim].Need += C.Members.size();
   // Tall clusters (cascade chains) need that many *consecutive* rows in
-  // one column; bound the number of placeable tall clusters per kind by
-  // the shortest chain height. A cluster's height is its longest run of
+  // one column; capacityShortfall bounds the number of placeable tall
+  // clusters per height class. A cluster's height is its longest run of
   // consecutive row offsets among members sharing one column expression:
   // a row gap or a member in another column leaves room for other
   // clusters to interleave. This is a sound relaxation that rejects the
@@ -586,34 +590,45 @@ void Placer::tallyDemand() {
       Run = Var == PrevVar && X == PrevX && Y == PrevY + 1 ? Run + 1 : 1;
       Height = std::max(Height, Run);
     }
-    if (Height < 2)
-      continue;
-    KindDemand &D = Demand[C.Prim];
-    D.MinHeight = D.TallNeed == 0 ? Height : std::min(D.MinHeight, Height);
-    ++D.TallNeed;
+    if (Height >= 2)
+      Demand[C.Prim].TallHeights.push_back(Height);
   }
+  for (auto &[Kind, D] : Demand)
+    std::sort(D.TallHeights.begin(), D.TallHeights.end());
 }
 
 std::optional<Placer::Shortfall>
 Placer::capacityShortfall(const Bounds &B) const {
   unsigned NumCols = std::min<unsigned>(Dev.numColumns(), B.MaxColumn + 1);
+  // Rows of column X of \p Kind within B (0 for another kind).
+  auto RowsOf = [&](unsigned X, ir::Resource Kind) -> unsigned {
+    const device::Column &Col = Dev.columns()[X];
+    return Col.Kind == Kind ? std::min<unsigned>(Col.Height, B.MaxRow + 1)
+                            : 0;
+  };
   for (const auto &[Kind, D] : Demand) {
     size_t Capacity = 0;
-    size_t SegmentCapacity = 0;
-    for (unsigned X = 0; X < NumCols; ++X) {
-      const device::Column &Col = Dev.columns()[X];
-      if (Col.Kind != Kind)
-        continue;
-      unsigned Rows = std::min<unsigned>(Col.Height, B.MaxRow + 1);
-      Capacity += Rows;
-      SegmentCapacity += Rows / D.MinHeight;
-    }
+    for (unsigned X = 0; X < NumCols; ++X)
+      Capacity += RowsOf(X, Kind);
     for (const device::Slot &S : FixedSlots)
       if (S.X <= B.MaxColumn && S.Y <= B.MaxRow &&
           Dev.columns()[S.X].Kind == Kind)
         --Capacity;
-    if (D.Need > Capacity || D.TallNeed > SegmentCapacity)
-      return Shortfall{Kind, D, Capacity, SegmentCapacity};
+    if (D.Need > Capacity)
+      return Shortfall{Kind, D.Need, Capacity};
+    // One check per height class h, ascending: the clusters at least h
+    // tall need disjoint runs of h consecutive rows, and a column of R
+    // rows holds R / h of them.
+    const std::vector<unsigned> &Heights = D.TallHeights;
+    for (auto It = Heights.begin(); It != Heights.end();
+         It = std::upper_bound(It, Heights.end(), *It)) {
+      size_t Segments = 0;
+      for (unsigned X = 0; X < NumCols; ++X)
+        Segments += RowsOf(X, Kind) / *It;
+      size_t Tall = static_cast<size_t>(Heights.end() - It);
+      if (Tall > Segments)
+        return Shortfall{Kind, D.Need, Capacity, Tall, *It, Segments};
+    }
   }
   return std::nullopt;
 }
@@ -636,17 +651,17 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
     }
   std::string Kind(ir::resourceName(F->Kind));
   std::string Detail =
-      F->D.Need > F->Capacity
-          ? "demand for " + std::to_string(F->D.Need) + " " + Kind +
+      F->Need > F->Capacity
+          ? "demand for " + std::to_string(F->Need) + " " + Kind +
                 " slot(s) exceeds the " + std::to_string(F->Capacity) +
                 " available within columns <= " + std::to_string(B.MaxColumn) +
                 ", rows <= " + std::to_string(B.MaxRow) + " on device '" +
                 Dev.name() + "'"
-          : std::to_string(F->D.TallNeed) + " cascade chain(s) of height >= " +
-                std::to_string(F->D.MinHeight) + " need " +
-                std::to_string(F->D.TallNeed) +
+          : std::to_string(F->Tall) + " cascade chain(s) of height >= " +
+                std::to_string(F->Height) + " need " +
+                std::to_string(F->Tall) +
                 " consecutive-row segment(s) but only " +
-                std::to_string(F->SegmentCapacity) + " fit in " + Kind +
+                std::to_string(F->Segments) + " fit in " + Kind +
                 " columns <= " + std::to_string(B.MaxColumn) +
                 ", rows <= " + std::to_string(B.MaxRow);
   noteCore("capacity", Instr, Detail);
@@ -689,6 +704,8 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
     Cands[I] = E.take();
     Info.Capped = Info.Capped || Cands[I].size() >= Cap;
     if (Cands[I].empty()) {
+      // No cap gives this cluster a candidate, so the verdict is final.
+      Info.Capped = false;
       Sp.arg("outcome", "no_candidates");
       if (Explain) {
         const Cluster &C = Clusters[I];
@@ -723,8 +740,9 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   Attempt A = solveAndDecode(S, /*Assumps=*/nullptr, ConflictBudget, Cands,
                              Vars, Assignment, Err, Info, Sp);
   // An explained search is unbounded, so an UNSAT here is proved and has
-  // a refutation to extract a core from.
-  if (A == Attempt::Unsat && Explain)
+  // a refutation to extract a core from; it is final once no cluster's
+  // enumeration was cut short.
+  if (A == Attempt::Unsat && Explain && !Info.Capped)
     explainUnsat(Cands);
   return A;
 }
@@ -1081,8 +1099,8 @@ Result<AsmProgram> Placer::run() {
   Full.MaxRow = TallestColumn ? TallestColumn - 1 : 0;
 
   // First solution: grow the candidate cap (x4 per attempt) until an
-  // attempt is satisfiable or the cap admits every base position within
-  // the bounds, each attempt on a fresh encoding.
+  // attempt is satisfiable or no cluster's enumeration reached the cap,
+  // each attempt on a fresh encoding.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
   FullCapVal = FullCap;
   const size_t StartCap =
@@ -1100,17 +1118,15 @@ Result<AsmProgram> Placer::run() {
                               std::to_string(B.MaxRow) + ", "
                         : std::string("place: initial solve, ")) +
             "fresh encoding, cap=" + std::to_string(Cap));
-      // Box attempts are budgeted like probes and never explained. Once a
-      // full-device cap admits full enumeration the attempt is conclusive,
-      // so an UNSAT there is worth explaining: solveOnce then extracts and
-      // emits the named constraint core.
+      // Box attempts are budgeted like probes and never explained. A
+      // full-device attempt is unbudgeted, so its UNSAT is proved, and
+      // solveOnce explains it once no cap cut the attempt short.
       Attempt A = solveOnce(B, Cap, BestAssignment, Err,
-                            /*Explain=*/!LowerBound && Cap >= MaxCap,
+                            /*Explain=*/!LowerBound,
                             LowerBound ? ProbeConflictBudget : 0, Info);
-      // A box attempt that enumerated every candidate is conclusive
-      // whatever its cap; the full-device loop keeps growing to MaxCap,
-      // where it explains an UNSAT.
-      if (A != Attempt::Unsat || Cap >= MaxCap || (LowerBound && !Info.Capped))
+      // An attempt that enumerated every candidate is conclusive whatever
+      // its cap: a larger cap cannot change its formula.
+      if (A != Attempt::Unsat || Cap >= MaxCap || !Info.Capped)
         return A;
     }
   };

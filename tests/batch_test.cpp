@@ -267,63 +267,3 @@ TEST(Batch, CostSortedScheduleKeepsOutputOrdering) {
   EXPECT_NE(Items[1].Outcome->value().Verilog.str().find("module dot3"),
             std::string::npos);
 }
-
-TEST(Batch, MeasuredCostsOverrideTheStatementEstimate) {
-  // "one" has the fewest statements but the largest measured cost, so it
-  // schedules first; "three" (unmeasured) interpolates at the measured
-  // ms-per-statement rate and still beats "two"'s small measurement.
-  std::vector<core::BatchInput> Inputs = {
-      {"one", "a;"},
-      {"three", "a; b; c;"},
-      {"two", "a; b;"},
-  };
-  std::map<std::string, double> Measured = {{"one", 500.0}, {"two", 10.0}};
-  std::vector<size_t> Order = core::batchScheduleOrder(Inputs, Measured);
-  // Rates: one=500 (measured), two=10 (measured), three=3 * (510/3)=510.
-  EXPECT_EQ(Order, (std::vector<size_t>{1, 0, 2}));
-  // Without measurements the statement count decides.
-  EXPECT_EQ(core::batchScheduleOrder(Inputs),
-            (std::vector<size_t>{1, 2, 0}));
-}
-
-TEST(Batch, MeasuredCostsHarvestFromASummaryDocument) {
-  // batchMeasuredCosts reads timings.total_ms per ok program and skips
-  // failed entries — exactly what --schedule-from feeds back in.
-  const char *Summary = R"({
-    "schema": "reticle-batch-v1",
-    "programs": [
-      {"program": "a.ret", "status": "ok",
-       "stats": {"timings": {"total_ms": 12.5}}},
-      {"program": "b.ret", "status": "error", "error": "nope"},
-      {"program": "c.ret", "status": "ok",
-       "stats": {"timings": {"total_ms": 3.25}}}
-    ]
-  })";
-  Result<obs::Json> Doc = obs::Json::parse(Summary);
-  ASSERT_TRUE(Doc.ok()) << Doc.error();
-  std::map<std::string, double> Costs = core::batchMeasuredCosts(Doc.value());
-  ASSERT_EQ(Costs.size(), 2u);
-  EXPECT_DOUBLE_EQ(Costs["a.ret"], 12.5);
-  EXPECT_DOUBLE_EQ(Costs["c.ret"], 3.25);
-  // Malformed documents degrade to "no measurements", never error.
-  EXPECT_TRUE(core::batchMeasuredCosts(obs::Json()).empty());
-}
-
-TEST(Batch, EndToEndScheduleFromMeasurements) {
-  // A real batch run's summary fed back as MeasuredCostMs changes only
-  // the schedule; the per-input artifacts stay byte-identical.
-  std::vector<core::BatchInput> Inputs = threePrograms();
-  core::BatchOptions Options;
-  Options.Options = smallDevice();
-  std::vector<core::BatchItem> First = core::compileBatch(Inputs, Options);
-  obs::Json Summary = core::batchStatsJson(First, 1);
-  Options.MeasuredCostMs = core::batchMeasuredCosts(Summary);
-  ASSERT_EQ(Options.MeasuredCostMs.size(), Inputs.size());
-  std::vector<core::BatchItem> Second = core::compileBatch(Inputs, Options);
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    ASSERT_TRUE(First[I].ok());
-    ASSERT_TRUE(Second[I].ok());
-    EXPECT_EQ(First[I].Outcome->value().Verilog.str(),
-              Second[I].Outcome->value().Verilog.str());
-  }
-}

@@ -66,16 +66,20 @@ AsmProgram crossColumnPairs(unsigned N) {
   return parseOk(Source);
 }
 
-/// One cascade-shaped cluster per entry of \p Heights: that many DSP adds
-/// at (xI, yI) .. (xI, yI + height - 1).
-AsmProgram dspChains(std::initializer_list<unsigned> Heights) {
+/// One cascade-shaped cluster per entry of \p Heights: that many adds on
+/// \p Prim at (xI, yI) .. (xI, yI + height - 1), or in column \p Column
+/// when one is given.
+AsmProgram chains(const std::string &Prim,
+                  std::initializer_list<unsigned> Heights,
+                  const std::string &Column = "") {
   std::string Source = "def f(a:i8, b:i8) -> (c0_0:i8) {\n";
   unsigned Chain = 0;
   for (unsigned Height : Heights) {
     std::string C = std::to_string(Chain++);
+    std::string X = Column.empty() ? "x" + C : Column;
     for (unsigned K = 0; K < Height; ++K)
-      Source += "  c" + C + "_" + std::to_string(K) + ":i8 = add(a, b) @dsp(x" +
-                C + ", y" + C + "+" + std::to_string(K) + ");\n";
+      Source += "  c" + C + "_" + std::to_string(K) + ":i8 = add(a, b) @" +
+                Prim + "(" + X + ", y" + C + "+" + std::to_string(K) + ");\n";
   }
   Source += "}\n";
   return parseOk(Source);
@@ -549,6 +553,66 @@ TEST(Place, CrossColumnClustersAreNotTall) {
   }
 }
 
+TEST(Place, PrecheckCountsTallClustersPerHeightClass) {
+  // One short chain used to set the segment height for every chain of its
+  // kind. Five LUT chains of 9 and one of 2 on small: each of the four
+  // 16-row LUT columns holds one run of 9, and 5 > 4. Four DSP chains of
+  // 70 and one of 20 on xczu3eg: each of the three 120-row DSP columns
+  // holds one run of 70, and 4 > 3. The class h = 2 (or 20) passes; the
+  // class h = 9 (or 70) refutes the program before any solve.
+  struct Case {
+    AsmProgram Prog;
+    Device Dev;
+    const char *Detail;
+  };
+  Case Cases[] = {
+      {chains("lut", {9, 9, 9, 9, 9, 2}), Device::small(),
+       "5 cascade chain(s) of height >= 9 need 5 consecutive-row "
+       "segment(s) but only 4 fit in lut columns <= 5, rows <= 15"},
+      {chains("dsp", {70, 70, 70, 70, 20}), Device::xczu3eg(),
+       "4 cascade chain(s) of height >= 70 need 4 consecutive-row "
+       "segment(s) but only 3 fit in dsp columns <= 62, rows <= 147"},
+  };
+  for (const Case &C : Cases)
+    for (bool Shrink : {true, false}) {
+      PlacementOptions Options;
+      Options.Shrink = Shrink;
+      PlacementStats Stats;
+      Result<AsmProgram> Placed =
+          reticle::place::place(C.Prog, C.Dev, Options, &Stats);
+      ASSERT_FALSE(Placed.ok()) << C.Detail;
+      EXPECT_EQ(Stats.Solves, 0u) << C.Detail;
+      ASSERT_EQ(Stats.Core.size(), 1u) << C.Detail;
+      EXPECT_EQ(Stats.Core.front().Kind, "capacity");
+      EXPECT_EQ(Stats.Core.front().Detail, C.Detail);
+    }
+}
+
+TEST(Place, UncappedUnsatAttemptEndsTheFirstSolutionLoop) {
+  // Two chains of 70 DSPs pinned to column 20, the first 120-row DSP
+  // column of xczu3eg, pass both prechecks, which count every DSP column.
+  // Each chain has 51 bases, fewer than the first cap, so the first
+  // attempt enumerates every candidate and its refutation is final: one
+  // solve and one explanation, where growing the cap re-proved the same
+  // formula four more times.
+  AsmProgram P = chains("dsp", {70, 70}, "20");
+  PlacementOptions Options;
+  Options.Shrink = false;
+  PlacementStats Stats;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::xczu3eg(), Options, &Stats);
+  ASSERT_FALSE(Placed.ok());
+  EXPECT_NE(Placed.error().find("no valid layout for 2 cluster(s)"),
+            std::string::npos)
+      << Placed.error();
+  EXPECT_EQ(Stats.Solves, 1u);
+  std::vector<std::string> Kinds;
+  for (const CoreConstraint &C : Stats.Core)
+    Kinds.push_back(C.Kind + " " + C.Instr);
+  EXPECT_EQ(Kinds, (std::vector<std::string>{
+                       "choose-one c0_0", "choose-one c1_0", "distinct c0_0"}));
+}
+
 TEST(Place, SevenCrossColumnClustersFailInTheSolver) {
   // Seven pairs demand 14 of the 16 DSP slots and none is tall, so both
   // prechecks pass; the solver refutes seven clusters over six base
@@ -670,7 +734,7 @@ TEST(Place, PersistentProbesMatchFreshSolves) {
   // only as 60 + 30 and 60, so the box (41, 74) is refuted and the row
   // probes below 89 reach the solver. The solver's clause arena and
   // watcher pool grow through these searches.
-  Inputs.push_back({"chains_60_60_30", dspChains({60, 60, 30}),
+  Inputs.push_back({"chains_60_60_30", chains("dsp", {60, 60, 30}),
                     Device::xczu3eg()});
   Inputs.push_back({"designed", strandedRowPairs(), Device::small()});
 

@@ -25,61 +25,59 @@
 ///
 /// The bare invocation only checks that the file parses as strict JSON.
 ///
-/// A second mode compares two remark streams:
-///   json_check remark_diff [--json] <a.jsonl> <b.jsonl>
-/// Both files are "reticle-remarks-v1" JSONL streams. Records are joined
-/// on {stage, kind, instr} (pairing positionally within a group) and
-/// their message and args compared. Differences print as +/-/~ lines, or
-/// as one "reticle-remark-diff-v1" JSON document with --json. Exit 0 when
-/// the streams agree, 1 when they differ, 2 when an input is unusable —
-/// the same contract as diff(1), so CI can gate on remark drift.
+/// Four presets diff two runs' artifacts:
+///   json_check remark_diff   [--json] <a.jsonl> <b.jsonl>
+///   json_check wave_diff     [--json] [--all-signals] <a.jsonl> <b.jsonl>
+///   json_check coverage_diff [--json] <golden.json> <new.json>
+///   json_check profile_diff  [--json] <a.json> <b.json>
+/// A preset turns each input into keyed rows (key, label, value) in
+/// document order. One join groups the rows of both inputs by key and
+/// pairs them by position within a key (a remark stream repeats keys);
+/// a pair is unchanged or changed, a leftover row removed (only in A) or
+/// added (only in B). One report prints a +/-/~ line per difference, or
+/// with --json one "reticle-diff-v1" document. Exit 0 when no row fails,
+/// 1 when one does, 2 when an input is unusable (missing file, malformed
+/// line, wrong schema, or a wave pair with no comparable signal): the
+/// contract of diff(1).
 ///
-/// A third mode compares two waveform streams:
-///   json_check wave_diff [--json] [--all-signals] <a.jsonl> <b.jsonl>
-/// Both files are "reticle-wave-v1" JSONL streams (reticlec --wave-json).
-/// Records are joined on {cycle, signal}. By default only signals that
-/// both headers mark as ports (kind "input"/"output") are compared —
-/// internal signals legitimately differ between engines; --all-signals
-/// compares every shared signal. The first divergence is reported as
-/// (cycle, signal, expected, actual), with totals; --json emits one
-/// "reticle-wave-diff-v1" document. Exit 0 when the waves agree, 1 when
-/// they diverge (including cycle-count mismatch), 2 when an input is
-/// unusable or no signal is comparable.
+///   remark_diff    reticle-remarks-v1 records keyed {stage, kind, instr};
+///                  the value is the message plus compact args. Lines
+///                  without a stage (the header) are skipped.
+///   wave_diff      reticle-wave-v1 values keyed {cycle, signal}, for the
+///                  signals both headers list and the cycles both streams
+///                  ran; the value is the bit string. Only ports (kind
+///                  input/output) are kept unless --all-signals is given
+///                  or a header lacks kinds, since internal signals differ
+///                  between engines. One more row holds the cycle count.
+///   coverage_diff  reticle-coverage-v1 bins with a count > 0, keyed
+///                  {space, bin}. The ratchet: only removed (lost) rows
+///                  fail; a newly hit bin is added and passes.
+///   profile_diff   reticle-profile-v1 hot instructions keyed {segment,
+///                  offset} with op, source and count, plus rows for
+///                  cycles, ops.total and ops.attributed. The sampled wall
+///                  times are machine-dependent and not read, so two runs
+///                  of one program over one trace diff clean.
 ///
-/// Two more modes operate on "reticle-coverage-v1" documents
-/// (reticlec --coverage):
 ///   json_check coverage_merge <a.json> [<b.json> ...]
-/// unions the inputs' coverage spaces (bin counts summed) and writes the
-/// merged document — a superset of every input — to stdout. Exit 0, or 2
-/// when an input is unusable.
-///   json_check coverage_diff <golden.json> <new.json>
-/// is the coverage ratchet: any bin hit in the golden doc but missing (or
-/// zero) in the new doc is LOST and fails the diff; newly hit bins are
-/// reported as gained but pass. Exit 0 when nothing was lost, 1 on a
-/// coverage regression, 2 when an input is unusable.
-///
-/// A further mode compares two sim-VM execution profiles:
-///   json_check profile_diff [--json] <a.json> <b.json>
-/// Both files are "reticle-profile-v1" documents (reticlec --profile-sim).
-/// Hot-instruction entries are joined on {segment, offset} and their
-/// opcode, source attribution, and execution count compared; cycle and
-/// total/attributed op counts are compared as scalars. The sampled wall
-/// times ("sampling") are machine-dependent and deliberately IGNORED, so
-/// two runs of the same program over the same trace must diff clean —
-/// that is the hot-set determinism gate. Exit 0 when the profiles agree,
-/// 1 when they differ, 2 when an input is unusable — the diff(1)
-/// contract, like the other diff modes.
+/// sums the bins of reticle-coverage-v1 documents and prints the merged
+/// document, a superset of every input, to stdout. Exit 0, or 2 when an
+/// input is unusable.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/Coverage.h"
 #include "obs/Json.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 using namespace reticle;
@@ -87,7 +85,7 @@ using obs::Json;
 
 namespace {
 
-int fail(const std::string &Path, const std::string &Message) {
+int failCheck(const std::string &Path, const std::string &Message) {
   std::fprintf(stderr, "json_check: %s: %s\n", Path.c_str(),
                Message.c_str());
   return 1;
@@ -121,13 +119,6 @@ const Json *lookup(const Json &Root, const std::string &DottedPath) {
     Pos = Dot + 1;
   }
   return Node;
-}
-
-bool anyLookup(const std::vector<Json> &Docs, const std::string &Path) {
-  for (const Json &Doc : Docs)
-    if (lookup(Doc, Path))
-      return true;
-  return false;
 }
 
 /// Structural validation of a "reticle-batch-v1" summary (see
@@ -191,534 +182,492 @@ std::string checkBatchSummary(const Json &Doc) {
   return {};
 }
 
-/// One remark record, reduced to its join key and comparison payload.
-struct RemarkRecord {
-  std::string Stage;
-  std::string Kind;
-  std::string Instr;
-  std::string Payload; ///< message plus compact args — the compared text
+/// One parsed document and the line of the file it starts on.
+struct Doc {
+  size_t Line;
+  Json Value;
 };
 
-/// Loads a "reticle-remarks-v1" JSONL stream, skipping the header line
-/// (and any other line without a "stage" key). Returns an error message
-/// on failure via \p Error.
-bool loadRemarks(const std::string &Path, std::vector<RemarkRecord> &Out,
-                 std::string &Error) {
+/// One input file, read.
+struct Input {
+  std::string Path;
+  std::vector<Doc> Docs;
+};
+
+/// The one reader: \p Path as one JSON document or, with \p Jsonl, as one
+/// document per non-empty line. Diagnostics name the file and, for a
+/// parse error, the line.
+Result<Input> readInput(const std::string &Path, bool Jsonl) {
   std::ifstream In(Path);
-  if (!In) {
-    Error = Path + ": cannot open";
-    return false;
+  if (!In)
+    return fail<Input>(Path + ": cannot open");
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  const std::string Text = Buffer.str();
+  Input Out{Path, {}};
+  if (!Jsonl) {
+    Result<Json> D = Json::parse(Text);
+    if (!D) {
+      // The parser reports a byte offset; name its line instead.
+      std::string Where;
+      if (size_t At = D.error().rfind(" at offset "); At != std::string::npos) {
+        size_t Offset = std::min<size_t>(
+            std::strtoull(D.error().c_str() + At + 11, nullptr, 10),
+            Text.size());
+        Where = "line " +
+                std::to_string(1 + std::count(Text.begin(),
+                                              Text.begin() + Offset, '\n')) +
+                ": ";
+      }
+      return fail<Input>(Path + ": " + Where + "malformed JSON: " + D.error());
+    }
+    Out.Docs.push_back({1, D.take()});
+    return Out;
   }
+  std::istringstream Lines(Text);
   std::string Line;
-  size_t LineNo = 0;
-  while (std::getline(In, Line)) {
-    ++LineNo;
+  for (size_t LineNo = 1; std::getline(Lines, Line); ++LineNo) {
     if (Line.find_first_not_of(" \t\r") == std::string::npos)
       continue;
-    Result<Json> Doc = Json::parse(Line);
-    if (!Doc) {
-      Error = Path + ": line " + std::to_string(LineNo) +
-              ": malformed JSON: " + Doc.error();
-      return false;
-    }
-    const Json &R = Doc.value();
+    Result<Json> D = Json::parse(Line);
+    if (!D)
+      return fail<Input>(Path + ": line " + std::to_string(LineNo) +
+                         ": malformed JSON: " + D.error());
+    Out.Docs.push_back({LineNo, D.take()});
+  }
+  return Out;
+}
+
+bool hasSchema(const Json &D, const std::string &Schema) {
+  const Json *S = D.isObject() ? D.find("schema") : nullptr;
+  return S && S->isString() && S->asString() == Schema;
+}
+
+/// The string member \p Key of \p Object, or "" when absent or not a
+/// string.
+std::string member(const Json &Object, const char *Key) {
+  const Json *M = Object.isObject() ? Object.find(Key) : nullptr;
+  return M && M->isString() ? M->asString() : std::string();
+}
+
+/// One keyed row of a preset's view of an input.
+struct Row {
+  std::string Key;   ///< the join key: its fields joined by NUL
+  std::string Label; ///< the key as the report prints it
+  std::string Value; ///< the compared text
+};
+using Rows = std::vector<Row>;
+using RowPair = std::array<Rows, 2>;
+
+/// remark_diff: one row per record, keyed {stage, kind, instr}.
+Result<Rows> remarkRows(const Input &In) {
+  Rows Out;
+  for (const Doc &D : In.Docs) {
+    const Json &R = D.Value;
+    if (R.isObject() && R.find("schema") &&
+        !hasSchema(R, "reticle-remarks-v1"))
+      return fail<Rows>(In.Path + ": line " + std::to_string(D.Line) +
+                        ": schema is not \"reticle-remarks-v1\"");
     const Json *Stage = R.isObject() ? R.find("stage") : nullptr;
     if (!Stage || !Stage->isString())
       continue; // header or foreign line
-    RemarkRecord Rec;
-    Rec.Stage = Stage->asString();
-    if (const Json *Kind = R.find("kind"); Kind && Kind->isString())
-      Rec.Kind = Kind->asString();
-    if (const Json *Instr = R.find("instr"); Instr && Instr->isString())
-      Rec.Instr = Instr->asString();
-    if (const Json *Message = R.find("message");
-        Message && Message->isString())
-      Rec.Payload = Message->asString();
+    std::string Kind = member(R, "kind"), Instr = member(R, "instr");
+    std::string Label = Stage->asString() + ":" + Kind;
+    if (!Instr.empty())
+      Label += " @" + Instr;
+    std::string Value = member(R, "message");
     if (const Json *Args = R.find("args"); Args && Args->size())
-      Rec.Payload += " " + Args->str();
-    Out.push_back(std::move(Rec));
+      Value.append(" ").append(Args->str());
+    Out.push_back({Stage->asString() + '\0' + Kind + '\0' + Instr,
+                   std::move(Label), std::move(Value)});
   }
-  return true;
+  return Out;
 }
 
-std::string remarkKeyLabel(const RemarkRecord &R) {
-  std::string Label = R.Stage + ":" + R.Kind;
-  if (!R.Instr.empty())
-    Label += " @" + R.Instr;
-  return Label;
+/// One "reticle-wave-v1" stream, indexed for the {cycle, signal} join.
+struct Wave {
+  std::vector<std::string> Signals;         ///< header order
+  std::map<std::string, std::string> Kinds; ///< name -> input/output/internal
+  /// (cycle, signal) -> MSB-first bit string; a later record wins.
+  std::map<std::pair<uint64_t, std::string>, std::string> Values;
+  uint64_t Cycles = 0; ///< footer count, else last record cycle + 1
+  bool HasKinds = false;
+};
+
+Result<Wave> readWave(const Input &In) {
+  Wave W;
+  bool SawHeader = false, SawRecord = false;
+  uint64_t MaxCycle = 0;
+  for (const Doc &D : In.Docs) {
+    const Json &R = D.Value;
+    auto Bad = [&](const std::string &What) {
+      return fail<Wave>(In.Path + ": line " + std::to_string(D.Line) + ": " +
+                        What);
+    };
+    if (!R.isObject())
+      return Bad("not an object");
+    if (R.find("schema")) {
+      // Header line: declares the signal inventory.
+      if (!hasSchema(R, "reticle-wave-v1"))
+        return Bad("schema is not \"reticle-wave-v1\"");
+      SawHeader = true;
+      if (const Json *Signals = R.find("signals"); Signals && Signals->isArray())
+        for (const Json &Sig : Signals->items()) {
+          std::string Name = member(Sig, "name");
+          if (Name.empty())
+            continue;
+          W.Signals.push_back(Name);
+          if (const Json *Kind = Sig.find("kind"); Kind && Kind->isString()) {
+            W.Kinds[Name] = Kind->asString();
+            W.HasKinds = true;
+          }
+        }
+    } else if (const Json *Sig = R.find("signal")) {
+      // Value record.
+      const Json *Cycle = R.find("cycle");
+      const Json *Value = R.find("value");
+      if (!Sig->isString() || !Cycle || !Cycle->isNumber() || !Value ||
+          !Value->isString())
+        return Bad("bad value record");
+      uint64_t C = static_cast<uint64_t>(Cycle->asInt());
+      W.Values[{C, Sig->asString()}] = Value->asString();
+      MaxCycle = std::max(MaxCycle, C);
+      SawRecord = true;
+    } else if (const Json *Cycles = R.find("cycles");
+               Cycles && Cycles->isNumber()) {
+      W.Cycles = static_cast<uint64_t>(Cycles->asInt()); // footer
+    }
+    // Any other line is foreign and tolerated.
+  }
+  if (!SawHeader)
+    return fail<Wave>(In.Path + ": no reticle-wave-v1 header line");
+  if (W.Cycles == 0 && SawRecord)
+    W.Cycles = MaxCycle + 1;
+  return W;
 }
 
-/// `json_check remark_diff [--json] a.jsonl b.jsonl`: joins two remark
-/// streams on {stage, kind, instr} and reports added/removed/changed
-/// records. Exit 0 identical, 1 different, 2 unusable input.
-int runRemarkDiff(int Argc, char **Argv) {
-  bool AsJson = false;
-  std::vector<std::string> Paths;
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json")
-      AsJson = true;
-    else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr,
-                   "usage: %s remark_diff [--json] <a.jsonl> <b.jsonl>\n",
-                   Argv[0]);
-      return 2;
-    } else
-      Paths.push_back(Arg);
+/// wave_diff: a "cycles" row, then one row per value of a comparable
+/// signal below both streams' cycle counts, cycle-major in A's header
+/// order. Which signals compare depends on both headers.
+Result<RowPair> waveRows(const std::array<Input, 2> &In, bool AllSignals) {
+  std::array<Wave, 2> W;
+  for (int I = 0; I < 2; ++I) {
+    Result<Wave> R = readWave(In[I]);
+    if (!R)
+      return fail<RowPair>(R.error());
+    W[I] = R.take();
   }
-  if (Paths.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: %s remark_diff [--json] <a.jsonl> <b.jsonl>\n",
-                 Argv[0]);
-    return 2;
-  }
-
-  std::vector<RemarkRecord> A, B;
-  std::string Error;
-  if (!loadRemarks(Paths[0], A, Error) || !loadRemarks(Paths[1], B, Error)) {
-    std::fprintf(stderr, "json_check: %s\n", Error.c_str());
-    return 2;
-  }
-
-  // Group both streams by the join key, preserving first-appearance order
-  // so the report reads in pipeline order.
-  auto KeyOf = [](const RemarkRecord &R) {
-    return R.Stage + '\0' + R.Kind + '\0' + R.Instr;
+  auto IsPort = [](const Wave &S, const std::string &Name) {
+    auto It = S.Kinds.find(Name);
+    return It != S.Kinds.end() &&
+           (It->second == "input" || It->second == "output");
   };
-  std::vector<std::string> KeyOrder;
-  std::map<std::string, std::pair<std::vector<const RemarkRecord *>,
-                                  std::vector<const RemarkRecord *>>>
-      Groups;
-  for (const RemarkRecord &R : A) {
-    auto [It, Fresh] = Groups.try_emplace(KeyOf(R));
-    if (Fresh)
-      KeyOrder.push_back(It->first);
-    It->second.first.push_back(&R);
-  }
-  for (const RemarkRecord &R : B) {
-    auto [It, Fresh] = Groups.try_emplace(KeyOf(R));
-    if (Fresh)
-      KeyOrder.push_back(It->first);
-    It->second.second.push_back(&R);
-  }
+  bool PortsOnly = !AllSignals && W[0].HasKinds && W[1].HasKinds;
+  std::map<std::string, size_t> Shared; // name -> position in A's header
+  for (const std::string &Name : W[0].Signals)
+    if (std::find(W[1].Signals.begin(), W[1].Signals.end(), Name) !=
+            W[1].Signals.end() &&
+        (!PortsOnly || (IsPort(W[0], Name) && IsPort(W[1], Name))))
+      Shared.try_emplace(Name, Shared.size());
+  if (Shared.empty())
+    return fail<RowPair>(
+        In[0].Path + " vs " + In[1].Path + ": no comparable signals (" +
+        std::to_string(W[0].Signals.size()) + " vs " +
+        std::to_string(W[1].Signals.size()) + " in headers" +
+        (PortsOnly ? "; ports only, try --all-signals)" : ")"));
 
-  uint64_t Added = 0, Removed = 0, Changed = 0, Unchanged = 0;
-  Json Details = Json::array();
-  std::string Text;
-  auto Report = [&](const char *St, const RemarkRecord &R,
-                    const RemarkRecord *Other) {
-    const char *Mark = std::string(St) == "added"     ? "+"
-                       : std::string(St) == "removed" ? "-"
-                                                      : "~";
-    Text += std::string(Mark) + " " + remarkKeyLabel(R) + ": " + R.Payload;
-    if (Other)
-      Text += "\n  -> " + Other->Payload;
-    Text += "\n";
-    Json Entry = Json::object();
-    Entry.set("status", St);
-    Entry.set("stage", R.Stage);
-    Entry.set("kind", R.Kind);
-    if (!R.Instr.empty())
-      Entry.set("instr", R.Instr);
-    if (std::string(St) != "added")
-      Entry.set("a", R.Payload);
-    if (std::string(St) == "added")
-      Entry.set("b", R.Payload);
-    else if (Other)
-      Entry.set("b", Other->Payload);
-    Details.push(std::move(Entry));
-  };
+  uint64_t Cycles = std::min(W[0].Cycles, W[1].Cycles);
+  RowPair Out;
+  for (int I = 0; I < 2; ++I) {
+    Out[I].push_back({"cycles", "cycles", std::to_string(W[I].Cycles)});
+    std::vector<std::tuple<uint64_t, size_t, const std::string *,
+                           const std::string *>>
+        Cells;
+    for (const auto &[Key, Bits] : W[I].Values)
+      if (auto It = Shared.find(Key.second);
+          Key.first < Cycles && It != Shared.end())
+        Cells.emplace_back(Key.first, It->second, &Key.second, &Bits);
+    std::sort(Cells.begin(), Cells.end());
+    for (const auto &[Cycle, Position, Name, Bits] : Cells)
+      Out[I].push_back({std::to_string(Cycle) + '\0' + *Name,
+                        "cycle " + std::to_string(Cycle) + " " + *Name,
+                        *Bits});
+  }
+  return Out;
+}
 
-  for (const std::string &Key : KeyOrder) {
-    const auto &[InA, InB] = Groups[Key];
+/// One "reticle-coverage-v1" document: spaces and their bins in document
+/// order, each count a non-negative integer.
+struct CoverageDoc {
+  using Bins = std::vector<std::pair<std::string, uint64_t>>;
+  std::string Program;
+  std::vector<std::pair<std::string, Bins>> Spaces;
+};
+
+Result<CoverageDoc> readCoverage(const Input &In) {
+  const Json &R = In.Docs.front().Value;
+  if (!hasSchema(R, "reticle-coverage-v1"))
+    return fail<CoverageDoc>(In.Path +
+                             ": schema is not \"reticle-coverage-v1\"");
+  CoverageDoc Out;
+  Out.Program = member(R, "program");
+  const Json *Spaces = R.find("spaces");
+  if (!Spaces || !Spaces->isObject())
+    return fail<CoverageDoc>(In.Path + ": missing 'spaces' object");
+  for (const auto &[SpaceName, Space] : Spaces->members()) {
+    const Json *Bins = Space.isObject() ? Space.find("bins") : nullptr;
+    if (!Bins || !Bins->isObject())
+      return fail<CoverageDoc>(In.Path + ": space '" + SpaceName +
+                               "' has no 'bins' object");
+    CoverageDoc::Bins &Dst =
+        Out.Spaces.emplace_back(SpaceName, CoverageDoc::Bins()).second;
+    for (const auto &[BinName, Count] : Bins->members()) {
+      if (Count.kind() != Json::Kind::Int || Count.asInt() < 0)
+        return fail<CoverageDoc>(In.Path + ": bin '" + SpaceName + "/" +
+                                 BinName +
+                                 "' count is not a non-negative integer");
+      Dst.emplace_back(BinName, static_cast<uint64_t>(Count.asInt()));
+    }
+  }
+  return Out;
+}
+
+/// coverage_diff: one row per hit bin, keyed {space, bin}.
+Result<Rows> coverageRows(const Input &In) {
+  Result<CoverageDoc> C = readCoverage(In);
+  if (!C)
+    return fail<Rows>(C.error());
+  Rows Out;
+  for (const auto &[Space, Bins] : C.value().Spaces)
+    for (const auto &[Bin, Count] : Bins)
+      if (Count > 0) // declared-only bins are holes, not coverage to keep
+        Out.push_back({Space + '\0' + Bin, Space + "/" + Bin, "hit"});
+  return Out;
+}
+
+/// profile_diff: the three deterministic scalars, then one row per hot
+/// instruction keyed {segment, offset}. "sampling" is not read.
+Result<Rows> profileRows(const Input &In) {
+  const Json &R = In.Docs.front().Value;
+  if (!hasSchema(R, "reticle-profile-v1"))
+    return fail<Rows>(In.Path + ": schema is not \"reticle-profile-v1\"");
+  Rows Out;
+  for (const char *Path : {"cycles", "ops.total", "ops.attributed"}) {
+    const Json *N = lookup(R, Path);
+    Out.push_back(
+        {Path, Path, std::to_string(N && N->isNumber() ? N->asInt() : 0)});
+  }
+  const Json *Hot = R.find("hot_instructions");
+  if (!Hot || !Hot->isArray())
+    return fail<Rows>(In.Path + ": missing 'hot_instructions' array");
+  for (const Json &Entry : Hot->items()) {
+    const Json *Segment = Entry.isObject() ? Entry.find("segment") : nullptr;
+    const Json *Offset = Entry.isObject() ? Entry.find("offset") : nullptr;
+    if (!Segment || !Segment->isString() || !Offset || !Offset->isNumber())
+      return fail<Rows>(In.Path +
+                        ": a hot_instructions entry lacks segment/offset");
+    const Json *Count = Entry.find("count");
+    std::string Value =
+        member(Entry, "op") + " x" +
+        std::to_string(Count && Count->isNumber() ? Count->asInt() : 0);
+    if (std::string Source = member(Entry, "source"); !Source.empty())
+      Value += " (" + Source + ")";
+    std::string At = std::to_string(Offset->asInt());
+    Out.push_back({Segment->asString() + '\0' + At,
+                   Segment->asString() + "+" + At, std::move(Value)});
+  }
+  return Out;
+}
+
+/// Adapts a preset that reads each input on its own.
+template <Result<Rows> (*PerInput)(const Input &)>
+Result<RowPair> eachInput(const std::array<Input, 2> &In, bool) {
+  RowPair Out;
+  for (int I = 0; I < 2; ++I) {
+    Result<Rows> R = PerInput(In[I]);
+    if (!R)
+      return fail<RowPair>(R.error());
+    Out[I] = R.take();
+  }
+  return Out;
+}
+
+/// A diff subcommand: how to read its inputs, turn them into rows, and
+/// judge the joined result.
+struct Preset {
+  const char *Name;
+  const char *Operands; ///< usage text for the two paths
+  bool Jsonl;           ///< reader mode for both inputs
+  bool AllSignals;      ///< accepts --all-signals
+  bool OnlyRemovedFails; ///< a ratchet: added and changed rows pass
+  Result<RowPair> (*MakeRows)(const std::array<Input, 2> &,
+                             bool AllSignals);
+};
+
+const Preset Presets[] = {
+    {"remark_diff", "<a.jsonl> <b.jsonl>", true, false, false,
+     eachInput<remarkRows>},
+    {"wave_diff", "<a.jsonl> <b.jsonl>", true, true, false, waveRows},
+    {"coverage_diff", "<golden.json> <new.json>", false, false, true,
+     eachInput<coverageRows>},
+    {"profile_diff", "<a.json> <b.json>", false, false, false,
+     eachInput<profileRows>},
+};
+
+std::string presetUsage(const Preset &P) {
+  return std::string(P.Name) + " [--json]" +
+         (P.AllSignals ? " [--all-signals]" : "") + " " + P.Operands;
+}
+
+/// One difference found by the join: '+' added (only B), '-' removed
+/// (only A) or '~' changed (both, with different values).
+struct Difference {
+  char Mark;
+  const Row *A;
+  const Row *B;
+};
+
+struct Joined {
+  std::vector<Difference> Differences;
+  uint64_t Unchanged = 0;
+  uint64_t count(char Mark) const {
+    return static_cast<uint64_t>(
+        std::count_if(Differences.begin(), Differences.end(),
+                      [Mark](const Difference &D) { return D.Mark == Mark; }));
+  }
+};
+
+/// The one join: groups both row lists by key in first-appearance order,
+/// then pairs the rows of a key by position.
+Joined join(const Rows &A, const Rows &B) {
+  std::unordered_map<std::string, size_t> GroupOf;
+  std::vector<std::array<std::vector<const Row *>, 2>> Groups;
+  for (int Side = 0; Side < 2; ++Side)
+    for (const Row &R : Side == 0 ? A : B) {
+      auto [It, Fresh] = GroupOf.try_emplace(R.Key, Groups.size());
+      if (Fresh)
+        Groups.emplace_back();
+      Groups[It->second][Side].push_back(&R);
+    }
+  Joined J;
+  for (const auto &[InA, InB] : Groups) {
     size_t Common = std::min(InA.size(), InB.size());
     for (size_t I = 0; I < Common; ++I) {
-      if (InA[I]->Payload == InB[I]->Payload) {
-        ++Unchanged;
-      } else {
-        ++Changed;
-        Report("changed", *InA[I], InB[I]);
-      }
+      if (InA[I]->Value == InB[I]->Value)
+        ++J.Unchanged;
+      else
+        J.Differences.push_back({'~', InA[I], InB[I]});
     }
-    for (size_t I = Common; I < InA.size(); ++I) {
-      ++Removed;
-      Report("removed", *InA[I], nullptr);
-    }
-    for (size_t I = Common; I < InB.size(); ++I) {
-      ++Added;
-      Report("added", *InB[I], nullptr);
-    }
+    for (size_t I = Common; I < InA.size(); ++I)
+      J.Differences.push_back({'-', InA[I], nullptr});
+    for (size_t I = Common; I < InB.size(); ++I)
+      J.Differences.push_back({'+', nullptr, InB[I]});
   }
+  return J;
+}
 
+/// The one report, as text or as a "reticle-diff-v1" document; returns
+/// the exit code.
+int report(const Preset &P, const std::vector<std::string> &Paths,
+           const Joined &J, bool AsJson) {
+  constexpr size_t MaxDetails = 32;
+  uint64_t Added = J.count('+'), Removed = J.count('-'),
+           Changed = J.count('~');
+  size_t Shown = std::min(J.Differences.size(), MaxDetails);
   if (AsJson) {
+    Json Details = Json::array();
+    for (size_t I = 0; I < Shown; ++I) {
+      const Difference &D = J.Differences[I];
+      Json Entry = Json::object();
+      Entry.set("status", D.Mark == '+'   ? "added"
+                          : D.Mark == '-' ? "removed"
+                                          : "changed");
+      Entry.set("key", (D.A ? D.A : D.B)->Label);
+      if (D.A)
+        Entry.set("a", D.A->Value);
+      if (D.B)
+        Entry.set("b", D.B->Value);
+      Details.push(std::move(Entry));
+    }
     Json Doc = Json::object();
-    Doc.set("schema", "reticle-remark-diff-v1");
+    Doc.set("schema", "reticle-diff-v1");
+    Doc.set("preset", P.Name);
     Doc.set("a", Paths[0]);
     Doc.set("b", Paths[1]);
     Doc.set("added", Added);
     Doc.set("removed", Removed);
     Doc.set("changed", Changed);
-    Doc.set("unchanged", Unchanged);
+    Doc.set("unchanged", J.Unchanged);
+    Doc.set("identical", J.Differences.empty());
     Doc.set("details", std::move(Details));
     std::fputs((Doc.str(2) + "\n").c_str(), stdout);
   } else {
-    std::fputs(Text.c_str(), stdout);
-    std::printf("remark diff: %llu added, %llu removed, %llu changed, "
-                "%llu unchanged\n",
-                static_cast<unsigned long long>(Added),
+    for (size_t I = 0; I < Shown; ++I) {
+      const Difference &D = J.Differences[I];
+      const Row &R = D.A ? *D.A : *D.B;
+      std::printf("%c %s: %s%s%s\n", D.Mark, R.Label.c_str(),
+                  R.Value.c_str(), D.Mark == '~' ? " -> " : "",
+                  D.Mark == '~' ? D.B->Value.c_str() : "");
+    }
+    if (J.Differences.size() > Shown)
+      std::printf("... %zu more difference(s)\n",
+                  J.Differences.size() - Shown);
+    std::printf("%s: %llu added, %llu removed, %llu changed, %llu "
+                "unchanged\n",
+                P.Name, static_cast<unsigned long long>(Added),
                 static_cast<unsigned long long>(Removed),
                 static_cast<unsigned long long>(Changed),
-                static_cast<unsigned long long>(Unchanged));
+                static_cast<unsigned long long>(J.Unchanged));
   }
-  return Added + Removed + Changed ? 1 : 0;
+  bool Fails = Removed || (!P.OnlyRemovedFails && (Added || Changed));
+  return Fails ? 1 : 0;
 }
 
-/// One parsed "reticle-wave-v1" stream, indexed for the cycle/signal join.
-struct WaveStream {
-  std::vector<std::string> SignalOrder; ///< header order
-  std::map<std::string, std::string> Kinds; ///< name -> input/output/internal
-  /// Values[signal][cycle] = MSB-first bit string.
-  std::map<std::string, std::map<uint64_t, std::string>> Values;
-  uint64_t Cycles = 0; ///< footer count, else max record cycle + 1
-  bool HasKinds = false;
-  bool Aborted = false;
-};
-
-/// Loads a "reticle-wave-v1" JSONL stream. Returns false and sets
-/// \p Error when the file is missing, malformed, or not a wave stream.
-bool loadWave(const std::string &Path, WaveStream &Out, std::string &Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    Error = Path + ": cannot open";
-    return false;
-  }
-  std::string Line;
-  size_t LineNo = 0;
-  bool SawHeader = false;
-  uint64_t MaxCycle = 0;
-  bool SawRecord = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.find_first_not_of(" \t\r") == std::string::npos)
-      continue;
-    Result<Json> Doc = Json::parse(Line);
-    if (!Doc) {
-      Error = Path + ": line " + std::to_string(LineNo) +
-              ": malformed JSON: " + Doc.error();
-      return false;
-    }
-    const Json &R = Doc.value();
-    if (!R.isObject()) {
-      Error = Path + ": line " + std::to_string(LineNo) + ": not an object";
-      return false;
-    }
-    if (const Json *Schema = R.find("schema")) {
-      // Header line: declares the signal inventory.
-      if (!Schema->isString() || Schema->asString() != "reticle-wave-v1") {
-        Error = Path + ": schema is not \"reticle-wave-v1\"";
-        return false;
-      }
-      SawHeader = true;
-      if (const Json *Signals = R.find("signals"); Signals && Signals->isArray())
-        for (const Json &Sig : Signals->items()) {
-          const Json *Name = Sig.isObject() ? Sig.find("name") : nullptr;
-          if (!Name || !Name->isString())
-            continue;
-          Out.SignalOrder.push_back(Name->asString());
-          if (const Json *Kind = Sig.find("kind"); Kind && Kind->isString()) {
-            Out.Kinds[Name->asString()] = Kind->asString();
-            Out.HasKinds = true;
-          }
-        }
-      continue;
-    }
-    if (const Json *Sig = R.find("signal")) {
-      // Value record.
-      const Json *Cycle = R.find("cycle");
-      const Json *Value = R.find("value");
-      if (!Sig->isString() || !Cycle || !Cycle->isNumber() || !Value ||
-          !Value->isString()) {
-        Error = Path + ": line " + std::to_string(LineNo) +
-                ": bad value record";
-        return false;
-      }
-      uint64_t C = static_cast<uint64_t>(Cycle->asInt());
-      Out.Values[Sig->asString()][C] = Value->asString();
-      MaxCycle = std::max(MaxCycle, C);
-      SawRecord = true;
-      continue;
-    }
-    if (const Json *Cycles = R.find("cycles"); Cycles && Cycles->isNumber()) {
-      // Footer line.
-      Out.Cycles = static_cast<uint64_t>(Cycles->asInt());
-      if (const Json *Ab = R.find("aborted"); Ab && Ab->isBool())
-        Out.Aborted = Ab->asBool();
-      continue;
-    }
-    // Foreign line: tolerate, mirroring loadRemarks.
-  }
-  if (!SawHeader) {
-    Error = Path + ": no reticle-wave-v1 header line";
-    return false;
-  }
-  if (Out.Cycles == 0 && SawRecord)
-    Out.Cycles = MaxCycle + 1;
-  return true;
-}
-
-/// `json_check wave_diff [--json] [--all-signals] a.jsonl b.jsonl`: joins
-/// two wave streams on {cycle, signal} and reports divergences. Exit 0
-/// identical, 1 divergent, 2 unusable input or nothing comparable.
-int runWaveDiff(int Argc, char **Argv) {
-  bool AsJson = false;
-  bool AllSignals = false;
+int runDiff(const Preset &P, int Argc, char **Argv) {
+  bool AsJson = false, AllSignals = false;
   std::vector<std::string> Paths;
-  auto Usage = [&] {
-    std::fprintf(stderr,
-                 "usage: %s wave_diff [--json] [--all-signals] "
-                 "<a.jsonl> <b.jsonl>\n",
-                 Argv[0]);
-    return 2;
-  };
+  bool BadFlag = false;
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--json")
       AsJson = true;
-    else if (Arg == "--all-signals")
+    else if (Arg == "--all-signals" && P.AllSignals)
       AllSignals = true;
     else if (!Arg.empty() && Arg[0] == '-')
-      return Usage();
+      BadFlag = true;
     else
       Paths.push_back(Arg);
   }
-  if (Paths.size() != 2)
-    return Usage();
-
-  WaveStream A, B;
-  std::string Error;
-  if (!loadWave(Paths[0], A, Error) || !loadWave(Paths[1], B, Error)) {
-    std::fprintf(stderr, "json_check: %s\n", Error.c_str());
+  if (BadFlag || Paths.size() != 2) {
+    std::fprintf(stderr, "usage: %s %s\n", Argv[0], presetUsage(P).c_str());
     return 2;
   }
-
-  // Comparable set: signals present in both headers, restricted to ports
-  // (kind input/output) unless --all-signals or either header lacks kind
-  // annotations. Order follows A's header.
-  auto IsPort = [](const WaveStream &W, const std::string &Name) {
-    auto It = W.Kinds.find(Name);
-    return It != W.Kinds.end() &&
-           (It->second == "input" || It->second == "output");
-  };
-  bool PortsOnly = !AllSignals && A.HasKinds && B.HasKinds;
-  std::vector<std::string> Shared;
-  for (const std::string &Name : A.SignalOrder) {
-    if (std::find(B.SignalOrder.begin(), B.SignalOrder.end(), Name) ==
-        B.SignalOrder.end())
-      continue;
-    if (PortsOnly && !(IsPort(A, Name) && IsPort(B, Name)))
-      continue;
-    Shared.push_back(Name);
+  std::array<Input, 2> In;
+  for (int I = 0; I < 2; ++I) {
+    Result<Input> R = readInput(Paths[I], P.Jsonl);
+    if (!R) {
+      std::fprintf(stderr, "json_check: %s\n", R.error().c_str());
+      return 2;
+    }
+    In[I] = R.take();
   }
-  if (Shared.empty()) {
-    std::fprintf(stderr,
-                 "json_check: %s vs %s: no comparable signals "
-                 "(%zu vs %zu in headers%s)\n",
-                 Paths[0].c_str(), Paths[1].c_str(), A.SignalOrder.size(),
-                 B.SignalOrder.size(),
-                 PortsOnly ? "; ports only, try --all-signals" : "");
+  Result<RowPair> R = P.MakeRows(In, AllSignals);
+  if (!R) {
+    std::fprintf(stderr, "json_check: %s\n", R.error().c_str());
     return 2;
   }
-
-  uint64_t Cycles = std::min(A.Cycles, B.Cycles);
-  uint64_t Divergences = 0, Compared = 0;
-  bool HaveFirst = false;
-  uint64_t FirstCycle = 0;
-  std::string FirstSignal, FirstA, FirstB;
-  Json Details = Json::array();
-  for (uint64_t C = 0; C < Cycles; ++C)
-    for (const std::string &Name : Shared) {
-      auto ValueAt = [C](const WaveStream &W,
-                         const std::string &Sig) -> const std::string * {
-        auto SigIt = W.Values.find(Sig);
-        if (SigIt == W.Values.end())
-          return nullptr;
-        auto CycIt = SigIt->second.find(C);
-        return CycIt == SigIt->second.end() ? nullptr : &CycIt->second;
-      };
-      const std::string *Va = ValueAt(A, Name);
-      const std::string *Vb = ValueAt(B, Name);
-      if (!Va && !Vb)
-        continue;
-      ++Compared;
-      std::string Sa = Va ? *Va : "<missing>";
-      std::string Sb = Vb ? *Vb : "<missing>";
-      if (Sa == Sb)
-        continue;
-      ++Divergences;
-      if (!HaveFirst) {
-        HaveFirst = true;
-        FirstCycle = C;
-        FirstSignal = Name;
-        FirstA = Sa;
-        FirstB = Sb;
-      }
-      if (Details.size() < 32) {
-        Json Entry = Json::object();
-        Entry.set("cycle", C);
-        Entry.set("signal", Name);
-        Entry.set("expected", Sa);
-        Entry.set("actual", Sb);
-        Details.push(std::move(Entry));
-      }
-    }
-
-  bool CycleMismatch = A.Cycles != B.Cycles;
-  bool Diverged = Divergences > 0 || CycleMismatch;
-
-  if (AsJson) {
-    Json Doc = Json::object();
-    Doc.set("schema", "reticle-wave-diff-v1");
-    Doc.set("a", Paths[0]);
-    Doc.set("b", Paths[1]);
-    Doc.set("cycles_a", A.Cycles);
-    Doc.set("cycles_b", B.Cycles);
-    Doc.set("signals_compared", static_cast<uint64_t>(Shared.size()));
-    Doc.set("values_compared", Compared);
-    Doc.set("divergences", Divergences);
-    if (HaveFirst) {
-      Json First = Json::object();
-      First.set("cycle", FirstCycle);
-      First.set("signal", FirstSignal);
-      First.set("expected", FirstA);
-      First.set("actual", FirstB);
-      Doc.set("first_divergence", std::move(First));
-    }
-    Doc.set("details", std::move(Details));
-    Doc.set("identical", !Diverged);
-    std::fputs((Doc.str(2) + "\n").c_str(), stdout);
-  } else {
-    if (HaveFirst)
-      std::printf("wave diff: first divergence at cycle %llu, signal '%s': "
-                  "expected %s, actual %s\n",
-                  static_cast<unsigned long long>(FirstCycle),
-                  FirstSignal.c_str(), FirstA.c_str(), FirstB.c_str());
-    if (CycleMismatch)
-      std::printf("wave diff: cycle count mismatch: %llu vs %llu\n",
-                  static_cast<unsigned long long>(A.Cycles),
-                  static_cast<unsigned long long>(B.Cycles));
-    std::printf("wave diff: %llu divergence(s) over %llu value(s), "
-                "%zu signal(s), %llu cycle(s)\n",
-                static_cast<unsigned long long>(Divergences),
-                static_cast<unsigned long long>(Compared), Shared.size(),
-                static_cast<unsigned long long>(Cycles));
-  }
-  return Diverged ? 1 : 0;
+  return report(P, Paths, join(R.value()[0], R.value()[1]), AsJson);
 }
 
-/// One parsed coverage doc: space -> bin -> count, plus the program tag.
-struct CoverageDoc {
-  std::string Program;
-  std::map<std::string, std::map<std::string, int64_t>> Spaces;
-};
-
-/// Loads a "reticle-coverage-v1" document (or any document embedding the
-/// same {"spaces": {...}} shape at top level, e.g. a batch summary's
-/// coverage key is NOT accepted — the ratchet pins standalone docs).
-bool loadCoverage(const std::string &Path, CoverageDoc &Out,
-                  std::string &Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    Error = Path + ": cannot open";
-    return false;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Result<Json> Doc = Json::parse(Buffer.str());
-  if (!Doc) {
-    Error = Path + ": malformed JSON: " + Doc.error();
-    return false;
-  }
-  const Json &R = Doc.value();
-  const Json *Schema = R.isObject() ? R.find("schema") : nullptr;
-  if (!Schema || !Schema->isString() ||
-      Schema->asString() != "reticle-coverage-v1") {
-    Error = Path + ": schema is not \"reticle-coverage-v1\"";
-    return false;
-  }
-  if (const Json *Program = R.find("program");
-      Program && Program->isString())
-    Out.Program = Program->asString();
-  const Json *Spaces = R.find("spaces");
-  if (!Spaces || !Spaces->isObject()) {
-    Error = Path + ": missing 'spaces' object";
-    return false;
-  }
-  for (const auto &[SpaceName, Space] : Spaces->members()) {
-    const Json *Bins = Space.isObject() ? Space.find("bins") : nullptr;
-    if (!Bins || !Bins->isObject()) {
-      Error = Path + ": space '" + SpaceName + "' has no 'bins' object";
-      return false;
-    }
-    auto &Dst = Out.Spaces[SpaceName];
-    for (const auto &[BinName, Count] : Bins->members()) {
-      if (!Count.isNumber()) {
-        Error = Path + ": bin '" + SpaceName + "/" + BinName +
-                "' has a non-numeric count";
-        return false;
-      }
-      Dst[BinName] += Count.asInt();
-    }
-  }
-  return true;
-}
-
-/// Serializes a coverage map back into a "reticle-coverage-v1" document
-/// (mirrors obs::coverageDoc; duplicated here so json_check stays a pure
-/// document tool over the published schema).
-Json coverageDocJson(const CoverageDoc &Doc) {
-  Json SpacesJson = Json::object();
-  int64_t TotalBins = 0, TotalHit = 0;
-  for (const auto &[SpaceName, Bins] : Doc.Spaces) {
-    Json BinsJson = Json::object();
-    int64_t Hit = 0;
-    for (const auto &[BinName, Count] : Bins) {
-      BinsJson.set(BinName, Count);
-      if (Count > 0)
-        ++Hit;
-    }
-    Json SpaceJson = Json::object();
-    SpaceJson.set("bins", std::move(BinsJson));
-    SpaceJson.set("hit", Hit);
-    SpaceJson.set("total", static_cast<int64_t>(Bins.size()));
-    SpacesJson.set(SpaceName, std::move(SpaceJson));
-    TotalBins += static_cast<int64_t>(Bins.size());
-    TotalHit += Hit;
-  }
-  Json Out = Json::object();
-  Out.set("schema", "reticle-coverage-v1");
-  Out.set("program", Doc.Program);
-  Out.set("spaces", std::move(SpacesJson));
-  Json Totals = Json::object();
-  Totals.set("spaces", static_cast<int64_t>(Doc.Spaces.size()));
-  Totals.set("bins", TotalBins);
-  Totals.set("hit", TotalHit);
-  Out.set("totals", std::move(Totals));
-  return Out;
-}
-
-/// `json_check coverage_merge <a.json> <b.json> ...`: unions N coverage
-/// docs (bins summed) and writes the merged "reticle-coverage-v1" doc to
-/// stdout. The merge is a superset of every input by construction. Exit 0
-/// on success, 2 when an input is unusable.
+/// `json_check coverage_merge <a.json> <b.json> ...`: sums the bins of N
+/// coverage docs and prints the merged "reticle-coverage-v1" doc.
 int runCoverageMerge(int Argc, char **Argv) {
   std::vector<std::string> Paths;
   for (int I = 2; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr,
-                   "usage: %s coverage_merge <a.json> [<b.json> ...]\n",
-                   Argv[0]);
-      return 2;
+      Paths.clear();
+      break;
     }
     Paths.push_back(Arg);
   }
@@ -728,322 +677,40 @@ int runCoverageMerge(int Argc, char **Argv) {
                  Argv[0]);
     return 2;
   }
-
-  CoverageDoc Merged;
-  std::string Error;
-  for (const std::string &Path : Paths) {
-    CoverageDoc One;
-    if (!loadCoverage(Path, One, Error)) {
-      std::fprintf(stderr, "json_check: %s\n", Error.c_str());
-      return 2;
-    }
-    if (!Merged.Program.empty() && !One.Program.empty())
-      Merged.Program += "+";
-    Merged.Program += One.Program;
-    for (const auto &[SpaceName, Bins] : One.Spaces) {
-      auto &Dst = Merged.Spaces[SpaceName];
-      for (const auto &[BinName, Count] : Bins)
-        Dst[BinName] += Count;
-    }
-  }
-  std::fputs((coverageDocJson(Merged).str(2) + "\n").c_str(), stdout);
-  return 0;
-}
-
-/// `json_check coverage_diff <golden.json> <new.json>`: the coverage
-/// ratchet. A bin hit in the golden doc but missing (or zero) in the new
-/// doc is a LOST bin — coverage regressed. Bins newly hit only in the new
-/// doc are reported as gained but do not fail; the ratchet only tightens.
-/// Exit 0 when nothing was lost, 1 when coverage regressed, 2 when an
-/// input is unusable — the diff(1) contract, like remark_diff/wave_diff.
-int runCoverageDiff(int Argc, char **Argv) {
-  std::vector<std::string> Paths;
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr,
-                   "usage: %s coverage_diff <golden.json> <new.json>\n",
-                   Argv[0]);
-      return 2;
-    }
-    Paths.push_back(Arg);
-  }
-  if (Paths.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: %s coverage_diff <golden.json> <new.json>\n",
-                 Argv[0]);
-    return 2;
-  }
-
-  CoverageDoc Golden, New;
-  std::string Error;
-  if (!loadCoverage(Paths[0], Golden, Error) ||
-      !loadCoverage(Paths[1], New, Error)) {
-    std::fprintf(stderr, "json_check: %s\n", Error.c_str());
-    return 2;
-  }
-
-  auto HitCount = [](const CoverageDoc &Doc, const std::string &Space,
-                     const std::string &Bin) -> int64_t {
-    auto SpaceIt = Doc.Spaces.find(Space);
-    if (SpaceIt == Doc.Spaces.end())
-      return 0;
-    auto BinIt = SpaceIt->second.find(Bin);
-    return BinIt == SpaceIt->second.end() ? 0 : BinIt->second;
-  };
-
-  uint64_t Lost = 0, Gained = 0, Kept = 0;
-  for (const auto &[SpaceName, Bins] : Golden.Spaces)
-    for (const auto &[BinName, Count] : Bins) {
-      if (Count <= 0)
-        continue; // declared-only bins are holes, not coverage to keep
-      if (HitCount(New, SpaceName, BinName) > 0) {
-        ++Kept;
-      } else {
-        ++Lost;
-        std::printf("- %s/%s\n", SpaceName.c_str(), BinName.c_str());
-      }
-    }
-  for (const auto &[SpaceName, Bins] : New.Spaces)
-    for (const auto &[BinName, Count] : Bins) {
-      if (Count <= 0)
-        continue;
-      if (HitCount(Golden, SpaceName, BinName) == 0) {
-        ++Gained;
-        std::printf("+ %s/%s\n", SpaceName.c_str(), BinName.c_str());
-      }
-    }
-  std::printf("coverage diff: %llu lost, %llu gained, %llu kept\n",
-              static_cast<unsigned long long>(Lost),
-              static_cast<unsigned long long>(Gained),
-              static_cast<unsigned long long>(Kept));
-  return Lost ? 1 : 0;
-}
-
-/// One hot-instruction entry of a "reticle-profile-v1" doc, keyed for the
-/// {segment, offset} join.
-struct ProfileSiteRecord {
-  std::string Op;
-  std::string Source; ///< empty when unattributed (JSON null)
-  int64_t Count = 0;
-};
-
-/// One parsed "reticle-profile-v1" document: the deterministic fields
-/// only — sampled wall times are not loaded, they may not reproduce.
-struct ProfileDoc {
   std::string Program;
-  int64_t Cycles = 0;
-  int64_t Total = 0;
-  int64_t Attributed = 0;
-  std::map<std::pair<std::string, int64_t>, ProfileSiteRecord> Sites;
-};
-
-bool loadProfile(const std::string &Path, ProfileDoc &Out,
-                 std::string &Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    Error = Path + ": cannot open";
-    return false;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Result<Json> Doc = Json::parse(Buffer.str());
-  if (!Doc) {
-    Error = Path + ": malformed JSON: " + Doc.error();
-    return false;
-  }
-  const Json &R = Doc.value();
-  const Json *Schema = R.isObject() ? R.find("schema") : nullptr;
-  if (!Schema || !Schema->isString() ||
-      Schema->asString() != "reticle-profile-v1") {
-    Error = Path + ": schema is not \"reticle-profile-v1\"";
-    return false;
-  }
-  if (const Json *Program = R.find("program");
-      Program && Program->isString())
-    Out.Program = Program->asString();
-  if (const Json *Cycles = R.find("cycles"); Cycles && Cycles->isNumber())
-    Out.Cycles = Cycles->asInt();
-  if (const Json *Total = lookup(R, "ops.total"); Total && Total->isNumber())
-    Out.Total = Total->asInt();
-  if (const Json *Attr = lookup(R, "ops.attributed");
-      Attr && Attr->isNumber())
-    Out.Attributed = Attr->asInt();
-  const Json *Hot = R.find("hot_instructions");
-  if (!Hot || !Hot->isArray()) {
-    Error = Path + ": missing 'hot_instructions' array";
-    return false;
-  }
-  for (const Json &Entry : Hot->items()) {
-    const Json *Segment = Entry.isObject() ? Entry.find("segment") : nullptr;
-    const Json *Offset = Entry.isObject() ? Entry.find("offset") : nullptr;
-    if (!Segment || !Segment->isString() || !Offset || !Offset->isNumber()) {
-      Error = Path + ": a hot_instructions entry lacks segment/offset";
-      return false;
+  obs::CoverageSnapshot Merged;
+  for (const std::string &Path : Paths) {
+    Result<Input> In = readInput(Path, /*Jsonl=*/false);
+    Result<CoverageDoc> C =
+        In ? readCoverage(In.value()) : fail<CoverageDoc>(In.error());
+    if (!C) {
+      std::fprintf(stderr, "json_check: %s\n", C.error().c_str());
+      return 2;
     }
-    ProfileSiteRecord Rec;
-    if (const Json *Op = Entry.find("op"); Op && Op->isString())
-      Rec.Op = Op->asString();
-    if (const Json *Source = Entry.find("source");
-        Source && Source->isString())
-      Rec.Source = Source->asString();
-    if (const Json *Count = Entry.find("count"); Count && Count->isNumber())
-      Rec.Count = Count->asInt();
-    Out.Sites[{Segment->asString(), Offset->asInt()}] = std::move(Rec);
-  }
-  return true;
-}
-
-/// `json_check profile_diff [--json] a.json b.json`: joins two sim-VM
-/// profiles on {segment, offset} and reports sites that appeared,
-/// vanished, or changed opcode/source/count; sampled timing is ignored.
-/// Exit 0 identical, 1 different, 2 unusable input.
-int runProfileDiff(int Argc, char **Argv) {
-  bool AsJson = false;
-  std::vector<std::string> Paths;
-  auto Usage = [&] {
-    std::fprintf(stderr, "usage: %s profile_diff [--json] <a.json> <b.json>\n",
-                 Argv[0]);
-    return 2;
-  };
-  for (int I = 2; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--json")
-      AsJson = true;
-    else if (!Arg.empty() && Arg[0] == '-')
-      return Usage();
-    else
-      Paths.push_back(Arg);
-  }
-  if (Paths.size() != 2)
-    return Usage();
-
-  ProfileDoc A, B;
-  std::string Error;
-  if (!loadProfile(Paths[0], A, Error) || !loadProfile(Paths[1], B, Error)) {
-    std::fprintf(stderr, "json_check: %s\n", Error.c_str());
-    return 2;
-  }
-
-  uint64_t Added = 0, Removed = 0, Changed = 0, Unchanged = 0;
-  Json Details = Json::array();
-  std::string Text;
-  auto SiteLabel = [](const std::pair<std::string, int64_t> &Key,
-                      const ProfileSiteRecord &Rec) {
-    std::string Label = Key.first + "+" + std::to_string(Key.second) + " " +
-                        Rec.Op + " x" + std::to_string(Rec.Count);
-    if (!Rec.Source.empty())
-      Label += " (" + Rec.Source + ")";
-    return Label;
-  };
-  auto Report = [&](const char *St,
-                    const std::pair<std::string, int64_t> &Key,
-                    const ProfileSiteRecord &Rec,
-                    const ProfileSiteRecord *Other) {
-    const char *Mark = std::string(St) == "added"     ? "+"
-                       : std::string(St) == "removed" ? "-"
-                                                      : "~";
-    Text += std::string(Mark) + " " + SiteLabel(Key, Rec);
-    if (Other)
-      Text += "\n  -> " + SiteLabel(Key, *Other);
-    Text += "\n";
-    if (Details.size() < 32) {
-      Json Entry = Json::object();
-      Entry.set("status", St);
-      Entry.set("segment", Key.first);
-      Entry.set("offset", Key.second);
-      Entry.set("op", Rec.Op);
-      Entry.set("count", Rec.Count);
-      if (!Rec.Source.empty())
-        Entry.set("source", Rec.Source);
-      if (Other) {
-        Json Now = Json::object();
-        Now.set("op", Other->Op);
-        Now.set("count", Other->Count);
-        if (!Other->Source.empty())
-          Now.set("source", Other->Source);
-        Entry.set("b", std::move(Now));
-      }
-      Details.push(std::move(Entry));
-    }
-  };
-
-  for (const auto &[Key, RecA] : A.Sites) {
-    auto It = B.Sites.find(Key);
-    if (It == B.Sites.end()) {
-      ++Removed;
-      Report("removed", Key, RecA, nullptr);
-      continue;
-    }
-    const ProfileSiteRecord &RecB = It->second;
-    if (RecA.Op == RecB.Op && RecA.Source == RecB.Source &&
-        RecA.Count == RecB.Count) {
-      ++Unchanged;
-    } else {
-      ++Changed;
-      Report("changed", Key, RecA, &RecB);
+    if (!Program.empty() && !C.value().Program.empty())
+      Program += "+";
+    Program += C.value().Program;
+    for (const auto &[Space, Bins] : C.value().Spaces) {
+      auto &Dst = Merged[Space];
+      for (const auto &[Bin, Count] : Bins)
+        Dst[Bin] += Count;
     }
   }
-  for (const auto &[Key, RecB] : B.Sites)
-    if (!A.Sites.count(Key)) {
-      ++Added;
-      Report("added", Key, RecB, nullptr);
-    }
-
-  bool ScalarsDiffer = A.Cycles != B.Cycles || A.Total != B.Total ||
-                       A.Attributed != B.Attributed;
-  bool Differ = ScalarsDiffer || Added + Removed + Changed > 0;
-
-  if (AsJson) {
-    Json Doc = Json::object();
-    Doc.set("schema", "reticle-profile-diff-v1");
-    Doc.set("a", Paths[0]);
-    Doc.set("b", Paths[1]);
-    Doc.set("cycles_a", A.Cycles);
-    Doc.set("cycles_b", B.Cycles);
-    Doc.set("ops_a", A.Total);
-    Doc.set("ops_b", B.Total);
-    Doc.set("added", Added);
-    Doc.set("removed", Removed);
-    Doc.set("changed", Changed);
-    Doc.set("unchanged", Unchanged);
-    Doc.set("details", std::move(Details));
-    Doc.set("identical", !Differ);
-    std::fputs((Doc.str(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(Text.c_str(), stdout);
-    if (ScalarsDiffer)
-      std::printf("profile diff: scalars differ: cycles %lld vs %lld, "
-                  "ops %lld vs %lld, attributed %lld vs %lld\n",
-                  static_cast<long long>(A.Cycles),
-                  static_cast<long long>(B.Cycles),
-                  static_cast<long long>(A.Total),
-                  static_cast<long long>(B.Total),
-                  static_cast<long long>(A.Attributed),
-                  static_cast<long long>(B.Attributed));
-    std::printf("profile diff: %llu added, %llu removed, %llu changed, "
-                "%llu unchanged\n",
-                static_cast<unsigned long long>(Added),
-                static_cast<unsigned long long>(Removed),
-                static_cast<unsigned long long>(Changed),
-                static_cast<unsigned long long>(Unchanged));
-  }
-  return Differ ? 1 : 0;
+  std::fputs((obs::coverageDoc(Program, Merged).str(2) + "\n").c_str(),
+             stdout);
+  return 0;
 }
 
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc > 1 && std::string(Argv[1]) == "remark_diff")
-    return runRemarkDiff(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "wave_diff")
-    return runWaveDiff(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "coverage_merge")
-    return runCoverageMerge(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "coverage_diff")
-    return runCoverageDiff(Argc, Argv);
-  if (Argc > 1 && std::string(Argv[1]) == "profile_diff")
-    return runProfileDiff(Argc, Argv);
+  if (Argc > 1) {
+    for (const Preset &P : Presets)
+      if (std::string(Argv[1]) == P.Name)
+        return runDiff(P, Argc, Argv);
+    if (std::string(Argv[1]) == "coverage_merge")
+      return runCoverageMerge(Argc, Argv);
+  }
   std::string FilePath;
   std::vector<std::string> Required, NonEmpty, Events, Remarks;
   bool Jsonl = false;
@@ -1068,14 +735,13 @@ int main(int Argc, char **Argv) {
                    "usage: %s [--jsonl] [--require=<path>] "
                    "[--nonempty=<path>] [--has-event=<name>] "
                    "[--has-remark=<stage>] [--batch-summary] "
-                   "<file.json>\n"
-                   "       %s remark_diff [--json] <a.jsonl> <b.jsonl>\n"
-                   "       %s wave_diff [--json] [--all-signals] "
-                   "<a.jsonl> <b.jsonl>\n"
-                   "       %s coverage_merge <a.json> [<b.json> ...]\n"
-                   "       %s coverage_diff <golden.json> <new.json>\n"
-                   "       %s profile_diff [--json] <a.json> <b.json>\n",
-                   Argv[0], Argv[0], Argv[0], Argv[0], Argv[0], Argv[0]);
+                   "<file.json>\n",
+                   Argv[0]);
+      for (const Preset &P : Presets)
+        std::fprintf(stderr, "       %s %s\n", Argv[0],
+                     presetUsage(P).c_str());
+      std::fprintf(stderr, "       %s coverage_merge <a.json> [<b.json> ...]\n",
+                   Argv[0]);
       return 2;
     } else
       FilePath = Arg;
@@ -1085,91 +751,59 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::ifstream In(FilePath);
-  if (!In)
-    return fail(FilePath, "cannot open");
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
-  // Parse: either one document, or one document per non-empty line.
-  std::vector<Json> Docs;
-  if (Jsonl) {
-    std::istringstream Lines(Buffer.str());
-    std::string Line;
-    size_t LineNo = 0;
-    while (std::getline(Lines, Line)) {
-      ++LineNo;
-      if (Line.find_first_not_of(" \t\r") == std::string::npos)
-        continue;
-      Result<Json> Doc = Json::parse(Line);
-      if (!Doc)
-        return fail(FilePath, "line " + std::to_string(LineNo) +
-                                  ": malformed JSON: " + Doc.error());
-      Docs.push_back(Doc.take());
-    }
-  } else {
-    Result<Json> Doc = Json::parse(Buffer.str());
-    if (!Doc)
-      return fail(FilePath, "malformed JSON: " + Doc.error());
-    Docs.push_back(Doc.take());
+  Result<Input> In = readInput(FilePath, Jsonl);
+  if (!In) {
+    std::fprintf(stderr, "json_check: %s\n", In.error().c_str());
+    return 1;
   }
+  const std::vector<Doc> &Docs = In.value().Docs;
+  if (Docs.empty() && (BatchSummary || !Events.empty()))
+    return failCheck(FilePath, "no document");
 
   if (BatchSummary)
-    if (std::string Problem = checkBatchSummary(Docs.front());
+    if (std::string Problem = checkBatchSummary(Docs.front().Value);
         !Problem.empty())
-      return fail(FilePath, "bad batch summary: " + Problem);
+      return failCheck(FilePath, "bad batch summary: " + Problem);
 
+  auto AnyDoc = [&](auto Pred) {
+    return std::any_of(Docs.begin(), Docs.end(),
+                       [&](const Doc &D) { return Pred(D.Value); });
+  };
   for (const std::string &Path : Required)
-    if (!anyLookup(Docs, Path))
-      return fail(FilePath, "missing required key '" + Path + "'");
+    if (!AnyDoc([&](const Json &D) { return lookup(D, Path) != nullptr; }))
+      return failCheck(FilePath, "missing required key '" + Path + "'");
 
   for (const std::string &Path : NonEmpty) {
-    bool Found = false, NonEmptyHit = false;
-    for (const Json &Doc : Docs) {
-      const Json *Node = lookup(Doc, Path);
-      if (!Node)
-        continue;
-      Found = true;
-      if (Node->size() != 0) {
-        NonEmptyHit = true;
-        break;
-      }
-    }
-    if (!Found)
-      return fail(FilePath, "missing required key '" + Path + "'");
-    if (!NonEmptyHit)
-      return fail(FilePath, "'" + Path + "' is empty");
+    if (!AnyDoc([&](const Json &D) { return lookup(D, Path) != nullptr; }))
+      return failCheck(FilePath, "missing required key '" + Path + "'");
+    if (!AnyDoc([&](const Json &D) {
+          const Json *Node = lookup(D, Path);
+          return Node && Node->size() != 0;
+        }))
+      return failCheck(FilePath, "'" + Path + "' is empty");
   }
 
   if (!Events.empty()) {
-    const Json *Trace = Docs.front().find("traceEvents");
+    const Json *Trace = Docs.front().Value.isObject()
+                            ? Docs.front().Value.find("traceEvents")
+                            : nullptr;
     if (!Trace || !Trace->isArray())
-      return fail(FilePath, "no traceEvents array");
-    for (const std::string &Name : Events) {
-      bool Found = false;
-      for (const Json &Event : Trace->items()) {
-        const Json *N = Event.isObject() ? Event.find("name") : nullptr;
-        if (N && N->isString() && N->asString() == Name) {
-          Found = true;
-          break;
-        }
-      }
-      if (!Found)
-        return fail(FilePath, "no trace event named '" + Name + "'");
-    }
+      return failCheck(FilePath, "no traceEvents array");
+    for (const std::string &Name : Events)
+      if (std::none_of(Trace->items().begin(), Trace->items().end(),
+                       [&](const Json &Event) {
+                         const Json *N =
+                             Event.isObject() ? Event.find("name") : nullptr;
+                         return N && N->isString() && N->asString() == Name;
+                       }))
+        return failCheck(FilePath, "no trace event named '" + Name + "'");
   }
 
-  for (const std::string &Stage : Remarks) {
-    bool Found = false;
-    for (const Json &Doc : Docs) {
-      const Json *S = Doc.isObject() ? Doc.find("stage") : nullptr;
-      if (S && S->isString() && S->asString() == Stage) {
-        Found = true;
-        break;
-      }
-    }
-    if (!Found)
-      return fail(FilePath, "no remark from stage '" + Stage + "'");
-  }
+  for (const std::string &Stage : Remarks)
+    if (!AnyDoc([&](const Json &D) {
+          const Json *S = D.isObject() ? D.find("stage") : nullptr;
+          return S && S->isString() && S->asString() == Stage;
+        }))
+      return failCheck(FilePath, "no remark from stage '" + Stage + "'");
   return 0;
 }

@@ -73,8 +73,6 @@
 /// compiles every program concurrently, one CompileSession per input:
 ///     --jobs=N                               worker threads (default: cores)
 ///     --out-dir=<dir>                        per-input artifacts land here (.)
-///     --schedule-from=<summary.json>         schedule by measured timings
-///                                            from a prior run's batch summary
 /// Each input <stem>.ret produces <out-dir>/<stem>.v (or .rasm), plus —
 /// when the corresponding flag is given — <stem>.stats.json,
 /// <stem>.remarks.txt, <stem>.remarks.jsonl, <stem>.trace.json,
@@ -211,9 +209,6 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "cores)\n"
       "  --out-dir=<dir>                        per-input artifacts land "
       "here (.)\n"
-      "  --schedule-from=<summary.json>         schedule by measured timings "
-      "from a\n"
-      "                                         prior run's batch summary\n"
       "\n"
       "other:\n"
       "  --dump-target                          print the UltraScale TDL\n"
@@ -308,7 +303,6 @@ struct DriverArgs {
   std::string FloorplanTimelinePath;
   std::string OutDir = ".";
   std::string SatProofPath;
-  std::string ScheduleFromPath;
   unsigned Jobs = 0;
   bool Stats = false;
   core::CompileOptions Options;
@@ -853,19 +847,6 @@ int runBatch(const DriverArgs &Args) {
   core::BatchOptions Batch;
   Batch.Options = Args.Options;
   Batch.Jobs = Args.Jobs;
-  // A prior run's summary turns the statement-count schedule heuristic
-  // into measured timings (see core::batchMeasuredCosts).
-  if (!Args.ScheduleFromPath.empty()) {
-    std::ifstream ScheduleIn(Args.ScheduleFromPath);
-    if (!ScheduleIn)
-      return usageError("cannot open '" + Args.ScheduleFromPath + "'");
-    std::stringstream ScheduleBuffer;
-    ScheduleBuffer << ScheduleIn.rdbuf();
-    Result<obs::Json> Summary = obs::Json::parse(ScheduleBuffer.str());
-    if (!Summary)
-      return usageError(Args.ScheduleFromPath + ": " + Summary.error());
-    Batch.MeasuredCostMs = core::batchMeasuredCosts(Summary.value());
-  }
   Batch.CaptureSnapshots = !Args.DumpDir.empty();
   Batch.EnableRemarks =
       !Args.RemarksPath.empty() || !Args.RemarksJsonPath.empty();
@@ -1099,10 +1080,6 @@ int main(int Argc, char **Argv) {
       if (Args.SatProofPath.empty())
         return usageError("--sat-proof= requires a file path or '-'");
       Args.Options.SatProof = true;
-    } else if (Arg.rfind("--schedule-from=", 0) == 0) {
-      Args.ScheduleFromPath = Arg.substr(16);
-      if (Args.ScheduleFromPath.empty())
-        return usageError("--schedule-from= requires a summary file");
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       std::optional<uint64_t> Jobs =
           parseCount(std::string_view(Arg).substr(7), 1, 1024);
@@ -1175,10 +1152,6 @@ int main(int Argc, char **Argv) {
       return usageError("--disable-pass requires a pipeline emit kind "
                         "(asm, placed, verilog)");
   }
-
-  if (!Args.ScheduleFromPath.empty() && Args.Inputs.size() <= 1)
-    return usageError("--schedule-from applies to batch mode "
-                      "(several inputs)");
 
   if (Args.RunTracePath.empty()) {
     if (Args.CyclesSet || Args.SimSet || !Args.VcdPath.empty() ||
