@@ -13,7 +13,8 @@
 # lower-bound box and makes a SAT-backed shrink probe) and concurrent
 # compiled-simulation VM runs, and one
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
-# packed waveform path, the gate-level vm-netlist lowering, the
+# packed waveform path (with the observed-artifact goldens), the
+# gate-level vm-netlist lowering, the
 # malformed-input diagnostics of the lexer and the DIMACS reader, the
 # SAT solver's clause arena and watcher pool under placement (with
 # proof logs), and json_check's diff presets over valid and malformed
@@ -259,9 +260,17 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause arena, watcher pool, diff presets =="
 # Waveform values travel as packed 64-bit words; the VM packs lanes that
 # straddle word boundaries and every sink walks words by shift and
-# offset. AddressSanitizer catches an out-of-range word, UBSan (fatal,
+# offset. The toggle sink adds each changed word into eight counter
+# planes per word and spills them into per-bit totals; the VCD and
+# reticle-wave-v1 writers grow their output once per record and write
+# digits through a raw pointer from a byte table. AddressSanitizer
+# catches an out-of-range word or a write past a record, UBSan (fatal,
 # no recovery) an oversized shift, and _GLIBCXX_ASSERTIONS a container
-# index past its end. The wide fixture carries 96- and 128-bit signals.
+# index past its end. coverage_test and wave_test check those paths
+# against per-bit references; the wide fixture (96- and 128-bit signals)
+# and mac run with --sim=both from their own directories and must
+# reproduce their byte-identity goldens (tests/goldens/observed), and
+# not_bool.ret's --sim=both run must agree across the three engines.
 # The gate-level tests run every LUT INIT, CARRY8 and DSP48E2 shape the
 # code generator emits through the vm-netlist lowering. The lexer,
 # bytecode-assembler and DIMACS tests feed out-of-range and malformed
@@ -285,8 +294,8 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # interpreter and vm-netlist, the mac remark golden against a live
 # stream, a coverage merge and its ratchet, two mac profiles), and each
 # malformed input (a bad line, a missing file, a wave pair with no shared
-# port, a negative or fractional coverage count) must be exit 2, the
-# diagnostic, with no sanitizer report.
+# port, a negative or fractional coverage count, a raw newline inside a
+# JSON string) must be exit 2, the diagnostic, with no sanitizer report.
 asan_flags="-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -318,13 +327,26 @@ test -s "$out/fsm_42.asan.proof"
     -o "$out/mixed_chains.asan.rasm" \
     "$repo/tests/inputs/mixed_chains.ret"
 test -s "$out/mixed_chains.asan.proof"
-"$repo/build-asan/tools/reticlec" --device=small \
-    --run="$repo/tests/inputs/wide_wires.trace.json" --sim=both \
-    --vcd="$out/wide.asan.vcd" --wave-json="$out/wide.asan.wave.jsonl" \
-    --coverage="$out/wide.asan.coverage.json" \
-    "$repo/tests/inputs/wide_wires.ret"
+(cd "$repo/tests/inputs" && "$repo/build-asan/tools/reticlec" \
+    --device=small --run=wide_wires.trace.json --sim=both \
+    --vcd="$out/observed.wide_wires.vcd" \
+    --wave-json="$out/observed.wide_wires.wave.jsonl" \
+    --coverage="$out/observed.wide_wires.coverage.json" wide_wires.ret)
+(cd "$repo/examples/programs" && "$repo/build-asan/tools/reticlec" \
+    --device=small --run=../traces/mac.trace.json --sim=both \
+    --vcd="$out/observed.mac.vcd" --wave-json="$out/observed.mac.wave.jsonl" \
+    --coverage="$out/observed.mac.coverage.json" mac.ret)
+for name in wide_wires mac; do
+    for ext in vcd wave.jsonl coverage.json; do
+        cmp "$repo/tests/goldens/observed/$name.$ext" \
+            "$out/observed.$name.$ext"
+    done
+done
 "$repo/build-asan/tools/json_check" --jsonl --require=schema \
-    "$out/wide.asan.wave.jsonl"
+    "$out/observed.wide_wires.wave.jsonl"
+"$repo/build-asan/tools/reticlec" --device=small \
+    --run="$repo/tests/inputs/not_bool.trace.json" --sim=both \
+    "$repo/tests/inputs/not_bool.ret"
 
 asan_jc="$repo/build-asan/tools/json_check"
 for engine in interp vm-netlist; do
@@ -341,7 +363,7 @@ done
 "$asan_jc" remark_diff \
     "$repo/tests/goldens/mac/remarks.jsonl" "$out/mac.asan.remarks.jsonl"
 "$asan_jc" coverage_merge "$repo/tests/goldens/coverage.json" \
-    "$out/wide.asan.coverage.json" > "$out/merged.asan.coverage.json"
+    "$out/observed.wide_wires.coverage.json" > "$out/merged.asan.coverage.json"
 "$asan_jc" coverage_diff \
     "$repo/tests/goldens/coverage.json" "$out/merged.asan.coverage.json"
 for run in a b; do
@@ -388,6 +410,8 @@ expect_unusable coverage_diff \
 expect_unusable coverage_diff \
     "$repo/tests/goldens/coverage.json" "$out/fractional.coverage.json"
 expect_unusable coverage_merge "$out/negative.coverage.json"
+expect_unusable coverage_diff "$repo/tests/goldens/coverage.json" \
+    "$repo/tests/inputs/raw_newline.coverage.json"
 expect_unusable profile_diff \
     "$out/mac.asan.profile-a.json" "$out/malformed.profile.json"
 expect_unusable profile_diff "$out/missing.json" "$out/mac.asan.profile-a.json"

@@ -103,6 +103,9 @@ Result<Value> evalComp(const Instr &I, const std::vector<Value> &Args) {
                                   static_cast<uint64_t>(B));
     });
   case CompOp::Not:
+    // A bool lane is 0 or 1, so its negation flips bit 0 only.
+    if (Ty.isBool())
+      return mapLanes1(Ty, Args[0], [](int64_t A) { return A ^ 1; });
     return mapLanes1(Ty, Args[0], [](int64_t A) { return ~A; });
   case CompOp::And:
     return mapLanes2(Ty, Args[0], Args[1],

@@ -6,10 +6,15 @@
 
 #include "interp/Wave.h"
 
+#include "obs/Coverage.h"
 #include "obs/Json.h"
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
+#include <cstring>
+#include <map>
+#include <numeric>
 
 using namespace reticle;
 using namespace reticle::sim;
@@ -29,18 +34,73 @@ uint64_t wordAt(std::span<const uint64_t> Words, size_t I, unsigned Width) {
   return I + 1 == waveWords(Width) ? W & topMask(Width) : W;
 }
 
-/// Appends the low \p Width bits of \p Words to \p Out, MSB first.
-void appendBits(std::string &Out, std::span<const uint64_t> Words,
-                unsigned Width) {
-  size_t At = Out.size();
-  Out.resize(At + Width);
-  char *P = Out.data() + At;
+/// The eight binary digits of every byte value, MSB first. Char arrays,
+/// not words, so the table reads the same on any endianness.
+struct ByteDigits {
+  char Of[256][8];
+};
+
+constexpr ByteDigits makeByteDigits() {
+  ByteDigits T{};
+  for (unsigned V = 0; V < 256; ++V)
+    for (unsigned B = 0; B < 8; ++B)
+      T.Of[V][B] = (V >> (7 - B)) & 1 ? '1' : '0';
+  return T;
+}
+
+constexpr ByteDigits Digits = makeByteDigits();
+
+/// Writes the low \p Width bits of \p Words at \p P, MSB first, eight
+/// digits per byte; returns one past the last digit.
+char *writeBits(char *P, std::span<const uint64_t> Words, unsigned Width) {
   for (size_t I = waveWords(Width); I-- > 0;) {
     uint64_t W = I < Words.size() ? Words[I] : 0;
-    for (unsigned B = std::min(64u, Width - static_cast<unsigned>(I) * 64);
-         B-- > 0;)
-      *P++ = static_cast<char>('0' + ((W >> B) & 1));
+    unsigned Bits = std::min(64u, Width - static_cast<unsigned>(I) * 64);
+    // A partial top byte takes the tail of its table entry.
+    if (unsigned Rem = Bits % 8) {
+      uint64_t Top = (W >> (Bits - Rem)) & ((1u << Rem) - 1);
+      std::memcpy(P, Digits.Of[Top] + (8 - Rem), Rem);
+      P += Rem;
+    }
+    for (unsigned B = Bits / 8; B-- > 0; P += 8)
+      std::memcpy(P, Digits.Of[(W >> (8 * B)) & 0xFF], 8);
   }
+  return P;
+}
+
+/// Copies \p S to \p P; returns one past its end.
+char *writeText(char *P, std::string_view S) {
+  std::memcpy(P, S.data(), S.size());
+  return P + S.size();
+}
+
+/// Grows \p Out by \p N characters and returns where they start: one
+/// capacity check per record, which the caller then fills.
+char *extend(std::string &Out, size_t N) {
+  size_t At = Out.size();
+  Out.resize(At + N);
+  return Out.data() + At;
+}
+
+/// The bin suffix `<decimal>]` of bit \p B, written at \p P; returns one
+/// past its end.
+char *writeBitIndex(char *P, unsigned B) {
+  P = std::to_chars(P, P + 10, B).ptr;
+  *P++ = ']';
+  return P;
+}
+
+/// Bits 0 .. \p Width - 1 in the order their `<decimal>]` suffixes sort,
+/// which is the order their bins take in the registry.
+std::vector<unsigned> binOrder(unsigned Width) {
+  std::vector<unsigned> Order(Width);
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(), [](unsigned A, unsigned B) {
+    char SA[12], SB[12];
+    return std::string_view(SA, writeBitIndex(SA, A) - SA) <
+           std::string_view(SB, writeBitIndex(SB, B) - SB);
+  });
+  return Order;
 }
 
 } // namespace
@@ -75,18 +135,16 @@ WaveRecorder::WaveRecorder(WaveSink *Sink, const obs::Context &Ctx)
   }
 }
 
-Status WaveRecorder::begin(std::vector<WaveSignal> Sigs) {
+Status WaveRecorder::begin(std::vector<WaveSignal> Signals) {
   if (!Sink)
     return Status::success();
-  Signals = std::move(Sigs);
-  WordBase.clear();
+  Slots.clear();
   size_t Words = 0;
   for (const WaveSignal &S : Signals) {
-    WordBase.push_back(Words);
+    Slots.push_back({Words, S.Width, false});
     Words += waveWords(S.Width);
   }
   Last.assign(Words, 0);
-  Seen.assign(Signals.size(), 0);
   *SignalsCount += Signals.size();
   return Sink->begin(Signals);
 }
@@ -96,40 +154,45 @@ void WaveRecorder::cycle(uint64_t Cycle) {
     Sink->beginCycle(Cycle);
 }
 
+std::span<const uint64_t>
+WaveRecorder::normalize(unsigned Width, std::span<const uint64_t> Words) {
+  Scratch.resize(waveWords(Width));
+  for (size_t I = 0; I < Scratch.size(); ++I)
+    Scratch[I] = wordAt(Words, I, Width);
+  return Scratch;
+}
+
 void WaveRecorder::record(unsigned Id, std::span<const uint64_t> Words) {
-  if (!Sink || Id >= Signals.size())
+  if (!Sink || Id >= Slots.size())
     return;
-  const unsigned Width = Signals[Id].Width;
-  const size_t N = waveWords(Width);
-  if (Words.size() != N || (Words[N - 1] & ~topMask(Width)) != 0) {
-    Scratch.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      Scratch[I] = wordAt(Words, I, Width);
-    Words = {Scratch.data(), N};
+  Slot &S = Slots[Id];
+  const size_t N = waveWords(S.Width);
+  if (Words.size() != N || (Words[N - 1] & ~topMask(S.Width)) != 0)
+    Words = normalize(S.Width, Words);
+  // One pass counts the flipped bits and takes the new value as last.
+  uint64_t *Prev = Last.data() + S.Word;
+  uint64_t Flipped = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Flipped += std::popcount(Prev[I] ^ Words[I]);
+    Prev[I] = Words[I];
   }
-  uint64_t *Prev = Last.data() + WordBase[Id];
   bool Changed = true;
-  if (!Seen[Id]) {
+  if (!S.Seen) {
     // First sight: every bit counts as a toggle.
-    Seen[Id] = 1;
-    PendingToggles += Width;
+    S.Seen = true;
+    PendingToggles += S.Width;
   } else {
-    uint64_t Flipped = 0;
-    for (size_t I = 0; I < N; ++I)
-      Flipped += std::popcount(Prev[I] ^ Words[I]);
     PendingToggles += Flipped;
     Changed = Flipped != 0;
   }
   ++PendingEvents;
   Sink->value(Id, Words, Changed);
-  if (Changed)
-    std::copy(Words.begin(), Words.end(), Prev);
 }
 
 void WaveRecorder::recordBits(unsigned Id, const std::vector<bool> &Bits) {
-  if (!Sink || Id >= Signals.size())
+  if (!Sink || Id >= Slots.size())
     return;
-  packBits(Bits, Signals[Id].Width, Scratch);
+  packBits(Bits, Slots[Id].Width, Scratch);
   // Packed words already have the normalized shape, so record() reads
   // Scratch without rewriting it.
   record(Id, Scratch);
@@ -174,13 +237,12 @@ void WaveCapture::value(unsigned Id, std::span<const uint64_t> Words,
     return;
   if (ByCycle.empty())
     ByCycle.emplace_back();
-  const unsigned Width = Sigs[Id].Width;
-  const size_t N = waveWords(Width);
+  // The sink contract marks a value equal to the previous one unchanged,
+  // so such an event shares the previous value's words.
   size_t &Prev = LastOffset[Id];
-  bool Same = Prev != NoValue;
-  for (size_t I = 0; Same && I < N; ++I)
-    Same = Arena[Prev + I] == wordAt(Words, I, Width);
-  if (!Same) {
+  if (Changed || Prev == NoValue) {
+    const unsigned Width = Sigs[Id].Width;
+    const size_t N = waveWords(Width);
     Prev = Arena.size();
     for (size_t I = 0; I < N; ++I)
       Arena.push_back(wordAt(Words, I, Width));
@@ -245,19 +307,18 @@ Status sim::replay(
 
 Status ToggleCoverageSink::begin(const std::vector<WaveSignal> &Signals) {
   Sigs = Signals;
-  WordBase.clear();
-  BitBase.clear();
+  Slots.clear();
   size_t Words = 0, Bits = 0;
   for (const WaveSignal &S : Sigs) {
-    WordBase.push_back(Words);
-    BitBase.push_back(Bits);
+    Slots.push_back({Words, Bits, S.Width, false});
     Words += waveWords(S.Width);
     Bits += S.Width;
   }
   Last.assign(Words, 0);
-  Rises.assign(Bits, 0);
-  Falls.assign(Bits, 0);
-  Seen.assign(Sigs.size(), 0);
+  Base.assign(Words, 0);
+  Counts.assign(Words * Planes, 0);
+  Pending.assign(Words, 0);
+  Totals.assign(Bits, 0);
   return Status::success();
 }
 
@@ -265,52 +326,111 @@ void ToggleCoverageSink::beginCycle(uint64_t) {}
 
 void ToggleCoverageSink::value(unsigned Id, std::span<const uint64_t> Words,
                                bool Changed) {
-  if (Id >= Sigs.size())
+  if (Id >= Slots.size())
     return;
-  const unsigned Width = Sigs[Id].Width;
-  const size_t N = waveWords(Width);
-  uint64_t *Prev = Last.data() + WordBase[Id];
-  if (!Seen[Id]) {
+  Slot &S = Slots[Id];
+  const size_t N = waveWords(S.Width);
+  uint64_t *Prev = Last.data() + S.Word;
+  if (!S.Seen) {
     // Baseline: the first reported value is an x->v assignment, not a
     // toggle.
-    Seen[Id] = 1;
+    S.Seen = true;
     for (size_t I = 0; I < N; ++I)
-      Prev[I] = wordAt(Words, I, Width);
+      Prev[I] = Base[S.Word + I] = wordAt(Words, I, S.Width);
     return;
   }
   if (!Changed)
     return;
-  uint64_t *Rise = Rises.data() + BitBase[Id];
-  uint64_t *Fall = Falls.data() + BitBase[Id];
   for (size_t I = 0; I < N; ++I) {
-    uint64_t Old = Prev[I];
-    uint64_t New = wordAt(Words, I, Width);
-    uint64_t Flipped = Old ^ New;
-    if (Flipped == 0)
+    uint64_t New = wordAt(Words, I, S.Width);
+    uint64_t Carry = Prev[I] ^ New;
+    if (Carry == 0)
       continue;
-    for (uint64_t R = Flipped & New; R != 0; R &= R - 1)
-      ++Rise[I * 64 + std::countr_zero(R)];
-    for (uint64_t F = Flipped & Old; F != 0; F &= F - 1)
-      ++Fall[I * 64 + std::countr_zero(F)];
     Prev[I] = New;
+    // Add one to the count of every flipped bit: a ripple-carry through
+    // all eight planes, with no data-dependent exit to mispredict. A word
+    // spills at 255 changes, so no count outgrows the planes.
+    uint64_t *Plane = Counts.data() + (S.Word + I) * Planes;
+    for (unsigned K = 0; K < Planes; ++K) {
+      uint64_t Out = Plane[K] & Carry;
+      Plane[K] ^= Carry;
+      Carry = Out;
+    }
+    if (++Pending[S.Word + I] == 255)
+      spill(S.Word + I, S.Bit + I * 64);
   }
 }
 
+void ToggleCoverageSink::spill(size_t Word, size_t FirstBit) {
+  uint64_t *Plane = Counts.data() + Word * Planes;
+  for (unsigned K = 0; K < Planes; ++K) {
+    for (uint64_t Set = Plane[K]; Set != 0; Set &= Set - 1)
+      Totals[FirstBit + std::countr_zero(Set)] += uint64_t(1) << K;
+    Plane[K] = 0;
+  }
+  Pending[Word] = 0;
+}
+
 Status ToggleCoverageSink::finish(bool) {
-  // Bins appear only for edges seen, named after the flattened bit.
-  for (size_t Id = 0; Id < Sigs.size(); ++Id) {
-    for (unsigned B = 0; B < Sigs[Id].Width; ++B) {
-      size_t At = BitBase[Id] + B;
-      for (auto [Count, Edge] : {std::pair{Rises[At], "]:01"},
-                                 std::pair{Falls[At], "]:10"}})
-        if (Count != 0)
-          Cov.hit("sim.toggle",
-                  Sigs[Id].Name + "[" + std::to_string(B) + Edge, Count);
+  for (const Slot &S : Slots)
+    for (size_t I = 0; I < waveWords(S.Width); ++I)
+      if (Pending[S.Word + I] != 0)
+        spill(S.Word + I, S.Bit + I * 64);
+
+  // Bins appear only for edges seen, named after the flattened bit, and
+  // are built in the registry's order: signals by `name[`, bits by
+  // `<decimal>]`, rises (":01") before falls (":10"). Two names where one
+  // extends the other past a '[' can interleave; a bin out of order only
+  // costs a normal map insert.
+  std::vector<unsigned> ById(Sigs.size());
+  std::iota(ById.begin(), ById.end(), 0u);
+  std::vector<std::string> Heads;
+  Heads.reserve(Sigs.size());
+  for (const WaveSignal &S : Sigs)
+    Heads.push_back(S.Name + "[");
+  std::sort(ById.begin(), ById.end(),
+            [&](unsigned A, unsigned B) { return Heads[A] < Heads[B]; });
+  std::map<unsigned, std::vector<unsigned>> Orders; // by width
+  obs::CoverageSnapshot::mapped_type Bins;
+  std::string Name;
+  for (unsigned Id : ById) {
+    auto [Order, New] = Orders.try_emplace(Sigs[Id].Width);
+    if (New)
+      Order->second = binOrder(Sigs[Id].Width);
+    const uint64_t *Total = Totals.data() + Slots[Id].Bit;
+    const uint64_t *Was = Base.data() + Slots[Id].Word;
+    Name.assign(Heads[Id]);
+    const size_t Head = Name.size();
+    for (unsigned B : Order->second) {
+      uint64_t T = Total[B];
+      if (T == 0)
+        continue;
+      // Edges alternate from the baseline: a bit that started at 0 rises
+      // first, one that started at 1 falls first.
+      uint64_t Rises = ((Was[B / 64] >> (B % 64)) & 1) ? T / 2 : T - T / 2;
+      char Index[12];
+      Name.resize(Head);
+      Name.append(Index, writeBitIndex(Index, B));
+      const size_t Stem = Name.size();
+      for (auto [Count, Edge] : {std::pair{Rises, ":01"},
+                                 std::pair{T - Rises, ":10"}}) {
+        if (Count == 0)
+          continue;
+        Name.resize(Stem);
+        Name += Edge;
+        Bins.emplace_hint(Bins.end(), Name, 0)->second += Count;
+      }
     }
   }
-  // A second finish must not count the same edges twice.
-  std::fill(Rises.begin(), Rises.end(), 0);
-  std::fill(Falls.begin(), Falls.end(), 0);
+  // A second finish must not count the same edges again: the totals
+  // restart from the current values.
+  std::fill(Totals.begin(), Totals.end(), 0);
+  Base = Last;
+  if (Bins.empty())
+    return Status::success();
+  obs::CoverageSnapshot Space;
+  Space.emplace("sim.toggle", std::move(Bins));
+  Cov.merge(std::move(Space));
   return Status::success();
 }
 
@@ -405,15 +525,19 @@ void VcdWriter::value(unsigned Id, std::span<const uint64_t> Words,
                       bool Changed) {
   if (!Changed || Id >= Sigs.size())
     return;
-  if (Sigs[Id].Width == 1) {
-    Out += !Words.empty() && (Words[0] & 1) ? '1' : '0';
+  const unsigned Width = Sigs[Id].Width;
+  const std::string &Code = Codes[Id];
+  char *P;
+  if (Width == 1) {
+    P = extend(Out, Code.size() + 2);
+    *P++ = !Words.empty() && (Words[0] & 1) ? '1' : '0';
   } else {
-    Out += 'b';
-    appendBits(Out, Words, Sigs[Id].Width);
-    Out += ' ';
+    P = extend(Out, Width + Code.size() + 3);
+    *P++ = 'b';
+    P = writeBits(P, Words, Width);
+    *P++ = ' ';
   }
-  Out += Codes[Id];
-  Out += '\n';
+  *writeText(P, Code) = '\n';
 }
 
 Status VcdWriter::finish(bool Aborted) {
@@ -479,11 +603,16 @@ void WaveJsonWriter::value(unsigned Id, std::span<const uint64_t> Words,
     return;
   // Records are emitted for every signal every cycle (no suppression), so
   // consumers can join on {cycle, signal} without reconstructing state.
-  Out += RecordHead;
-  Out += Quoted[Id];
-  Out += ",\"value\":\"";
-  appendBits(Out, Words, Sigs[Id].Width);
-  Out += "\"}\n";
+  static constexpr std::string_view ValueKey = ",\"value\":\"";
+  static constexpr std::string_view Tail = "\"}\n";
+  const unsigned Width = Sigs[Id].Width;
+  char *P = extend(Out, RecordHead.size() + Quoted[Id].size() +
+                            ValueKey.size() + Width + Tail.size());
+  P = writeText(P, RecordHead);
+  P = writeText(P, Quoted[Id]);
+  P = writeText(P, ValueKey);
+  P = writeBits(P, Words, Width);
+  writeText(P, Tail);
 }
 
 Status WaveJsonWriter::finish(bool Aborted) {

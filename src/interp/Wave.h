@@ -142,26 +142,35 @@ public:
   Status finish(bool Aborted);
 
 private:
+  /// A declared signal: its width, where its previous value starts in
+  /// Last, and whether it has been reported yet.
+  struct Slot {
+    size_t Word = 0;
+    unsigned Width = 1;
+    bool Seen = false;
+  };
+
   void flushCounts();
+  /// \p Words read at \p Width, in Scratch: missing words read as zero
+  /// and the top word is masked.
+  std::span<const uint64_t> normalize(unsigned Width,
+                                      std::span<const uint64_t> Words);
 
   WaveSink *Sink = nullptr;
   obs::Counter *Events = nullptr;
   obs::Counter *Toggles = nullptr;
   obs::Counter *SignalsCount = nullptr;
-  std::vector<WaveSignal> Signals;
-  /// Signal Id's previous value starts at Last[WordBase[Id]].
-  std::vector<size_t> WordBase;
+  std::vector<Slot> Slots;
   std::vector<uint64_t> Last;
   std::vector<uint64_t> Scratch;
-  std::vector<uint8_t> Seen;
   uint64_t PendingEvents = 0;
   uint64_t PendingToggles = 0;
 };
 
 /// An in-memory sink: buffers every event so a run (complete or aborted)
 /// can be inspected by tests or replayed into file writers afterwards.
-/// Values live in one word arena; an event whose value equals its
-/// signal's previous one shares that value's words.
+/// Values live in one word arena; an event marked unchanged shares its
+/// signal's previous words.
 class WaveCapture : public WaveSink {
 public:
   struct Event {
@@ -222,11 +231,15 @@ Status replay(
 /// 0->1 transition and `name[b]:10` on 1->0 (bit indices are the
 /// flattened LSB-first positions the engines report). The first reported
 /// value of a signal sets its baseline and records no transition; there
-/// is no x->v toggle. Edges are counted per bit in flat arrays while the
-/// run streams (old XOR new, split into rises and falls) and land in the
-/// registry once, at finish() — aborted runs included. Engine-agnostic:
-/// reticlec replays the captured runs of every engine (with per-engine
-/// name prefixes) into one sink.
+/// is no x->v toggle. While the run streams, each changed word adds
+/// old XOR new to eight bit-sliced counter planes (a ripple-carry add,
+/// one word op per plane), which spill into per-bit totals every 255
+/// changes. A bit's edges alternate, so its toggle total and baseline
+/// give its rises and falls. The bins land in the registry once, at
+/// finish() — aborted runs included — built in the registry's own order
+/// and handed over in one merge. Engine-agnostic: reticlec replays the
+/// captured runs of every engine (with per-engine name prefixes) into one
+/// sink.
 class ToggleCoverageSink : public WaveSink {
 public:
   explicit ToggleCoverageSink(obs::Coverage &Cov) : Cov(Cov) {}
@@ -238,16 +251,33 @@ public:
   Status finish(bool Aborted) override;
 
 private:
+  /// Counter planes per value word: plane k holds bit k of each bit's
+  /// pending toggle count, so a word spills after at most 255 changes.
+  static constexpr unsigned Planes = 8;
+
+  /// Adds value word \p Word's pending counts to the totals from bit
+  /// \p FirstBit on, and clears its planes.
+  void spill(size_t Word, size_t FirstBit);
+
+  /// Where a signal's state lives: its value words from Word on in Last
+  /// (current), Base (at the first report or the last finish), Pending
+  /// and, times Planes, Counts; its bit totals from Bit on in Totals.
+  struct Slot {
+    size_t Word = 0;
+    size_t Bit = 0;
+    unsigned Width = 1;
+    bool Seen = false;
+  };
+
   obs::Coverage &Cov;
   std::vector<WaveSignal> Sigs;
-  /// Signal Id's previous value is Last[WordBase[Id] ..], and its bit b
-  /// counts edges at Rises / Falls[BitBase[Id] + b].
-  std::vector<size_t> WordBase;
-  std::vector<size_t> BitBase;
+  std::vector<Slot> Slots;
   std::vector<uint64_t> Last;
-  std::vector<uint64_t> Rises;
-  std::vector<uint64_t> Falls;
-  std::vector<uint8_t> Seen;
+  std::vector<uint64_t> Base;
+  std::vector<uint64_t> Counts;
+  /// Changes per value word since its last spill.
+  std::vector<uint8_t> Pending;
+  std::vector<uint64_t> Totals;
 };
 
 /// Writes standard VCD into an in-memory buffer (the driver streams it to

@@ -85,10 +85,14 @@ CoverageSnapshot Coverage::snapshot() const {
 
 void Coverage::merge(const Coverage &Other) { merge(Other.snapshot()); }
 
-void Coverage::merge(const CoverageSnapshot &Other) {
+void Coverage::merge(CoverageSnapshot Other) {
   std::lock_guard<std::mutex> Lock(I->Mu);
-  for (const auto &[SpaceName, Bins] : Other) {
+  for (auto &[SpaceName, Bins] : Other) {
     auto &Dst = I->Spaces[SpaceName];
+    if (Dst.empty()) {
+      Dst = std::move(Bins);
+      continue;
+    }
     for (const auto &[BinName, Count] : Bins)
       Dst[BinName] += Count;
   }

@@ -83,9 +83,12 @@ public:
   /// Deep copy of the current state, sorted by space and bin name.
   CoverageSnapshot snapshot() const;
 
-  /// Folds \p Other into this registry (union of bins, counts summed).
+  /// Folds \p Other into this registry (union of bins, counts summed)
+  /// under one lock. The snapshot is taken by value: a space with no bins
+  /// here yet moves in whole, with no per-bin search or copy, so a caller
+  /// that hands over a temporary (or std::move) pays for no copy.
   void merge(const Coverage &Other);
-  void merge(const CoverageSnapshot &Other);
+  void merge(CoverageSnapshot Other);
 
   /// Drops every space and bin.
   void reset();

@@ -172,8 +172,8 @@ public:
 private:
   static constexpr unsigned MaxDepth = 200;
 
-  Result<Json> err(const std::string &What) const {
-    return fail<Json>("json: " + What + " at offset " + std::to_string(Pos));
+  template <typename T = Json> Result<T> err(const std::string &What) const {
+    return fail<T>("json: " + What + " at offset " + std::to_string(Pos));
   }
 
   void skipWs() {
@@ -278,18 +278,20 @@ private:
     std::string Out;
     while (true) {
       if (Pos >= Text.size())
-        return fail<std::string>("json: unterminated string");
+        return err<std::string>("unterminated string");
+      // The offset names the control character itself, so a raw newline
+      // reports the line it ends.
+      if (static_cast<unsigned char>(Text[Pos]) < 0x20)
+        return err<std::string>("raw control character in string");
       char C = Text[Pos++];
       if (C == '"')
         return Out;
-      if (static_cast<unsigned char>(C) < 0x20)
-        return fail<std::string>("json: raw control character in string");
       if (C != '\\') {
         Out.push_back(C);
         continue;
       }
       if (Pos >= Text.size())
-        return fail<std::string>("json: unterminated escape");
+        return err<std::string>("unterminated escape");
       char E = Text[Pos++];
       switch (E) {
       case '"':

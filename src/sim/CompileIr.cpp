@@ -250,12 +250,13 @@ Result<Program> reticle::sim::compile(const ir::Function &Fn,
       Binary(Op::Mul, true);
       break;
     case ir::CompOp::Not:
-      // ~canonical is canonical for integer lanes; bool renormalizes.
+      // ~canonical is canonical for integer lanes; a bool lane (0 or 1)
+      // keeps only the flipped bit 0.
       for (unsigned L = 0; L < Ty.lanes(); ++L) {
         E.loadWord(ArgBase(0) + L);
         E.op(Op::NotB);
         if (Ty.isBool())
-          E.op(Op::Bool);
+          E.op(Op::Mask, {1});
         E.storeWord(BaseOf[Dst] + L);
       }
       break;

@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <random>
@@ -190,6 +191,46 @@ TEST(CoverageRegistry, MergeUnionsSpacesAndSumsCounts) {
   EXPECT_EQ(B.snapshot().at("s").at("shared"), 3u);
 }
 
+// The snapshot merge the toggle sink hands its bins over with: into a
+// space with no bins it moves them in whole, into a space with bins it
+// sums them, declared zero-count bins are kept on both sides, and a named
+// snapshot passed in is copied, not consumed.
+TEST(CoverageRegistry, SnapshotMergeMovesIntoEmptySpacesAndSumsOtherwise) {
+  // Built out of order: the handover must not depend on the hints.
+  CoverageSnapshot In;
+  for (const char *Bin : {"z", "m", "b", "a"})
+    In["s"].emplace_hint(In["s"].end(), Bin, 1);
+  In["s"]["hole"] = 0;
+  In["t"]["x"] = 2;
+
+  Coverage Moved;
+  Moved.hit("u", "kept");
+  Moved.merge(CoverageSnapshot(In));
+  CoverageSnapshot S = Moved.snapshot();
+  EXPECT_EQ(S.at("s"), In.at("s"));
+  EXPECT_EQ(S.at("s").at("hole"), 0u);
+  EXPECT_EQ(S.at("t"), In.at("t"));
+  EXPECT_EQ(S.at("u").at("kept"), 1u);
+
+  Coverage Summed, ByCopy;
+  for (Coverage *Cov : {&Summed, &ByCopy}) {
+    Cov->hit("s", "m", 3);
+    Cov->declare("s", "own_hole");
+    Cov->declare("t", "x");
+  }
+  const CoverageSnapshot Kept = In;
+  Summed.merge(CoverageSnapshot(In));
+  ByCopy.merge(In);
+  EXPECT_EQ(In, Kept);
+  S = Summed.snapshot();
+  EXPECT_EQ(S, ByCopy.snapshot());
+  EXPECT_EQ(S.at("s").at("m"), 4u);
+  EXPECT_EQ(S.at("s").at("a"), 1u);
+  EXPECT_EQ(S.at("s").at("hole"), 0u);
+  EXPECT_EQ(S.at("s").at("own_hole"), 0u);
+  EXPECT_EQ(S.at("t").at("x"), 2u);
+}
+
 TEST(CoverageRegistry, ResetDropsEverything) {
   Coverage Cov;
   Cov.hit("s", "b");
@@ -309,12 +350,15 @@ TEST(ToggleCoverage, BinsLandOnceAtFinish) {
   EXPECT_EQ(S.at("sim.toggle").at("b[0]:10"), 2u);
 }
 
-// Packed toggle counting against the per-bit definition: random values
-// on signals at and around the word boundaries, some cycles unchanged,
-// compared bin for bin.
+// Bit-sliced toggle counting against the per-bit definition: random
+// values on signals at and around the word and byte boundaries, random
+// baselines (bits start at 0 or 1), some cycles unchanged, compared bin
+// for bin. 1100 cycles make each word's counters spill past 255 changes
+// several times, and a finish mid-run hands over bins while later edges
+// still count from the values it left.
 TEST(ToggleCoverage, MatchesBitLevelReference) {
   std::vector<sim::WaveSignal> Sigs;
-  for (unsigned W : {1u, 63u, 64u, 65u, 128u})
+  for (unsigned W : {1u, 2u, 7u, 63u, 64u, 65u, 128u, 130u})
     Sigs.emplace_back(std::string("s").append(std::to_string(W)), W);
   Coverage Cov;
   sim::ToggleCoverageSink Sink(Cov);
@@ -323,26 +367,98 @@ TEST(ToggleCoverage, MatchesBitLevelReference) {
 
   std::mt19937_64 Rng(7);
   std::vector<std::vector<bool>> Cur;
-  for (const sim::WaveSignal &S : Sigs)
-    Cur.emplace_back(S.Width, false);
+  for (const sim::WaveSignal &S : Sigs) {
+    Cur.emplace_back(S.Width);
+    for (size_t B = 0; B < S.Width; ++B)
+      Cur.back()[B] = Rng() % 2;
+  }
   std::vector<uint64_t> Packed;
-  for (uint64_t C = 0; C < 40; ++C) {
+  for (uint64_t C = 0; C < 1100; ++C) {
     Sink.beginCycle(C);
     for (unsigned Id = 0; Id < Sigs.size(); ++Id) {
       std::vector<bool> Next = Cur[Id];
-      if (C == 0 || Rng() % 4 != 0) // every fourth value repeats
+      // Every fourth value repeats; in the others every fifth bit flips,
+      // so its count fills all eight planes before a spill, and a third
+      // of the rest flip.
+      if (C > 0 && Rng() % 4 != 0)
         for (size_t B = 0; B < Next.size(); ++B)
-          if (Rng() % 3 == 0)
+          if (B % 5 == 0 || Rng() % 3 == 0)
             Next[B] = !Next[B];
       sim::packBits(Next, Sigs[Id].Width, Packed);
       Sink.value(Id, Packed, C == 0 || Next != Cur[Id]);
       Ref.report(Id, Next);
       Cur[Id] = std::move(Next);
     }
+    if (C == 400) {
+      ASSERT_TRUE(Sink.finish(false).ok());
+    }
   }
   ASSERT_TRUE(Sink.finish(false).ok());
   ASSERT_FALSE(Ref.Bins.empty());
+  // s1 changed with every changed value: more than three spills' worth.
+  ASSERT_GT(Ref.Bins.at("s1[0]:01") + Ref.Bins.at("s1[0]:10"), 3 * 255u);
   EXPECT_EQ(Cov.snapshot()["sim.toggle"], Ref.Bins);
+}
+
+// Bins go to the registry in its own order when signal names sort
+// plainly. Names where one extends another past a '[' and a repeated name
+// take the slower insert and sum paths, and so does a registry that
+// already holds sim.toggle bins; each must give the reference's bins.
+TEST(ToggleCoverage, AwkwardNamesAndAHeldSpaceMatchTheReference) {
+  std::vector<sim::WaveSignal> Sigs;
+  for (const char *Name : {"z", "a[1]", "a", "a0", "A", "dup", "a[", "dup"})
+    Sigs.emplace_back(Name, 12);
+  std::mt19937_64 Rng(11);
+  std::vector<std::vector<std::vector<bool>>> Values(20);
+  for (auto &Cycle : Values)
+    for (const sim::WaveSignal &S : Sigs) {
+      Cycle.emplace_back(S.Width);
+      for (size_t B = 0; B < S.Width; ++B)
+        Cycle.back()[B] = Rng() % 2;
+    }
+  ToggleReference Ref(Sigs);
+  for (const auto &Cycle : Values)
+    for (unsigned Id = 0; Id < Sigs.size(); ++Id)
+      Ref.report(Id, Cycle[Id]);
+  auto Run = [&](Coverage &Cov) {
+    sim::ToggleCoverageSink Sink(Cov);
+    ASSERT_TRUE(Sink.begin(Sigs).ok());
+    std::vector<uint64_t> Packed;
+    for (uint64_t C = 0; C < Values.size(); ++C) {
+      Sink.beginCycle(C);
+      for (unsigned Id = 0; Id < Sigs.size(); ++Id) {
+        sim::packBits(Values[C][Id], Sigs[Id].Width, Packed);
+        Sink.value(Id, Packed, true);
+      }
+    }
+    ASSERT_TRUE(Sink.finish(false).ok());
+  };
+
+  Coverage Fresh;
+  Run(Fresh);
+  EXPECT_EQ(Fresh.snapshot()["sim.toggle"], Ref.Bins);
+
+  Coverage Held;
+  Held.declare("sim.toggle", "hole");
+  Held.hit("sim.toggle", "a[3]:01", 5);
+  Run(Held);
+  std::map<std::string, uint64_t> Want = Ref.Bins;
+  Want["hole"] += 0;
+  Want["a[3]:01"] += 5;
+  EXPECT_EQ(Held.snapshot()["sim.toggle"], Want);
+}
+
+// A run that records no edge leaves no sim.toggle space behind.
+TEST(ToggleCoverage, NoEdgesCreateNoSpace) {
+  Coverage Cov;
+  sim::ToggleCoverageSink Sink(Cov);
+  ASSERT_TRUE(Sink.begin({sim::WaveSignal("q", 70)}).ok());
+  for (uint64_t C = 0; C < 3; ++C) {
+    Sink.beginCycle(C);
+    Sink.value(0, words({9, 1}), C == 0);
+  }
+  ASSERT_TRUE(Sink.finish(false).ok());
+  EXPECT_TRUE(Cov.empty());
 }
 
 // The wide fixture (an i64<2> and an i24<4> with a lane straddling the

@@ -162,6 +162,24 @@ TEST(Interp, SignedComparisons) {
   EXPECT_FALSE(Out.value().get(0, "eq")->toBool());
 }
 
+// A bool lane holds 0 or 1, so `not` must give the other one; a bitwise
+// complement of the lane reads back as true whatever the input.
+TEST(Interp, NotOnBoolNegates) {
+  Function Fn = parseOk(R"(
+    def f(en:bool) -> (y:bool) {
+      y:bool = not(en) @??;
+    }
+  )");
+  Trace Input;
+  Input.appendStep()["en"] = Value::makeBool(true);
+  Input.appendStep()["en"] = Value::makeBool(false);
+  Result<Trace> Out = interpret(Fn, Input);
+  ASSERT_TRUE(Out.ok()) << Out.error();
+  EXPECT_FALSE(Out.value().get(0, "y")->toBool());
+  EXPECT_TRUE(Out.value().get(1, "y")->toBool());
+  EXPECT_EQ(Out.value().get(1, "y")->scalar(), 1);
+}
+
 TEST(Interp, SliceAndCat) {
   Function Good = parseOk(R"(
     def sc(a:i8, b:i8) -> (hi:i8, pair:i8<2>) {

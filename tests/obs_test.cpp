@@ -151,6 +151,23 @@ TEST_F(Obs, JsonParserRejectsGarbage) {
   EXPECT_TRUE(Json::parse("  {\"a\": [1, 2.5, null]}  ").ok());
 }
 
+// String errors end in " at offset N" like every other parse error, so a
+// reader can name the line. A raw control character is reported at its
+// own offset: a raw newline names the line it ends.
+TEST_F(Obs, JsonStringErrorsCarryAnOffset) {
+  auto Error = [](std::string_view Text) {
+    Result<Json> R = Json::parse(Text);
+    EXPECT_FALSE(R.ok()) << Text;
+    return R.ok() ? std::string() : R.error();
+  };
+  EXPECT_EQ(Error("[\"abc"), "json: unterminated string at offset 5");
+  EXPECT_EQ(Error("{\"a\": \"x\ny\"}"),
+            "json: raw control character in string at offset 8");
+  EXPECT_EQ(Error("\"ab\\"), "json: unterminated escape at offset 4");
+  EXPECT_EQ(Error("{\"k\tey\": 1}"),
+            "json: raw control character in string at offset 3");
+}
+
 TEST_F(Obs, CounterAccumulates) {
   obs::Counter &C = obs::counter("test.counter");
   EXPECT_EQ(C.load(), 0u);

@@ -237,13 +237,15 @@ TEST(SimVm, ParityComparisonsAndMux) {
   checkVmParity(Fn, randomTrace(Fn, 20, 5));
 }
 
+// `nb` is `not` on a bool lane, which must yield 0 or 1 on every engine.
 TEST(SimVm, ParityBitwiseAndNot) {
   ir::Function Fn = parseOk(R"(
-    def bw(a:i8, b:i8) -> (x:i8, o:i8, n:i8, z:i8) {
+    def bw(a:i8, b:i8, en:bool) -> (x:i8, o:i8, n:i8, z:i8, nb:bool) {
       x:i8 = xor(a, b) @??;
       o:i8 = or(a, b) @??;
       n:i8 = not(a) @??;
       z:i8 = and(a, b) @??;
+      nb:bool = not(en) @??;
     }
   )");
   checkVmParity(Fn, randomTrace(Fn, 16, 6));
