@@ -9,8 +9,8 @@
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
 # additionally runs the microbenchmarks. After the primary build, two
 # hardening builds run: one under ThreadSanitizer exercising the
-# concurrent batch-compile path (including a placement that misses its
-# lower-bound box and makes a SAT-backed shrink probe) and concurrent
+# concurrent batch-compile path (including uneven cascade chains placed
+# inside the box the chain-packing bound sets) and concurrent
 # compiled-simulation VM runs, and one
 # under AddressSanitizer + UndefinedBehaviorSanitizer exercising the
 # packed waveform path (with the observed-artifact goldens), the
@@ -50,8 +50,7 @@ trap 'rm -rf "$out"' EXIT
     --require=timings.total_ms --require=timings.parse_ms \
     --require=place.sat.decisions \
     --require=sat.shrink_ms \
-    --require=sat.incremental.probes --require=sat.incremental.encodes \
-    --require=sat.incremental.reused_clauses \
+    --require=sat.sat_probes --require=sat.precheck_probes \
     --require=utilization.luts "$out/stats.json"
 "$build/tools/json_check" --require=traceEvents "$out/trace.json"
 "$build/tools/json_check" --require=schema \
@@ -234,10 +233,10 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
 fi
 
 echo "== ThreadSanitizer build: concurrent batch compile =="
-# Four workers place concurrently through the solver, each on its own:
-# fsm_shrink.ret solves once inside its lower-bound box, and
-# mixed_chains.ret misses its box on the small device, so it also builds
-# the persistent solver for a SAT-backed shrink probe.
+# Four workers place concurrently through the solver, each on its own
+# fresh solvers: fsm_shrink.ret solves once inside its lower-bound box,
+# and so do the uneven cascade chains of mixed_chains.ret, inside the box
+# the chain-packing bound sets on the small device.
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
@@ -281,14 +280,13 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # across a reduceDb compaction of the arena, dangles; propagation pushes
 # onto the pool while it walks a list in it. sat_test, place_test and
 # batch_test drive both through learning, reduction and the placement
-# encoders; place_test's chains of 60, 60 and 30 DSPs miss their
-# lower-bound box on the default device and take the persistent solver
-# through five SAT-backed probes with conflicts. Three proof compiles
-# drive both buffers under proof logging: fsm_shrink.ret on the small
-# device and fsm_42.ret on the default device (86k variables) each solve
-# once inside their lower-bound box, and mixed_chains.ret on the small
-# device misses its box, then runs a fresh full-device solve and the
-# persistent solver's SAT-backed shrink probe. json_check reads every
+# encoders; in place_test, the refutation of two 70-DSP chains pinned to
+# one column of the default device and the minimization of its core
+# drive the solver through conflicts, and a designed box miss runs its
+# shrink probes as fresh solves. Three proof compiles drive both buffers
+# under proof logging: fsm_shrink.ret on the small device, fsm_42.ret on
+# the default device (86k variables) and mixed_chains.ret on the small
+# device each solve once inside their lower-bound box. json_check reads every
 # artifact through one reader into keyed rows for one join: each diff
 # preset runs over this section's artifacts (wide-wire waves of the
 # interpreter and vm-netlist, the mac remark golden against a live

@@ -89,15 +89,10 @@ Json reticle::core::statsJson(const CompileResult &Result,
   for (uint64_t Bucket : Result.PlaceStats.LearnedSizeHistogram)
     Sizes.push(Bucket);
   SatProfile.set("learned_size_histogram", std::move(Sizes));
-  // Per-probe reuse accounting for the persistent shrink solver, always
-  // present so schema checks can `--require` it unconditionally.
-  Json Incremental = Json::object();
-  Incremental.set("encodes", Result.PlaceStats.IncrementalEncodes);
-  Incremental.set("probes", Result.PlaceStats.IncrementalProbes);
-  Incremental.set("precheck_probes", Result.PlaceStats.PrecheckProbes);
-  Incremental.set("reused_clauses", Result.PlaceStats.ReusedClauses);
-  Incremental.set("reused_learned", Result.PlaceStats.ReusedLearned);
-  SatProfile.set("incremental", std::move(Incremental));
+  // Shrink probes by what answered them, always present so schema checks
+  // can `--require` them unconditionally.
+  SatProfile.set("sat_probes", Result.PlaceStats.IncrementalProbes);
+  SatProfile.set("precheck_probes", Result.PlaceStats.PrecheckProbes);
   Json Probes = Json::array();
   for (const place::ShrinkProbe &P : Result.PlaceStats.Timeline) {
     Json Probe = Json::object();

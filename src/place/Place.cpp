@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -62,6 +60,46 @@ constexpr size_t InitialCandidateCap = 128;
 /// gives up (a probe keeps its bound, the lower-bound box gives way to the
 /// full device) rather than fight pigeonhole-hard instances.
 constexpr uint64_t ProbeConflictBudget = 50000;
+
+/// Search nodes one chain-packing check may visit before it admits the
+/// bounds unrefuted.
+constexpr size_t PackingNodeLimit = 100000;
+
+/// Whether runs of Heights[0, Left) consecutive rows (\p Heights
+/// ascending) pack into columns, the runs one column takes filling at most
+/// its rows. \p Columns holds (free rows, columns with that many) pairs,
+/// distinct in free rows. Depth-first, tallest run first; a run tries each
+/// free-row count once, since columns with equal free rows lead to the
+/// same subtree. Admits once \p Nodes passes PackingNodeLimit.
+bool packs(const std::vector<unsigned> &Heights, size_t Left,
+           std::vector<std::pair<unsigned, size_t>> &Columns, size_t &Nodes) {
+  if (Left == 0)
+    return true;
+  unsigned Height = Heights[Left - 1];
+  for (size_t I = 0; I < Columns.size(); ++I) {
+    unsigned Rows = Columns[I].first;
+    if (Rows < Height || Columns[I].second == 0)
+      continue;
+    if (++Nodes > PackingNodeLimit)
+      return true;
+    size_t J = 0;
+    while (J < Columns.size() && Columns[J].first != Rows - Height)
+      ++J;
+    bool Added = J == Columns.size();
+    if (Added)
+      Columns.emplace_back(Rows - Height, 0);
+    --Columns[I].second;
+    ++Columns[J].second;
+    bool Packed = packs(Heights, Left - 1, Columns, Nodes);
+    ++Columns[I].second;
+    --Columns[J].second;
+    if (Added)
+      Columns.pop_back();
+    if (Packed)
+      return true;
+  }
+  return false;
+}
 
 /// Per-kind area bounds used by the shrinking passes (exclusive).
 struct Bounds {
@@ -195,15 +233,14 @@ private:
 /// cluster (an at-least-one clause plus an at-most-one), then at most one
 /// user per slot. A multi-member cluster may cover one slot with two
 /// members only through distinct candidates, so the slot at-most-one over
-/// candidate literals is exact. First reserves the solver's room for this
-/// encoding plus \p Extra, what the caller adds after it. Fills \p Vars;
-/// returns false when an at-least-one clause refutes the formula.
+/// candidate literals is exact. First reserves the solver's room for the
+/// whole encoding. Fills \p Vars; returns false when an at-least-one
+/// clause refutes the formula.
 bool encodeChoices(sat::Solver &S,
                    const std::vector<std::vector<Candidate>> &Cands,
-                   std::vector<std::vector<sat::Var>> &Vars,
-                   EncodingSize Extra = {}) {
+                   std::vector<std::vector<sat::Var>> &Vars) {
   SlotTable Slots(Cands);
-  EncodingSize Size = Extra;
+  EncodingSize Size;
   for (const std::vector<Candidate> &Cs : Cands) {
     Size.Vars += Cs.size();
     Size.clauses(1, Cs.size());
@@ -262,8 +299,10 @@ private:
   };
   /// One SAT attempt on a fresh encoding under the given bounds, with at
   /// most \p Cap candidates per cluster and, when \p ConflictBudget is
-  /// nonzero, at most that many conflicts: the initial solve. On success
-  /// fills \p Assignment with the chosen candidate per non-fixed cluster.
+  /// nonzero, at most that many conflicts: every first-solution attempt
+  /// and every shrink probe. Adds the solve's statistics to
+  /// PlacementStats and reports its effort in \p Info. On success fills
+  /// \p Assignment with the chosen candidate per non-fixed cluster.
   /// With \p Explain set (and no budget, so an UNSAT is proved), an
   /// unsatisfiable attempt that no cap cut short (a precheck, an empty
   /// range, or a solve over every candidate) is additionally explained:
@@ -275,18 +314,6 @@ private:
   Attempt solveOnce(const Bounds &B, size_t Cap,
                     std::vector<Candidate> &Assignment, std::string &Err,
                     bool Explain, uint64_t ConflictBudget, SolveInfo &Info);
-  /// The tail every SAT-backed attempt shares: solves \p S, under
-  /// \p Assumps when given and within \p ConflictBudget conflicts when
-  /// nonzero; adds the solve's statistics delta to PlacementStats, reports
-  /// its effort in \p Info and its outcome on \p Sp, and on SAT decodes
-  /// the model into \p Assignment: the candidate of \p Cands whose
-  /// variable in \p Vars is true, per cluster.
-  Attempt solveAndDecode(sat::Solver &S, const std::vector<sat::Lit> *Assumps,
-                         uint64_t ConflictBudget,
-                         const std::vector<std::vector<Candidate>> &Cands,
-                         const std::vector<std::vector<sat::Var>> &Vars,
-                         std::vector<Candidate> &Assignment, std::string &Err,
-                         SolveInfo &Info, obs::Span &Sp);
   /// Records one named core constraint (stats + sat:core remark).
   void noteCore(const std::string &Kind, const std::string &Instr,
                 const std::string &Detail);
@@ -306,7 +333,8 @@ private:
   /// The first resource kind whose demand does not fit within some bounds:
   /// either its slots (Need > Capacity), or the Tall clusters at least
   /// Height rows tall, which need more runs of Height consecutive rows than
-  /// the Segments that fit there.
+  /// the Segments that fit there, or (Height 0) its Tall clusters' runs,
+  /// which pack into no assignment to its columns.
   struct Shortfall {
     ir::Resource Kind;
     size_t Need = 0;
@@ -316,10 +344,13 @@ private:
     size_t Segments = 0;
   };
   /// Arithmetic infeasibility precheck shared by every solve path, as a
-  /// pure predicate: demand vs capacity within \p B, and cascade-chain
-  /// segment capacity. Returns the shortfall when \p B provably cannot
-  /// fit. Monotone in each bound: a larger bound never removes capacity
-  /// or segments.
+  /// pure predicate: demand vs capacity within \p B, cascade-chain segment
+  /// capacity per height class, then the packing of the chains into the
+  /// columns. Returns the shortfall when \p B provably cannot fit.
+  /// Monotone in each bound (a larger bound never removes capacity,
+  /// segments or a packing) except where the packing search stops at its
+  /// node limit and admits: then it may admit a bound below one it
+  /// refutes, which keeps every refutation proved.
   std::optional<Shortfall> capacityShortfall(const Bounds &B) const;
   /// The precheck as a solve path runs it: returns true when \p B
   /// provably cannot fit, tagging \p Sp and, with \p Explain, naming the
@@ -330,56 +361,9 @@ private:
   /// bisection below \p B's own bound, which must pass.
   unsigned lowestAdmitted(Bounds B, int Axis) const;
 
-  /// Delta-exact accumulation of one solve's effort into PlacementStats.
-  /// Takes a Statistics *delta* (After - Before snapshots around the
-  /// solve), never cumulative totals — the latter double-count when one
-  /// solver is reused across probes.
+  /// Accumulates one solve's effort, a Statistics delta (After - Before
+  /// snapshots around the solve), into PlacementStats.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
-
-  /// Persistent shrink-search state: one encoding built lazily at the
-  /// first SAT-backed probe and reused — learned clauses, activities and
-  /// saved phases included — for every probe after it. Area bounds are
-  /// not re-encoded per probe; they are assumption literals over the Kill
-  /// ladders below.
-  struct Persistent {
-    /// The encoding's bounding box. Columns are clamped to the initial
-    /// solution's used columns: the binary search never probes above
-    /// them, and a device-wide enumeration (63x148 positions per cluster
-    /// on xczu3eg) is costly to build and propagate. Rows stay at full
-    /// device height: the column pass probes with the row bound still
-    /// wide open, so every row is reachable there.
-    Bounds Box{0, 0};
-    std::unique_ptr<sat::Solver> Inc; // null until the first build
-    /// Full-bounds candidates and their variables, per cluster.
-    std::vector<std::vector<Candidate>> Cands;
-    std::vector<std::vector<sat::Var>> Vars;
-    /// Bound ladders: ColKill[c] means "columns >= c are banned" (same for
-    /// rows). Monotone clauses (¬Kill[c] ∨ Kill[c+1]) let a probe ban a
-    /// whole suffix by assuming the single literal Kill[B+1]; per-
-    /// candidate guards (¬Kill[mx] ∨ ¬cand) kill every candidate whose
-    /// footprint reaches a banned column/row. Ladder variables are created
-    /// last with saved phase false, so free decisions never tighten a
-    /// bound on their own.
-    std::vector<sat::Var> ColKill;
-    std::vector<sat::Var> RowKill;
-    /// Empty-range precheck table: MinRow[I][c] is the smallest row
-    /// footprint over cluster I's candidates whose column footprint is
-    /// <= c (UINT_MAX: none). Gives a fresh bounded enumeration's "no
-    /// candidates" verdict without touching the solver, keeping such
-    /// probes at zero conflicts/decisions.
-    std::vector<std::vector<unsigned>> MinRow;
-    size_t ProblemClauses = 0;
-  };
-
-  /// Builds the persistent encoding (enumeration, constraints, ladders,
-  /// precheck table) into a fresh persistent solver.
-  Status buildPersistent();
-  void encodePersistent(sat::Solver &S);
-
-  /// One shrink probe against the persistent solver: prechecks, then a
-  /// bounds-as-assumptions solve on the retained encoding.
-  Attempt probe(const Bounds &B, std::vector<Candidate> &Assignment,
-                std::string &Err, SolveInfo &Info);
 
   const AsmProgram &Prog;
   const device::Device &Dev;
@@ -391,9 +375,6 @@ private:
   std::vector<Cluster> FixedClusters; // fully literal
   std::set<device::Slot> FixedSlots;
   std::map<ir::Resource, KindDemand> Demand; // set by tallyDemand()
-
-  size_t FullCapVal = 0; // cap admitting full enumeration, set by run()
-  Persistent Persist;
 };
 
 Status Placer::buildClusters() {
@@ -568,11 +549,12 @@ void Placer::tallyDemand() {
     Demand[C.Prim].Need += C.Members.size();
   // Tall clusters (cascade chains) need that many *consecutive* rows in
   // one column; capacityShortfall bounds the number of placeable tall
-  // clusters per height class. A cluster's height is its longest run of
-  // consecutive row offsets among members sharing one column expression:
-  // a row gap or a member in another column leaves room for other
-  // clusters to interleave. This is a sound relaxation that rejects the
-  // pigeonhole-shaped shrink probes arithmetically.
+  // clusters per height class, then packs their runs into the columns. A
+  // cluster's height is its longest run of consecutive row offsets among
+  // members sharing one column expression: a row gap or a member in
+  // another column leaves room for other clusters to interleave. This is
+  // a sound relaxation that rejects pigeonhole-shaped boxes
+  // arithmetically.
   std::vector<std::tuple<bool, int64_t, int64_t>> Cells;
   for (const Cluster &C : Clusters) {
     // (column is a variable, column offset, row offset) per member whose
@@ -630,6 +612,32 @@ Placer::capacityShortfall(const Bounds &B) const {
         return Shortfall{Kind, D.Need, Capacity, Tall, *It, Segments};
     }
   }
+  // Then pack each kind's runs, tallest first, into its columns within B:
+  // the runs one column takes must fit its rows together. Each run may
+  // take any column of its kind, a pinned column included, and pinned
+  // slots block none of its rows. So a refutation is proved, and it is
+  // exact for programs of wildcard singletons and contiguous one-column
+  // chains, the only clusters selection and cascading make.
+  std::vector<std::pair<unsigned, size_t>> Columns;
+  for (const auto &[Kind, D] : Demand) {
+    if (D.TallHeights.size() < 2)
+      continue;
+    Columns.clear();
+    for (unsigned X = 0; X < NumCols; ++X) {
+      unsigned Rows = RowsOf(X, Kind);
+      if (Rows == 0)
+        continue;
+      auto It = std::find_if(Columns.begin(), Columns.end(),
+                             [&](const auto &C) { return C.first == Rows; });
+      if (It == Columns.end())
+        Columns.emplace_back(Rows, 1);
+      else
+        ++It->second;
+    }
+    size_t Nodes = 0;
+    if (!packs(D.TallHeights, D.TallHeights.size(), Columns, Nodes))
+      return Shortfall{Kind, 0, 0, D.TallHeights.size()};
+  }
   return std::nullopt;
 }
 
@@ -650,20 +658,25 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
       break;
     }
   std::string Kind(ir::resourceName(F->Kind));
-  std::string Detail =
-      F->Need > F->Capacity
-          ? "demand for " + std::to_string(F->Need) + " " + Kind +
-                " slot(s) exceeds the " + std::to_string(F->Capacity) +
-                " available within columns <= " + std::to_string(B.MaxColumn) +
-                ", rows <= " + std::to_string(B.MaxRow) + " on device '" +
-                Dev.name() + "'"
-          : std::to_string(F->Tall) + " cascade chain(s) of height >= " +
-                std::to_string(F->Height) + " need " +
-                std::to_string(F->Tall) +
-                " consecutive-row segment(s) but only " +
-                std::to_string(F->Segments) + " fit in " + Kind +
-                " columns <= " + std::to_string(B.MaxColumn) +
-                ", rows <= " + std::to_string(B.MaxRow);
+  std::string Within = " columns <= " + std::to_string(B.MaxColumn) +
+                       ", rows <= " + std::to_string(B.MaxRow);
+  std::string Detail;
+  if (F->Need > F->Capacity) {
+    Detail = "demand for " + std::to_string(F->Need) + " " + Kind +
+             " slot(s) exceeds the " + std::to_string(F->Capacity) +
+             " available within" + Within + " on device '" + Dev.name() + "'";
+  } else if (F->Height) {
+    Detail = std::to_string(F->Tall) + " cascade chain(s) of height >= " +
+             std::to_string(F->Height) + " need " + std::to_string(F->Tall) +
+             " consecutive-row segment(s) but only " +
+             std::to_string(F->Segments) + " fit in " + Kind + Within;
+  } else {
+    const std::vector<unsigned> &Heights = Demand.at(F->Kind).TallHeights;
+    Detail = std::to_string(F->Tall) + " cascade chain(s) of heights ";
+    for (auto It = Heights.rbegin(); It != Heights.rend(); ++It)
+      Detail += (It == Heights.rbegin() ? "" : ", ") + std::to_string(*It);
+    Detail += " do not pack into " + Kind + Within;
+  }
   noteCore("capacity", Instr, Detail);
   return true;
 }
@@ -737,28 +750,10 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
     Stats->Clauses = static_cast<unsigned>(S.numClauses());
   }
   Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-  Attempt A = solveAndDecode(S, /*Assumps=*/nullptr, ConflictBudget, Cands,
-                             Vars, Assignment, Err, Info, Sp);
-  // An explained search is unbounded, so an UNSAT here is proved and has
-  // a refutation to extract a core from; it is final once no cluster's
-  // enumeration was cut short.
-  if (A == Attempt::Unsat && Explain && !Info.Capped)
-    explainUnsat(Cands);
-  return A;
-}
-
-Placer::Attempt Placer::solveAndDecode(
-    sat::Solver &S, const std::vector<sat::Lit> *Assumps,
-    uint64_t ConflictBudget, const std::vector<std::vector<Candidate>> &Cands,
-    const std::vector<std::vector<sat::Var>> &Vars,
-    std::vector<Candidate> &Assignment, std::string &Err, SolveInfo &Info,
-    obs::Span &Sp) {
-  // Snapshot-and-delta accounting: exact whether the solver is fresh or
-  // reused, and immune to the double-count a cumulative
-  // `Stats += S.stats()` produces on the persistent solver.
+  // The solve's own effort: the encoding's unit clauses already
+  // propagated at the root.
   const sat::Solver::Statistics StatsBefore = S.stats();
-  sat::Outcome O = Assumps ? S.solveWith(*Assumps, ConflictBudget)
-                           : S.solve(ConflictBudget);
+  sat::Outcome O = S.solve(ConflictBudget);
   sat::Solver::Statistics D =
       sat::Solver::Statistics::delta(S.stats(), StatsBefore);
   accumulate(D, O == sat::Outcome::Unknown);
@@ -768,6 +763,11 @@ Placer::Attempt Placer::solveAndDecode(
   Info.SatBacked = true;
   if (O != sat::Outcome::Sat) {
     Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
+    // An explained search is unbounded, so an UNSAT here is proved and has
+    // a refutation to extract a core from; it is final once no cluster's
+    // enumeration was cut short.
+    if (Explain && !Info.Capped)
+      explainUnsat(Cands);
     return Attempt::Unsat; // Unknown (budget hit) also counts as no-shrink
   }
   Sp.arg("outcome", "sat");
@@ -808,181 +808,6 @@ void Placer::accumulate(const sat::Solver::Statistics &D, bool BudgetHit) {
   }
 }
 
-/// The column/row footprint a candidate needs: the maximum slot
-/// coordinate, widened by the base value on axes the bounds restrict
-/// during enumeration (a bound B drops base values > B even when every
-/// slot stays within B, and the persistent guards must ban exactly what a
-/// bounded re-enumeration would drop).
-static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
-                                                   const Candidate &Cand) {
-  unsigned MX = 0, MY = 0;
-  for (const device::Slot &S : Cand.Slots) {
-    MX = std::max(MX, S.X);
-    MY = std::max(MY, S.Y);
-  }
-  if (C.XVar)
-    MX = std::max(MX, static_cast<unsigned>(Cand.XBase));
-  if (C.YVar)
-    MY = std::max(MY, static_cast<unsigned>(Cand.YBase));
-  return {MX, MY};
-}
-
-void Placer::encodePersistent(sat::Solver &S) {
-  // The same constraints as solveOnce's fresh encoding, through the same
-  // helper. A bounded probe's encoding is this one minus the killed
-  // candidates, and the kill guards propagate those false before any free
-  // decision, so the persistent solver explores the same restricted space.
-  // The ladders below add one variable per column and row, a monotone
-  // binary between neighbours and two guard binaries per candidate.
-  size_t Cols = size_t(Persist.Box.MaxColumn) + 1;
-  size_t Rows = size_t(Persist.Box.MaxRow) + 1;
-  EncodingSize Ladders;
-  Ladders.Vars = Cols + Rows;
-  Ladders.clauses(Cols - 1 + Rows - 1, 2);
-  for (const std::vector<Candidate> &Cs : Persist.Cands)
-    Ladders.clauses(2 * Cs.size(), 2);
-  encodeChoices(S, Persist.Cands, Persist.Vars, Ladders);
-
-  // Bound ladders, created after every candidate/auxiliary variable so
-  // free decisions reach them last, pinned to phase false so an unassumed
-  // ladder never tightens a bound on its own.
-  Persist.ColKill.clear();
-  Persist.RowKill.clear();
-  for (unsigned C = 0; C <= Persist.Box.MaxColumn; ++C) {
-    sat::Var V = S.newVar();
-    S.setPhase(V, false);
-    Persist.ColKill.push_back(V);
-  }
-  for (unsigned R = 0; R <= Persist.Box.MaxRow; ++R) {
-    sat::Var V = S.newVar();
-    S.setPhase(V, false);
-    Persist.RowKill.push_back(V);
-  }
-  // Monotone: banning columns >= c bans columns >= c+1.
-  for (size_t C = 0; C + 1 < Persist.ColKill.size(); ++C)
-    S.addBinary(~sat::Lit(Persist.ColKill[C]), sat::Lit(Persist.ColKill[C + 1]));
-  for (size_t R = 0; R + 1 < Persist.RowKill.size(); ++R)
-    S.addBinary(~sat::Lit(Persist.RowKill[R]), sat::Lit(Persist.RowKill[R + 1]));
-  // Guards: a candidate dies with the outermost column/row it needs.
-  for (size_t I = 0; I < Clusters.size(); ++I)
-    for (size_t K = 0; K < Persist.Cands[I].size(); ++K) {
-      auto [MX, MY] = candFootprint(Clusters[I], Persist.Cands[I][K]);
-      S.addBinary(~sat::Lit(Persist.ColKill[MX]),
-                  ~sat::Lit(Persist.Vars[I][K]));
-      S.addBinary(~sat::Lit(Persist.RowKill[MY]),
-                  ~sat::Lit(Persist.Vars[I][K]));
-    }
-}
-
-Status Placer::buildPersistent() {
-  obs::Span Sp(Ctx, "place.encode.persistent");
-  Sp.arg("clusters", static_cast<uint64_t>(Clusters.size()));
-  Persist.Cands.assign(Clusters.size(), {});
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    Result<std::vector<Candidate>> E =
-        enumerate(Clusters[I], Persist.Box, FullCapVal);
-    if (!E)
-      return Status::failure(E.error());
-    Persist.Cands[I] = E.take();
-    if (Persist.Cands[I].empty())
-      return Status::failure(
-          "internal error: cluster lost all candidates between the initial "
-          "solve and the shrink search");
-  }
-
-  // Feasibility table for the empty-range precheck (prefix-min over the
-  // column footprint).
-  Persist.MinRow.assign(
-      Clusters.size(),
-      std::vector<unsigned>(Persist.Box.MaxColumn + 1, UINT_MAX));
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    std::vector<unsigned> &Row = Persist.MinRow[I];
-    for (const Candidate &Cand : Persist.Cands[I]) {
-      auto [MX, MY] = candFootprint(Clusters[I], Cand);
-      Row[MX] = std::min(Row[MX], MY);
-    }
-    for (size_t C = 1; C < Row.size(); ++C)
-      Row[C] = std::min(Row[C], Row[C - 1]);
-  }
-
-  Persist.Inc = std::make_unique<sat::Solver>(Ctx);
-  if (Options.Proof)
-    Persist.Inc->setProof(Options.Proof);
-  encodePersistent(*Persist.Inc);
-  Persist.ProblemClauses = Persist.Inc->numClauses();
-  if (Stats) {
-    Stats->Vars = Persist.Inc->numVars();
-    Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    ++Stats->IncrementalEncodes;
-  }
-  Ctx.counter("sat.incremental.encodes") += 1;
-  Sp.arg("clauses", static_cast<uint64_t>(Persist.ProblemClauses));
-  return Status::success();
-}
-
-Placer::Attempt Placer::probe(const Bounds &B,
-                              std::vector<Candidate> &Assignment,
-                              std::string &Err, SolveInfo &Info) {
-  Info = {};
-  obs::Span Sp(Ctx, "place.solve");
-  Sp.arg("max_col", B.MaxColumn);
-  Sp.arg("max_row", B.MaxRow);
-  Sp.arg("cap", static_cast<uint64_t>(FullCapVal));
-  Sp.arg("clusters", static_cast<uint64_t>(Clusters.size()));
-  if (capacityInfeasible(B, /*Explain=*/false, Sp))
-    return Attempt::Unsat;
-
-  if (!Persist.Inc)
-    if (Status St = buildPersistent(); !St) {
-      Err = St.error();
-      return Attempt::Error;
-    }
-
-  // Empty-range precheck in cluster order, the verdict a fresh bounded
-  // enumeration would reach: such probes never reach the solver and
-  // report zero conflicts/decisions.
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    unsigned C = std::min(B.MaxColumn, Persist.Box.MaxColumn);
-    unsigned Need = Persist.MinRow[I][C];
-    if (Need == UINT_MAX || Need > B.MaxRow) {
-      Sp.arg("outcome", "no_candidates");
-      return Attempt::Unsat;
-    }
-  }
-
-  sat::Solver &S = *Persist.Inc;
-  size_t TotalClauses = S.numClauses();
-  if (Stats) {
-    ++Stats->Solves;
-    Stats->ReusedClauses += Persist.ProblemClauses;
-    Stats->ReusedLearned += TotalClauses - Persist.ProblemClauses;
-  }
-  Ctx.counter("sat.incremental.reused_clauses") += Persist.ProblemClauses;
-  Ctx.counter("sat.incremental.reused_learned") +=
-      TotalClauses - Persist.ProblemClauses;
-  Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-
-  // The probe's bounds are two assumption literals at most: ban the
-  // column/row suffix beyond the tried bound. Everything else — clauses,
-  // learned clauses, activities, phases — carries over from prior probes.
-  std::vector<sat::Lit> Assumps;
-  if (B.MaxColumn < Persist.Box.MaxColumn)
-    Assumps.push_back(sat::Lit(Persist.ColKill[B.MaxColumn + 1]));
-  if (B.MaxRow < Persist.Box.MaxRow)
-    Assumps.push_back(sat::Lit(Persist.RowKill[B.MaxRow + 1]));
-
-  Attempt A = solveAndDecode(S, &Assumps, ProbeConflictBudget, Persist.Cands,
-                             Persist.Vars, Assignment, Err, Info, Sp);
-
-  // Re-arm the ladder phases: search may have saved a true phase on a
-  // kill variable; the next probe must again reach them last and false.
-  for (sat::Var V : Persist.ColKill)
-    S.setPhase(V, false);
-  for (sat::Var V : Persist.RowKill)
-    S.setPhase(V, false);
-  return A;
-}
-
 void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
   // Re-emit the encoding with one selector literal per constraint group:
   // group clauses become (clause ∨ ¬selector) and the solve assumes every
@@ -992,10 +817,10 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
   // one.
   obs::Span Sp(Ctx, "place.explain");
   // The extraction solver re-proves UNSAT once plus once per minimization
-  // probe; mute its sat:unsat remarks (keeping spans/counters) so the
-  // stream carries only the curated sat:core records.
+  // probe; mute its sat:unsat remarks (keeping spans, counters and
+  // coverage) so the stream carries only the curated sat:core records.
   static obs::RemarkStream MutedRemarks;
-  obs::Context Quiet{Ctx.Telem, &MutedRemarks};
+  obs::Context Quiet{Ctx.Telem, &MutedRemarks, Ctx.Cov};
   sat::Solver S(Quiet);
   struct Group {
     std::string Kind;
@@ -1102,7 +927,6 @@ Result<AsmProgram> Placer::run() {
   // attempt is satisfiable or no cluster's enumeration reached the cap,
   // each attempt on a fresh encoding.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
-  FullCapVal = FullCap;
   const size_t StartCap =
       std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
   size_t Cap = StartCap;
@@ -1210,8 +1034,9 @@ Result<AsmProgram> Placer::run() {
   }
 
   // Shrinking passes: take the used area as the bound and binary-search a
-  // smaller one, re-running placement (Section 5.3). Every probe goes to
-  // one persistent solver with the bounds as assumptions.
+  // smaller one, re-running placement (Section 5.3). Every probe is a
+  // fresh encoding of its bounds over every candidate, under the probe
+  // conflict budget.
   auto ShrinkT0 = std::chrono::steady_clock::now();
   if (Options.Shrink && !Clusters.empty()) {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
@@ -1226,12 +1051,6 @@ Result<AsmProgram> Placer::run() {
         }
       return B;
     };
-    // The lazily built persistent encoding covers exactly the space the
-    // probes below can reach: columns up to the initial solution's used
-    // columns (the binary search only ever tries less), rows up to the
-    // full device height (the column pass probes with the row bound
-    // still open).
-    Persist.Box = Bounds{UsedBounds(BestAssignment).MaxColumn, Full.MaxRow};
     Bounds Cur{Full.MaxColumn, Full.MaxRow};
 
     // Shrink columns, then rows, by binary search (Section 5.3). Columns
@@ -1260,14 +1079,13 @@ Result<AsmProgram> Placer::run() {
           Options.Proof->comment(
               std::string("place: shrink probe axis=") +
               (Axis == 0 ? "col" : "row") + " bound=" + std::to_string(Mid));
-        Attempt A = probe(Try, Assignment, Err, Info);
+        Attempt A = solveOnce(Try, FullCap, Assignment, Err,
+                              /*Explain=*/false, ProbeConflictBudget, Info);
         if (A == Attempt::Error)
           return fail<AsmProgram>(Err);
         if (Stats)
           ++(Info.SatBacked ? Stats->IncrementalProbes
                             : Stats->PrecheckProbes);
-        Ctx.counter(Info.SatBacked ? "sat.incremental.probes"
-                                   : "sat.incremental.precheck_probes") += 1;
         Sp.arg("fits", A == Attempt::Sat ? "yes" : "no");
         const char *OutcomeName = A == Attempt::Sat ? "sat"
                                   : Info.BudgetExhausted ? "budget_exhausted"

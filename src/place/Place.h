@@ -54,12 +54,10 @@ struct PlacementOptions {
   /// holds its layout is the result and no probe follows. Otherwise the
   /// first solution comes from the whole device, as without shrinking,
   /// and binary-search passes shrink it, each starting at the precheck's
-  /// bound for its axis. Each first-solve attempt is a fresh encoding
-  /// whose per-cluster candidate cap grows until it is satisfiable; every
-  /// shrink probe goes to one persistent solver that carries the
-  /// full-bounds encoding, with the tried area bounds as assumption
-  /// literals over a ladder of "kill" selectors, so learned clauses,
-  /// variable activities and saved phases survive from probe to probe.
+  /// bound for its axis. Every attempt is a fresh encoding: a first-solve
+  /// attempt's per-cluster candidate cap grows until it is satisfiable,
+  /// and a shrink probe encodes every candidate within its bounds under a
+  /// conflict budget.
   bool Shrink = true;
   /// Unused; kept only so perfbench builds. Delete with its assignment there.
   unsigned Mode = 0;
@@ -123,17 +121,13 @@ struct PlacementStats {
   std::array<uint64_t, 8> LearnedSizeHistogram{};
   unsigned MaxColumn = 0; ///< highest column used
   unsigned MaxRow = 0;    ///< highest row used
-  /// Wall-clock of the whole shrink phase, persistent encoding build
+  /// Wall-clock of the whole shrink phase, every probe's encoding
   /// included.
   double ShrinkMs = 0.0;
-  /// Reuse accounting for the persistent shrink solver: it is built at the
-  /// first SAT-backed probe, so a run encodes once (or never, when no probe
-  /// runs or every probe settles in the prechecks) however many follow.
-  uint64_t IncrementalEncodes = 0; ///< times a probe built an encoding
-  uint64_t IncrementalProbes = 0;  ///< probes answered by the SAT solver
-  uint64_t PrecheckProbes = 0;     ///< probes settled arithmetically (no SAT)
-  uint64_t ReusedClauses = 0;      ///< problem clauses carried across probes
-  uint64_t ReusedLearned = 0;      ///< learnt clauses alive at probe start
+  uint64_t IncrementalProbes = 0; ///< probes answered by the SAT solver
+  uint64_t PrecheckProbes = 0;    ///< probes settled arithmetically (no SAT)
+  /// Always 0; kept only so perfbench builds. Delete with its use there.
+  uint64_t IncrementalEncodes = 0;
   /// The initial solve plus every shrink probe, in order.
   std::vector<ShrinkProbe> Timeline;
   /// Named constraints explaining a failed placement (empty on success):

@@ -147,14 +147,6 @@ public:
   /// unchanged.
   void reserve(size_t Vars, size_t Clauses, size_t Literals);
 
-  /// Overrides the saved phase of \p V, steering the next free decision
-  /// on it. The placement shrink search pins its bound-selector variables
-  /// to false so an unassumed selector never tightens a bound on its own.
-  void setPhase(Var V, bool Phase) {
-    assert(V < VarCount && "unknown variable");
-    SavedPhase[V] = Phase;
-  }
-
   /// True while the formula is not yet refuted at the root level.
   bool ok() const { return OkFlag; }
 

@@ -11,6 +11,7 @@
 #include "isel/Cascade.h"
 #include "isel/Select.h"
 #include "rasm/AsmParser.h"
+#include "sat/Solver.h"
 #include "tdl/Ultrascale.h"
 
 #include <gtest/gtest.h>
@@ -68,10 +69,10 @@ AsmProgram crossColumnPairs(unsigned N) {
 
 /// One cascade-shaped cluster per entry of \p Heights: that many adds on
 /// \p Prim at (xI, yI) .. (xI, yI + height - 1), or in column \p Column
-/// when one is given.
+/// when one is given; then \p LutSingletons wildcard LUT adds.
 AsmProgram chains(const std::string &Prim,
                   std::initializer_list<unsigned> Heights,
-                  const std::string &Column = "") {
+                  const std::string &Column = "", unsigned LutSingletons = 0) {
   std::string Source = "def f(a:i8, b:i8) -> (c0_0:i8) {\n";
   unsigned Chain = 0;
   for (unsigned Height : Heights) {
@@ -81,6 +82,8 @@ AsmProgram chains(const std::string &Prim,
       Source += "  c" + C + "_" + std::to_string(K) + ":i8 = add(a, b) @" +
                 Prim + "(" + X + ", y" + C + "+" + std::to_string(K) + ");\n";
   }
+  for (unsigned I = 0; I < LutSingletons; ++I)
+    Source += "  s" + std::to_string(I) + ":i8 = add(a, b) @lut(?\?, ?\?);\n";
   Source += "}\n";
   return parseOk(Source);
 }
@@ -128,18 +131,6 @@ AsmProgram selectedAsm(const std::string &Path, const Device &Dev) {
       std::max(2u, Dev.maxHeight(ir::Resource::Dsp)));
   EXPECT_TRUE(Cascaded.ok()) << Cascaded.error();
   return Prog;
-}
-
-/// \p Dev cut down to columns 0..MaxColumn and rows 0..MaxRow, so that a
-/// placement on it is a placement within those bounds.
-Device truncated(const Device &Dev, unsigned MaxColumn, unsigned MaxRow) {
-  std::vector<device::Column> Columns;
-  for (unsigned X = 0; X <= MaxColumn && X < Dev.numColumns(); ++X) {
-    device::Column Col = Dev.columns()[X];
-    Col.Height = std::min(Col.Height, MaxRow + 1);
-    Columns.push_back(Col);
-  }
-  return Device(Dev.name(), std::move(Columns), Dev.lutsPerSlice());
 }
 
 } // namespace
@@ -327,32 +318,42 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlaceRandomTest, ::testing::Range(0u, 25u));
 
 namespace {
 
-/// One draw of the justified-failure property: 1-5 clusters of 1-3
-/// members at distinct offsets, rows 0-3 (gaps allowed) and columns
+/// One draw of the justified-failure property: 1-5 clusters, each either
+/// 1-3 members at distinct offsets, rows 0-3 (gaps allowed) and columns
 /// {0, Stride}, where Stride joins two columns of one kind (LUT columns 0
-/// and 2 of tiny, DSP columns 2 and 5 of small). A brute-force search over
-/// base positions decides feasibility, and placement must fail exactly
-/// when it finds no layout. A feasible draw must also end at the area the
-/// brute force finds smallest: the smallest column bound with rows open,
-/// then the smallest row bound under it.
+/// and 2 of tiny, DSP columns 2 and 5 of small), or a contiguous chain of
+/// 2-7 rows in one column. A brute-force search over base positions
+/// decides feasibility, and placement must fail exactly when it finds no
+/// layout. A feasible draw must also end at the area the brute force finds
+/// smallest: the smallest column bound with rows open, then the smallest
+/// row bound under it. Uneven chains make the chain-packing bound refute
+/// some draws and set the lower-bound box of others.
 void expectJustifiedVerdict(std::mt19937 &Rng) {
   bool UseDsp = std::bernoulli_distribution(0.5)(Rng);
   const Device Dev = UseDsp ? Device::small() : Device::tiny();
   const ir::Resource Kind = UseDsp ? ir::Resource::Dsp : ir::Resource::Lut;
   const unsigned Stride = UseDsp ? 3 : 2;
   std::uniform_int_distribution<unsigned> ClusterDist(1, 5), MemberDist(1, 3),
-      RowDist(0, 3), ColumnDist(0, 1);
+      RowDist(0, 3), ColumnDist(0, 1), ChainDist(2, 7);
+  std::bernoulli_distribution IsChain(0.4);
   std::vector<std::vector<device::Slot>> Offsets(ClusterDist(Rng));
+  for (std::vector<device::Slot> &Cluster : Offsets) {
+    if (IsChain(Rng)) {
+      for (unsigned Row = 0, Height = ChainDist(Rng); Row < Height; ++Row)
+        Cluster.push_back({0, Row});
+      continue;
+    }
+    unsigned Members = MemberDist(Rng);
+    while (Cluster.size() < Members) {
+      device::Slot Off{ColumnDist(Rng) * Stride, RowDist(Rng)};
+      if (std::find(Cluster.begin(), Cluster.end(), Off) == Cluster.end())
+        Cluster.push_back(Off);
+    }
+  }
   std::string Source = "def f(a:i8, b:i8) -> (t0:i8) {\n";
   unsigned NumInstrs = 0;
-  for (size_t C = 0; C < Offsets.size(); ++C) {
-    unsigned Members = MemberDist(Rng);
-    while (Offsets[C].size() < Members) {
-      device::Slot Off{ColumnDist(Rng) * Stride, RowDist(Rng)};
-      if (std::find(Offsets[C].begin(), Offsets[C].end(), Off) !=
-          Offsets[C].end())
-        continue;
-      Offsets[C].push_back(Off);
+  for (size_t C = 0; C < Offsets.size(); ++C)
+    for (const device::Slot &Off : Offsets[C]) {
       auto Term = [&](const char *Var, unsigned Offset) {
         return Var + std::to_string(C) +
                (Offset ? "+" + std::to_string(Offset) : "");
@@ -361,7 +362,6 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
                 ir::resourceName(Kind) + "(" + Term("x", Off.X) + ", " +
                 Term("y", Off.Y) + ");\n";
     }
-  }
   Source += "}\n";
 
   std::vector<std::vector<std::vector<device::Slot>>> Cands(Offsets.size());
@@ -401,12 +401,12 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
     return Fits(0);
   };
   bool Feasible = FitsWithin(UINT_MAX, UINT_MAX);
-  unsigned MinColumn = 0, MinRow = 0;
+  unsigned LeastColumn = 0, LeastRow = 0;
   if (Feasible) {
-    while (!FitsWithin(MinColumn, UINT_MAX))
-      ++MinColumn;
-    while (!FitsWithin(MinColumn, MinRow))
-      ++MinRow;
+    while (!FitsWithin(LeastColumn, UINT_MAX))
+      ++LeastColumn;
+    while (!FitsWithin(LeastColumn, LeastRow))
+      ++LeastRow;
   }
 
   AsmProgram P = parseOk(Source);
@@ -421,8 +421,8 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
     EXPECT_TRUE(S.ok()) << S.error() << "\n" << Placed.value().str();
   }
   if (Placed.ok() && Feasible) {
-    EXPECT_EQ(Stats.MaxColumn, MinColumn) << Dev.name() << "\n" << Source;
-    EXPECT_EQ(Stats.MaxRow, MinRow) << Dev.name() << "\n" << Source;
+    EXPECT_EQ(Stats.MaxColumn, LeastColumn) << Dev.name() << "\n" << Source;
+    EXPECT_EQ(Stats.MaxRow, LeastRow) << Dev.name() << "\n" << Source;
   }
 }
 
@@ -559,7 +559,11 @@ TEST(Place, PrecheckCountsTallClustersPerHeightClass) {
   // 16-row LUT columns holds one run of 9, and 5 > 4. Four DSP chains of
   // 70 and one of 20 on xczu3eg: each of the three 120-row DSP columns
   // holds one run of 70, and 4 > 3. The class h = 2 (or 20) passes; the
-  // class h = 9 (or 70) refutes the program before any solve.
+  // class h = 9 (or 70) refutes the program before any solve. DSP chains
+  // of 80, 80, 80 and 50 pass every class (three runs of 80 in three
+  // columns, four of 50 in six segments) but do not pack: the chains of
+  // 80 take one column each and leave 40 rows in each, short of 50. The
+  // packing bound refutes them before any solve too.
   struct Case {
     AsmProgram Prog;
     Device Dev;
@@ -572,6 +576,9 @@ TEST(Place, PrecheckCountsTallClustersPerHeightClass) {
       {chains("dsp", {70, 70, 70, 70, 20}), Device::xczu3eg(),
        "4 cascade chain(s) of height >= 70 need 4 consecutive-row "
        "segment(s) but only 3 fit in dsp columns <= 62, rows <= 147"},
+      {chains("dsp", {80, 80, 80, 50}), Device::xczu3eg(),
+       "4 cascade chain(s) of heights 80, 80, 80, 50 do not pack into dsp "
+       "columns <= 62, rows <= 147"},
   };
   for (const Case &C : Cases)
     for (bool Shrink : {true, false}) {
@@ -658,8 +665,7 @@ TEST(Place, TimelineRecordsInitialSolutionAndEveryProbe) {
 TEST(Place, LowerBoundHitRecordsOnlyTheInitialFrame) {
   // Eight DSP adds fill exactly the first DSP column of small (x = 2, eight
   // rows), the smallest box the capacity precheck admits. The first solve
-  // runs inside it and holds, so the shrink search has nothing to probe
-  // and never builds the persistent solver.
+  // runs inside it and holds, so the shrink search has nothing to probe.
   AsmProgram P = manyDspAdds(8);
   PlacementStats Stats;
   Result<AsmProgram> Placed =
@@ -670,7 +676,6 @@ TEST(Place, LowerBoundHitRecordsOnlyTheInitialFrame) {
   EXPECT_EQ(Stats.IncrementalProbes, 0u);
   EXPECT_EQ(Stats.PrecheckProbes, 0u);
   EXPECT_EQ(Stats.ShrinkIterations, 0u);
-  EXPECT_EQ(Stats.IncrementalEncodes, 0u);
   EXPECT_EQ(Stats.Solves, 1u);
   EXPECT_EQ(Stats.MaxColumn, 2u);
   EXPECT_EQ(Stats.MaxRow, 7u);
@@ -688,11 +693,10 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
   EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
 }
 
-TEST(Place, IncrementalModeRecordsReuseStats) {
-  // The persistent solver encodes at most once and attributes every
-  // shrink probe as either precheck or SAT-backed; reused problem
-  // clauses accumulate per SAT-backed probe. The lower-bound box misses
-  // here, so the search probes.
+TEST(Place, ShrinkProbesAreAttributedAndTimed) {
+  // Every shrink probe is attributed as either precheck or SAT-backed, and
+  // the shrink phase is timed. The lower-bound box misses here, so the
+  // search probes.
   AsmProgram P = strandedRowPairs();
   PlacementStats Stats;
   Result<AsmProgram> Placed =
@@ -701,77 +705,27 @@ TEST(Place, IncrementalModeRecordsReuseStats) {
   // Timeline holds the initial frame plus one frame per shrink probe.
   EXPECT_EQ(Stats.IncrementalProbes + Stats.PrecheckProbes,
             Stats.Timeline.size() - 1);
-  EXPECT_LE(Stats.IncrementalEncodes, 1u);
-  if (Stats.IncrementalProbes > 0) {
-    EXPECT_EQ(Stats.IncrementalEncodes, 1u);
-    EXPECT_GT(Stats.ReusedClauses, 0u);
-  }
   EXPECT_GT(Stats.ShrinkMs, 0.0);
 }
 
-TEST(Place, PersistentProbesMatchFreshSolves) {
-  // Every shrink probe is answered by one persistent encoding with the
-  // tried bounds as assumptions. Each answer must be what a fresh solve of
-  // the same bounds gives: a no-shrink placement on the device cut down
-  // to them. A column probe tries (its bound, the tallest row); a row
-  // probe keeps the column bound the column pass settled on.
-  struct Input {
-    const char *Name;
-    AsmProgram Prog;
-    Device Dev;
-  };
-  // Each input misses its lower-bound box, so placement falls back to the
-  // full device and the shrink search probes.
-  std::string Dir = RETICLE_TEST_INPUTS_DIR;
-  std::vector<Input> Inputs;
-  // Chains of 5, 5 and 3 on small: two eight-row DSP columns hold them
-  // only as 5 + 3 and 5, so the box (5, 6) is refuted and the row probe 6
-  // reaches the solver.
-  Inputs.push_back({"mixed_chains",
-                    selectedAsm(Dir + "/mixed_chains.ret", Device::small()),
-                    Device::small()});
-  // Chains of 60, 60 and 30 on xczu3eg: two 120-row DSP columns hold them
-  // only as 60 + 30 and 60, so the box (41, 74) is refuted and the row
-  // probes below 89 reach the solver. The solver's clause arena and
-  // watcher pool grow through these searches.
-  Inputs.push_back({"chains_60_60_30", chains("dsp", {60, 60, 30}),
-                    Device::xczu3eg()});
-  Inputs.push_back({"designed", strandedRowPairs(), Device::small()});
-
-  PlacementOptions Fresh;
-  Fresh.Shrink = false;
-  for (const Input &In : Inputs) {
-    PlacementStats Stats;
-    Result<AsmProgram> Placed =
-        reticle::place::place(In.Prog, In.Dev, PlacementOptions{}, &Stats);
-    ASSERT_TRUE(Placed.ok()) << In.Name << ": " << Placed.error();
-    // Each input reaches the persistent solver, not only the prechecks.
-    EXPECT_GT(Stats.IncrementalProbes, 0u) << In.Name;
-    unsigned TallestRow = std::max(In.Dev.maxHeight(ir::Resource::Lut),
-                                   In.Dev.maxHeight(ir::Resource::Dsp)) -
-                          1;
-    unsigned ColumnBound = Stats.Timeline.front().MaxColumn;
-    for (const ShrinkProbe &Probe : Stats.Timeline) {
-      if (Probe.ProbeAxis == ShrinkProbe::Axis::Initial)
-        continue;
-      bool Column = Probe.ProbeAxis == ShrinkProbe::Axis::Column;
-      unsigned C = Column ? Probe.Bound : ColumnBound;
-      unsigned R = Column ? TallestRow : Probe.Bound;
-      if (Column)
-        ColumnBound = Probe.MaxColumn;
-      if (Probe.Result == ShrinkProbe::Outcome::Budget)
-        continue;
-      bool Sat = Probe.Result == ShrinkProbe::Outcome::Sat;
-      Result<AsmProgram> Ref = reticle::place::place(
-          In.Prog, truncated(In.Dev, C, R), Fresh);
-      EXPECT_EQ(Ref.ok(), Sat)
-          << In.Name << " probe (" << C << ", " << R << ")";
-      if (Sat) {
-        EXPECT_LE(Probe.MaxColumn, C) << In.Name;
-        EXPECT_LE(Probe.MaxRow, R) << In.Name;
-      }
-    }
-  }
+TEST(Place, ProofLogMarksEveryShrinkProbe) {
+  // Each shrink probe is one fresh solver whose proof lines follow one
+  // `c place: shrink probe` comment, whether a precheck or the solver
+  // answers it. No .ret input probes any more, so the designed box miss
+  // checks the marker here.
+  sat::ProofWriter Proof;
+  PlacementOptions Options;
+  Options.Proof = &Proof;
+  PlacementStats Stats;
+  Result<AsmProgram> Placed = reticle::place::place(
+      strandedRowPairs(), Device::small(), Options, &Stats);
+  ASSERT_TRUE(Placed.ok()) << Placed.error();
+  ASSERT_GT(Stats.Timeline.size(), 1u);
+  std::istringstream Lines(Proof.str());
+  size_t Probes = 0;
+  for (std::string Line; std::getline(Lines, Line);)
+    Probes += Line.rfind("c place: shrink probe axis=", 0) == 0;
+  EXPECT_EQ(Probes, Stats.Timeline.size() - 1);
 }
 
 TEST(Place, PackingCliffProgramsSolveOnceAtTheLowerBound) {
@@ -780,24 +734,45 @@ TEST(Place, PackingCliffProgramsSolveOnceAtTheLowerBound) {
   // 88 rows, and the first capped solve inside that box reaches all
   // three columns. A capped solve over the whole device reaches only two
   // and must refute five chains in four segments, thousands of conflicts.
-  // fsm_42 is all LUTs and fits the box (1, 84) as well, so neither
-  // program makes a shrink probe.
+  // fsm_42 is all LUTs and fits the box (1, 84) as well. The uneven DSP
+  // chains fit their box only as the chain-packing bound sets it: two
+  // 120-row columns hold at most three of chains 61, 61, 61 and 59 (61 +
+  // 59 in one), so the box takes the third column and rows <= 119; two
+  // columns hold 60, 60 and 30 only as 60 + 30 and 60, so rows <= 89. The
+  // height classes alone admit a smaller box there, which holds no
+  // layout. No program makes a shrink probe.
   struct Expect {
-    const char *File;
+    const char *Name;
+    AsmProgram Prog;
+    Device Dev;
     unsigned MaxColumn, MaxRow;
   };
   std::string Dir = RETICLE_TEST_INPUTS_DIR;
-  for (const Expect &E : {Expect{"tensordot_44.ret", 62, 87},
-                          Expect{"fsm_42.ret", 1, 84}}) {
-    AsmProgram P = selectedAsm(Dir + "/" + E.File, Device::xczu3eg());
+  const Device Big = Device::xczu3eg();
+  Expect Cases[] = {
+      {"tensordot_44", selectedAsm(Dir + "/tensordot_44.ret", Big), Big, 62,
+       87},
+      {"fsm_42", selectedAsm(Dir + "/fsm_42.ret", Big), Big, 1, 84},
+      {"dsp 61/61/61/59", chains("dsp", {61, 61, 61, 59}), Big, 62, 119},
+      {"dsp 60/60/30 + 400 lut", chains("dsp", {60, 60, 30}, "", 400), Big,
+       41, 89},
+      {"dsp 80/80/40", chains("dsp", {80, 80, 40}), Big, 41, 119},
+      {"dsp 60/60/30", chains("dsp", {60, 60, 30}), Big, 41, 89},
+      {"dsp 70/70/20", chains("dsp", {70, 70, 20}), Big, 41, 89},
+      {"mixed_chains",
+       selectedAsm(Dir + "/mixed_chains.ret", Device::small()),
+       Device::small(), 5, 7},
+  };
+  for (const Expect &E : Cases) {
     PlacementStats Stats;
-    Result<AsmProgram> Placed = reticle::place::place(
-        P, Device::xczu3eg(), PlacementOptions{}, &Stats);
-    ASSERT_TRUE(Placed.ok()) << E.File << ": " << Placed.error();
-    EXPECT_EQ(Stats.Solves, 1u) << E.File;
-    EXPECT_EQ(Stats.Conflicts, 0u) << E.File;
-    EXPECT_EQ(Stats.IncrementalProbes, 0u) << E.File;
-    EXPECT_EQ(Stats.MaxColumn, E.MaxColumn) << E.File;
-    EXPECT_EQ(Stats.MaxRow, E.MaxRow) << E.File;
+    Result<AsmProgram> Placed =
+        reticle::place::place(E.Prog, E.Dev, PlacementOptions{}, &Stats);
+    ASSERT_TRUE(Placed.ok()) << E.Name << ": " << Placed.error();
+    EXPECT_EQ(Stats.Solves, 1u) << E.Name;
+    EXPECT_EQ(Stats.Conflicts, 0u) << E.Name;
+    EXPECT_EQ(Stats.ShrinkIterations, 0u) << E.Name;
+    EXPECT_EQ(Stats.IncrementalProbes, 0u) << E.Name;
+    EXPECT_EQ(Stats.MaxColumn, E.MaxColumn) << E.Name;
+    EXPECT_EQ(Stats.MaxRow, E.MaxRow) << E.Name;
   }
 }

@@ -478,10 +478,10 @@ TEST(Sat, LearnedClauseHistogramsFill) {
   EXPECT_GT(S.stats().SolveMs, 0.0);
 }
 
-TEST(Sat, DeltaAccountingIsExactAcrossPersistentSolves) {
-  // One solver, three solves under different assumptions: the per-solve
+TEST(Sat, DeltaAccountingIsExactAcrossRepeatedSolves) {
+  // One solver, four solves under different assumptions: the per-solve
   // deltas must partition the accumulated totals exactly — this is the
-  // contract the placement shrink loop's per-probe attribution rests on.
+  // contract per-solve attribution on a reused solver rests on.
   Solver S;
   Var A = S.newVar(), B = S.newVar(), C = S.newVar();
   ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
@@ -510,8 +510,8 @@ TEST(Sat, DeltaAccountingIsExactAcrossPersistentSolves) {
 }
 
 TEST(Sat, DeltaAttributesUnknownToItsProbe) {
-  // A budget-exhausted probe in the middle of a persistent solver's life
-  // must surface Unknowns=1 in ITS delta, not leak into neighbors.
+  // A budget-exhausted probe in the middle of a reused solver's life must
+  // surface Unknowns=1 in ITS delta, not leak into neighbors.
   constexpr unsigned Pigeons = 7, Holes = 6;
   Solver S;
   std::vector<std::vector<Var>> P(Pigeons, std::vector<Var>(Holes));
@@ -540,21 +540,6 @@ TEST(Sat, DeltaAttributesUnknownToItsProbe) {
   Solver::Statistics D2 = Solver::Statistics::delta(S.stats(), Before);
   EXPECT_EQ(D2.Unknowns, 0u);
   EXPECT_GT(D2.Conflicts, 0u);
-}
-
-TEST(Sat, SetPhaseSteersTheFirstModel) {
-  // An unconstrained variable takes its seeded phase in the first model,
-  // which is how the shrink ladder keeps its Kill selectors off during
-  // free search.
-  for (bool Phase : {false, true}) {
-    Solver S;
-    Var A = S.newVar(), B = S.newVar();
-    ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
-    S.setPhase(A, Phase);
-    S.setPhase(B, true);
-    ASSERT_EQ(S.solve(), Outcome::Sat);
-    EXPECT_EQ(S.value(A), Phase);
-  }
 }
 
 TEST(Sat, ProofWriterRecordsRefutation) {
