@@ -49,7 +49,8 @@ inline RunResult runReticle(const ir::Function &Fn,
   core::CompileOptions Options;
   Options.Dev = Dev;
   RunResult Out;
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   if (!R) {
     Out.Error = R.error();
     return Out;

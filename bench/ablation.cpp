@@ -51,8 +51,9 @@ int main() {
     ir::Function Fn = frontend::makeTensorDot(18);
     core::CompileOptions On, Off;
     Off.Cascade = false;
-    Result<core::CompileResult> With = core::compile(Fn, On);
-    Result<core::CompileResult> Without = core::compile(Fn, Off);
+    core::CompileSession Session;
+    Result<core::CompileResult> With = core::compile(Fn, On, Session);
+    Result<core::CompileResult> Without = core::compile(Fn, Off, Session);
     if (!With || !Without) {
       std::printf("FAILED: %s%s\n", With ? "" : With.error().c_str(),
                   Without ? "" : Without.error().c_str());
@@ -76,8 +77,9 @@ int main() {
     ir::Function Fn = frontend::makeTensorAdd(256);
     core::CompileOptions On, Off;
     Off.Shrink = false;
-    Result<core::CompileResult> With = core::compile(Fn, On);
-    Result<core::CompileResult> Without = core::compile(Fn, Off);
+    core::CompileSession Session;
+    Result<core::CompileResult> With = core::compile(Fn, On, Session);
+    Result<core::CompileResult> Without = core::compile(Fn, Off, Session);
     if (!With || !Without) {
       std::printf("FAILED\n");
       return 1;
@@ -109,11 +111,13 @@ int main() {
                                           {"a" + S, "b" + S}));
     }
     ir::Function Vectorized = Scalar;
-    unsigned Formed = opt::vectorize(Vectorized);
+    core::CompileSession Session;
+    unsigned Formed = opt::vectorize(Vectorized, 4, Session.context());
 
     core::CompileOptions Options;
-    Result<core::CompileResult> A = core::compile(Scalar, Options);
-    Result<core::CompileResult> B = core::compile(Vectorized, Options);
+    Result<core::CompileResult> A = core::compile(Scalar, Options, Session);
+    Result<core::CompileResult> B =
+        core::compile(Vectorized, Options, Session);
     if (!A || !B) {
       std::printf("FAILED\n");
       return 1;

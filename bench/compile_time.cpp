@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "frontend/Benchmarks.h"
 #include "isel/Select.h"
 #include "place/Place.h"
@@ -27,8 +28,10 @@ namespace {
 void BM_ReticleSelect(benchmark::State &State) {
   ir::Function Fn =
       frontend::makeTensorAdd(static_cast<unsigned>(State.range(0)));
+  obs::Sinks Sinks;
   for (auto _ : State) {
-    Result<rasm::AsmProgram> Asm = isel::select(Fn, tdl::ultrascale());
+    Result<rasm::AsmProgram> Asm =
+        isel::select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
     benchmark::DoNotOptimize(Asm.ok());
   }
 }
@@ -37,10 +40,13 @@ BENCHMARK(BM_ReticleSelect)->Arg(64)->Arg(256);
 void BM_ReticlePlace(benchmark::State &State) {
   ir::Function Fn =
       frontend::makeTensorAdd(static_cast<unsigned>(State.range(0)));
-  Result<rasm::AsmProgram> Asm = isel::select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> Asm =
+      isel::select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   device::Device Dev = device::Device::xczu3eg();
   for (auto _ : State) {
-    Result<rasm::AsmProgram> Placed = place::place(Asm.value(), Dev);
+    Result<rasm::AsmProgram> Placed =
+        place::place(Asm.value(), Dev, {}, nullptr, Sinks.context());
     benchmark::DoNotOptimize(Placed.ok());
   }
 }
@@ -50,8 +56,9 @@ void BM_ReticleFullPipeline(benchmark::State &State) {
   ir::Function Fn =
       frontend::makeTensorAdd(static_cast<unsigned>(State.range(0)));
   core::CompileOptions Options;
+  core::CompileSession Session;
   for (auto _ : State) {
-    Result<core::CompileResult> R = core::compile(Fn, Options);
+    Result<core::CompileResult> R = core::compile(Fn, Options, Session);
     benchmark::DoNotOptimize(R.ok());
   }
 }

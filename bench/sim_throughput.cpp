@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "interp/Wave.h"
 #include "ir/Parser.h"
@@ -92,7 +93,10 @@ int main() {
   }
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> Compiled = core::compile(Fn.value(), Options);
+  core::CompileSession Session;
+  const obs::Context &Ctx = Session.context();
+  Result<core::CompileResult> Compiled =
+      core::compile(Fn.value(), Options, Session);
   if (!Compiled) {
     std::fprintf(stderr, "compile failed: %s\n", Compiled.error().c_str());
     return 1;
@@ -101,13 +105,13 @@ int main() {
   // Lower both compiled-simulation programs once, outside every timed
   // region: compile-once is the VM's contract, so the timer measures
   // execution alone (the interpreter has no equivalent setup to skip).
-  Result<sim::Program> IrProg = sim::compile(Fn.value());
+  Result<sim::Program> IrProg = sim::compile(Fn.value(), Ctx);
   if (!IrProg) {
     std::fprintf(stderr, "vm-ir lowering failed: %s\n",
                  IrProg.error().c_str());
     return 1;
   }
-  Result<sim::Program> NetProg = sim::compile(Compiled.value().Verilog);
+  Result<sim::Program> NetProg = sim::compile(Compiled.value().Verilog, Ctx);
   if (!NetProg) {
     std::fprintf(stderr, "vm-netlist lowering failed: %s\n",
                  NetProg.error().c_str());
@@ -162,15 +166,14 @@ int main() {
       Out = fail<Trace>("not run");
       auto Start = std::chrono::steady_clock::now();
       Out = Eng == "interp"
-                ? interp::interpret(Fn.value(), In, Sink,
-                                    obs::defaultContext())
+                ? interp::interpret(Fn.value(), In, Sink, Ctx)
             : WithProfile
                 ? sim::execute(Eng == "vm-ir" ? IrProg.value()
                                               : NetProg.value(),
-                               In, Prof, Sink, obs::defaultContext())
+                               In, Prof, Sink, Ctx)
                 : sim::execute(Eng == "vm-ir" ? IrProg.value()
                                               : NetProg.value(),
-                               In, Sink, obs::defaultContext());
+                               In, Sink, Ctx);
       obs::Coverage Cov;
       if (Out && WithCoverage) {
         sim::ToggleCoverageSink Toggles(Cov);

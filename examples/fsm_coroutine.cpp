@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "frontend/Benchmarks.h"
 #include "interp/Interp.h"
 
@@ -46,7 +47,8 @@ int main() {
                 static_cast<long long>(Stimulus[Cycle]),
                 Out.value().get(Cycle, "state")->str().c_str());
 
-  Result<core::CompileResult> R = core::compile(Fn);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn, {}, Session);
   if (!R) {
     std::printf("compile error: %s\n", R.error().c_str());
     return 1;

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Parser.h"
 
@@ -56,8 +57,10 @@ int main() {
                 Out.value().get(Cycle, "y")->str().c_str());
 
   // Compile for the paper's device. The mul+add+reg fuses into a single
-  // DSP with its post-adder and pipeline register.
-  Result<core::CompileResult> R = core::compile(Fn.value());
+  // DSP with its post-adder and pipeline register. The session receives
+  // the compile's counters, remarks and coverage.
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn.value(), {}, Session);
   if (!R) {
     std::printf("compile error: %s\n", R.error().c_str());
     return 1;

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "frontend/Benchmarks.h"
 #include "synth/Synth.h"
 
@@ -29,7 +30,8 @@ int main() {
 
   // Reticle: vector adds bound to DSPs, fused with their pipeline
   // registers, four lanes per DSP.
-  Result<core::CompileResult> Ret = core::compile(Fn);
+  core::CompileSession Session;
+  Result<core::CompileResult> Ret = core::compile(Fn, {}, Session);
   if (!Ret) {
     std::printf("reticle: %s\n", Ret.error().c_str());
     return 1;

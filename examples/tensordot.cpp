@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "frontend/Benchmarks.h"
 
 #include <cstdio>
@@ -25,7 +26,8 @@ int main() {
   // One row keeps the printout readable; the benchmark uses five.
   ir::Function Fn = frontend::makeTensorDot(4, /*Rows=*/1);
 
-  Result<core::CompileResult> With = core::compile(Fn);
+  core::CompileSession Session;
+  Result<core::CompileResult> With = core::compile(Fn, {}, Session);
   if (!With) {
     std::printf("compile error: %s\n", With.error().c_str());
     return 1;
@@ -38,7 +40,8 @@ int main() {
 
   core::CompileOptions NoCascade;
   NoCascade.Cascade = false;
-  Result<core::CompileResult> Without = core::compile(Fn, NoCascade);
+  Result<core::CompileResult> Without =
+      core::compile(Fn, NoCascade, Session);
   if (!Without) {
     std::printf("compile error: %s\n", Without.error().c_str());
     return 1;

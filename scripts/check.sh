@@ -236,7 +236,12 @@ echo "== ThreadSanitizer build: concurrent batch compile =="
 # Four workers place concurrently through the solver, each on its own
 # fresh solvers: fsm_shrink.ret solves once inside its lower-bound box,
 # and so do the uneven cascade chains of mixed_chains.ret, inside the box
-# the chain-packing bound sets on the small device.
+# the chain-packing bound sets on the small device. Every session owns
+# its telemetry, remark stream and coverage registry, and no stage
+# records anywhere else: batch_race_check compares each item's remark
+# stream and coverage snapshot, besides its artifacts, between a
+# sequential and a four-worker run, and TSan sees any state two sessions
+# share.
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \

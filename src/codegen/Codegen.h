@@ -52,8 +52,8 @@ struct Utilization {
 Result<verilog::Module> generate(const rasm::AsmProgram &Placed,
                                  const tdl::Target &Target,
                                  const device::Device &Dev,
-                                 Utilization *Util = nullptr,
-                                 const obs::Context &Ctx = obs::defaultContext());
+                                 Utilization *Util,
+                                 const obs::Context &Ctx);
 
 } // namespace codegen
 } // namespace reticle

@@ -49,7 +49,6 @@ reticle::core::compileBatch(const std::vector<BatchInput> &Inputs,
   // Touch the lazily-built singleton targets before any worker does, so
   // the workers only ever read them.
   CompileOptions PerCompile = Options.Options;
-  PerCompile.Snapshots = nullptr; // a shared sink would race; see header
   if (!PerCompile.Target)
     PerCompile.Target = &tdl::ultrascale();
 

@@ -53,9 +53,7 @@ struct BatchInput {
 };
 
 struct BatchOptions {
-  /// Per-compile configuration, shared by every input. Its Snapshots
-  /// pointer is ignored — a shared sink would race; use CaptureSnapshots
-  /// to collect per-item snapshots in each item's session instead.
+  /// Per-compile configuration, shared by every input.
   CompileOptions Options;
   /// Worker threads; 0 picks the hardware concurrency. The pool never
   /// exceeds the number of inputs.

@@ -30,9 +30,8 @@ Result<CompileResult> runStandardPipeline(CompileState &State,
                                           CompileSession &Session,
                                           bool FromSource) {
   using ResultT = CompileResult;
-  const obs::Context &Ctx = Session.context();
-  ++Ctx.counter("core.compiles");
-  obs::Span TotalSp(Ctx, "compile");
+  ++Session.telemetry().counter("core.compiles");
+  obs::Span TotalSp(Session.context(), "compile");
   TotalSp.arg("fn", State.Name);
   auto Total = std::chrono::steady_clock::now();
 
@@ -56,11 +55,6 @@ Result<CompileResult> reticle::core::compile(const ir::Function &Fn,
   return runStandardPipeline(State, Options, Session, /*FromSource=*/false);
 }
 
-Result<CompileResult> reticle::core::compile(const ir::Function &Fn,
-                                             const CompileOptions &Options) {
-  return compile(Fn, Options, CompileSession::global());
-}
-
 Result<CompileResult> reticle::core::compileSource(
     const std::string &Source, std::string_view Name,
     const CompileOptions &Options, CompileSession &Session) {
@@ -69,10 +63,4 @@ Result<CompileResult> reticle::core::compileSource(
   State.Source = Source;
   State.Target = Options.Target ? Options.Target : &tdl::ultrascale();
   return runStandardPipeline(State, Options, Session, /*FromSource=*/true);
-}
-
-Result<CompileResult> reticle::core::compileSource(
-    const std::string &Source, std::string_view Name,
-    const CompileOptions &Options) {
-  return compileSource(Source, Name, Options, CompileSession::global());
 }

@@ -10,11 +10,9 @@
 /// placement -> structural Verilog with layout annotations. Routing and
 /// bitstream generation remain with vendor tools, exactly as in the paper.
 ///
-/// Compilation runs as a core::Pipeline of named passes inside a
-/// core::CompileSession (see Pipeline.h, Session.h). The overloads without
-/// a session argument use CompileSession::global() and are what the tests,
-/// benchmarks, and single-input driver call; anything that compiles
-/// concurrently must pass its own session (see Batch.h).
+/// Compilation runs as a core::Pipeline of named passes inside the
+/// core::CompileSession its caller passes (see Pipeline.h, Session.h);
+/// concurrent compiles each pass their own (see Batch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +24,6 @@
 #include "ir/Function.h"
 #include "isel/Cascade.h"
 #include "isel/Select.h"
-#include "obs/Snapshots.h"
 #include "place/Place.h"
 #include "rasm/Asm.h"
 #include "support/Result.h"
@@ -64,10 +61,6 @@ struct CompileOptions {
   bool SatProof = false;
   /// Run static timing analysis on the placed result.
   bool Timing = true;
-  /// When non-null, the pipeline records the program text after each stage
-  /// into this sink instead of the session's own (legacy hook; prefer
-  /// CompileSession::captureSnapshots). Costs nothing when left null.
-  obs::SnapshotSink *Snapshots = nullptr;
   /// Pass names forced off by the driver (`--disable-pass=`). Only
   /// optional stages may be disabled — validate against
   /// core::isPassDisableable() before populating; Pipeline::run simply
@@ -133,10 +126,6 @@ Result<CompileResult> compile(const ir::Function &Fn,
                               const CompileOptions &Options,
                               CompileSession &Session);
 
-/// Compiles \p Fn in the global session (legacy single-session entry).
-Result<CompileResult> compile(const ir::Function &Fn,
-                              const CompileOptions &Options = {});
-
 /// Parses, verifies, and compiles \p Source (named \p Name in spans,
 /// snapshots, and diagnostics) in \p Session. This is the entry the
 /// driver's batch mode uses: the parse and opt passes run inside the
@@ -146,11 +135,6 @@ Result<CompileResult> compileSource(const std::string &Source,
                                     std::string_view Name,
                                     const CompileOptions &Options,
                                     CompileSession &Session);
-
-/// compileSource in the global session.
-Result<CompileResult> compileSource(const std::string &Source,
-                                    std::string_view Name,
-                                    const CompileOptions &Options = {});
 
 } // namespace core
 } // namespace reticle

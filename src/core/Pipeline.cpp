@@ -70,11 +70,10 @@ public:
   }
   Status run(CompileState &State, CompileSession &Session,
              const CompileOptions &Options) override {
-    const obs::Context &Ctx = Session.context();
     OptStats &S = State.Result.Opt;
-    S.Folded = opt::constantFold(*State.Fn, Ctx);
-    S.Dead = opt::deadCodeElim(*State.Fn, Ctx);
-    S.Vectorized = opt::vectorize(*State.Fn, 4, Ctx);
+    S.Folded = opt::constantFold(*State.Fn, Session.context());
+    S.Dead = opt::deadCodeElim(*State.Fn, Session.context());
+    S.Vectorized = opt::vectorize(*State.Fn, 4, Session.context());
     return Status::success();
   }
 };
@@ -264,23 +263,15 @@ Status Pipeline::run(CompileState &State, CompileSession &Session,
       // the aggregate pass histogram and one in its per-pass histogram,
       // so batch compiles expose real p50/p90/p99 per stage.
       double Ms = msSince(Start);
-      const obs::Context &Ctx = Session.context();
-      Ctx.histogram("pipeline.pass_ms").record(Ms);
-      Ctx.histogram(std::string("pipeline.pass_ms.") + P->name()).record(Ms);
+      obs::Telemetry &Telem = Session.telemetry();
+      Telem.histogram("pipeline.pass_ms").record(Ms);
+      Telem.histogram(std::string("pipeline.pass_ms.") + P->name()).record(Ms);
     }
     if (double StageTimings::*Slot = P->timingSlot())
       State.Result.Times.*Slot = msSince(Start);
-    if (Outcome)
-      if (const char *Format = P->snapshotFormat()) {
-        // The options' external sink (the legacy hook) wins over the
-        // session's own capture.
-        obs::SnapshotSink *Sink =
-            Options.Snapshots ? Options.Snapshots
-            : Session.capturingSnapshots() ? &Session.snapshots()
-                                           : nullptr;
-        if (Sink)
-          Sink->add(P->name(), Format, P->snapshotText(State));
-      }
+    if (Outcome && Session.capturingSnapshots())
+      if (const char *Format = P->snapshotFormat())
+        Session.snapshots().add(P->name(), Format, P->snapshotText(State));
     if (!Outcome)
       Session.diagnose(P->name(), Outcome.error());
     if (P->snapshotFormat())

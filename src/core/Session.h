@@ -11,11 +11,8 @@
 /// program snapshots, and the diagnostics the pipeline raised. Stages
 /// receive the session's obs::Context explicitly, so two sessions in one
 /// process never touch each other's state — which is what makes
-/// core::compileBatch safe to run on a worker pool.
-///
-/// The process-global registries behind `obs::counter()` et al. survive as
-/// exactly one distinguished session, CompileSession::global(), used by
-/// the legacy single-session entry points.
+/// core::compileBatch safe to run on a worker pool. There is no
+/// process-wide session: every compile names the one it records into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,11 +20,8 @@
 #define RETICLE_CORE_SESSION_H
 
 #include "obs/Context.h"
-#include "obs/Remarks.h"
 #include "obs/Snapshots.h"
-#include "obs/Telemetry.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,27 +35,26 @@ namespace core {
 /// not — they assume one pipeline runs in the session at a time.
 class CompileSession {
 public:
-  /// A fresh session with its own telemetry registry and remark stream,
-  /// both initially disabled/empty.
-  CompileSession();
-  ~CompileSession();
+  /// A fresh session with its own telemetry registry, remark stream and
+  /// coverage registry, all initially disabled/empty.
+  CompileSession() = default;
+  ~CompileSession() = default;
 
   CompileSession(const CompileSession &) = delete;
   CompileSession &operator=(const CompileSession &) = delete;
 
   /// The context stages record against. Stable for the session's lifetime.
-  const obs::Context &context() const { return Ctx; }
+  const obs::Context &context() const { return Sinks.context(); }
 
-  obs::Telemetry &telemetry() { return *Ctx.Telem; }
-  const obs::Telemetry &telemetry() const { return *Ctx.Telem; }
-  obs::RemarkStream &remarks() { return *Ctx.Rem; }
-  const obs::RemarkStream &remarks() const { return *Ctx.Rem; }
-  obs::Coverage &coverage() { return *Ctx.Cov; }
-  const obs::Coverage &coverage() const { return *Ctx.Cov; }
+  obs::Telemetry &telemetry() { return Sinks.telemetry(); }
+  const obs::Telemetry &telemetry() const { return Sinks.telemetry(); }
+  obs::RemarkStream &remarks() { return Sinks.remarks(); }
+  const obs::RemarkStream &remarks() const { return Sinks.remarks(); }
+  obs::Coverage &coverage() { return Sinks.coverage(); }
+  const obs::Coverage &coverage() const { return Sinks.coverage(); }
 
   /// Per-stage program snapshots captured by the pipeline when
-  /// captureSnapshots() is on (or when CompileOptions::Snapshots points at
-  /// an external sink, which then takes precedence).
+  /// captureSnapshots() is on.
   obs::SnapshotSink &snapshots() { return Snaps; }
   const obs::SnapshotSink &snapshots() const { return Snaps; }
   void captureSnapshots(bool On = true) { Capture = On; }
@@ -77,25 +70,8 @@ public:
   }
   const std::vector<Diagnostic> &diagnostics() const { return Diags; }
 
-  /// True for the distinguished global session, whose telemetry and
-  /// remarks are the process-wide `obs::defaultTelemetry()` /
-  /// `obs::defaultRemarks()` registries.
-  bool isGlobal() const { return !OwnedTelem; }
-
-  /// The session behind the legacy single-session API: compile() without
-  /// an explicit session argument, and the free functions in obs. Not for
-  /// concurrent use.
-  static CompileSession &global();
-
 private:
-  struct GlobalTag {};
-  explicit CompileSession(GlobalTag);
-
-  /// Null for the global session (which borrows the default registries).
-  std::unique_ptr<obs::Telemetry> OwnedTelem;
-  std::unique_ptr<obs::RemarkStream> OwnedRem;
-  std::unique_ptr<obs::Coverage> OwnedCov;
-  obs::Context Ctx;
+  obs::Sinks Sinks;
   obs::SnapshotSink Snaps;
   bool Capture = false;
   std::vector<Diagnostic> Diags;

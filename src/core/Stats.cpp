@@ -114,15 +114,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
     Probes.push(std::move(Probe));
   }
   SatProfile.set("shrink_probes", std::move(Probes));
-  Json Core = Json::array();
-  for (const place::CoreConstraint &C : Result.PlaceStats.Core) {
-    Json Entry = Json::object();
-    Entry.set("constraint", C.Kind);
-    Entry.set("instr", C.Instr);
-    Entry.set("detail", C.Detail);
-    Core.push(std::move(Entry));
-  }
-  SatProfile.set("core", std::move(Core));
   Doc.set("sat", std::move(SatProfile));
 
   Json Util = Json::object();
@@ -193,9 +184,4 @@ Json reticle::core::statsJson(const CompileResult &Result,
   // sim.cycle_batch_ms): log-bucketed percentile estimates per name.
   Doc.set("histograms", Ctx.Telem->histogramsJson());
   return Doc;
-}
-
-Json reticle::core::statsJson(const CompileResult &Result,
-                              std::string_view Program) {
-  return statsJson(Result, Program, obs::defaultContext());
 }

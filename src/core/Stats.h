@@ -28,14 +28,11 @@ namespace reticle {
 namespace core {
 
 /// Assembles the "reticle-stats-v1" document for one compilation of
-/// \p Program (a display name: source path or function name). Counters
-/// and gauges come from \p Ctx — pass the session's context so a batch
-/// item reports its own registry, not the process-wide one.
+/// \p Program (a display name: source path or function name). Counters,
+/// gauges and coverage come from \p Ctx, the context of the session the
+/// compilation ran in.
 obs::Json statsJson(const CompileResult &Result, std::string_view Program,
                     const obs::Context &Ctx);
-
-/// statsJson against the global session's registries.
-obs::Json statsJson(const CompileResult &Result, std::string_view Program);
 
 } // namespace core
 } // namespace reticle

@@ -17,7 +17,7 @@ using ir::Instr;
 
 Result<Trace> reticle::interp::interpret(const Function &Fn,
                                          const Trace &Input) {
-  return interpret(Fn, Input, nullptr, obs::defaultContext());
+  return interpret(Fn, Input, nullptr, obs::Sinks().context());
 }
 
 Result<Trace> reticle::interp::interpret(const Function &Fn,
@@ -27,16 +27,16 @@ Result<Trace> reticle::interp::interpret(const Function &Fn,
   // WellFormedCheck (Algorithm 1, line 2): verify and split the body into a
   // topologically ordered pure queue P and a register queue R, seeding the
   // environment with register initial values.
-  if (Status S = ir::verify(Fn); !S)
+  if (Status S = ir::verify(Fn, Ctx); !S)
     return fail<Trace>(S.error());
-  Result<std::vector<size_t>> OrderOr = ir::topoOrder(Fn);
+  Result<std::vector<size_t>> OrderOr = ir::topoOrder(Fn, Ctx);
   if (!OrderOr)
     return fail<Trace>(OrderOr.error());
   const std::vector<size_t> &PureOrder = OrderOr.value();
 
   // The environment is a flat vector indexed by the function's ValueIds
   // (the verify call above warmed the cached analysis).
-  const ir::DefUse &DU = Fn.defUse();
+  const ir::DefUse &DU = Fn.defUse(Ctx);
   std::vector<Value> Env(DU.numValues());
 
   std::vector<size_t> RegIndices;

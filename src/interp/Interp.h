@@ -30,16 +30,17 @@ namespace interp {
 /// declared type. The result trace has one step per input step, holding all
 /// declared outputs. Fails when the function is ill-formed or the trace is
 /// incomplete or ill-typed.
-Result<Trace> interpret(const ir::Function &Fn, const Trace &Input);
-
-/// As above, but additionally streams every value (inputs, internal
-/// instruction results, registers, outputs) into \p Wave cycle by cycle
-/// (null for no waveform) and counts `sim.cycles` / `interp.*` into
-/// \p Ctx. A failing run still finishes the sink (aborted) so partial
-/// waveforms flush.
+///
+/// Streams every value (inputs, internal instruction results, registers,
+/// outputs) into \p Wave cycle by cycle (null for no waveform). The
+/// verifier, the def-use analysis, `sim.cycles` and `interp.*` record
+/// into \p Ctx. A failing run still finishes the sink (aborted) so
+/// partial waveforms flush.
 Result<Trace> interpret(const ir::Function &Fn, const Trace &Input,
-                        sim::WaveSink *Wave,
-                        const obs::Context &Ctx = obs::defaultContext());
+                        sim::WaveSink *Wave, const obs::Context &Ctx);
+
+/// Unobserved form: records into sinks owned for the call.
+Result<Trace> interpret(const ir::Function &Fn, const Trace &Input);
 
 } // namespace interp
 } // namespace reticle

@@ -91,7 +91,7 @@ public:
 
   template <typename ProgramT>
   static std::shared_ptr<const DefUse>
-  build(const ProgramT &P, const obs::Context &Ctx = obs::defaultContext());
+  build(const ProgramT &P, const obs::Context &Ctx);
 
   // --- Interner access -------------------------------------------------
   const NameInterner &names() const { return Names; }

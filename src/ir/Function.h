@@ -47,23 +47,25 @@ public:
   std::vector<Instr> &body() { return Body; }
   const std::vector<Instr> &body() const { return Body; }
 
+  /// The builders drop the cached analysis uncounted; only explicit
+  /// invalidateDefUse() calls count as `ir.defuse.invalidations`.
   void addInput(std::string PortName, Type Ty) {
     Inputs.push_back(Port{std::move(PortName), Ty});
-    invalidateDefUse();
+    DU.reset();
   }
   void addOutput(std::string PortName, Type Ty) {
     Outputs.push_back(Port{std::move(PortName), Ty});
-    invalidateDefUse();
+    DU.reset();
   }
   void addInstr(Instr I) {
     Body.push_back(std::move(I));
-    invalidateDefUse();
+    DU.reset();
   }
 
   /// The cached def-use analysis, built on first request. Anything that
   /// mutates the body or ports through the non-const accessors must call
   /// invalidateDefUse() before the next consumer reads the analysis.
-  const DefUse &defUse(const obs::Context &Ctx = obs::defaultContext()) const {
+  const DefUse &defUse(const obs::Context &Ctx) const {
     if (DU) {
       ++Ctx.counter("ir.defuse.cache_hits");
       return *DU;
@@ -74,15 +76,13 @@ public:
 
   /// Shares ownership of the cached analysis, so holders survive a later
   /// invalidation on the function (the analysis itself is immutable).
-  std::shared_ptr<const DefUse>
-  defUseShared(const obs::Context &Ctx = obs::defaultContext()) const {
+  std::shared_ptr<const DefUse> defUseShared(const obs::Context &Ctx) const {
     (void)defUse(Ctx);
     return DU;
   }
 
   /// Drops the cached analysis; counted only when a cache existed.
-  void invalidateDefUse(
-      const obs::Context &Ctx = obs::defaultContext()) const {
+  void invalidateDefUse(const obs::Context &Ctx) const {
     if (DU) {
       DU.reset();
       ++Ctx.counter("ir.defuse.invalidations");

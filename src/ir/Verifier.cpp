@@ -14,28 +14,6 @@ using namespace reticle::ir;
 
 namespace {
 
-/// Static IR coverage: one bin per op, per op x result type (the type
-/// string carries the vector width, so "add:i8<4>" and "add:i8" are
-/// distinct bins), per lane count, and per resource annotation on
-/// compute instructions. Recorded only for functions the verifier
-/// accepts, so the corpus-wide coverage doc never counts rejected IR.
-void recordIrCoverage(const Function &Fn, const obs::Context &Ctx) {
-  obs::Coverage &Cov = Ctx.coverage();
-  for (const Instr &I : Fn.body()) {
-    const char *Op = I.opName();
-    const Type Ty = I.type();
-    Cov.hit("ir.op", Op);
-    Cov.hit("ir.op_type", std::string(Op) + ":" + Ty.str());
-    Cov.hit("ir.lanes", std::to_string(Ty.lanes()));
-    if (!I.isWire())
-      Cov.hit("ir.resource", resourceName(I.resource()));
-  }
-}
-
-} // namespace
-
-namespace {
-
 Status err(const Instr &I, const std::string &Message) {
   return Status::failure("in '" + I.str() + "': " + Message);
 }
@@ -295,6 +273,5 @@ Status reticle::ir::verify(const Function &Fn, const obs::Context &Ctx) {
     return Status::failure("function '" + Fn.name() +
                            "' has a combinational cycle (register-free loop)");
 
-  recordIrCoverage(Fn, Ctx);
   return Status::success();
 }

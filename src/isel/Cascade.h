@@ -39,8 +39,8 @@ struct CascadeStats {
 /// split. Chains are rewritten only when the target defines the cascade
 /// variants for the operation.
 Status cascadePass(rasm::AsmProgram &Prog, const tdl::Target &Target,
-                   unsigned MaxChain = 64, CascadeStats *Stats = nullptr,
-                   const obs::Context &Ctx = obs::defaultContext());
+                   unsigned MaxChain, CascadeStats *Stats,
+                   const obs::Context &Ctx);
 
 } // namespace isel
 } // namespace reticle

@@ -50,8 +50,7 @@ struct DfgNode {
 class Dfg {
 public:
   /// Builds the graph and classifies roots. The function must be verified.
-  static Result<Dfg> build(const ir::Function &Fn,
-                           const obs::Context &Ctx = obs::defaultContext());
+  static Result<Dfg> build(const ir::Function &Fn, const obs::Context &Ctx);
 
   const ir::Function &function() const { return *Fn; }
   const std::vector<DfgNode> &nodes() const { return Nodes; }

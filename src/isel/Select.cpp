@@ -19,6 +19,25 @@ using namespace reticle::isel;
 
 namespace {
 
+/// Static IR coverage: one bin per op, per op x result type (the type
+/// string carries the vector width, so "add:i8<4>" and "add:i8" are
+/// distinct bins), per lane count, and per resource annotation on
+/// compute instructions. Recorded once per selection, over the verified
+/// function selection receives, so the corpus-wide coverage doc never
+/// counts rejected IR and each count is a number of instructions.
+void recordIrCoverage(const ir::Function &Fn, const obs::Context &Ctx) {
+  obs::Coverage &Cov = Ctx.coverage();
+  for (const ir::Instr &I : Fn.body()) {
+    const char *Op = I.opName();
+    const ir::Type Ty = I.type();
+    Cov.hit("ir.op", Op);
+    Cov.hit("ir.op_type", std::string(Op) + ":" + Ty.str());
+    Cov.hit("ir.lanes", std::to_string(Ty.lanes()));
+    if (!I.isWire())
+      Cov.hit("ir.resource", ir::resourceName(I.resource()));
+  }
+}
+
 /// Lexicographic (area, latency) cost.
 struct Cost {
   int64_t Area = 0;
@@ -460,6 +479,7 @@ Result<rasm::AsmProgram> reticle::isel::select(const ir::Function &Fn,
   Result<Dfg> G = Dfg::build(Fn, Ctx);
   if (!G)
     return fail<rasm::AsmProgram>(G.error());
+  recordIrCoverage(Fn, Ctx);
   Selector S(G.value(), Target, Ctx);
   Result<rasm::AsmProgram> Prog = S.run(Stats);
   if (Prog)

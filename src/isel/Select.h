@@ -41,12 +41,13 @@ struct SelectionStats {
 };
 
 /// Lowers \p Fn to assembly for \p Target. All selected instructions carry
-/// wildcard locations; placement resolves them later. Counters, spans and
-/// remarks record into \p Ctx.
+/// wildcard locations; placement resolves them later. Counters, spans,
+/// remarks, and the static IR and pattern coverage of \p Fn record into
+/// \p Ctx.
 Result<rasm::AsmProgram> select(const ir::Function &Fn,
                                 const tdl::Target &Target,
-                                SelectionStats *Stats = nullptr,
-                                const obs::Context &Ctx = obs::defaultContext());
+                                SelectionStats *Stats,
+                                const obs::Context &Ctx);
 
 } // namespace isel
 } // namespace reticle

@@ -8,14 +8,14 @@
 /// The observability context threaded through every pipeline stage: which
 /// `Telemetry` instance receives counters/spans/instants, which
 /// `RemarkStream` receives remarks, and which `Coverage` registry
-/// receives coverage bins. All pointers are always non-null by
-/// convention — `defaultContext()` wires them to the process-wide
-/// singletons so legacy callers keep the global behavior, while
-/// `core::CompileSession` owns a private set so concurrent compiles in
-/// one process never share mutable observability state.
+/// receives coverage bins. A context is built from all three, so no stage
+/// can be handed a partial one, and there is no process-wide default:
+/// `obs::Sinks` owns one set for whoever needs it (`core::CompileSession`
+/// holds one per compile; code that runs outside any compile owns one for
+/// the call and drops it).
 ///
-/// Stage entry points take `const obs::Context &Ctx = obs::defaultContext()`
-/// as their trailing parameter; instrumentation sites write
+/// Stage entry points take `const obs::Context &Ctx` as their trailing
+/// parameter; instrumentation sites write
 ///
 ///   obs::Span Sp(Ctx, "isel.select");
 ///   obs::Counter &Trees = Ctx.counter("isel.trees_covered");
@@ -34,13 +34,16 @@
 namespace reticle {
 namespace obs {
 
-/// A non-owning bundle of the telemetry and remark sinks one compile
-/// records into. Cheap to copy; the referenced instances must outlive
-/// every stage using the context.
+/// A non-owning bundle of the telemetry, remark and coverage sinks one
+/// compile records into. Cheap to copy; the referenced instances must
+/// outlive every stage using the context.
 struct Context {
-  Telemetry *Telem = nullptr;
-  RemarkStream *Rem = nullptr;
-  Coverage *Cov = nullptr;
+  Context(Telemetry &Telem, RemarkStream &Rem, Coverage &Cov)
+      : Telem(&Telem), Rem(&Rem), Cov(&Cov) {}
+
+  Telemetry *Telem;
+  RemarkStream *Rem;
+  Coverage *Cov;
 
   Counter &counter(std::string_view Name) const { return Telem->counter(Name); }
   Gauge &gauge(std::string_view Name) const { return Telem->gauge(Name); }
@@ -53,14 +56,27 @@ struct Context {
   Coverage &coverage() const { return *Cov; }
 };
 
-/// The context over the process-wide default telemetry, remark stream,
-/// and coverage registry; the default for every stage entry point's
-/// trailing Ctx parameter.
-inline const Context &defaultContext() {
-  static const Context C{&defaultTelemetry(), &defaultRemarks(),
-                         &defaultCoverage()};
-  return C;
-}
+/// One telemetry registry, remark stream and coverage registry, owned
+/// together, with the context over them. Tracing and remarks start off.
+/// Neither copyable nor movable, so the context stays valid for the
+/// object's lifetime.
+class Sinks {
+public:
+  const Context &context() const { return Ctx; }
+
+  Telemetry &telemetry() { return Telem; }
+  const Telemetry &telemetry() const { return Telem; }
+  RemarkStream &remarks() { return Rem; }
+  const RemarkStream &remarks() const { return Rem; }
+  Coverage &coverage() { return Cov; }
+  const Coverage &coverage() const { return Cov; }
+
+private:
+  Telemetry Telem;
+  RemarkStream Rem;
+  Coverage Cov;
+  Context Ctx{Telem, Rem, Cov};
+};
 
 } // namespace obs
 } // namespace reticle

@@ -97,13 +97,3 @@ void Coverage::merge(CoverageSnapshot Other) {
       Dst[BinName] += Count;
   }
 }
-
-void Coverage::reset() {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  I->Spaces.clear();
-}
-
-Coverage &obs::defaultCoverage() {
-  static Coverage C;
-  return C;
-}

@@ -9,10 +9,10 @@
 /// named **spaces** (e.g. "ir.op_type", "isel.pattern", "sim.toggle"),
 /// each a set of **bins** with hit counts. Three collectors feed it:
 ///
-///  - **Static IR coverage**: the verifier records one bin per op, per
-///    op x result-type (the type string includes the vector width), per
-///    lane count, and per resource annotation of every instruction it
-///    accepts.
+///  - **Static IR coverage**: instruction selection records one bin per
+///    op, per op x result-type (the type string includes the vector
+///    width), per lane count, and per resource annotation of every
+///    instruction of the verified function it receives, once per compile.
 ///  - **Isel pattern coverage**: the instruction selector *declares*
 ///    every selectable pattern up front (so never-fired patterns show up
 ///    as zero-count bins) and hits a bin each time a pattern wins a
@@ -22,8 +22,8 @@
 ///    per-signal-bit 0->1 / 1->0 bins for both simulation engines.
 ///
 /// Like `Telemetry`, coverage is **instance-based**: `core::CompileSession`
-/// owns one registry per compile and threads it via `obs::Context`, with
-/// a process-wide `defaultCoverage()` backing the global session.
+/// owns one registry per compile and threads it via `obs::Context`; there
+/// is no process-wide registry.
 ///
 /// Serialized form is the `reticle-coverage-v1` document; see
 /// docs/OBSERVABILITY.md. Zero-count (declared-only) bins count toward a
@@ -90,16 +90,10 @@ public:
   void merge(const Coverage &Other);
   void merge(CoverageSnapshot Other);
 
-  /// Drops every space and bin.
-  void reset();
-
 private:
   struct Impl;
   std::unique_ptr<Impl> I;
 };
-
-/// The process-wide default instance, used by the global CompileSession.
-Coverage &defaultCoverage();
 
 } // namespace obs
 } // namespace reticle

@@ -117,24 +117,6 @@ Status RemarkStream::writeJsonl(const std::string &Path,
   return Status::success();
 }
 
-void RemarkStream::clear() {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  I->Records.clear();
-  I->Enabled.store(false, std::memory_order_relaxed);
-}
-
-RemarkStream &reticle::obs::defaultRemarks() {
-  static RemarkStream S;
-  return S;
-}
-
-bool reticle::obs::remarksEnabled() { return defaultRemarks().enabled(); }
-
-void reticle::obs::enableRemarks(bool On) { defaultRemarks().enable(On); }
-
-Remark::Remark(const char *Stage, const char *Kind)
-    : Remark(defaultRemarks(), Stage, Kind) {}
-
 Remark::Remark(RemarkStream &Stream, const char *Stage, const char *Kind)
     : Stream(&Stream), Active(Stream.enabled()), Stage(Stage), Kind(Kind) {
   if (Active)
@@ -199,22 +181,3 @@ Remark &Remark::arg(const char *Key, std::string Value) {
     Args.set(Key, std::move(Value));
   return *this;
 }
-
-size_t reticle::obs::remarkCount() { return defaultRemarks().count(); }
-
-std::string reticle::obs::remarksText() { return defaultRemarks().text(); }
-
-std::string reticle::obs::remarksJsonl(std::string_view Program) {
-  return defaultRemarks().jsonl(Program);
-}
-
-Status reticle::obs::writeRemarksText(const std::string &Path) {
-  return defaultRemarks().writeText(Path);
-}
-
-Status reticle::obs::writeRemarksJsonl(const std::string &Path,
-                                       std::string_view Program) {
-  return defaultRemarks().writeJsonl(Path, Program);
-}
-
-void reticle::obs::clearRemarks() { defaultRemarks().clear(); }

@@ -27,8 +27,8 @@
 /// only happens while the stream is enabled (`RemarkStream::enable()`, or
 /// `reticlec --remarks=... / --remarks-json=...`); sites guard string
 /// construction behind `remarksEnabled()`, which is one relaxed atomic
-/// load. The process-wide `defaultRemarks()` stream backs the legacy free
-/// functions (`obs::remarksEnabled`, `obs::remarksText`, ...).
+/// load. There is no process-wide stream: a remark reaches the stream of
+/// the `obs::Context` its stage was handed.
 ///
 /// Rendering: `text()` produces one human-readable line per remark;
 /// `jsonl()` produces the machine-readable `reticle-remarks-v1` stream
@@ -83,9 +83,6 @@ public:
   Status writeText(const std::string &Path) const;
   Status writeJsonl(const std::string &Path, std::string_view Program) const;
 
-  /// Drops all recorded remarks and disables recording.
-  void clear();
-
 private:
   friend class Remark;
   void commit(Json Record);
@@ -93,14 +90,6 @@ private:
   struct Impl;
   std::unique_ptr<Impl> I;
 };
-
-/// The process-wide default stream behind the legacy free-function API.
-RemarkStream &defaultRemarks();
-
-/// Free-function dialect over defaultRemarks(), kept for tools and tests;
-/// pipeline code threads a Context instead.
-bool remarksEnabled();
-void enableRemarks(bool On = true);
 
 /// A builder for one remark. Construction samples the stream's switch;
 /// destruction commits the record when recording is on. \p Stage names the
@@ -110,8 +99,6 @@ void enableRemarks(bool On = true);
 /// do).
 class Remark {
 public:
-  /// Records into defaultRemarks().
-  Remark(const char *Stage, const char *Kind);
   /// Records into \p Stream / the stream of \p Ctx, which must outlive
   /// the builder.
   Remark(RemarkStream &Stream, const char *Stage, const char *Kind);
@@ -146,16 +133,6 @@ private:
   std::string Message;
   Json Args;
 };
-
-/// Free-function dialect over defaultRemarks().
-size_t remarkCount();
-std::string remarksText();
-std::string remarksJsonl(std::string_view Program);
-Status writeRemarksText(const std::string &Path);
-Status writeRemarksJsonl(const std::string &Path, std::string_view Program);
-
-/// Clears defaultRemarks(). Test-only.
-void clearRemarks();
 
 } // namespace obs
 } // namespace reticle

@@ -281,41 +281,6 @@ Json Telemetry::histogramsJson() const {
   return Doc;
 }
 
-void Telemetry::reset() {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  I->Events.clear();
-  I->Tracing.store(false, std::memory_order_relaxed);
-  for (CounterEntry &E : I->Counters)
-    E.Value.reset();
-  for (GaugeEntry &E : I->Gauges)
-    E.Value.reset();
-  for (HistogramEntry &E : I->Histograms)
-    E.Value.reset();
-}
-
-Telemetry &reticle::obs::defaultTelemetry() {
-  static Telemetry T;
-  return T;
-}
-
-Counter &reticle::obs::counter(std::string_view Name) {
-  return defaultTelemetry().counter(Name);
-}
-
-Gauge &reticle::obs::gauge(std::string_view Name) {
-  return defaultTelemetry().gauge(Name);
-}
-
-bool reticle::obs::tracingEnabled() {
-  return defaultTelemetry().tracingEnabled();
-}
-
-void reticle::obs::enableTracing(bool On) {
-  defaultTelemetry().enableTracing(On);
-}
-
-Span::Span(const char *Name) : Span(defaultTelemetry(), Name) {}
-
 Span::Span(Telemetry &Telem, const char *Name) : Telem(&Telem), Name(Name) {
   if (!Telem.tracingEnabled())
     return;
@@ -369,17 +334,3 @@ void Span::arg(const char *Key, const std::string &Value) {
   if (Active)
     append(Key, Json::quote(Value));
 }
-
-void reticle::obs::instant(const char *Name) {
-  defaultTelemetry().instant(Name);
-}
-
-std::string reticle::obs::traceJson() { return defaultTelemetry().traceJson(); }
-
-Status reticle::obs::writeTrace(const std::string &Path) {
-  return defaultTelemetry().writeTrace(Path);
-}
-
-Json reticle::obs::countersJson() { return defaultTelemetry().countersJson(); }
-
-void reticle::obs::resetForTest() { defaultTelemetry().reset(); }

@@ -10,9 +10,9 @@
 /// how we see it):
 ///
 ///  - **Tracing spans** (`obs::Span`): RAII, nestable, thread-safe.
-///    Enabled with `enableTracing()`, serialized as Chrome trace-event /
-///    Perfetto JSON by `writeTrace()`. When tracing is disabled a span
-///    costs one relaxed atomic load.
+///    Enabled with `Telemetry::enableTracing()`, serialized as Chrome
+///    trace-event / Perfetto JSON by `Telemetry::writeTrace()`. When
+///    tracing is disabled a span costs one relaxed atomic load.
 ///  - **Counters and gauges** (`Ctx.counter("isel.trees_covered")`):
 ///    registry-backed monotone counters and last-value gauges. The lookup
 ///    takes a lock, so hot paths hoist the reference out of their loops:
@@ -22,10 +22,8 @@
 /// Telemetry is **instance-based**: a `Telemetry` object owns one registry
 /// of counters/gauges and one trace-event buffer with its own clock epoch,
 /// so concurrent compiles record into disjoint instances without
-/// contending. The process-wide `defaultTelemetry()` instance backs the
-/// legacy free functions (`obs::counter`, `obs::enableTracing`, ...) for
-/// tools and tests that still speak the global dialect; new code threads
-/// an `obs::Context` (Context.h) instead.
+/// contending. There is no process-wide instance: code reaches one
+/// through the `obs::Context` (Context.h) its caller passes.
 ///
 /// Naming convention: `<stage>.<noun>` in lowercase snake case, where the
 /// stage matches the Figure-7 pipeline ("select", "cascade", "place",
@@ -63,7 +61,6 @@ public:
     return *this;
   }
   uint64_t load() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0, std::memory_order_relaxed); }
 
 private:
   std::atomic<uint64_t> V{0};
@@ -75,7 +72,6 @@ class Gauge {
 public:
   void set(double Value) { V.store(Value, std::memory_order_relaxed); }
   double load() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0.0, std::memory_order_relaxed); }
 
 private:
   std::atomic<double> V{0.0};
@@ -117,14 +113,6 @@ public:
         return std::min(upperOf(I), max());
     }
     return max();
-  }
-
-  void reset() {
-    for (auto &B : Buckets)
-      B.store(0, std::memory_order_relaxed);
-    N.store(0, std::memory_order_relaxed);
-    Sum.store(0.0, std::memory_order_relaxed);
-    Mx.store(0.0, std::memory_order_relaxed);
   }
 
 private:
@@ -211,10 +199,6 @@ public:
   /// "max": ...}}. Empty (zero-sample) histograms are skipped.
   Json histogramsJson() const;
 
-  /// Clears recorded events and zeroes all counters/gauges; disables
-  /// tracing. Registered names stay valid.
-  void reset();
-
 private:
   friend class Span;
   double nowUs() const;
@@ -225,24 +209,12 @@ private:
   std::unique_ptr<Impl> I;
 };
 
-/// The process-wide default instance behind the legacy free-function API.
-Telemetry &defaultTelemetry();
-
-/// Free-function dialect over defaultTelemetry(), kept for tools and
-/// tests; pipeline code threads a Context instead.
-Counter &counter(std::string_view Name);
-Gauge &gauge(std::string_view Name);
-bool tracingEnabled();
-void enableTracing(bool On = true);
-
 /// An RAII tracing span. Construction samples the clock; destruction
 /// records one Chrome trace-event "complete" ("X") event. Spans nest by
 /// scope per thread, which is exactly how trace viewers reconstruct the
 /// hierarchy. \p Name must outlive the span (string literals do).
 class Span {
 public:
-  /// Records into defaultTelemetry().
-  explicit Span(const char *Name);
   /// Records into \p Telem / the telemetry of \p Ctx, which must outlive
   /// the span.
   Span(Telemetry &Telem, const char *Name);
@@ -270,15 +242,6 @@ private:
   bool Active = false;
   std::string ArgsJson;
 };
-
-/// Free-function dialect over defaultTelemetry().
-void instant(const char *Name);
-std::string traceJson();
-Status writeTrace(const std::string &Path);
-Json countersJson();
-
-/// Clears defaultTelemetry(). Test-only.
-void resetForTest();
 
 } // namespace obs
 } // namespace reticle

@@ -29,22 +29,20 @@ namespace opt {
 
 /// Removes instructions that cannot reach any output. Returns the number
 /// of instructions removed.
-unsigned deadCodeElim(ir::Function &Fn,
-                      const obs::Context &Ctx = obs::defaultContext());
+unsigned deadCodeElim(ir::Function &Fn, const obs::Context &Ctx);
 
 /// Folds constant subexpressions and algebraic identities in place.
 /// Returns the number of instructions rewritten. Run deadCodeElim
 /// afterwards to drop the now-unused operands.
-unsigned constantFold(ir::Function &Fn,
-                      const obs::Context &Ctx = obs::defaultContext());
+unsigned constantFold(ir::Function &Fn, const obs::Context &Ctx);
 
 /// Combines groups of \p Lanes independent scalar instructions with one
 /// operation and type into a single vector instruction plus cat/slice
 /// wiring (which is area-free). Handles the elementwise operations
 /// add/sub/and/or/xor and registers sharing one enable and init value.
 /// Returns the number of vector instructions created.
-unsigned vectorize(ir::Function &Fn, unsigned Lanes = 4,
-                   const obs::Context &Ctx = obs::defaultContext());
+unsigned vectorize(ir::Function &Fn, unsigned Lanes,
+                   const obs::Context &Ctx);
 
 } // namespace opt
 } // namespace reticle

@@ -819,8 +819,8 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
   // The extraction solver re-proves UNSAT once plus once per minimization
   // probe; mute its sat:unsat remarks (keeping spans, counters and
   // coverage) so the stream carries only the curated sat:core records.
-  static obs::RemarkStream MutedRemarks;
-  obs::Context Quiet{Ctx.Telem, &MutedRemarks, Ctx.Cov};
+  obs::RemarkStream MutedRemarks;
+  obs::Context Quiet(*Ctx.Telem, MutedRemarks, *Ctx.Cov);
   sat::Solver S(Quiet);
   struct Group {
     std::string Kind;

@@ -143,9 +143,9 @@ struct PlacementStats {
 /// every instruction, placement fails").
 Result<rasm::AsmProgram> place(const rasm::AsmProgram &Prog,
                                const device::Device &Dev,
-                               const PlacementOptions &Options = {},
-                               PlacementStats *Stats = nullptr,
-                               const obs::Context &Ctx = obs::defaultContext());
+                               const PlacementOptions &Options,
+                               PlacementStats *Stats,
+                               const obs::Context &Ctx);
 
 /// Independently validates that \p Placed realizes \p Original on \p Dev:
 /// literal coordinates on valid distinct slots of the right kind, with

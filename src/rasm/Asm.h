@@ -172,9 +172,10 @@ public:
   std::vector<AsmInstr> &body() { return Body; }
   const std::vector<AsmInstr> &body() const { return Body; }
 
+  /// Drops the cached analysis uncounted, like the ir::Function builders.
   void addInstr(AsmInstr I) {
     Body.push_back(std::move(I));
-    invalidateDefUse();
+    DU.reset();
   }
 
   /// The cached def-use analysis over this program (same structure the IR
@@ -183,8 +184,7 @@ public:
   /// the next analysis consumer — except location-only edits (placement,
   /// cascade coordinate rewrites), which leave names, args, and types
   /// untouched and therefore keep the analysis valid.
-  const ir::DefUse &
-  defUse(const obs::Context &Ctx = obs::defaultContext()) const {
+  const ir::DefUse &defUse(const obs::Context &Ctx) const {
     if (DU) {
       ++Ctx.counter("ir.defuse.cache_hits");
       return *DU;
@@ -195,14 +195,13 @@ public:
 
   /// Shares ownership of the cached analysis.
   std::shared_ptr<const ir::DefUse>
-  defUseShared(const obs::Context &Ctx = obs::defaultContext()) const {
+  defUseShared(const obs::Context &Ctx) const {
     (void)defUse(Ctx);
     return DU;
   }
 
   /// Drops the cached analysis; counted only when a cache existed.
-  void invalidateDefUse(
-      const obs::Context &Ctx = obs::defaultContext()) const {
+  void invalidateDefUse(const obs::Context &Ctx) const {
     if (DU) {
       DU.reset();
       ++Ctx.counter("ir.defuse.invalidations");

@@ -16,8 +16,11 @@ Result<ir::Function> reticle::rasm::toIr(const AsmProgram &Prog,
   using FnT = ir::Function;
 
   // Argument types for overload resolution come from the program's
-  // def-use analysis rather than a locally rebuilt name map.
-  const ir::DefUse &DU = Prog.defUse();
+  // def-use analysis rather than a locally rebuilt name map. Expansion
+  // runs outside any compile, so the analysis records into sinks owned
+  // for the call.
+  obs::Sinks Unobserved;
+  const ir::DefUse &DU = Prog.defUse(Unobserved.context());
 
   ir::Function Fn(Prog.name());
   Fn.inputs() = Prog.inputs();

@@ -129,11 +129,10 @@ private:
 
 /// A CDCL SAT solver over clauses added incrementally before solve().
 /// Counters, spans and remarks record into the obs::Context the solver is
-/// constructed with (the process-wide default when none is given), which
-/// must outlive the solver.
+/// constructed with, which must outlive the solver.
 class Solver {
 public:
-  explicit Solver(const obs::Context &Ctx = obs::defaultContext());
+  explicit Solver(const obs::Context &Ctx);
 
   /// Creates a fresh variable and returns it.
   Var newVar();

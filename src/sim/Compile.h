@@ -41,8 +41,7 @@ namespace sim {
 /// Lowers \p Fn into a simulation program equivalent to
 /// `interp::interpret`. Fails when the function is ill-formed (same
 /// verifier as the interpreter).
-Result<Program> compile(const ir::Function &Fn,
-                        const obs::Context &Ctx = obs::defaultContext());
+Result<Program> compile(const ir::Function &Fn, const obs::Context &Ctx);
 
 /// Lowers \p M, a structural netlist from code generation, into a
 /// simulation program. Each input step must provide a value for every
@@ -50,8 +49,10 @@ Result<Program> compile(const ir::Function &Fn,
 /// output ports as iN values of the port width (width-1 ports become
 /// bool). Fails on combinational loops, on unknown primitives, and on
 /// expression forms outside the structural subset code generation emits.
-Result<Program> compile(const verilog::Module &M,
-                        const obs::Context &Ctx = obs::defaultContext());
+Result<Program> compile(const verilog::Module &M, const obs::Context &Ctx);
+
+/// Unobserved form: records into sinks owned for the call.
+Result<Program> compile(const verilog::Module &M);
 
 } // namespace sim
 } // namespace reticle

@@ -998,3 +998,7 @@ Result<Program> reticle::sim::compile(const Module &M,
     return fail<Program>(S.error());
   return P;
 }
+
+Result<Program> reticle::sim::compile(const Module &M) {
+  return compile(M, obs::Sinks().context());
+}

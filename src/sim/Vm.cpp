@@ -547,6 +547,10 @@ Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs,
   return executeImpl(P, Inputs, Wave, Ctx, nullptr);
 }
 
+Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs) {
+  return execute(P, Inputs, nullptr, obs::Sinks().context());
+}
+
 Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs,
                                     VmProfile &Profile, WaveSink *Wave,
                                     const obs::Context &Ctx) {

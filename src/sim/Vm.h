@@ -38,9 +38,10 @@ namespace sim {
 /// output port for one lowered from generated Verilog. \p Wave (may be
 /// null) observes the settled state each cycle.
 Result<interp::Trace> execute(const Program &P, const interp::Trace &Inputs,
-                              WaveSink *Wave = nullptr,
-                              const obs::Context &Ctx =
-                                  obs::defaultContext());
+                              WaveSink *Wave, const obs::Context &Ctx);
+
+/// Unobserved form: records into sinks owned for the call.
+Result<interp::Trace> execute(const Program &P, const interp::Trace &Inputs);
 
 /// One profiled bytecode site: an instruction within a segment, its
 /// dynamic execution count, and the source name the debug side table
@@ -71,9 +72,8 @@ struct VmProfile {
 /// plus the per-op execution profile filled into \p Profile — also on a
 /// failing run, so aborted simulations still report where time went.
 Result<interp::Trace> execute(const Program &P, const interp::Trace &Inputs,
-                              VmProfile &Profile, WaveSink *Wave = nullptr,
-                              const obs::Context &Ctx =
-                                  obs::defaultContext());
+                              VmProfile &Profile, WaveSink *Wave,
+                              const obs::Context &Ctx);
 
 /// Renders \p Prof as a `reticle-profile-v1` document: total/attributed
 /// op counts, sampled segment times, the hottest-instructions ranking,

@@ -80,6 +80,9 @@ private:
   const ir::Function &Fn;
   SynthOptions Options;
   SynthResult Out;
+  /// The baseline runs outside any compile; its verifier and def-use
+  /// activity records here and is dropped with the run.
+  obs::Sinks Unobserved;
   std::shared_ptr<const ir::DefUse> DU;
 
   // Binding decisions.
@@ -298,7 +301,8 @@ Status Synthesizer::elaborate() {
   }
 
   // Combinational logic in dependency order.
-  Result<std::vector<size_t>> OrderOr = ir::topoOrder(Fn);
+  Result<std::vector<size_t>> OrderOr =
+      ir::topoOrder(Fn, Unobserved.context());
   if (!OrderOr)
     return Status::failure(OrderOr.error());
   for (size_t Index : OrderOr.value()) {
@@ -735,11 +739,11 @@ Status Synthesizer::buildNetlist(const aig::Mapping &Mapping) {
 Result<SynthResult> Synthesizer::run() {
   using ResultT = SynthResult;
   auto Total = std::chrono::steady_clock::now();
-  if (Status S = ir::verify(Fn); !S)
+  if (Status S = ir::verify(Fn, Unobserved.context()); !S)
     return fail<ResultT>(S.error());
   // Verification warmed the function's analysis; share it for the whole
   // synthesis run and size the per-value AIG word table off it.
-  DU = Fn.defUseShared();
+  DU = Fn.defUseShared(Unobserved.context());
   Words.resize(DU->numValues());
 
   auto Start = std::chrono::steady_clock::now();

@@ -112,15 +112,18 @@ Status Target::addDef(TargetDef Def) {
     return Status::failure("definition '" + Def.Name + "': empty body");
 
   // The body must be a well-formed function over the declared ports.
+  // Building a target is not a compile: the check records into sinks
+  // owned for the call.
   std::vector<int64_t> ZeroHoles(Def.numHoles(), 0);
   ir::Function Fn = Def.toFunction(ZeroHoles);
-  if (Status S = ir::verify(Fn); !S)
+  obs::Sinks Unobserved;
+  if (Status S = ir::verify(Fn, Unobserved.context()); !S)
     return Status::failure("definition '" + Def.Name + "': " + S.error());
 
   // The paper requires definition bodies to be DAGs outright: even cycles
   // through registers are disallowed. The verified function's analysis
   // supplies the def edges (Fn's body indices equal Def.Body's).
-  const ir::DefUse &DU = Fn.defUse();
+  const ir::DefUse &DU = Fn.defUse(Unobserved.context());
   std::vector<unsigned> State(Def.Body.size(), 0);
   // Iterative DFS cycle check over all def-use edges.
   for (size_t Start = 0; Start < Def.Body.size(); ++Start) {

@@ -108,8 +108,8 @@ private:
 Result<TimingReport> analyzeAsm(const rasm::AsmProgram &Placed,
                                 const tdl::Target &Target,
                                 const device::Device &Dev,
-                                const DelayModel &Model = DelayModel(),
-                                const obs::Context &Ctx = obs::defaultContext());
+                                const DelayModel &Model,
+                                const obs::Context &Ctx);
 
 } // namespace timing
 } // namespace reticle

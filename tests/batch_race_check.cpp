@@ -6,10 +6,12 @@
 ///
 /// A plain-main (no gtest) check that two or more compilations of
 /// different functions can run concurrently in one process and produce
-/// byte-identical artifacts to sequential runs. Built without a test
-/// framework so it can also be compiled under ThreadSanitizer, where it
-/// serves as the data-race detector for the batch-compile path (see
-/// scripts/check.sh).
+/// byte-identical artifacts to sequential runs. Each item's remark stream
+/// and coverage snapshot must match too: no observability state is shared
+/// between sessions, so a concurrent item records exactly what it records
+/// alone. Built without a test framework so it can also be compiled under
+/// ThreadSanitizer, where it serves as the data-race detector for the
+/// batch-compile path (see scripts/check.sh).
 ///
 /// Exit code 0 on success, 1 on any mismatch or compile failure.
 ///
@@ -117,9 +119,17 @@ int main() {
       return fail("placement differs between sequential and concurrent");
     if (S.Verilog.str() != C.Verilog.str())
       return fail("Verilog differs between sequential and concurrent");
-    if (Sequential[I].Session->snapshots().stages().size() !=
-        Concurrent[I].Session->snapshots().stages().size())
+    const core::CompileSession &SS = *Sequential[I].Session;
+    const core::CompileSession &CS = *Concurrent[I].Session;
+    if (SS.snapshots().stages().size() != CS.snapshots().stages().size())
       return fail("snapshot stage lists differ");
+    if (SS.remarks().count() == 0)
+      return fail("no remarks recorded");
+    if (SS.remarks().jsonl(Inputs[I].Name) !=
+        CS.remarks().jsonl(Inputs[I].Name))
+      return fail("remark streams differ between sequential and concurrent");
+    if (SS.coverage().snapshot() != CS.coverage().snapshot())
+      return fail("coverage differs between sequential and concurrent");
   }
 
   std::printf("batch_race_check: ok (%zu programs, sequential == "

@@ -36,7 +36,8 @@ TEST(Cascade, RewritesFigure11Chain) {
     }
   )");
   CascadeStats Stats;
-  Status S = cascadePass(P, tdl::ultrascale(), 64, &Stats);
+  obs::Sinks Sinks;
+  Status S = cascadePass(P, tdl::ultrascale(), 64, &Stats, Sinks.context());
   ASSERT_TRUE(S.ok()) << S.error();
   EXPECT_EQ(Stats.Chains, 1u);
   EXPECT_EQ(Stats.Rewritten, 2u);
@@ -56,7 +57,9 @@ TEST(Cascade, MiddleElementsBecomeCio) {
       t2:i8 = muladd(e, f, t1) @dsp(??, ??);
     }
   )");
-  ASSERT_TRUE(cascadePass(P, tdl::ultrascale()).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, nullptr,
+                          Sinks.context()).ok());
   EXPECT_EQ(P.body()[0].opName(), "muladd_co");
   EXPECT_EQ(P.body()[1].opName(), "muladd_cio");
   EXPECT_EQ(P.body()[2].opName(), "muladd_ci");
@@ -71,7 +74,9 @@ TEST(Cascade, SharedAccumulatorBlocksChain) {
     }
   )");
   CascadeStats Stats;
-  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats,
+                          Sinks.context()).ok());
   EXPECT_EQ(Stats.Chains, 0u);
   EXPECT_EQ(P.body()[0].opName(), "muladd");
 }
@@ -85,7 +90,9 @@ TEST(Cascade, NonAccumulatorUseDoesNotChain) {
     }
   )");
   CascadeStats Stats;
-  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats,
+                          Sinks.context()).ok());
   EXPECT_EQ(Stats.Chains, 0u);
 }
 
@@ -97,7 +104,9 @@ TEST(Cascade, PinnedLocationsAreLeftAlone) {
     }
   )");
   CascadeStats Stats;
-  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 64, &Stats,
+                          Sinks.context()).ok());
   EXPECT_EQ(Stats.Chains, 0u);
   EXPECT_EQ(P.body()[0].opName(), "muladd");
 }
@@ -118,7 +127,9 @@ TEST(Cascade, LongChainsSplitAtMaxLength) {
   Source += "}\n";
   AsmProgram P = parseAsmOk(Source.c_str());
   CascadeStats Stats;
-  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 4, &Stats).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(cascadePass(P, tdl::ultrascale(), 4, &Stats,
+                          Sinks.context()).ok());
   // 8 instructions with MaxChain=4: two chains of four.
   EXPECT_EQ(Stats.Chains, 2u);
   EXPECT_EQ(Stats.Rewritten, 8u);
@@ -142,11 +153,14 @@ TEST(Cascade, EndToEndFromSelection) {
     }
   )");
   ASSERT_TRUE(Fn.ok()) << Fn.error();
-  Result<AsmProgram> P = select(Fn.value(), tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<AsmProgram> P =
+      select(Fn.value(), tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   CascadeStats Stats;
   AsmProgram Prog = P.take();
-  ASSERT_TRUE(cascadePass(Prog, tdl::ultrascale(), 64, &Stats).ok());
+  ASSERT_TRUE(cascadePass(Prog, tdl::ultrascale(), 64, &Stats,
+                          Sinks.context()).ok());
   EXPECT_EQ(Stats.Chains, 1u);
   EXPECT_EQ(Stats.Rewritten, 3u);
 }

@@ -26,10 +26,12 @@ verilog::Module compileAsm(const char *Source, const Device &Dev,
                            Utilization *Util = nullptr) {
   Result<AsmProgram> P = rasm::parseAsmProgram(Source);
   EXPECT_TRUE(P.ok()) << P.error();
-  Result<AsmProgram> Placed = place::place(P.value(), Dev);
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      place::place(P.value(), Dev, {}, nullptr, Sinks.context());
   EXPECT_TRUE(Placed.ok()) << Placed.error();
   Result<verilog::Module> M =
-      generate(Placed.value(), tdl::ultrascale(), Dev, Util);
+      generate(Placed.value(), tdl::ultrascale(), Dev, Util, Sinks.context());
   EXPECT_TRUE(M.ok()) << M.error();
   return M.take();
 }
@@ -40,8 +42,10 @@ TEST(Codegen, RequiresPlacedProgram) {
   Result<AsmProgram> P = rasm::parseAsmProgram(
       "def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @dsp(?\?, ?\?); }");
   ASSERT_TRUE(P.ok()) << P.error();
+  obs::Sinks Sinks;
   Result<verilog::Module> M =
-      generate(P.value(), tdl::ultrascale(), Device::tiny());
+      generate(P.value(), tdl::ultrascale(), Device::tiny(), nullptr,
+               Sinks.context());
   ASSERT_FALSE(M.ok());
   EXPECT_NE(M.error().find("unresolved"), std::string::npos);
 }
@@ -154,14 +158,17 @@ TEST(Codegen, EndToEndFromIr) {
     }
   )");
   ASSERT_TRUE(Fn.ok()) << Fn.error();
-  Result<rasm::AsmProgram> Asm = isel::select(Fn.value(), tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> Asm =
+      isel::select(Fn.value(), tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(Asm.ok()) << Asm.error();
   Result<rasm::AsmProgram> Placed =
-      place::place(Asm.value(), Device::tiny());
+      place::place(Asm.value(), Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   Utilization Util;
   Result<verilog::Module> M =
-      generate(Placed.value(), tdl::ultrascale(), Device::tiny(), &Util);
+      generate(Placed.value(), tdl::ultrascale(), Device::tiny(), &Util,
+               Sinks.context());
   ASSERT_TRUE(M.ok()) << M.error();
   // muladdreg fuses everything into a single DSP.
   EXPECT_EQ(Util.Dsps, 1u);
@@ -176,8 +183,10 @@ TEST(Codegen, OutputSameAsInputRejected) {
   Result<AsmProgram> P = rasm::parseAsmProgram(
       "def f(a:i8) -> (a:i8) { t:i8 = id(a); }");
   ASSERT_TRUE(P.ok()) << P.error();
+  obs::Sinks Sinks;
   Result<verilog::Module> Out =
-      generate(P.value(), tdl::ultrascale(), Device::tiny());
+      generate(P.value(), tdl::ultrascale(), Device::tiny(), nullptr,
+               Sinks.context());
   ASSERT_FALSE(Out.ok());
   EXPECT_NE(Out.error().find("conflicts"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 
 #include "interp/Interp.h"
 #include "ir/Parser.h"
@@ -37,7 +38,8 @@ TEST(Compiler, MulAddPipelineEndToEnd) {
   )");
   CompileOptions Options;
   Options.Dev = Device::small();
-  Result<CompileResult> R = compile(Fn, Options);
+  core::CompileSession Session;
+  Result<CompileResult> R = compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R.value().Util.Dsps, 1u);
   EXPECT_EQ(R.value().Util.Luts, 0u);
@@ -62,7 +64,8 @@ TEST(Compiler, DotProductChainsCascade) {
   )");
   CompileOptions Options;
   Options.Dev = Device::small();
-  Result<CompileResult> R = compile(Fn, Options);
+  core::CompileSession Session;
+  Result<CompileResult> R = compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R.value().CascadeStats.Chains, 1u);
   EXPECT_EQ(R.value().Util.Dsps, 3u);
@@ -77,7 +80,7 @@ TEST(Compiler, DotProductChainsCascade) {
 
   CompileOptions NoCascade = Options;
   NoCascade.Cascade = false;
-  Result<CompileResult> R2 = compile(Fn, NoCascade);
+  Result<CompileResult> R2 = compile(Fn, NoCascade, Session);
   ASSERT_TRUE(R2.ok()) << R2.error();
   EXPECT_EQ(R2.value().CascadeStats.Chains, 0u);
   // Cascading must not be slower than general routing.
@@ -97,7 +100,8 @@ TEST(Compiler, CompiledSemanticsMatchSource) {
   )");
   CompileOptions Options;
   Options.Dev = Device::small();
-  Result<CompileResult> R = compile(Fn, Options);
+  core::CompileSession Session;
+  Result<CompileResult> R = compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
   Result<ir::Function> Lowered =
@@ -128,7 +132,8 @@ TEST(Compiler, FailsCleanlyOnOversubscription) {
   ir::Function Fn = parseOk(Source.c_str());
   CompileOptions Options;
   Options.Dev = Device::tiny();
-  Result<CompileResult> R = compile(Fn, Options);
+  core::CompileSession Session;
+  Result<CompileResult> R = compile(Fn, Options, Session);
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.error().find("placement failed"), std::string::npos);
 }
@@ -142,7 +147,8 @@ TEST(Compiler, StatsAccounting) {
   )");
   CompileOptions Options;
   Options.Dev = Device::small();
-  Result<CompileResult> R = compile(Fn, Options);
+  core::CompileSession Session;
+  Result<CompileResult> R = compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R.value().SelectStats.NumAsmOps, 1u); // fused addreg
   EXPECT_GT(R.value().PlaceStats.Solves, 0u);

@@ -231,14 +231,6 @@ TEST(CoverageRegistry, SnapshotMergeMovesIntoEmptySpacesAndSumsOtherwise) {
   EXPECT_EQ(S.at("t").at("x"), 2u);
 }
 
-TEST(CoverageRegistry, ResetDropsEverything) {
-  Coverage Cov;
-  Cov.hit("s", "b");
-  Cov.reset();
-  EXPECT_TRUE(Cov.empty());
-  EXPECT_TRUE(Cov.snapshot().empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Collectors: static IR + isel pattern coverage through a compile
 //===----------------------------------------------------------------------===//
@@ -251,16 +243,16 @@ TEST(CoverageCollectors, CompileRecordsIrAndIselSpaces) {
       core::compileSource(MacSource, "mac.ret", Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
+  // Static IR bins count the instructions selection received, once per
+  // compile: the parse pass and selection both verify, and neither
+  // verification counts.
   CoverageSnapshot S = Session.coverage().snapshot();
-  ASSERT_TRUE(S.count("ir.op"));
-  EXPECT_GT(S.at("ir.op").count("add"), 0u);
-  EXPECT_GT(S.at("ir.op").at("add"), 0u);
-  EXPECT_GT(S.at("ir.op").count("mul"), 0u);
-  ASSERT_TRUE(S.count("ir.op_type"));
-  EXPECT_GT(S.at("ir.op_type").count("add:i8"), 0u);
-  ASSERT_TRUE(S.count("ir.lanes"));
-  EXPECT_GT(S.at("ir.lanes").at("1"), 0u);
-  ASSERT_TRUE(S.count("ir.resource"));
+  using Bins = std::map<std::string, uint64_t>;
+  EXPECT_EQ(S.at("ir.op"), (Bins{{"add", 1}, {"mul", 1}, {"reg", 1}}));
+  EXPECT_EQ(S.at("ir.op_type"),
+            (Bins{{"add:i8", 1}, {"mul:i8", 1}, {"reg:i8", 1}}));
+  EXPECT_EQ(S.at("ir.lanes"), (Bins{{"1", 3}}));
+  EXPECT_EQ(S.at("ir.resource"), (Bins{{"??", 3}}));
 
   // The selector declared every selectable pattern up front, so the space
   // is larger than what one small program can hit — never-fired patterns
@@ -271,6 +263,34 @@ TEST(CoverageCollectors, CompileRecordsIrAndIselSpaces) {
     (Count ? Hit : Holes)++;
   EXPECT_GT(Hit, 0u);
   EXPECT_GT(Holes, 0u);
+}
+
+// With -O the bins describe the vectorized function selection receives,
+// not the scalar one the parse pass verified.
+TEST(CoverageCollectors, OptimizedCompileRecordsTheSelectedFunction) {
+  core::CompileSession Session;
+  core::CompileOptions Options;
+  Options.Dev = device::Device::small();
+  Options.Optimize = true;
+  Result<core::CompileResult> R = core::compileSource(R"(
+    def scalar_adds(a0:i8, b0:i8, a1:i8, b1:i8, a2:i8, b2:i8, a3:i8, b3:i8)
+        -> (y0:i8, y1:i8, y2:i8, y3:i8) {
+      y0:i8 = add(a0, b0) @??;
+      y1:i8 = add(a1, b1) @??;
+      y2:i8 = add(a2, b2) @??;
+      y3:i8 = add(a3, b3) @??;
+    }
+  )", "scalar_adds.ret", Options, Session);
+  ASSERT_TRUE(R.ok()) << R.error();
+  ASSERT_EQ(R.value().Opt.Vectorized, 1u);
+
+  CoverageSnapshot S = Session.coverage().snapshot();
+  const std::map<std::string, uint64_t> &OpType = S.at("ir.op_type");
+  EXPECT_EQ(OpType.at("add:i8<4>"), 1u);
+  EXPECT_EQ(OpType.count("add:i8"), 0u);
+  EXPECT_EQ(S.at("ir.op").at("add"), 1u);
+  // One compute instruction; the cat/slice wiring carries no resource.
+  EXPECT_EQ(S.at("ir.resource"), (std::map<std::string, uint64_t>{{"??", 1}}));
 }
 
 TEST(CoverageCollectors, StatsDocEmbedsTheCoverageSection) {
@@ -473,16 +493,18 @@ TEST(ToggleCoverage, WideFixtureReplayMatchesBitLevelReference) {
   ASSERT_TRUE(In.ok()) << In.error();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn.value(), Options);
+  core::CompileSession Session;
+  const obs::Context &Ctx = Session.context();
+  Result<core::CompileResult> R = core::compile(Fn.value(), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
-  Result<sim::Program> IrProg = sim::compile(Fn.value());
-  Result<sim::Program> NetProg = sim::compile(R.value().Verilog);
+  Result<sim::Program> IrProg = sim::compile(Fn.value(), Ctx);
+  Result<sim::Program> NetProg = sim::compile(R.value().Verilog, Ctx);
   ASSERT_TRUE(IrProg.ok()) << IrProg.error();
   ASSERT_TRUE(NetProg.ok()) << NetProg.error();
 
   sim::WaveCapture CapIr, CapNet;
-  ASSERT_TRUE(sim::execute(IrProg.value(), In.value(), &CapIr).ok());
-  ASSERT_TRUE(sim::execute(NetProg.value(), In.value(), &CapNet).ok());
+  ASSERT_TRUE(sim::execute(IrProg.value(), In.value(), &CapIr, Ctx).ok());
+  ASSERT_TRUE(sim::execute(NetProg.value(), In.value(), &CapNet, Ctx).ok());
   std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources = {
       {&CapIr, "vm-ir"}, {&CapNet, "vm-netlist"}};
   Coverage Cov;
@@ -523,7 +545,8 @@ TEST(ToggleCoverage, WideFixtureReplayMatchesBitLevelReference) {
 TEST(ToggleCoverage, AbortedRunsKeepTheirCounts) {
   Result<ir::Function> Fn = ir::parseFunction(MacSource);
   ASSERT_TRUE(Fn.ok()) << Fn.error();
-  Result<sim::Program> Prog = sim::compile(Fn.value());
+  obs::Sinks Sinks;
+  Result<sim::Program> Prog = sim::compile(Fn.value(), Sinks.context());
   ASSERT_TRUE(Prog.ok()) << Prog.error();
   interp::Trace In;
   ir::Type I8 = ir::Type::makeInt(8);
@@ -542,10 +565,9 @@ TEST(ToggleCoverage, AbortedRunsKeepTheirCounts) {
       return Vm ? sim::execute(Prog.value(), In, &Sink, Ctx)
                 : interp::interpret(Fn.value(), In, &Sink, Ctx);
     };
-    obs::Telemetry Telem;
-    obs::RemarkStream Rem;
-    Coverage Cov;
-    obs::Context Ctx{&Telem, &Rem, &Cov};
+    obs::Sinks RunSinks;
+    const obs::Context &Ctx = RunSinks.context();
+    Coverage &Cov = RunSinks.coverage();
     sim::ToggleCoverageSink Sink(Cov);
     Result<interp::Trace> Out = Run(Sink, Ctx);
     ASSERT_FALSE(Out.ok());
@@ -556,7 +578,8 @@ TEST(ToggleCoverage, AbortedRunsKeepTheirCounts) {
 
     // The reference: the cycle 0->1 edges of the same aborted run.
     sim::WaveCapture Cap;
-    ASSERT_FALSE(Run(Cap, obs::defaultContext()).ok());
+    obs::Sinks RefSinks;
+    ASSERT_FALSE(Run(Cap, RefSinks.context()).ok());
     ASSERT_EQ(Cap.cycles(), 2u);
     ToggleReference Ref(Cap.signals());
     for (uint64_t C = 0; C < 2; ++C)

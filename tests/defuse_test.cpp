@@ -54,7 +54,8 @@ TEST(DefUse, InputsComeFirstThenBodyDestinations) {
       y:i8 = add(t0, a) @??;
     }
   )");
-  const DefUse &DU = Fn.defUse();
+  obs::Sinks Sinks;
+  const DefUse &DU = Fn.defUse(Sinks.context());
   EXPECT_EQ(DU.numValues(), 4u);
   EXPECT_EQ(DU.numInputs(), 2u);
   EXPECT_EQ(DU.idOf("a"), 0u);
@@ -73,26 +74,26 @@ TEST(DefUse, InputsComeFirstThenBodyDestinations) {
 
 TEST(DefUse, BuildIsCachedUntilInvalidated) {
   Function Fn = parseOk("def f(a:i8) -> (a:i8) {}");
-  std::shared_ptr<const DefUse> First = Fn.defUseShared();
+  obs::Sinks Sinks;
+  std::shared_ptr<const DefUse> First = Fn.defUseShared(Sinks.context());
   // A second request serves the cache: same analysis object.
-  EXPECT_EQ(First.get(), Fn.defUseShared().get());
+  EXPECT_EQ(First.get(), Fn.defUseShared(Sinks.context()).get());
   // Explicit invalidation forces a rebuild; the old analysis stays valid
   // for holders of the shared pointer.
-  Fn.invalidateDefUse();
-  std::shared_ptr<const DefUse> Second = Fn.defUseShared();
+  Fn.invalidateDefUse(Sinks.context());
+  std::shared_ptr<const DefUse> Second = Fn.defUseShared(Sinks.context());
   EXPECT_NE(First.get(), Second.get());
   EXPECT_EQ(First->numValues(), Second->numValues());
   // Mutation through the add* helpers invalidates automatically.
   Fn.addInput("b", Type::makeInt(8));
-  EXPECT_NE(Second.get(), Fn.defUseShared().get());
-  EXPECT_EQ(Fn.defUse().numInputs(), 2u);
+  EXPECT_NE(Second.get(), Fn.defUseShared(Sinks.context()).get());
+  EXPECT_EQ(Fn.defUse(Sinks.context()).numInputs(), 2u);
 }
 
 TEST(DefUse, CountersTrackBuildsHitsAndInvalidations) {
-  // A private context so the process-wide counters don't leak in.
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Context Ctx{&Telem, &Rem};
+  obs::Sinks Sinks;
+  const obs::Context &Ctx = Sinks.context();
+  obs::Telemetry &Telem = Sinks.telemetry();
   Function Fn = parseOk(R"(
     def f(a:i8) -> (y:i8) {
       y:i8 = add(a, a) @??;
@@ -108,6 +109,11 @@ TEST(DefUse, CountersTrackBuildsHitsAndInvalidations) {
   EXPECT_EQ(Telem.counter("ir.defuse.invalidations").load(), 1u);
   // One interned name per value, accumulated across builds.
   EXPECT_EQ(Telem.counter("ir.interner.names").load(), 4u);
+  // The add* builders drop the cache without counting an invalidation.
+  Fn.addInput("b", Type::makeInt(8));
+  EXPECT_EQ(Telem.counter("ir.defuse.invalidations").load(), 1u);
+  EXPECT_EQ(Fn.defUse(Ctx).numInputs(), 2u);
+  EXPECT_EQ(Telem.counter("ir.defuse.builds").load(), 3u);
 }
 
 TEST(DefUse, UseCountsCoverMultiUseDeadAndOutputReads) {
@@ -118,7 +124,8 @@ TEST(DefUse, UseCountsCoverMultiUseDeadAndOutputReads) {
       y:i8 = add(t0, a) @??;
     }
   )");
-  const DefUse &DU = Fn.defUse();
+  obs::Sinks Sinks;
+  const DefUse &DU = Fn.defUse(Sinks.context());
   // 'a' is read three times as an argument, never as an output.
   EXPECT_EQ(DU.useCount(DU.idOf("a")), 3u);
   EXPECT_EQ(DU.usersOf(DU.idOf("a")).size(), 3u);
@@ -142,7 +149,8 @@ TEST(DefUse, UndefinedArgumentsStayInvalid) {
       y:i8 = add(a, ghost) @??;
     }
   )");
-  const DefUse &DU = Fn.defUse();
+  obs::Sinks Sinks;
+  const DefUse &DU = Fn.defUse(Sinks.context());
   EXPECT_EQ(DU.idOf("ghost"), InvalidValueId);
   EXPECT_EQ(DU.argIdsOf(0)[1], InvalidValueId);
   // Unknown names never grow the id space.
@@ -156,7 +164,8 @@ TEST(DefUse, TracksFirstDuplicateDefinition) {
       y:i8 = add(a, a) @??;
     }
   )");
-  const DefUse &DU = Fn.defUse();
+  obs::Sinks Sinks;
+  const DefUse &DU = Fn.defUse(Sinks.context());
   EXPECT_EQ(DU.duplicateKind(), DefUse::Dup::Body);
   EXPECT_EQ(DU.duplicateName(), "y");
   // First definition wins, matching the linear-scan findDef.
@@ -173,7 +182,8 @@ TEST(DefUse, TopoOrderBreaksCyclesAtRegisters) {
       t3:i8 = reg[0](t2, t0) @??;
     }
   )");
-  const DefUse &DU = Fn.defUse();
+  obs::Sinks Sinks;
+  const DefUse &DU = Fn.defUse(Sinks.context());
   EXPECT_TRUE(DU.topoOk());
   // All three non-register instructions appear, defs before uses.
   ASSERT_EQ(DU.topoOrder().size(), 3u);
@@ -192,7 +202,7 @@ TEST(DefUse, TopoOrderBreaksCyclesAtRegisters) {
       t1:i8 = add(t1, t0) @??;
     }
   )");
-  EXPECT_FALSE(Bad.defUse().topoOk());
+  EXPECT_FALSE(Bad.defUse(Sinks.context()).topoOk());
 }
 
 // On every example program the cached analysis must agree with the
@@ -200,6 +210,7 @@ TEST(DefUse, TopoOrderBreaksCyclesAtRegisters) {
 TEST(DefUse, AgreesWithVerifierOnExamplePrograms) {
   const std::filesystem::path Dir = RETICLE_EXAMPLES_DIR;
   size_t Checked = 0;
+  obs::Sinks Sinks;
   for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
     if (Entry.path().extension() != ".ret")
       continue;
@@ -207,8 +218,8 @@ TEST(DefUse, AgreesWithVerifierOnExamplePrograms) {
     Result<Function> FnOr = parseFunction(readFile(Entry.path()));
     ASSERT_TRUE(FnOr.ok()) << Entry.path() << ": " << FnOr.error();
     Function Fn = FnOr.take();
-    ASSERT_TRUE(verify(Fn).ok()) << Entry.path();
-    const DefUse &DU = Fn.defUse();
+    ASSERT_TRUE(verify(Fn, Sinks.context()).ok()) << Entry.path();
+    const DefUse &DU = Fn.defUse(Sinks.context());
 
     // Inputs: dense prefix, no defining instruction, port types.
     ASSERT_EQ(DU.numInputs(), Fn.inputs().size());

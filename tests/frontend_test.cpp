@@ -7,6 +7,7 @@
 #include "frontend/Benchmarks.h"
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Verifier.h"
 #include "synth/Synth.h"
@@ -18,14 +19,15 @@ using namespace reticle::frontend;
 using device::Device;
 
 TEST(Frontend, GeneratedProgramsAreWellFormed) {
+  obs::Sinks Sinks;
   for (unsigned N : {8u, 64u})
-    EXPECT_TRUE(ir::verify(makeTensorAdd(N)).ok()) << N;
+    EXPECT_TRUE(ir::verify(makeTensorAdd(N), Sinks.context()).ok()) << N;
   for (unsigned K : {3u, 9u})
-    EXPECT_TRUE(ir::verify(makeTensorDot(K)).ok()) << K;
+    EXPECT_TRUE(ir::verify(makeTensorDot(K), Sinks.context()).ok()) << K;
   for (unsigned S : {3u, 5u, 9u})
-    EXPECT_TRUE(ir::verify(makeFsm(S)).ok()) << S;
+    EXPECT_TRUE(ir::verify(makeFsm(S), Sinks.context()).ok()) << S;
   for (unsigned N : {8u, 32u})
-    EXPECT_TRUE(ir::verify(makeDspAdd(N)).ok()) << N;
+    EXPECT_TRUE(ir::verify(makeDspAdd(N), Sinks.context()).ok()) << N;
 }
 
 TEST(Frontend, TensorAddComputesElementwiseSum) {
@@ -107,7 +109,9 @@ TEST(Frontend, FsmHoldsBelowThreshold) {
 TEST(Frontend, TensorAddCompilesToSimdDsps) {
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(makeTensorAdd(16), Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R =
+      core::compile(makeTensorAdd(16), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   // 16 elements = 4 SIMD groups, each one fused addreg DSP.
   EXPECT_EQ(R.value().Util.Dsps, 4u);
@@ -117,8 +121,9 @@ TEST(Frontend, TensorAddCompilesToSimdDsps) {
 TEST(Frontend, TensorDotCompilesToCascadedChains) {
   core::CompileOptions Options;
   Options.Dev = Device::small();
+  core::CompileSession Session;
   Result<core::CompileResult> R =
-      core::compile(makeTensorDot(3, 2), Options);
+      core::compile(makeTensorDot(3, 2), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R.value().Util.Dsps, 6u);
   EXPECT_EQ(R.value().CascadeStats.Chains, 2u);
@@ -127,7 +132,8 @@ TEST(Frontend, TensorDotCompilesToCascadedChains) {
 TEST(Frontend, FsmCompilesToLutsOnly) {
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(makeFsm(5), Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(makeFsm(5), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(R.value().Util.Dsps, 0u);
   EXPECT_GT(R.value().Util.Luts, 0u);
@@ -149,7 +155,8 @@ TEST(Frontend, DspAddBaselineReproducesFigure4Cliff) {
 
   core::CompileOptions COpts;
   COpts.Dev = Device::small();
-  Result<core::CompileResult> Ret = core::compile(Fn, COpts);
+  core::CompileSession Session;
+  Result<core::CompileResult> Ret = core::compile(Fn, COpts, Session);
   ASSERT_TRUE(Ret.ok()) << Ret.error();
   EXPECT_EQ(Ret.value().Util.Dsps, 6u);
   EXPECT_EQ(Ret.value().Util.Luts, 0u);

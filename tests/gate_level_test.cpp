@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Parser.h"
 #include "sim/Compile.h"
@@ -45,7 +46,8 @@ void checkGateLevel(const ir::Function &Fn, const Trace &Input) {
 
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
   Result<sim::Program> Net = sim::compile(R.value().Verilog);

@@ -244,6 +244,28 @@ TEST(Interp, RejectsIllFormedProgram) {
   EXPECT_FALSE(interpret(Fn, Input).ok());
 }
 
+// The well-formedness check, the topological order and the environment's
+// value ids come from one def-use analysis, recorded into the context the
+// caller passes.
+TEST(Interp, RecordsItsAnalysisIntoTheCallersContext) {
+  Function Fn = parseOk(R"(
+    def adder(a:i8, b:i8) -> (y:i8) {
+      y:i8 = add(a, b) @??;
+    }
+  )");
+  Trace Input;
+  Step &S = Input.appendStep();
+  S["a"] = i8(1);
+  S["b"] = i8(2);
+  obs::Sinks Sinks;
+  ASSERT_TRUE(interpret(Fn, Input, nullptr, Sinks.context()).ok());
+  obs::Telemetry &Telem = Sinks.telemetry();
+  EXPECT_EQ(Telem.counter("ir.defuse.builds").load(), 1u);
+  EXPECT_EQ(Telem.counter("ir.defuse.cache_hits").load(), 2u);
+  EXPECT_EQ(Telem.counter("ir.interner.names").load(), 3u);
+  EXPECT_EQ(Telem.counter("interp.cycles").load(), 1u);
+}
+
 TEST(EvalPure, RejectsRegister) {
   ir::Instr Reg = ir::Instr::makeComp("y", Type::makeInt(8), ir::CompOp::Reg,
                                       {"a", "en"}, {0});

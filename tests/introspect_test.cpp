@@ -41,19 +41,20 @@ def mac(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {
 }
 )";
 
-/// Remarks live in a process-wide stream; every test starts clean.
+/// Each test compiles into, and reads remarks and snapshots from, its own
+/// session.
 class Introspect : public ::testing::Test {
 protected:
-  void SetUp() override { obs::clearRemarks(); }
-  void TearDown() override { obs::clearRemarks(); }
-};
+  Result<core::CompileResult> compileMac(core::CompileOptions Options = {}) {
+    Result<ir::Function> Fn = ir::parseFunction(MacSource);
+    EXPECT_TRUE(Fn.ok()) << Fn.error();
+    Options.Dev = device::Device::small();
+    return core::compile(Fn.value(), Options, Session);
+  }
 
-Result<core::CompileResult> compileMac(core::CompileOptions Options = {}) {
-  Result<ir::Function> Fn = ir::parseFunction(MacSource);
-  EXPECT_TRUE(Fn.ok()) << Fn.error();
-  Options.Dev = device::Device::small();
-  return core::compile(Fn.value(), Options);
-}
+  core::CompileSession Session;
+  obs::RemarkStream &Rem = Session.remarks();
+};
 
 std::string readFile(const std::filesystem::path &Path) {
   std::ifstream In(Path);
@@ -82,21 +83,21 @@ std::vector<Json> parseJsonl(const std::string &Text) {
 } // namespace
 
 TEST_F(Introspect, RemarksOffByDefault) {
-  EXPECT_FALSE(obs::remarksEnabled());
-  obs::Remark("isel", "pattern").message("dropped on the floor");
-  EXPECT_EQ(obs::remarkCount(), 0u);
-  EXPECT_EQ(obs::remarksText(), "");
+  EXPECT_FALSE(Rem.enabled());
+  obs::Remark(Rem, "isel", "pattern").message("dropped on the floor");
+  EXPECT_EQ(Rem.count(), 0u);
+  EXPECT_EQ(Rem.text(), "");
 }
 
 TEST_F(Introspect, RemarkBuilderCommitsOnDestruction) {
-  obs::enableRemarks();
+  Rem.enable();
   {
-    obs::Remark R("isel", "pattern");
+    obs::Remark R(Rem, "isel", "pattern");
     R.instr("t0").message("covered with 'mul'").arg("area", 16);
-    EXPECT_EQ(obs::remarkCount(), 0u) << "must not commit before scope exit";
+    EXPECT_EQ(Rem.count(), 0u) << "must not commit before scope exit";
   }
-  EXPECT_EQ(obs::remarkCount(), 1u);
-  std::string Text = obs::remarksText();
+  EXPECT_EQ(Rem.count(), 1u);
+  std::string Text = Rem.text();
   EXPECT_NE(Text.find("isel:pattern:"), std::string::npos) << Text;
   EXPECT_NE(Text.find("'t0'"), std::string::npos) << Text;
   EXPECT_NE(Text.find("covered with 'mul'"), std::string::npos) << Text;
@@ -104,9 +105,9 @@ TEST_F(Introspect, RemarkBuilderCommitsOnDestruction) {
 }
 
 TEST_F(Introspect, RemarksJsonlSchema) {
-  obs::enableRemarks();
-  obs::Remark("place", "bind").instr("y").message("bound").arg("x", 2);
-  std::vector<Json> Records = parseJsonl(obs::remarksJsonl("prog.ret"));
+  Rem.enable();
+  obs::Remark(Rem, "place", "bind").instr("y").message("bound").arg("x", 2);
+  std::vector<Json> Records = parseJsonl(Rem.jsonl("prog.ret"));
   ASSERT_EQ(Records.size(), 2u) << "header plus one record";
 
   const Json &Header = Records[0];
@@ -124,52 +125,42 @@ TEST_F(Introspect, RemarksJsonlSchema) {
   EXPECT_EQ(Record.find("args")->find("x")->asInt(), 2);
 }
 
-TEST_F(Introspect, ClearRemarksDisablesAndDrops) {
-  obs::enableRemarks();
-  obs::Remark("opt", "dce").message("removed 3");
-  ASSERT_EQ(obs::remarkCount(), 1u);
-  obs::clearRemarks();
-  EXPECT_EQ(obs::remarkCount(), 0u);
-  EXPECT_FALSE(obs::remarksEnabled());
-}
-
 TEST_F(Introspect, PipelineEmitsRemarksFromEveryStage) {
-  obs::enableRemarks();
+  Rem.enable();
   Result<core::CompileResult> R = compileMac();
   ASSERT_TRUE(R.ok()) << R.error();
 
-  std::vector<Json> Records = parseJsonl(obs::remarksJsonl("mac"));
+  std::vector<Json> Records = parseJsonl(Rem.jsonl("mac"));
   ASSERT_GE(Records.size(), 2u);
   std::set<std::string> Stages;
   for (size_t I = 1; I < Records.size(); ++I)
     Stages.insert(Records[I].find("stage")->asString());
-  EXPECT_TRUE(Stages.count("isel")) << obs::remarksText();
-  EXPECT_TRUE(Stages.count("cascade")) << obs::remarksText();
-  EXPECT_TRUE(Stages.count("place")) << obs::remarksText();
+  EXPECT_TRUE(Stages.count("isel")) << Rem.text();
+  EXPECT_TRUE(Stages.count("cascade")) << Rem.text();
+  EXPECT_TRUE(Stages.count("place")) << Rem.text();
 }
 
 TEST_F(Introspect, WriteRemarksFiles) {
-  obs::enableRemarks();
-  obs::Remark("isel", "pattern").message("covered");
+  Rem.enable();
+  obs::Remark(Rem, "isel", "pattern").message("covered");
   std::filesystem::path Dir =
       std::filesystem::temp_directory_path() / "reticle_remarks_test";
   std::filesystem::create_directories(Dir);
   std::string TextPath = (Dir / "r.txt").string();
   std::string JsonPath = (Dir / "r.jsonl").string();
-  ASSERT_TRUE(obs::writeRemarksText(TextPath).ok());
-  ASSERT_TRUE(obs::writeRemarksJsonl(JsonPath, "p.ret").ok());
+  ASSERT_TRUE(Rem.writeText(TextPath).ok());
+  ASSERT_TRUE(Rem.writeJsonl(JsonPath, "p.ret").ok());
   EXPECT_NE(readFile(TextPath).find("isel:pattern"), std::string::npos);
   EXPECT_EQ(parseJsonl(readFile(JsonPath)).size(), 2u);
   std::filesystem::remove_all(Dir);
 }
 
 TEST_F(Introspect, SnapshotSinkRecordsPipelineStages) {
-  obs::SnapshotSink Sink;
-  core::CompileOptions Options;
-  Options.Snapshots = &Sink;
-  Result<core::CompileResult> R = compileMac(Options);
+  Session.captureSnapshots();
+  Result<core::CompileResult> R = compileMac();
   ASSERT_TRUE(R.ok()) << R.error();
 
+  const obs::SnapshotSink &Sink = Session.snapshots();
   ASSERT_EQ(Sink.stages().size(), 4u) << "isel, cascade, place, codegen";
   EXPECT_NE(Sink.find("isel"), nullptr);
   EXPECT_NE(Sink.find("cascade"), nullptr);
@@ -179,23 +170,22 @@ TEST_F(Introspect, SnapshotSinkRecordsPipelineStages) {
 }
 
 TEST_F(Introspect, SnapshotsRecordedWithCascadeDisabled) {
-  obs::SnapshotSink Sink;
   core::CompileOptions Options;
   Options.Cascade = false;
-  Options.Snapshots = &Sink;
+  Session.captureSnapshots();
   ASSERT_TRUE(compileMac(Options).ok());
+  const obs::SnapshotSink &Sink = Session.snapshots();
   // The manifest always lists the same stages, pass enabled or not.
   EXPECT_NE(Sink.find("cascade"), nullptr);
   EXPECT_EQ(Sink.stages().size(), 4u);
 }
 
 TEST_F(Introspect, EverySnapshotReparses) {
-  obs::SnapshotSink Sink;
+  obs::SnapshotSink &Sink = Session.snapshots();
   Sink.add("parse", "ir",
            ir::parseFunction(MacSource).value().str());
-  core::CompileOptions Options;
-  Options.Snapshots = &Sink;
-  ASSERT_TRUE(compileMac(Options).ok());
+  Session.captureSnapshots();
+  ASSERT_TRUE(compileMac().ok());
 
   for (const obs::StageSnapshot &Snap : Sink.stages()) {
     if (Snap.Format == "ir") {
@@ -306,7 +296,7 @@ TEST_F(Introspect, FloorplanTimelineHandlesEmptyTimeline) {
 TEST_F(Introspect, StatsJsonCarriesTheSatProfile) {
   Result<core::CompileResult> R = compileMac();
   ASSERT_TRUE(R.ok()) << R.error();
-  Json Doc = core::statsJson(R.value(), "mac");
+  Json Doc = core::statsJson(R.value(), "mac", Session.context());
   const Json *Sat = Doc.find("sat");
   ASSERT_NE(Sat, nullptr);
   ASSERT_TRUE(Sat->isObject());
@@ -319,16 +309,12 @@ TEST_F(Introspect, StatsJsonCarriesTheSatProfile) {
   const Json *Probes = Sat->find("shrink_probes");
   ASSERT_NE(Probes, nullptr);
   EXPECT_EQ(Probes->size(), R.value().PlaceStats.Timeline.size());
-  const Json *Core = Sat->find("core");
-  ASSERT_NE(Core, nullptr);
-  EXPECT_EQ(Core->size(), 0u); // the compile succeeded
 }
 
 TEST_F(Introspect, DisabledPassIsSkippedButStillSnapshots) {
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
   Options.DisabledPasses.push_back("cascade");
-  core::CompileSession Session;
   Session.captureSnapshots();
   Result<core::CompileResult> R = core::compileSource(
       std::string(MacSource), "mac", Options, Session);

@@ -44,7 +44,8 @@ TEST(Dfg, RootClassification) {
       z:i8 = add(t1, b) @??;     // output: root
     }
   )");
-  Result<Dfg> G = Dfg::build(Fn);
+  obs::Sinks Sinks;
+  Result<Dfg> G = Dfg::build(Fn, Sinks.context());
   ASSERT_TRUE(G.ok()) << G.error();
   EXPECT_FALSE(G.value().node(G.value().nodeOf("t0")).IsRoot);
   EXPECT_TRUE(G.value().node(G.value().nodeOf("t1")).IsRoot);
@@ -60,7 +61,8 @@ TEST(Dfg, RegistersAreAlwaysRoots) {
       y:i8 = add(t0, a) @??;
     }
   )");
-  Result<Dfg> G = Dfg::build(Fn);
+  obs::Sinks Sinks;
+  Result<Dfg> G = Dfg::build(Fn, Sinks.context());
   ASSERT_TRUE(G.ok()) << G.error();
   EXPECT_TRUE(G.value().node(G.value().nodeOf("t0")).IsRoot);
 }
@@ -72,7 +74,8 @@ TEST(Dfg, ComputeFeedingWireIsRoot) {
       y:i8 = sll[1](t0);
     }
   )");
-  Result<Dfg> G = Dfg::build(Fn);
+  obs::Sinks Sinks;
+  Result<Dfg> G = Dfg::build(Fn, Sinks.context());
   ASSERT_TRUE(G.ok()) << G.error();
   EXPECT_TRUE(G.value().node(G.value().nodeOf("t0")).IsRoot);
 }
@@ -86,7 +89,9 @@ TEST(Select, MulAddFusesIntoOneDsp) {
     }
   )");
   SelectionStats Stats;
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale(), &Stats);
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), &Stats, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(countOps(P.value(), "muladd"), 1u);
   EXPECT_EQ(Stats.NumAsmOps, 1u);
@@ -107,7 +112,9 @@ TEST(Select, MulAddDoesNotFuseAcrossSharedValue) {
       t2:i8 = add(t0, a) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(countOps(P.value(), "muladd"), 0u);
   EXPECT_EQ(countOps(P.value(), "mul"), 1u);
@@ -116,7 +123,9 @@ TEST(Select, MulAddDoesNotFuseAcrossSharedValue) {
 
 TEST(Select, SmallScalarAddPrefersLuts) {
   Function Fn = parseOk("def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @??; }");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   ASSERT_EQ(P.value().body().size(), 1u);
   EXPECT_EQ(P.value().body()[0].loc().Prim, ir::Resource::Lut);
@@ -126,7 +135,9 @@ TEST(Select, VectorAddPrefersDspSimd) {
   // 4x8-bit lanes on LUTs costs 32; one SIMD DSP costs 16.
   Function Fn = parseOk(
       "def f(a:i8<4>, b:i8<4>) -> (y:i8<4>) { y:i8<4> = add(a, b) @??; }");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   ASSERT_EQ(P.value().body().size(), 1u);
   EXPECT_EQ(P.value().body()[0].loc().Prim, ir::Resource::Dsp);
@@ -137,7 +148,9 @@ TEST(Select, ResourceAnnotationsAreHardConstraints) {
   // cheaper.
   Function Fn = parseOk(
       "def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @dsp; }");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(P.value().body()[0].loc().Prim, ir::Resource::Dsp);
 }
@@ -150,7 +163,9 @@ TEST(Select, UnsatisfiableConstraintIsRejected) {
       y:i8 = mux(c, a, b) @dsp;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_FALSE(P.ok());
   EXPECT_NE(P.error().find("unsatisfiable"), std::string::npos);
 }
@@ -163,7 +178,9 @@ TEST(Select, AnnotationBlocksFusionAcrossPrimitives) {
       t1:i8 = add(t0, c) @lut;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(countOps(P.value(), "muladd"), 0u);
   EXPECT_EQ(countOps(P.value(), "mul"), 1u);
@@ -177,7 +194,9 @@ TEST(Select, AddRegFusesWithHoleTransfer) {
       y:i8<4> = reg[7](t0, en) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   ASSERT_EQ(countOps(P.value(), "addreg"), 1u);
   const rasm::AsmInstr &I = P.value().body()[0];
@@ -193,7 +212,9 @@ TEST(Select, WireInstructionsPassThroughAndDeadOnesPrune) {
       y:i8 = add(t0, a) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   bool SawSll = false, SawDead = false;
   for (const rasm::AsmInstr &I : P.value().body()) {
@@ -214,7 +235,9 @@ TEST(Select, CommutativeMatchingFindsSwappedMulAdd) {
       t1:i8 = add(c, t0) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(countOps(P.value(), "muladd"), 1u);
 }
@@ -229,7 +252,9 @@ TEST(Select, CounterWithSelfReference) {
       t3:i8 = reg[0](t2, t0) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   // add+reg fuse into addreg whose first argument is its own result.
   ASSERT_EQ(countOps(P.value(), "addreg"), 1u);
@@ -242,7 +267,9 @@ TEST(Select, CounterWithSelfReference) {
 TEST(Select, RejectsUnsupportedType) {
   Function Fn = parseOk(
       "def f(a:i3, b:i3) -> (y:i3) { y:i3 = add(a, b) @??; }");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_FALSE(P.ok());
   EXPECT_NE(P.error().find("no instruction"), std::string::npos);
 }
@@ -259,7 +286,9 @@ TEST(Select, FsmStyleControlSelectsLutsOnly) {
       state:i8 = reg[1](nextv, en) @??;
     }
   )");
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   for (const rasm::AsmInstr &I : P.value().body())
     if (!I.isWire()) {
@@ -275,7 +304,9 @@ TEST(Select, StatsAreReported) {
     }
   )");
   SelectionStats Stats;
-  Result<rasm::AsmProgram> P = select(Fn, tdl::ultrascale(), &Stats);
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> P =
+      select(Fn, tdl::ultrascale(), &Stats, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_EQ(Stats.NumTrees, 1u);
   EXPECT_EQ(Stats.NumAsmOps, 1u);

@@ -29,7 +29,8 @@ TEST(StratixTarget, SmallerThanUltrascale) {
 }
 
 TEST(Sat, SolverCanBeReusedAfterSat) {
-  sat::Solver S;
+  obs::Sinks Sinks;
+  sat::Solver S(Sinks.context());
   sat::Var A = S.newVar();
   sat::Var B = S.newVar();
   ASSERT_TRUE(S.addBinary(sat::Lit(A), sat::Lit(B)));
@@ -44,7 +45,8 @@ TEST(Sat, SolverCanBeReusedAfterSat) {
 TEST(Sat, ConflictBudgetReportsUnknown) {
   // A hard pigeonhole instance with a one-conflict budget gives up.
   constexpr unsigned Pigeons = 7, Holes = 6;
-  sat::Solver S;
+  obs::Sinks Sinks;
+  sat::Solver S(Sinks.context());
   std::vector<std::vector<sat::Var>> P(Pigeons,
                                        std::vector<sat::Var>(Holes));
   for (unsigned I = 0; I < Pigeons; ++I)
@@ -69,12 +71,14 @@ TEST(CodegenDetail, BelLettersCycleAcrossSliceLuts) {
   Result<rasm::AsmProgram> P = rasm::parseAsmProgram(
       "def f(a:i16, b:i16) -> (y:i16) { y:i16 = xor(a, b) @lut(?\?, ?\?); }");
   ASSERT_TRUE(P.ok()) << P.error();
+  obs::Sinks Sinks;
   Result<rasm::AsmProgram> Placed =
-      place::place(P.value(), Device::small());
+      place::place(P.value(), Device::small(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   codegen::Utilization Util;
-  Result<verilog::Module> M = codegen::generate(
-      Placed.value(), tdl::ultrascale(), Device::small(), &Util);
+  Result<verilog::Module> M =
+      codegen::generate(Placed.value(), tdl::ultrascale(), Device::small(),
+                        &Util, Sinks.context());
   ASSERT_TRUE(M.ok()) << M.error();
   EXPECT_EQ(Util.Luts, 16u);
   std::string Out = M.value().str();
@@ -130,7 +134,8 @@ TEST(Dimacs, WriteSolveRoundTrip) {
   C.Clauses = {{1, 2, -3}, {-1, 4}, {3, -4, 5}, {-5, -2}, {2, 3}};
   Result<sat::Cnf> Again = sat::parseDimacs(C.str());
   ASSERT_TRUE(Again.ok()) << Again.error();
-  sat::Solver S;
+  obs::Sinks Sinks;
+  sat::Solver S(Sinks.context());
   ASSERT_TRUE(Again.value().loadInto(S));
   ASSERT_EQ(S.solve(), sat::Outcome::Sat);
   for (const std::vector<int> &Clause : C.Clauses) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "core/Stats.h"
 #include "ir/Parser.h"
 #include "obs/Json.h"
@@ -24,11 +25,10 @@ using obs::Json;
 
 namespace {
 
-/// Tests share the process-wide registry; each starts from a clean slate.
+/// Each test records into its own telemetry instance.
 class Obs : public ::testing::Test {
 protected:
-  void SetUp() override { obs::resetForTest(); }
-  void TearDown() override { obs::resetForTest(); }
+  obs::Telemetry Telem;
 };
 
 const Json *event(const Json &Trace, const std::string &Name) {
@@ -169,21 +169,21 @@ TEST_F(Obs, JsonStringErrorsCarryAnOffset) {
 }
 
 TEST_F(Obs, CounterAccumulates) {
-  obs::Counter &C = obs::counter("test.counter");
+  obs::Counter &C = Telem.counter("test.counter");
   EXPECT_EQ(C.load(), 0u);
   ++C;
   C++;
   C += 40;
   EXPECT_EQ(C.load(), 42u);
   // Lookup by the same name returns the same counter.
-  EXPECT_EQ(&obs::counter("test.counter"), &C);
-  EXPECT_EQ(obs::counter("test.counter").load(), 42u);
-  obs::gauge("test.gauge").set(2.5);
-  EXPECT_DOUBLE_EQ(obs::gauge("test.gauge").load(), 2.5);
+  EXPECT_EQ(&Telem.counter("test.counter"), &C);
+  EXPECT_EQ(Telem.counter("test.counter").load(), 42u);
+  Telem.gauge("test.gauge").set(2.5);
+  EXPECT_DOUBLE_EQ(Telem.gauge("test.gauge").load(), 2.5);
 }
 
 TEST_F(Obs, CounterIsThreadSafe) {
-  obs::Counter &C = obs::counter("test.mt");
+  obs::Counter &C = Telem.counter("test.mt");
   constexpr unsigned Threads = 4, PerThread = 10000;
   std::vector<std::thread> Pool;
   for (unsigned T = 0; T < Threads; ++T)
@@ -197,9 +197,9 @@ TEST_F(Obs, CounterIsThreadSafe) {
 }
 
 TEST_F(Obs, CountersJsonSnapshot) {
-  obs::counter("test.a") += 3;
-  obs::gauge("test.b").set(1.5);
-  Json Snapshot = obs::countersJson();
+  Telem.counter("test.a") += 3;
+  Telem.gauge("test.b").set(1.5);
+  Json Snapshot = Telem.countersJson();
   const Json *Counters = Snapshot.find("counters");
   ASSERT_NE(Counters, nullptr);
   ASSERT_NE(Counters->find("test.a"), nullptr);
@@ -211,18 +211,18 @@ TEST_F(Obs, CountersJsonSnapshot) {
 }
 
 TEST_F(Obs, SpansNestAndSerialize) {
-  obs::enableTracing();
+  Telem.enableTracing();
   {
-    obs::Span Outer("outer");
+    obs::Span Outer(Telem, "outer");
     Outer.arg("n", uint64_t(7));
     Outer.arg("label", "x");
     {
-      obs::Span Inner("inner");
+      obs::Span Inner(Telem, "inner");
       Inner.arg("ratio", 0.5);
     }
-    obs::instant("tick");
+    Telem.instant("tick");
   }
-  Result<Json> Trace = Json::parse(obs::traceJson());
+  Result<Json> Trace = Json::parse(Telem.traceJson());
   ASSERT_TRUE(Trace.ok()) << Trace.error();
 
   const Json *Outer = event(Trace.value(), "outer");
@@ -249,19 +249,19 @@ TEST_F(Obs, SpansNestAndSerialize) {
 
 TEST_F(Obs, SpansRecordNothingWhileDisabled) {
   {
-    obs::Span Sp("invisible");
-    obs::instant("also_invisible");
+    obs::Span Sp(Telem, "invisible");
+    Telem.instant("also_invisible");
   }
-  Result<Json> Trace = Json::parse(obs::traceJson());
+  Result<Json> Trace = Json::parse(Telem.traceJson());
   ASSERT_TRUE(Trace.ok()) << Trace.error();
   EXPECT_EQ(Trace.value().find("traceEvents")->size(), 0u);
 }
 
 TEST_F(Obs, WriteTraceProducesParsableFile) {
-  obs::enableTracing();
-  { obs::Span Sp("filed"); }
+  Telem.enableTracing();
+  { obs::Span Sp(Telem, "filed"); }
   std::string Path = ::testing::TempDir() + "obs_test_trace.json";
-  ASSERT_TRUE(obs::writeTrace(Path).ok());
+  ASSERT_TRUE(Telem.writeTrace(Path).ok());
   std::ifstream In(Path);
   ASSERT_TRUE(In.good());
   std::stringstream Buffer;
@@ -301,15 +301,15 @@ TEST_F(Obs, HistogramPercentilesAreBucketUpperBounds) {
 }
 
 TEST_F(Obs, FoldedStacksReconstructNesting) {
-  obs::enableTracing();
+  Telem.enableTracing();
   {
-    obs::Span Outer("outer");
+    obs::Span Outer(Telem, "outer");
     {
-      obs::Span Inner("inner");
+      obs::Span Inner(Telem, "inner");
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
-  std::string Folded = obs::defaultTelemetry().foldedStacks();
+  std::string Folded = Telem.foldedStacks();
   EXPECT_NE(Folded.find("outer;inner "), std::string::npos) << Folded;
   EXPECT_NE(Folded.find("outer "), std::string::npos) << Folded;
   // Every line is `stack <integer self-microseconds>`.
@@ -338,10 +338,11 @@ TEST_F(Obs, StatsDocumentIsWellFormed) {
   ASSERT_TRUE(Fn.ok()) << Fn.error();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn.value(), Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn.value(), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
-  Json Doc = core::statsJson(R.value(), "scalar_adds.ret");
+  Json Doc = core::statsJson(R.value(), "scalar_adds.ret", Session.context());
   // The document survives a serialize/parse round trip...
   Result<Json> Back = Json::parse(Doc.str(2));
   ASSERT_TRUE(Back.ok()) << Back.error();
@@ -375,12 +376,13 @@ TEST_F(Obs, CompilePipelineEmitsNestedStageSpans) {
     }
   )");
   ASSERT_TRUE(Fn.ok()) << Fn.error();
-  obs::enableTracing();
+  core::CompileSession Session;
+  Session.telemetry().enableTracing();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  ASSERT_TRUE(core::compile(Fn.value(), Options).ok());
+  ASSERT_TRUE(core::compile(Fn.value(), Options, Session).ok());
 
-  Result<Json> Trace = Json::parse(obs::traceJson());
+  Result<Json> Trace = Json::parse(Session.telemetry().traceJson());
   ASSERT_TRUE(Trace.ok()) << Trace.error();
   const Json *Compile = event(Trace.value(), "compile");
   ASSERT_NE(Compile, nullptr);

@@ -121,14 +121,16 @@ std::string slurp(const std::string &Path) {
 AsmProgram selectedAsm(const std::string &Path, const Device &Dev) {
   Result<ir::Function> Fn = ir::parseFunction(slurp(Path));
   EXPECT_TRUE(Fn.ok()) << Path << ": " << Fn.error();
-  Status Verified = ir::verify(Fn.value());
+  obs::Sinks Sinks;
+  Status Verified = ir::verify(Fn.value(), Sinks.context());
   EXPECT_TRUE(Verified.ok()) << Verified.error();
-  Result<AsmProgram> Asm = isel::select(Fn.value(), tdl::ultrascale());
+  Result<AsmProgram> Asm =
+      isel::select(Fn.value(), tdl::ultrascale(), nullptr, Sinks.context());
   EXPECT_TRUE(Asm.ok()) << Asm.error();
   AsmProgram Prog = Asm.take();
   Status Cascaded = isel::cascadePass(
-      Prog, tdl::ultrascale(),
-      std::max(2u, Dev.maxHeight(ir::Resource::Dsp)));
+      Prog, tdl::ultrascale(), std::max(2u, Dev.maxHeight(ir::Resource::Dsp)),
+      nullptr, Sinks.context());
   EXPECT_TRUE(Cascaded.ok()) << Cascaded.error();
   return Prog;
 }
@@ -138,7 +140,9 @@ AsmProgram selectedAsm(const std::string &Path, const Device &Dev) {
 TEST(Place, SingleWildcardInstruction) {
   AsmProgram P = parseOk(
       "def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @dsp(?\?, ?\?); }");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_TRUE(Placed.value().isPlaced());
   Status S = checkPlacement(P, Placed.value(), Device::tiny());
@@ -152,7 +156,9 @@ TEST(Place, HonorsPinnedLocations) {
       z:i8 = add(a, b) @dsp(??, ??);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_EQ(Placed.value().body()[0].loc().X.offset(), 1);
   EXPECT_EQ(Placed.value().body()[0].loc().Y.offset(), 2);
@@ -165,8 +171,10 @@ TEST(Place, HonorsPinnedLocations) {
 TEST(Place, RejectsInvalidPin) {
   AsmProgram P = parseOk(
       "def f(a:i8, b:i8) -> (y:i8) { y:i8 = add(a, b) @dsp(0, 0); }");
+  obs::Sinks Sinks;
   // Column 0 of the tiny device holds LUTs.
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_FALSE(Placed.ok());
   EXPECT_NE(Placed.error().find("not a valid"), std::string::npos);
 }
@@ -179,7 +187,9 @@ TEST(Place, CascadeChainStaysInOneColumn) {
       t2:i8 = muladd_ci(e, f, t1) @dsp(x, y+2);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   int64_t X0 = Placed.value().body()[0].loc().X.offset();
   int64_t Y0 = Placed.value().body()[0].loc().Y.offset();
@@ -202,7 +212,9 @@ TEST(Place, FailsWhenChainExceedsColumn) {
   }
   Source += "}\n";
   AsmProgram P = parseOk(Source);
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_FALSE(Placed.ok());
   EXPECT_NE(Placed.error().find("placement failed"), std::string::npos);
 }
@@ -210,14 +222,18 @@ TEST(Place, FailsWhenChainExceedsColumn) {
 TEST(Place, ExactCapacityFits) {
   // The tiny device has exactly 4 DSP slots.
   AsmProgram P = manyDspAdds(4);
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_TRUE(checkPlacement(P, Placed.value(), Device::tiny()).ok());
 }
 
 TEST(Place, OverCapacityFails) {
   AsmProgram P = manyDspAdds(5);
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_FALSE(Placed.ok());
 }
 
@@ -226,8 +242,10 @@ TEST(Place, ShrinkingCompactsLayout) {
   // shrinking should pack them into the first column.
   AsmProgram P = manyDspAdds(8);
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_TRUE(checkPlacement(P, Placed.value(), Device::small()).ok());
   unsigned MaxRow = 0, MaxCol = 0;
@@ -246,8 +264,10 @@ TEST(Place, NoShrinkOptionSkipsExtraSolves) {
   PlacementOptions Options;
   Options.Shrink = false;
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
+      reticle::place::place(P, Device::small(), Options, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_EQ(Stats.Solves, 1u);
 }
@@ -260,7 +280,9 @@ TEST(Place, MixedLutAndDspPrograms) {
       y:i8 = reg[0](t1, en) @lut(??, ??);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_TRUE(checkPlacement(P, Placed.value(), Device::tiny()).ok());
 }
@@ -272,7 +294,9 @@ TEST(Place, WireInstructionsNeedNoSlots) {
       y:i8 = add(t0, a) @lut(??, ??);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_TRUE(Placed.value().body()[0].isWire());
 }
@@ -284,7 +308,9 @@ TEST(Place, MixedPrimitiveClusterRejected) {
       z:i8 = add(a, b) @lut(x, y0+1);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_FALSE(Placed.ok());
   EXPECT_NE(Placed.error().find("one primitive kind"), std::string::npos);
 }
@@ -307,7 +333,9 @@ TEST_P(PlaceRandomTest, RandomMixesAlwaysValidOrFail) {
   }
   Source += "}\n";
   AsmProgram P = parseOk(Source);
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::small());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::small(), {}, nullptr, Sinks.context());
   if (Placed.ok()) {
     Status S = checkPlacement(P, Placed.value(), Device::small());
     EXPECT_TRUE(S.ok()) << S.error() << "\n" << Placed.value().str();
@@ -411,8 +439,10 @@ void expectJustifiedVerdict(std::mt19937 &Rng) {
 
   AsmProgram P = parseOk(Source);
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Dev, PlacementOptions{}, &Stats);
+      reticle::place::place(P, Dev, PlacementOptions{}, &Stats,
+                            Sinks.context());
   EXPECT_EQ(Placed.ok(), Feasible)
       << Dev.name() << "\n"
       << Source << (Placed.ok() ? "" : Placed.error());
@@ -448,8 +478,10 @@ TEST(Place, CapacityCoreNamesResourceAndInstruction) {
   // instruction of the program.
   AsmProgram P = manyDspAdds(5);
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_FALSE(Placed.ok());
   ASSERT_FALSE(Stats.Core.empty());
   EXPECT_EQ(Stats.Core.front().Kind, "capacity");
@@ -474,8 +506,10 @@ TEST(Place, SolverLevelUnsatYieldsMinimizedCore) {
     }
   )");
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_FALSE(Placed.ok());
   ASSERT_FALSE(Stats.Core.empty());
   bool NamedP = false, NamedQ = false;
@@ -508,8 +542,10 @@ TEST(Place, ChooseOneCoreSpansTheClustersOwnRows) {
     }
   )");
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::tiny(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_FALSE(Placed.ok());
   std::map<std::string, std::string> ChooseOne;
   for (const CoreConstraint &C : Stats.Core)
@@ -535,18 +571,22 @@ TEST(Place, GappedPairsInterleave) {
       q1:i8 = add(a, b) @dsp(u, v+2);
     }
   )");
-  Result<AsmProgram> Placed = reticle::place::place(P, Device::tiny());
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(P, Device::tiny(), {}, nullptr, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   Status S = checkPlacement(P, Placed.value(), Device::tiny());
   EXPECT_TRUE(S.ok()) << S.error();
 }
 
 TEST(Place, CrossColumnClustersAreNotTall) {
+  obs::Sinks Sinks;
   // Each member of a cross-column pair sits alone in its column, so no
   // cluster needs two consecutive rows anywhere; five and six of them fit.
   for (unsigned N : {5u, 6u}) {
     AsmProgram P = crossColumnPairs(N);
-    Result<AsmProgram> Placed = reticle::place::place(P, Device::small());
+    Result<AsmProgram> Placed =
+        reticle::place::place(P, Device::small(), {}, nullptr, Sinks.context());
     ASSERT_TRUE(Placed.ok()) << N << ": " << Placed.error();
     Status S = checkPlacement(P, Placed.value(), Device::small());
     EXPECT_TRUE(S.ok()) << N << ": " << S.error();
@@ -580,13 +620,15 @@ TEST(Place, PrecheckCountsTallClustersPerHeightClass) {
        "4 cascade chain(s) of heights 80, 80, 80, 50 do not pack into dsp "
        "columns <= 62, rows <= 147"},
   };
+  obs::Sinks Sinks;
   for (const Case &C : Cases)
     for (bool Shrink : {true, false}) {
       PlacementOptions Options;
       Options.Shrink = Shrink;
       PlacementStats Stats;
       Result<AsmProgram> Placed =
-          reticle::place::place(C.Prog, C.Dev, Options, &Stats);
+          reticle::place::place(C.Prog, C.Dev, Options, &Stats,
+                                Sinks.context());
       ASSERT_FALSE(Placed.ok()) << C.Detail;
       EXPECT_EQ(Stats.Solves, 0u) << C.Detail;
       ASSERT_EQ(Stats.Core.size(), 1u) << C.Detail;
@@ -606,8 +648,10 @@ TEST(Place, UncappedUnsatAttemptEndsTheFirstSolutionLoop) {
   PlacementOptions Options;
   Options.Shrink = false;
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::xczu3eg(), Options, &Stats);
+      reticle::place::place(P, Device::xczu3eg(), Options, &Stats,
+                            Sinks.context());
   ASSERT_FALSE(Placed.ok());
   EXPECT_NE(Placed.error().find("no valid layout for 2 cluster(s)"),
             std::string::npos)
@@ -625,8 +669,10 @@ TEST(Place, SevenCrossColumnClustersFailInTheSolver) {
   // prechecks pass; the solver refutes seven clusters over six base
   // positions, and its core names their choose-one constraints.
   PlacementStats Stats;
-  Result<AsmProgram> Placed = reticle::place::place(
-      crossColumnPairs(7), Device::small(), PlacementOptions{}, &Stats);
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      reticle::place::place(crossColumnPairs(7), Device::small(),
+                            PlacementOptions{}, &Stats, Sinks.context());
   ASSERT_FALSE(Placed.ok());
   ASSERT_FALSE(Stats.Core.empty());
   bool ChooseOne = false;
@@ -641,8 +687,10 @@ TEST(Place, TimelineRecordsInitialSolutionAndEveryProbe) {
   // The lower-bound box misses here, so the shrink search probes.
   AsmProgram P = strandedRowPairs();
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   ASSERT_GE(Stats.Timeline.size(), 2u);
   const ShrinkProbe &First = Stats.Timeline.front();
@@ -668,8 +716,10 @@ TEST(Place, LowerBoundHitRecordsOnlyTheInitialFrame) {
   // runs inside it and holds, so the shrink search has nothing to probe.
   AsmProgram P = manyDspAdds(8);
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   ASSERT_EQ(Stats.Timeline.size(), 1u);
   EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
@@ -686,8 +736,10 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
   PlacementOptions Options;
   Options.Shrink = false;
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
+      reticle::place::place(P, Device::small(), Options, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   ASSERT_EQ(Stats.Timeline.size(), 1u);
   EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
@@ -699,8 +751,10 @@ TEST(Place, ShrinkProbesAreAttributedAndTimed) {
   // search probes.
   AsmProgram P = strandedRowPairs();
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats);
+      reticle::place::place(P, Device::small(), PlacementOptions{}, &Stats,
+                            Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   // Timeline holds the initial frame plus one frame per shrink probe.
   EXPECT_EQ(Stats.IncrementalProbes + Stats.PrecheckProbes,
@@ -717,8 +771,9 @@ TEST(Place, ProofLogMarksEveryShrinkProbe) {
   PlacementOptions Options;
   Options.Proof = &Proof;
   PlacementStats Stats;
+  obs::Sinks Sinks;
   Result<AsmProgram> Placed = reticle::place::place(
-      strandedRowPairs(), Device::small(), Options, &Stats);
+      strandedRowPairs(), Device::small(), Options, &Stats, Sinks.context());
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   ASSERT_GT(Stats.Timeline.size(), 1u);
   std::istringstream Lines(Proof.str());
@@ -763,10 +818,12 @@ TEST(Place, PackingCliffProgramsSolveOnceAtTheLowerBound) {
        selectedAsm(Dir + "/mixed_chains.ret", Device::small()),
        Device::small(), 5, 7},
   };
+  obs::Sinks Sinks;
   for (const Expect &E : Cases) {
     PlacementStats Stats;
     Result<AsmProgram> Placed =
-        reticle::place::place(E.Prog, E.Dev, PlacementOptions{}, &Stats);
+        reticle::place::place(E.Prog, E.Dev, PlacementOptions{}, &Stats,
+                              Sinks.context());
     ASSERT_TRUE(Placed.ok()) << E.Name << ": " << Placed.error();
     EXPECT_EQ(Stats.Solves, 1u) << E.Name;
     EXPECT_EQ(Stats.Conflicts, 0u) << E.Name;

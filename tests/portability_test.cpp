@@ -63,8 +63,11 @@ TEST(Portability, VectorAddRetargetsToSoftLogic) {
   // The same program: SIMD DSP on UltraScale, LUT fabric on Stratix.
   ir::Function Fn = parseOk(
       "def f(a:i8<4>, b:i8<4>) -> (y:i8<4>) { y:i8<4> = add(a, b) @??; }");
-  Result<rasm::AsmProgram> Ultra = isel::select(Fn, tdl::ultrascale());
-  Result<rasm::AsmProgram> Strat = isel::select(Fn, tdl::stratix());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> Ultra =
+      isel::select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
+  Result<rasm::AsmProgram> Strat =
+      isel::select(Fn, tdl::stratix(), nullptr, Sinks.context());
   ASSERT_TRUE(Ultra.ok()) << Ultra.error();
   ASSERT_TRUE(Strat.ok()) << Strat.error();
   EXPECT_EQ(Ultra.value().body()[0].loc().Prim, ir::Resource::Dsp);
@@ -77,29 +80,36 @@ TEST(Portability, HardDspConstraintRejectsOnLimitedFamily) {
   // degradation.
   ir::Function Fn = parseOk(
       "def f(a:i8<4>, b:i8<4>) -> (y:i8<4>) { y:i8<4> = add(a, b) @dsp; }");
-  EXPECT_TRUE(isel::select(Fn, tdl::ultrascale()).ok());
-  Result<rasm::AsmProgram> Strat = isel::select(Fn, tdl::stratix());
+  obs::Sinks Sinks;
+  EXPECT_TRUE(isel::select(Fn, tdl::ultrascale(), nullptr,
+                           Sinks.context()).ok());
+  Result<rasm::AsmProgram> Strat =
+      isel::select(Fn, tdl::stratix(), nullptr, Sinks.context());
   ASSERT_FALSE(Strat.ok());
   EXPECT_NE(Strat.error().find("unsatisfiable"), std::string::npos);
 }
 
 TEST(Portability, DotProductChainsCascadeOnBothFamilies) {
   ir::Function Fn = frontend::makeTensorDot(4, /*Rows=*/1);
+  obs::Sinks Sinks;
   for (const tdl::Target *T : {&tdl::ultrascale(), &tdl::stratix()}) {
-    Result<rasm::AsmProgram> Asm = isel::select(Fn, *T);
+    Result<rasm::AsmProgram> Asm =
+        isel::select(Fn, *T, nullptr, Sinks.context());
     ASSERT_TRUE(Asm.ok()) << T->name() << ": " << Asm.error();
     rasm::AsmProgram Prog = Asm.take();
     isel::CascadeStats Stats;
-    ASSERT_TRUE(isel::cascadePass(Prog, *T, 64, &Stats).ok());
+    ASSERT_TRUE(isel::cascadePass(Prog, *T, 64, &Stats, Sinks.context()).ok());
     EXPECT_EQ(Stats.Chains, 1u) << T->name();
     // Place on the family's own device and verify the constraints hold.
     const Device Dev = T == &tdl::ultrascale() ? Device::xczu3eg()
                                                : Device::stratixLike();
-    Result<rasm::AsmProgram> Placed = place::place(Prog, Dev);
+    Result<rasm::AsmProgram> Placed =
+        place::place(Prog, Dev, {}, nullptr, Sinks.context());
     ASSERT_TRUE(Placed.ok()) << T->name() << ": " << Placed.error();
     EXPECT_TRUE(place::checkPlacement(Prog, Placed.value(), Dev).ok());
     Result<timing::TimingReport> Timing =
-        timing::analyzeAsm(Placed.value(), *T, Dev);
+        timing::analyzeAsm(Placed.value(), *T, Dev, timing::DelayModel(),
+                           Sinks.context());
     ASSERT_TRUE(Timing.ok()) << Timing.error();
     EXPECT_GT(Timing.value().FmaxMhz, 0.0);
   }
@@ -124,8 +134,10 @@ TEST(Portability, SemanticsAgreeAcrossFamilies) {
   }
   Result<interp::Trace> Reference = interp::interpret(Fn, Input);
   ASSERT_TRUE(Reference.ok()) << Reference.error();
+  obs::Sinks Sinks;
   for (const tdl::Target *T : {&tdl::ultrascale(), &tdl::stratix()}) {
-    Result<rasm::AsmProgram> Asm = isel::select(Fn, *T);
+    Result<rasm::AsmProgram> Asm =
+        isel::select(Fn, *T, nullptr, Sinks.context());
     ASSERT_TRUE(Asm.ok()) << T->name() << ": " << Asm.error();
     Result<ir::Function> Lowered = rasm::toIr(Asm.value(), *T);
     ASSERT_TRUE(Lowered.ok()) << Lowered.error();

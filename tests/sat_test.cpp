@@ -65,7 +65,8 @@ bool bruteForce(uint32_t NumVars,
 } // namespace
 
 TEST(Sat, TrivialSat) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A = S.newVar();
   Var B = S.newVar();
   EXPECT_TRUE(S.addClause({Lit(A), Lit(B)}));
@@ -75,7 +76,8 @@ TEST(Sat, TrivialSat) {
 }
 
 TEST(Sat, TrivialUnsat) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A = S.newVar();
   EXPECT_TRUE(S.addUnit(Lit(A)));
   EXPECT_FALSE(S.addUnit(Lit(A, true)));
@@ -83,14 +85,16 @@ TEST(Sat, TrivialUnsat) {
 }
 
 TEST(Sat, EmptyClauseIsUnsat) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   S.newVar();
   EXPECT_FALSE(S.addClause({}));
   EXPECT_EQ(S.solve(), Outcome::Unsat);
 }
 
 TEST(Sat, TautologyIgnored) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A = S.newVar();
   EXPECT_TRUE(S.addClause({Lit(A), Lit(A, true)}));
   EXPECT_EQ(S.solve(), Outcome::Sat);
@@ -100,7 +104,8 @@ TEST(Sat, PigeonholeUnsat) {
   // 4 pigeons in 3 holes: classic small UNSAT instance that forces real
   // conflict analysis.
   constexpr unsigned Pigeons = 4, Holes = 3;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var P[Pigeons][Holes];
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -120,7 +125,8 @@ TEST(Sat, PigeonholeUnsat) {
 
 TEST(Sat, PigeonholeSatWhenEnoughHoles) {
   constexpr unsigned Pigeons = 4, Holes = 4;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<std::vector<Lit>> Clauses;
   Var P[Pigeons][Holes];
   for (unsigned I = 0; I < Pigeons; ++I)
@@ -144,7 +150,8 @@ TEST(Sat, PigeonholeSatWhenEnoughHoles) {
 
 TEST(Sat, ChainedImplications) {
   // x0 -> x1 -> ... -> x99, x0 forced true, then force !x99: UNSAT.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<Var> X;
   for (unsigned I = 0; I < 100; ++I)
     X.push_back(S.newVar());
@@ -153,7 +160,7 @@ TEST(Sat, ChainedImplications) {
   ASSERT_TRUE(S.addUnit(Lit(X[0])));
   EXPECT_EQ(S.solve(), Outcome::Sat);
   EXPECT_TRUE(S.value(X[99]));
-  Solver S2;
+  Solver S2(Sinks.context());
   std::vector<Var> Y;
   for (unsigned I = 0; I < 100; ++I)
     Y.push_back(S2.newVar());
@@ -182,7 +189,8 @@ TEST_P(SatRandomTest, AgreesWithBruteForce) {
     Clauses.push_back(std::move(Clause));
   }
 
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   for (uint32_t V = 0; V < NumVars; ++V)
     S.newVar();
   bool AddOk = true;
@@ -215,7 +223,8 @@ p cnf 3 3
   ASSERT_TRUE(C.ok()) << C.error();
   EXPECT_EQ(C.value().NumVars, 3u);
   EXPECT_EQ(C.value().Clauses.size(), 3u);
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ASSERT_TRUE(C.value().loadInto(S));
   ASSERT_EQ(S.solve(), Outcome::Sat);
   EXPECT_FALSE(S.value(0)); // -1 unit
@@ -264,7 +273,8 @@ TEST(Dimacs, RejectsMalformed) {
 }
 
 TEST(Sat, StatsArePopulated) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<Var> X;
   for (unsigned I = 0; I < 20; ++I)
     X.push_back(S.newVar());
@@ -283,7 +293,8 @@ TEST(Sat, StatsNonzeroAndMonotoneOnUnsat) {
   // Pigeonhole PHP(4,3) forces genuine conflict-driven search, so every
   // statistic of interest must move.
   constexpr unsigned Pigeons = 4, Holes = 3;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var P[Pigeons][Holes];
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -314,7 +325,8 @@ TEST(Sat, StatsNonzeroAndMonotoneOnUnsat) {
 }
 
 TEST(Sat, StatsNonzeroAndMonotoneOnSat) {
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<Var> X;
   for (unsigned I = 0; I < 20; ++I)
     X.push_back(S.newVar());
@@ -341,7 +353,8 @@ TEST(Sat, FailedAssumptionsYieldCore) {
   // Selector-style encoding: s1 forces x, s2 forces !x, s3 forces the
   // irrelevant y. Assuming all three is Unsat, and only s1 and s2 can be
   // responsible.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var S1 = S.newVar(), S2 = S.newVar(), S3 = S.newVar();
   Var X = S.newVar(), Y = S.newVar();
   ASSERT_TRUE(S.addBinary(Lit(S1, true), Lit(X)));
@@ -373,7 +386,8 @@ TEST(Sat, CoreIsUnsatisfiableAsUnitClauses) {
     ASSERT_TRUE(S.addBinary(Lit(A, true), Lit(X)));
     ASSERT_TRUE(S.addBinary(Lit(B, true), Lit(X, true)));
   };
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A, B, X;
   Build(S, A, B, X);
   ASSERT_EQ(S.solveWith({Lit(A), Lit(B)}), Outcome::Unsat);
@@ -382,7 +396,7 @@ TEST(Sat, CoreIsUnsatisfiableAsUnitClauses) {
 
   // Asserting the core as units must refute the formula, either already
   // at add time (root-level unit contradiction) or in the solver.
-  Solver Fresh;
+  Solver Fresh(Sinks.context());
   Var A2, B2, X2;
   Build(Fresh, A2, B2, X2);
   bool Contradicted = false;
@@ -397,7 +411,8 @@ TEST(Sat, CoreIsUnsatisfiableAsUnitClauses) {
 TEST(Sat, MinimizeCoreDropsRedundantAssumptions) {
   // a forces x, c forces !x; b constrains nothing. A seeded "core" of all
   // three must shrink to exactly {a, c}.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A = S.newVar(), B = S.newVar(), C = S.newVar(), X = S.newVar();
   ASSERT_TRUE(S.addBinary(Lit(A, true), Lit(X)));
   ASSERT_TRUE(S.addBinary(Lit(C, true), Lit(X, true)));
@@ -420,7 +435,8 @@ TEST(Sat, ProfileSurvivesBudgetExhaustion) {
   // back Unknown while still reporting the work it did — the shrink-probe
   // remarks depend on this.
   constexpr unsigned Pigeons = 4, Holes = 3;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var P[Pigeons][Holes];
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -449,7 +465,8 @@ TEST(Sat, ProfileSurvivesBudgetExhaustion) {
 
 TEST(Sat, LearnedClauseHistogramsFill) {
   constexpr unsigned Pigeons = 5, Holes = 4;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<std::vector<Var>> P(Pigeons, std::vector<Var>(Holes));
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -482,7 +499,8 @@ TEST(Sat, DeltaAccountingIsExactAcrossRepeatedSolves) {
   // One solver, four solves under different assumptions: the per-solve
   // deltas must partition the accumulated totals exactly — this is the
   // contract per-solve attribution on a reused solver rests on.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   Var A = S.newVar(), B = S.newVar(), C = S.newVar();
   ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
   ASSERT_TRUE(S.addClause({Lit(A, true), Lit(C)}));
@@ -513,7 +531,8 @@ TEST(Sat, DeltaAttributesUnknownToItsProbe) {
   // A budget-exhausted probe in the middle of a reused solver's life must
   // surface Unknowns=1 in ITS delta, not leak into neighbors.
   constexpr unsigned Pigeons = 7, Holes = 6;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   std::vector<std::vector<Var>> P(Pigeons, std::vector<Var>(Holes));
   for (unsigned I = 0; I < Pigeons; ++I)
     for (unsigned J = 0; J < Holes; ++J)
@@ -545,7 +564,8 @@ TEST(Sat, DeltaAttributesUnknownToItsProbe) {
 TEST(Sat, ProofWriterRecordsRefutation) {
   // The DRAT-style log of an UNSAT run ends in the empty clause and
   // carries every learnt addition in DIMACS notation.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ProofWriter Proof;
   S.setProof(&Proof);
   Var A = S.newVar(), B = S.newVar();
@@ -752,7 +772,8 @@ TEST(Sat, SearchTrajectoryIsPinned) {
   // runs long enough to restart and to reduce the learnt database. Any
   // change to these figures is a change of the search, which placement
   // results and --sat-proof logs depend on.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ProofWriter Proof;
   S.setProof(&Proof);
   std::vector<std::vector<Var>> P;
@@ -778,7 +799,8 @@ TEST(Sat, AssumptionSearchTrajectoryIsPinned) {
   // place pigeons 0 and 1 outright. Minimizing the full selector list
   // re-solves once per probe and must drop two of the nine.
   constexpr unsigned Pigeons = 7, Holes = 6, Extra = 2;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ProofWriter Proof;
   S.setProof(&Proof);
   std::vector<Lit> Sel;
@@ -811,7 +833,8 @@ TEST(Sat, RefutationProofIsRup) {
   // propagation, and the log ends by deriving the empty clause. The
   // checker is not vacuous: flipping the first literal of the 11th lemma
   // makes that lemma the first one rejected.
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ProofWriter Proof;
   S.setProof(&Proof);
   std::vector<std::vector<Var>> P;
@@ -843,7 +866,8 @@ TEST(Sat, AssumptionProofIsRup) {
   // implied clause of each failed-assumption core, every one RUP. The
   // formula is only unsatisfiable under assumptions, so no empty clause.
   constexpr unsigned Pigeons = 7, Holes = 6, Extra = 2;
-  Solver S;
+  obs::Sinks Sinks;
+  Solver S(Sinks.context());
   ProofWriter Proof;
   S.setProof(&Proof);
   std::vector<Lit> Sel;
@@ -885,7 +909,8 @@ TEST(Sat, ReserveIsOnlyACapacityHint) {
   for (const std::optional<Reservation> &R : Plain) {
     SCOPED_TRACE(R ? "plain, " + std::to_string(R->Vars) + " vars reserved"
                    : std::string("plain, no reservation"));
-    Solver S;
+    obs::Sinks Sinks;
+    Solver S(Sinks.context());
     if (R)
       S.reserve(R->Vars, R->Clauses, R->Literals);
     ProofWriter Proof;
@@ -916,7 +941,8 @@ TEST(Sat, ReserveIsOnlyACapacityHint) {
     SCOPED_TRACE(R ? "selectors, " + std::to_string(R->Vars) +
                          " vars reserved"
                    : std::string("selectors, no reservation"));
-    Solver S;
+    obs::Sinks Sinks;
+    Solver S(Sinks.context());
     if (R)
       S.reserve(R->Vars, R->Clauses, R->Literals);
     ProofWriter Proof;
@@ -960,7 +986,8 @@ TEST(Sat, WatchPoolRegrowsMidPropagation) {
   // without any reallocation.
   constexpr size_t N = 4096; // a power of two: the lists' blocks fit it
   auto Run = [](bool Reserve, std::vector<bool> &Model) {
-    Solver S;
+    obs::Sinks Sinks;
+    Solver S(Sinks.context());
     if (Reserve)
       S.reserve(2 * (N + 2), 2 * N, 6 * N);
     Var X = S.newVar(), Y = S.newVar();

@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Parser.h"
 #include "sim/Compile.h"
@@ -70,13 +71,15 @@ int main() {
   Trace Input = makeInput(Cycles);
 
   // Compile both program flavors once; all threads share them read-only.
-  Result<sim::Program> IrProg = sim::compile(Fn.value());
+  core::CompileSession Session;
+  Result<sim::Program> IrProg = sim::compile(Fn.value(), Session.context());
   if (!IrProg)
     return fail(IrProg.error().c_str());
 
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> Compiled = core::compile(Fn.value(), Options);
+  Result<core::CompileResult> Compiled =
+      core::compile(Fn.value(), Options, Session);
   if (!Compiled)
     return fail(Compiled.error().c_str());
   Result<sim::Program> NetProg = sim::compile(Compiled.value().Verilog);

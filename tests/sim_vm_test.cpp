@@ -18,6 +18,7 @@
 #include "sim/Vm.h"
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "interp/TraceIo.h"
 #include "interp/Wave.h"
@@ -137,16 +138,18 @@ void expectSharedPortsEqual(const WaveCapture &Ref, const WaveCapture &Got,
 /// every shared port signal.
 void checkVmParity(const ir::Function &Fn, const Trace &Input) {
   WaveCapture InterpWave;
+  core::CompileSession Session;
   Result<Trace> Expected =
-      interp::interpret(Fn, Input, &InterpWave, obs::defaultContext());
+      interp::interpret(Fn, Input, &InterpWave, Session.context());
   ASSERT_TRUE(Expected.ok()) << Expected.error();
 
-  Result<sim::Program> IrProg = sim::compile(Fn);
+  Result<sim::Program> IrProg = sim::compile(Fn, Session.context());
   ASSERT_TRUE(IrProg.ok()) << IrProg.error();
   EXPECT_EQ(IrProg.value().Source, "ir");
 
   WaveCapture VmIrWave;
-  Result<Trace> VmIr = sim::execute(IrProg.value(), Input, &VmIrWave);
+  Result<Trace> VmIr =
+      sim::execute(IrProg.value(), Input, &VmIrWave, Session.context());
   ASSERT_TRUE(VmIr.ok()) << VmIr.error() << "\n"
                          << sim::disassemble(IrProg.value());
   expectTracesEqual(Expected.value(), VmIr.value(), "vm-ir vs interp");
@@ -154,7 +157,7 @@ void checkVmParity(const ir::Function &Fn, const Trace &Input) {
 
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
   Result<sim::Program> NetProg = sim::compile(R.value().Verilog);
@@ -163,7 +166,8 @@ void checkVmParity(const ir::Function &Fn, const Trace &Input) {
   EXPECT_EQ(NetProg.value().Source, "netlist");
 
   WaveCapture VmNetWave;
-  Result<Trace> VmNet = sim::execute(NetProg.value(), Input, &VmNetWave);
+  Result<Trace> VmNet =
+      sim::execute(NetProg.value(), Input, &VmNetWave, Session.context());
   ASSERT_TRUE(VmNet.ok()) << VmNet.error() << "\n"
                           << sim::disassemble(NetProg.value());
   ASSERT_EQ(VmNet.value().size(), Expected.value().size());
@@ -295,15 +299,16 @@ TEST(SimVm, CompileIsDeterministic) {
       y:i8 = reg[0](t1, en) @??;
     }
   )");
-  Result<sim::Program> A = sim::compile(Fn);
-  Result<sim::Program> B = sim::compile(Fn);
+  core::CompileSession Session;
+  Result<sim::Program> A = sim::compile(Fn, Session.context());
+  Result<sim::Program> B = sim::compile(Fn, Session.context());
   ASSERT_TRUE(A.ok()) << A.error();
   ASSERT_TRUE(B.ok()) << B.error();
   EXPECT_EQ(A.value().encode(), B.value().encode());
 
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   Result<sim::Program> Na = sim::compile(R.value().Verilog);
   Result<sim::Program> Nb = sim::compile(R.value().Verilog);
@@ -323,7 +328,8 @@ TEST(SimVm, DisassembleAssembleRoundTrip) {
       y:i8 = reg[1](t, en) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  core::CompileSession Session;
+  Result<sim::Program> P = sim::compile(Fn, Session.context());
   ASSERT_TRUE(P.ok()) << P.error();
 
   std::string Text = sim::disassemble(P.value());
@@ -336,7 +342,7 @@ TEST(SimVm, DisassembleAssembleRoundTrip) {
 
   core::CompileOptions Options;
   Options.Dev = Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   Result<sim::Program> Np = sim::compile(R.value().Verilog);
   ASSERT_TRUE(Np.ok()) << Np.error();
@@ -565,10 +571,9 @@ TEST(SimVm, EmitterPeepholeShiftsDebugMarks) {
 }
 
 TEST(SimVm, EmitterCountsStaticOpcodeHistogram) {
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Coverage Cov;
-  obs::Context Ctx{&Telem, &Rem, &Cov};
+  obs::Sinks Sinks;
+  const obs::Context &Ctx = Sinks.context();
+  obs::Telemetry &Telem = Sinks.telemetry();
   ir::Function Fn = parseOk(R"(
     def mac(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {
       t0:i8 = mul(a, b) @??;
@@ -597,7 +602,8 @@ TEST(SimVm, SourceTableSurvivesAssembleRoundTrip) {
       y:i8 = reg[0](t1, en) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   EXPECT_FALSE(P.value().EvalSrc.empty());
   auto Has = [&](const char *Name) {
@@ -632,14 +638,16 @@ TEST(SimVm, ProfiledExecuteAttributesAndMatchesPlainRun) {
       y:i8 = reg[0](t1, en) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   Trace In = randomTrace(Fn, 20000, 9);
 
   Result<Trace> Plain = sim::execute(P.value(), In);
   ASSERT_TRUE(Plain.ok()) << Plain.error();
   sim::VmProfile Prof;
-  Result<Trace> Out = sim::execute(P.value(), In, Prof);
+  Result<Trace> Out =
+      sim::execute(P.value(), In, Prof, nullptr, Sinks.context());
   ASSERT_TRUE(Out.ok()) << Out.error();
   EXPECT_TRUE(Plain.value() == Out.value()) << "profiling changed the run";
 
@@ -677,7 +685,8 @@ TEST(SimVm, ProfiledExecuteFlushesOnAbort) {
       y:i8 = add(a, b) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   Trace In;
   interp::Step &S0 = In.appendStep();
@@ -687,7 +696,8 @@ TEST(SimVm, ProfiledExecuteFlushesOnAbort) {
   S1["a"] = Value::splat(ir::Type::makeInt(8), 3); // "b" missing: abort
 
   sim::VmProfile Prof;
-  Result<Trace> Out = sim::execute(P.value(), In, Prof);
+  Result<Trace> Out =
+      sim::execute(P.value(), In, Prof, nullptr, Sinks.context());
   ASSERT_FALSE(Out.ok());
   EXPECT_TRUE(Prof.Aborted);
   EXPECT_EQ(Prof.Cycles, 1u) << "one cycle completed before the abort";
@@ -700,7 +710,8 @@ TEST(SimVm, MissingInputReportsCycle) {
       y:i8 = add(a, b) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   Trace Input;
   interp::Step &S = Input.appendStep();
@@ -725,7 +736,8 @@ TEST(SimVm, TypeMismatchMatchesInterpMessage) {
   Result<Trace> FromInterp = interp::interpret(Fn, Input);
   ASSERT_FALSE(FromInterp.ok());
 
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   Result<Trace> FromVm = sim::execute(P.value(), Input);
   ASSERT_FALSE(FromVm.ok());
@@ -785,7 +797,8 @@ TEST(SimVm, ProgramCountsMatchMetadata) {
       y:i8 = reg[0](t1, en) @??;
     }
   )");
-  Result<sim::Program> P = sim::compile(Fn);
+  obs::Sinks Sinks;
+  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
   ASSERT_TRUE(P.ok()) << P.error();
   const sim::Program &Prog = P.value();
   EXPECT_EQ(Prog.Inputs.size(), 4u);

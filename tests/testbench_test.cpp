@@ -7,6 +7,7 @@
 #include "codegen/Testbench.h"
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Parser.h"
 
@@ -47,7 +48,8 @@ MacSetup makeMacSetup() {
   S.Expected = Out.take();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn.value(), Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn.value(), Options, Session);
   EXPECT_TRUE(R.ok()) << R.error();
   S.Compiled = R.take();
   return S;
@@ -104,7 +106,8 @@ TEST(Testbench, VectorPortsUseFlattenedLiterals) {
   ASSERT_TRUE(Expected.ok()) << Expected.error();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn.value(), Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> R = core::compile(Fn.value(), Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   Result<std::string> Tb =
       codegen::emitTestbench(R.value().Verilog, Input, Expected.value());

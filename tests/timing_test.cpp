@@ -23,9 +23,12 @@ TimingReport analyzeSource(const char *Source,
                            const Device &Dev = Device::small()) {
   Result<AsmProgram> P = rasm::parseAsmProgram(Source);
   EXPECT_TRUE(P.ok()) << P.error();
-  Result<AsmProgram> Placed = place::place(P.value(), Dev);
+  obs::Sinks Sinks;
+  Result<AsmProgram> Placed =
+      place::place(P.value(), Dev, {}, nullptr, Sinks.context());
   EXPECT_TRUE(Placed.ok()) << Placed.error();
-  Result<TimingReport> R = analyzeAsm(Placed.value(), tdl::ultrascale(), Dev);
+  Result<TimingReport> R = analyzeAsm(Placed.value(), tdl::ultrascale(), Dev,
+                                      DelayModel(), Sinks.context());
   EXPECT_TRUE(R.ok()) << R.error();
   return R.take();
 }

@@ -37,7 +37,8 @@ TEST(ToIr, ExpandsMulAddAndInterprets) {
   )");
   Result<ir::Function> Fn = toIr(P, tdl::ultrascale());
   ASSERT_TRUE(Fn.ok()) << Fn.error();
-  Status S = ir::verify(Fn.value());
+  obs::Sinks Sinks;
+  Status S = ir::verify(Fn.value(), Sinks.context());
   ASSERT_TRUE(S.ok()) << S.error();
 
   Trace Input;

@@ -7,6 +7,7 @@
 #include "opt/Transforms.h"
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "interp/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
@@ -59,9 +60,10 @@ TEST(Dce, RemovesUnreachableInstructions) {
       y:i8 = id(a);
     }
   )");
-  EXPECT_EQ(deadCodeElim(Fn), 2u);
+  obs::Sinks Sinks;
+  EXPECT_EQ(deadCodeElim(Fn, Sinks.context()), 2u);
   EXPECT_EQ(Fn.body().size(), 1u);
-  EXPECT_TRUE(ir::verify(Fn).ok());
+  EXPECT_TRUE(ir::verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Dce, KeepsRegisterFeedbackLoops) {
@@ -72,7 +74,8 @@ TEST(Dce, KeepsRegisterFeedbackLoops) {
       t3:i8 = reg[0](t2, en) @??;
     }
   )");
-  EXPECT_EQ(deadCodeElim(Fn), 0u);
+  obs::Sinks Sinks;
+  EXPECT_EQ(deadCodeElim(Fn, Sinks.context()), 0u);
   EXPECT_EQ(Fn.body().size(), 3u);
 }
 
@@ -85,8 +88,9 @@ TEST(ConstFold, EvaluatesConstantSubexpressions) {
       t2:i8 = add(t0, t1) @??;
     }
   )");
-  EXPECT_GE(constantFold(Fn), 2u);
-  deadCodeElim(Fn);
+  obs::Sinks Sinks;
+  EXPECT_GE(constantFold(Fn, Sinks.context()), 2u);
+  deadCodeElim(Fn, Sinks.context());
   ASSERT_EQ(Fn.body().size(), 1u);
   EXPECT_EQ(Fn.body()[0].wireOp(), ir::WireOp::Const);
   EXPECT_EQ(Fn.body()[0].attrs()[0], 15);
@@ -103,7 +107,8 @@ TEST(ConstFold, AppliesIdentities) {
       w:i8 = mux(t, a, b) @??;
     }
   )");
-  EXPECT_GE(constantFold(Fn), 3u);
+  obs::Sinks Sinks;
+  EXPECT_GE(constantFold(Fn, Sinks.context()), 3u);
   for (const ir::Instr &I : Fn.body())
     EXPECT_FALSE(I.isComp()) << I.str();
   // Semantics preserved.
@@ -128,7 +133,8 @@ TEST(ConstFold, MulByZeroBecomesConstant) {
       y:i8 = mul(a, zero) @??;
     }
   )");
-  EXPECT_GE(constantFold(Fn), 1u);
+  obs::Sinks Sinks;
+  EXPECT_GE(constantFold(Fn, Sinks.context()), 1u);
   EXPECT_TRUE(Fn.findDef("y")->isWire());
 }
 
@@ -143,8 +149,9 @@ TEST(Vectorize, CombinesFourIndependentAdds) {
     }
   )");
   Trace Before = runRandom(Fn, 5);
-  EXPECT_EQ(vectorize(Fn), 1u);
-  Status S = ir::verify(Fn);
+  obs::Sinks Sinks;
+  EXPECT_EQ(vectorize(Fn, 4, Sinks.context()), 1u);
+  Status S = ir::verify(Fn, Sinks.context());
   ASSERT_TRUE(S.ok()) << S.error() << "\n" << Fn.str();
   // One vector add remains; everything else is wiring.
   unsigned CompCount = 0;
@@ -165,7 +172,8 @@ TEST(Vectorize, RespectsDependences) {
       y1:i8 = add(y0, b) @??;
     }
   )");
-  EXPECT_EQ(vectorize(Fn, 2), 0u);
+  obs::Sinks Sinks;
+  EXPECT_EQ(vectorize(Fn, 2, Sinks.context()), 0u);
 }
 
 TEST(Vectorize, GroupsRegistersWithSharedEnable) {
@@ -180,8 +188,9 @@ TEST(Vectorize, GroupsRegistersWithSharedEnable) {
     }
   )");
   Trace Before = runRandom(Fn, 6);
-  EXPECT_EQ(vectorize(Fn), 1u);
-  ASSERT_TRUE(ir::verify(Fn).ok()) << Fn.str();
+  obs::Sinks Sinks;
+  EXPECT_EQ(vectorize(Fn, 4, Sinks.context()), 1u);
+  ASSERT_TRUE(ir::verify(Fn, Sinks.context()).ok()) << Fn.str();
   EXPECT_EQ(runRandom(Fn, 6), Before);
   // The differently-enabled register stays scalar.
   const ir::Instr *Z = Fn.findDef("z");
@@ -201,7 +210,8 @@ TEST(Vectorize, MixedOpsDoNotMerge) {
       y1:i8 = sub(a, b) @??;
     }
   )");
-  EXPECT_EQ(vectorize(Fn, 2), 0u);
+  obs::Sinks Sinks;
+  EXPECT_EQ(vectorize(Fn, 2, Sinks.context()), 0u);
 }
 
 TEST(Vectorize, EnablesDspSimdSelection) {
@@ -220,14 +230,15 @@ TEST(Vectorize, EnablesDspSimdSelection) {
   Options.Dev = device::Device::small();
 
   Function Scalar = parseOk(Source);
-  Result<core::CompileResult> A = core::compile(Scalar, Options);
+  core::CompileSession Session;
+  Result<core::CompileResult> A = core::compile(Scalar, Options, Session);
   ASSERT_TRUE(A.ok()) << A.error();
   EXPECT_EQ(A.value().Util.Dsps, 0u);
   EXPECT_EQ(A.value().Util.Luts, 32u);
 
   Function Vector = parseOk(Source);
-  vectorize(Vector);
-  Result<core::CompileResult> B = core::compile(Vector, Options);
+  vectorize(Vector, 4, Session.context());
+  Result<core::CompileResult> B = core::compile(Vector, Options, Session);
   ASSERT_TRUE(B.ok()) << B.error();
   EXPECT_EQ(B.value().Util.Dsps, 1u);
   EXPECT_EQ(B.value().Util.Luts, 0u);
@@ -256,10 +267,11 @@ TEST_P(VectorizeRandom, PreservesSemantics) {
     Fn.addInstr(ir::Instr::makeComp(Dst, I8, Op, {A, B}));
     Fn.addOutput(Dst, I8);
   }
-  ASSERT_TRUE(ir::verify(Fn).ok());
+  obs::Sinks Sinks;
+  ASSERT_TRUE(ir::verify(Fn, Sinks.context()).ok());
   Trace Before = runRandom(Fn, GetParam() + 100);
-  vectorize(Fn);
-  ASSERT_TRUE(ir::verify(Fn).ok()) << Fn.str();
+  vectorize(Fn, 4, Sinks.context());
+  ASSERT_TRUE(ir::verify(Fn, Sinks.context()).ok()) << Fn.str();
   EXPECT_EQ(runRandom(Fn, GetParam() + 100), Before);
 }
 

@@ -154,14 +154,16 @@ TEST_P(TranslationValidation, SelectionPreservesSemantics) {
   std::mt19937 Rng(GetParam() * 7919 + 13);
   unsigned NumInstrs = 4 + GetParam() % 20;
   Function Fn = randomProgram(Rng, NumInstrs);
-  ASSERT_TRUE(ir::verify(Fn).ok()) << Fn.str();
+  obs::Sinks Sinks;
+  ASSERT_TRUE(ir::verify(Fn, Sinks.context()).ok()) << Fn.str();
 
-  Result<rasm::AsmProgram> Asm = isel::select(Fn, tdl::ultrascale());
+  Result<rasm::AsmProgram> Asm =
+      isel::select(Fn, tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(Asm.ok()) << Asm.error() << "\n" << Fn.str();
 
   Result<ir::Function> Lowered = rasm::toIr(Asm.value(), tdl::ultrascale());
   ASSERT_TRUE(Lowered.ok()) << Lowered.error() << "\n" << Asm.value().str();
-  ASSERT_TRUE(ir::verify(Lowered.value()).ok())
+  ASSERT_TRUE(ir::verify(Lowered.value(), Sinks.context()).ok())
       << Lowered.value().str();
 
   Trace Input = randomTrace(Rng, Fn, 6);
@@ -204,11 +206,14 @@ TEST(TranslationValidationCascade, CascadePreservesSemantics) {
   Result<Function> Fn = ir::parseFunction(Source);
   ASSERT_TRUE(Fn.ok()) << Fn.error();
 
-  Result<rasm::AsmProgram> Asm = isel::select(Fn.value(), tdl::ultrascale());
+  obs::Sinks Sinks;
+  Result<rasm::AsmProgram> Asm =
+      isel::select(Fn.value(), tdl::ultrascale(), nullptr, Sinks.context());
   ASSERT_TRUE(Asm.ok()) << Asm.error();
   rasm::AsmProgram Prog = Asm.take();
   isel::CascadeStats Stats;
-  ASSERT_TRUE(isel::cascadePass(Prog, tdl::ultrascale(), 64, &Stats).ok());
+  ASSERT_TRUE(isel::cascadePass(Prog, tdl::ultrascale(), 64, &Stats,
+                                Sinks.context()).ok());
   EXPECT_GE(Stats.Rewritten, 2u);
 
   Result<ir::Function> Lowered = rasm::toIr(Prog, tdl::ultrascale());

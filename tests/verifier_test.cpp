@@ -32,7 +32,8 @@ TEST(Verifier, AcceptsPaperFigure12b) {
       t3:i8 = reg[0](t2, t0) @??;
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   EXPECT_TRUE(S.ok()) << S.error();
 }
 
@@ -44,7 +45,8 @@ TEST(Verifier, RejectsPaperFigure12a) {
       t1:i8 = add(t1, t0) @??;
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.error().find("combinational cycle"), std::string::npos);
 }
@@ -57,12 +59,14 @@ TEST(Verifier, RejectsLongerCombinationalCycle) {
       y:i8 = add(t1, a) @??;
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, RejectsUndefinedVariable) {
   Function Fn = parseOk("def f(a:i8) -> (y:i8) { y:i8 = add(a, ghost) @??; }");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.error().find("undefined variable"), std::string::npos);
 }
@@ -74,26 +78,30 @@ TEST(Verifier, RejectsDuplicateDefinition) {
       y:i8 = add(a, a) @??;
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.error().find("multiple definitions"), std::string::npos);
 }
 
 TEST(Verifier, RejectsShadowedInput) {
   Function Fn = parseOk("def f(a:i8) -> (a:i8) { a:i8 = const[1]; }");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, RejectsUndefinedOutput) {
   Function Fn = parseOk("def f(a:i8) -> (y:i8) { t0:i8 = id(a); }");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.error().find("never defined"), std::string::npos);
 }
 
 TEST(Verifier, RejectsOutputTypeMismatch) {
   Function Fn = parseOk("def f(a:i8) -> (y:i16) { y:i8 = id(a); }");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, OutputMayBeAnInput) {
@@ -102,7 +110,8 @@ TEST(Verifier, OutputMayBeAnInput) {
       y:i8 = id(a);
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   EXPECT_TRUE(S.ok()) << S.error();
 }
 
@@ -112,7 +121,8 @@ TEST(Verifier, TypeChecksArithmetic) {
       y:i8 = add(a, b) @??;
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   ASSERT_FALSE(S.ok());
   EXPECT_NE(S.error().find("argument type"), std::string::npos);
 }
@@ -123,7 +133,8 @@ TEST(Verifier, RejectsArithmeticOnBool) {
       y:bool = add(a, b) @??;
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, AllowsBitwiseOnBool) {
@@ -132,7 +143,8 @@ TEST(Verifier, AllowsBitwiseOnBool) {
       y:bool = and(a, b) @??;
     }
   )");
-  Status S = verify(Fn);
+  obs::Sinks Sinks;
+  Status S = verify(Fn, Sinks.context());
   EXPECT_TRUE(S.ok()) << S.error();
 }
 
@@ -142,7 +154,8 @@ TEST(Verifier, ComparisonRequiresBoolResult) {
       y:i8 = lt(a, b) @??;
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, MuxConditionMustBeBool) {
@@ -151,7 +164,8 @@ TEST(Verifier, MuxConditionMustBeBool) {
       y:i8 = mux(c, a, b) @??;
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, RegEnableMustBeBool) {
@@ -160,19 +174,22 @@ TEST(Verifier, RegEnableMustBeBool) {
       y:i8 = reg[0](a, en) @??;
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, ShiftAmountRange) {
   Function Fn = parseOk("def f(a:i8) -> (y:i8) { y:i8 = sll[8](a); }");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
 }
 
 TEST(Verifier, SliceBounds) {
   Function Fn = parseOk("def f(a:i16) -> (y:i8) { y:i8 = slice[9](a); }");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
   Function Ok = parseOk("def f(a:i16) -> (y:i8) { y:i8 = slice[8](a); }");
-  EXPECT_TRUE(verify(Ok).ok());
+  EXPECT_TRUE(verify(Ok, Sinks.context()).ok());
 }
 
 TEST(Verifier, CatBitWidths) {
@@ -181,23 +198,25 @@ TEST(Verifier, CatBitWidths) {
       y:i8 = cat(a, b);
     }
   )");
-  EXPECT_FALSE(verify(Fn).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Fn, Sinks.context()).ok());
   Function Ok = parseOk(R"(
     def f(a:i8, b:i8) -> (y:i8<2>) {
       y:i8<2> = cat(a, b);
     }
   )");
-  EXPECT_TRUE(verify(Ok).ok());
+  EXPECT_TRUE(verify(Ok, Sinks.context()).ok());
 }
 
 TEST(Verifier, VectorConstLaneCount) {
   Function Bad = parseOk("def f() -> (y:i8<4>) { y:i8<4> = const[1, 2]; }");
-  EXPECT_FALSE(verify(Bad).ok());
+  obs::Sinks Sinks;
+  EXPECT_FALSE(verify(Bad, Sinks.context()).ok());
   Function Splat = parseOk("def f() -> (y:i8<4>) { y:i8<4> = const[7]; }");
-  EXPECT_TRUE(verify(Splat).ok());
+  EXPECT_TRUE(verify(Splat, Sinks.context()).ok());
   Function Full =
       parseOk("def f() -> (y:i8<4>) { y:i8<4> = const[1, 2, 3, 4]; }");
-  EXPECT_TRUE(verify(Full).ok());
+  EXPECT_TRUE(verify(Full, Sinks.context()).ok());
 }
 
 TEST(Verifier, TopoOrderRespectsDependencies) {
@@ -208,7 +227,8 @@ TEST(Verifier, TopoOrderRespectsDependencies) {
       t0:i8 = id(a);
     }
   )");
-  Result<std::vector<size_t>> Order = topoOrder(Fn);
+  obs::Sinks Sinks;
+  Result<std::vector<size_t>> Order = topoOrder(Fn, Sinks.context());
   ASSERT_TRUE(Order.ok()) << Order.error();
   // t0 (index 2) must precede t1 (index 1), which must precede y (index 0).
   std::vector<size_t> Position(3);

@@ -17,6 +17,7 @@
 #include "interp/Wave.h"
 
 #include "core/Compiler.h"
+#include "core/Session.h"
 #include "core/Stats.h"
 #include "interp/Interp.h"
 #include "interp/TraceIo.h"
@@ -138,9 +139,8 @@ TEST(WaveBits, PackBitsMatchesTheWordLayout) {
 //===----------------------------------------------------------------------===//
 
 TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Context Ctx{&Telem, &Rem};
+  obs::Sinks Sinks;
+  const obs::Context &Ctx = Sinks.context();
   WaveCapture Cap;
   WaveRecorder Rec(&Cap, Ctx);
   EXPECT_TRUE(Rec.active());
@@ -173,7 +173,8 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
 
 TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
   WaveCapture Cap;
-  WaveRecorder Rec(&Cap, obs::defaultContext());
+  obs::Sinks Sinks;
+  WaveRecorder Rec(&Cap, Sinks.context());
   ASSERT_TRUE(Rec.begin({WaveSignal("w", 4)}).ok());
   Rec.cycle(0);
   Rec.recordBits(0, {true}); // short: padded to 4 bits
@@ -190,9 +191,8 @@ TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
 }
 
 TEST(WaveRecorder, CountsLandAtDestructionWithoutFinish) {
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Context Ctx{&Telem, &Rem};
+  obs::Sinks Sinks;
+  const obs::Context &Ctx = Sinks.context();
   WaveCapture Cap;
   {
     WaveRecorder Rec(&Cap, Ctx);
@@ -208,9 +208,8 @@ TEST(WaveRecorder, CountsLandAtDestructionWithoutFinish) {
 }
 
 TEST(WaveRecorder, NullSinkIsInert) {
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Context Ctx{&Telem, &Rem};
+  obs::Sinks Sinks;
+  const obs::Context &Ctx = Sinks.context();
   WaveRecorder Rec(nullptr, Ctx);
   EXPECT_FALSE(Rec.active());
   ASSERT_TRUE(Rec.begin({WaveSignal("a", 1)}).ok());
@@ -669,7 +668,8 @@ TEST(WaveEngines, InterpreterStreamsPortsAndInternals) {
   ir::Function Fn = parseOk(MacSource);
   Trace In = macTrace();
   WaveCapture Cap;
-  Result<Trace> Out = interp::interpret(Fn, In, &Cap, obs::defaultContext());
+  obs::Sinks Sinks;
+  Result<Trace> Out = interp::interpret(Fn, In, &Cap, Sinks.context());
   ASSERT_TRUE(Out.ok()) << Out.error();
 
   ASSERT_TRUE(Cap.finished());
@@ -698,7 +698,8 @@ TEST(WaveEngines, InterpreterAbortFlushesTruncatedCapture) {
   Trace In = macTrace();
   In.steps()[2].erase("b"); // starve cycle 2
   WaveCapture Cap;
-  Result<Trace> Out = interp::interpret(Fn, In, &Cap, obs::defaultContext());
+  obs::Sinks Sinks;
+  Result<Trace> Out = interp::interpret(Fn, In, &Cap, Sinks.context());
   ASSERT_FALSE(Out.ok());
   EXPECT_NE(Out.error().find("cycle 2"), std::string::npos);
   // The sink was finished (aborted) and holds the completed cycles.
@@ -717,18 +718,20 @@ TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
   ir::Function Fn = parseOk(MacSource);
   Trace In = macTrace();
 
+  core::CompileSession Session;
   WaveCapture InterpCap;
-  Result<Trace> Ref = interp::interpret(Fn, In, &InterpCap, obs::defaultContext());
+  Result<Trace> Ref = interp::interpret(Fn, In, &InterpCap, Session.context());
   ASSERT_TRUE(Ref.ok()) << Ref.error();
 
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
   Result<sim::Program> Net = sim::compile(R.value().Verilog);
   ASSERT_TRUE(Net.ok()) << Net.error();
   WaveCapture NetCap;
-  Result<Trace> Got = sim::execute(Net.value(), In, &NetCap);
+  Result<Trace> Got =
+      sim::execute(Net.value(), In, &NetCap, Session.context());
   ASSERT_TRUE(Got.ok()) << Got.error();
 
   ASSERT_EQ(NetCap.cycles(), InterpCap.cycles());
@@ -763,19 +766,16 @@ TEST(WaveStats, SimSectionReflectsTheRun) {
   ir::Function Fn = parseOk(MacSource);
   Trace In = macTrace();
 
-  obs::Telemetry Telem;
-  obs::RemarkStream Rem;
-  obs::Coverage Cov;
-  obs::Context Ctx{&Telem, &Rem, &Cov};
+  core::CompileSession Session;
   WaveCapture Cap;
-  ASSERT_TRUE(interp::interpret(Fn, In, &Cap, Ctx).ok());
+  ASSERT_TRUE(interp::interpret(Fn, In, &Cap, Session.context()).ok());
 
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Result<core::CompileResult> R = core::compile(Fn, Options);
+  Result<core::CompileResult> R = core::compile(Fn, Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
-  Json Doc = core::statsJson(R.value(), "mac.ret", Ctx);
+  Json Doc = core::statsJson(R.value(), "mac.ret", Session.context());
   const Json *Sim = Doc.find("sim");
   ASSERT_NE(Sim, nullptr);
   // The section always exists with the full shape.

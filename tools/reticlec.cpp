@@ -357,9 +357,13 @@ int runSingle(const DriverArgs &Args) {
     if (!Fn)
       return compileError(InputPath + ": " + Fn.error());
     if (Args.Options.Optimize) {
-      unsigned Folded = opt::constantFold(Fn.value());
-      unsigned Dead = opt::deadCodeElim(Fn.value());
-      unsigned Vectors = opt::vectorize(Fn.value());
+      // No observability artifact covers this path; the session only
+      // receives what the passes record.
+      core::CompileSession Session;
+      const obs::Context &Ctx = Session.context();
+      unsigned Folded = opt::constantFold(Fn.value(), Ctx);
+      unsigned Dead = opt::deadCodeElim(Fn.value(), Ctx);
+      unsigned Vectors = opt::vectorize(Fn.value(), 4, Ctx);
       if (Args.Stats)
         std::fprintf(stderr,
                      "opt: folded %u, removed %u dead, formed %u vector "
