@@ -18,7 +18,8 @@
 # malformed-input diagnostics of the lexer and the DIMACS reader, the
 # SAT solver's clause arena and watcher pool under placement (with
 # proof logs), and json_check's diff presets over valid and malformed
-# inputs. Run from anywhere; builds into
+# inputs, and a failing compile that writes every artifact a failure
+# flushes. Run from anywhere; builds into
 # <repo>/build (plus build-tsan/ and build-asan/ siblings).
 set -eu
 
@@ -65,9 +66,7 @@ grep -q "</svg>" "$out/plan.svg"
 echo "== remark determinism (remark_diff on two identical runs) =="
 "$build/tools/reticlec" --device=small --emit=placed \
     --remarks-json="$out/remarks-b.jsonl" \
-    --floorplan-timeline="$out/timeline.svg" \
     "$repo/examples/programs/mac.ret"
-grep -q "</svg>" "$out/timeline.svg"
 "$build/tools/reticlec" --device=small --emit=placed \
     --remarks-json="$out/remarks-a.jsonl" \
     "$repo/examples/programs/mac.ret"
@@ -276,9 +275,9 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # reproduce their byte-identity goldens (tests/goldens/observed), and
 # not_bool.ret's --sim=both run must agree across the three engines.
 # The gate-level tests run every LUT INIT, CARRY8 and DSP48E2 shape the
-# code generator emits through the vm-netlist lowering. The lexer,
-# bytecode-assembler and DIMACS tests feed out-of-range and malformed
-# numeric literals, which must come back as diagnostics. The SAT solver
+# code generator emits through the vm-netlist lowering. The lexer and
+# DIMACS tests feed out-of-range and malformed numeric literals, which
+# must come back as diagnostics. The SAT solver
 # hands out pointers into two growing buffers: the clause arena, which
 # holds every clause's literals, and the watcher pool, which holds every
 # literal's watch list. A pointer kept across either buffer's growth, or
@@ -291,7 +290,11 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # shrink probes as fresh solves. Three proof compiles drive both buffers
 # under proof logging: fsm_shrink.ret on the small device, fsm_42.ret on
 # the default device (86k variables) and mixed_chains.ret on the small
-# device each solve once inside their lower-bound box. json_check reads every
+# device each solve once inside their lower-bound box. An infeasible
+# compile on the tiny device runs the driver's artifact writer down its
+# failure path: it must exit 1 and still write the snapshots of the
+# stages before placement, the remarks, the trace, the folded stacks and
+# the coverage doc. json_check reads every
 # artifact through one reader into keyed rows for one join: each diff
 # preset runs over this section's artifacts (wide-wire waves of the
 # interpreter and vm-netlist, the mac remark golden against a live
@@ -330,6 +333,27 @@ test -s "$out/fsm_42.asan.proof"
     -o "$out/mixed_chains.asan.rasm" \
     "$repo/tests/inputs/mixed_chains.ret"
 test -s "$out/mixed_chains.asan.proof"
+if "$repo/build-asan/tools/reticlec" --device=tiny \
+    --dump-after-all="$out/infeasible.asan.stages" \
+    --remarks-json="$out/infeasible.asan.remarks.jsonl" \
+    --trace="$out/infeasible.asan.trace.json" \
+    --profile-folded="$out/infeasible.asan.folded" \
+    --coverage="$out/infeasible.asan.coverage.json" \
+    "$repo/tests/inputs/infeasible_tiny.ret" 2> "$out/infeasible.asan.err"
+then rc=0; else rc=$?; fi
+# A sanitizer report also exits 1, so the stderr must hold only the
+# compile error.
+if [ "$rc" -ne 1 ] || grep -q "Sanitizer\|runtime error" "$out/infeasible.asan.err"; then
+    cat "$out/infeasible.asan.err"
+    echo "infeasible_tiny.ret: exit $rc, expected 1 with no sanitizer report"
+    exit 1
+fi
+for f in infeasible.asan.stages/manifest.json \
+    infeasible.asan.stages/03-cascade.rasm infeasible.asan.remarks.jsonl \
+    infeasible.asan.trace.json infeasible.asan.folded \
+    infeasible.asan.coverage.json; do
+    test -s "$out/$f"
+done
 (cd "$repo/tests/inputs" && "$repo/build-asan/tools/reticlec" \
     --device=small --run=wide_wires.trace.json --sim=both \
     --vcd="$out/observed.wide_wires.vcd" \

@@ -61,21 +61,6 @@ struct CompileOptions {
   bool SatProof = false;
   /// Run static timing analysis on the placed result.
   bool Timing = true;
-  /// Pass names forced off by the driver (`--disable-pass=`). Only
-  /// optional stages may be disabled — validate against
-  /// core::isPassDisableable() before populating; Pipeline::run simply
-  /// skips any listed pass.
-  std::vector<std::string> DisabledPasses;
-  /// When nonempty, Pipeline::run prints the current program text to
-  /// stderr immediately before this pass runs (`--print-before=`).
-  std::string PrintBefore;
-
-  bool isPassDisabled(std::string_view Name) const {
-    for (const std::string &P : DisabledPasses)
-      if (P == Name)
-        return true;
-    return false;
-  }
 };
 
 /// Wall-clock spent in each pass, in milliseconds. One record per

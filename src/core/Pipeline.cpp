@@ -12,7 +12,6 @@
 #include "sat/Solver.h"
 
 #include <chrono>
-#include <cstdio>
 
 using namespace reticle;
 using namespace reticle::core;
@@ -233,25 +232,10 @@ public:
 
 Status Pipeline::run(CompileState &State, CompileSession &Session,
                      const CompileOptions &Options) const {
-  // The most recent pass with program text of its own; its snapshotText
-  // over the current state is what `--print-before` shows for the next
-  // stage (later passes never mutate the fields earlier snapshots read).
-  const Pass *LastWithText = nullptr;
   for (const std::unique_ptr<Pass> &P : Passes) {
-    for (const Hook &H : Before)
-      H(*P, State, Session);
-    if (!Options.PrintBefore.empty() && Options.PrintBefore == P->name()) {
-      std::string Text = LastWithText ? LastWithText->snapshotText(State)
-                         : State.Fn  ? State.Fn->str()
-                                     : State.Source;
-      std::fprintf(stderr, "; %s: before %s\n%s", State.Name.c_str(),
-                   P->name(), Text.c_str());
-      if (Text.empty() || Text.back() != '\n')
-        std::fputc('\n', stderr);
-    }
     auto Start = std::chrono::steady_clock::now();
     Status Outcome = Status::success();
-    bool Ran = P->enabled(Options) && !Options.isPassDisabled(P->name());
+    bool Ran = P->enabled(Options);
     if (Ran) {
       obs::Span Sp(Session.context(), P->spanName());
       Outcome = P->run(State, Session, Options);
@@ -272,14 +256,10 @@ Status Pipeline::run(CompileState &State, CompileSession &Session,
     if (Outcome && Session.capturingSnapshots())
       if (const char *Format = P->snapshotFormat())
         Session.snapshots().add(P->name(), Format, P->snapshotText(State));
-    if (!Outcome)
+    if (!Outcome) {
       Session.diagnose(P->name(), Outcome.error());
-    if (P->snapshotFormat())
-      LastWithText = P.get();
-    for (const Hook &H : After)
-      H(*P, State, Session);
-    if (!Outcome)
       return Outcome;
+    }
   }
   return Status::success();
 }
@@ -301,14 +281,4 @@ Pipeline reticle::core::buildPipeline(const CompileOptions &Options,
   P.add(std::make_unique<CodegenPass>());
   P.add(std::make_unique<TimingPass>());
   return P;
-}
-
-const std::vector<std::string> &reticle::core::pipelinePassNames() {
-  static const std::vector<std::string> Names = {
-      "parse", "opt", "isel", "cascade", "place", "codegen", "timing"};
-  return Names;
-}
-
-bool reticle::core::isPassDisableable(std::string_view Name) {
-  return Name == "opt" || Name == "cascade" || Name == "timing";
 }

@@ -13,9 +13,9 @@
 /// enable it, which StageTimings slot it fills, and what program text to
 /// snapshot after it runs. Pipeline::run provides the one mechanism every
 /// observability feature hangs off: it opens the span, times the pass,
-/// records the snapshot, files a session diagnostic on failure, and fires
-/// the registered before/after hooks around every pass. `--dump-after`,
-/// remarks, and traces all attach here rather than inside the stages.
+/// records the snapshot, and files a session diagnostic on failure.
+/// `--dump-after`, remarks, and traces all attach here rather than inside
+/// the stages.
 ///
 /// A snapshot is recorded even for a pass the options disable (the text is
 /// simply unchanged), so a snapshot directory always lists the same stages
@@ -30,7 +30,6 @@
 #include "core/Session.h"
 #include "obs/Telemetry.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -85,20 +84,10 @@ public:
 /// An ordered list of passes with uniform instrumentation.
 class Pipeline {
 public:
-  /// Observes a pass from outside. Before-hooks fire ahead of the span
-  /// and timer; after-hooks fire once the pass's snapshot and timing slot
-  /// are recorded (including for skipped passes, and for a failed pass
-  /// just before run() returns its error).
-  using Hook = std::function<void(const Pass &, const CompileState &,
-                                  CompileSession &)>;
-
   Pipeline &add(std::unique_ptr<Pass> P) {
     Passes.push_back(std::move(P));
     return *this;
   }
-  void beforeEach(Hook H) { Before.push_back(std::move(H)); }
-  void afterEach(Hook H) { After.push_back(std::move(H)); }
-  const std::vector<std::unique_ptr<Pass>> &passes() const { return Passes; }
 
   /// Runs every pass in order. Stops at the first failure, after filing
   /// it as a session diagnostic under the failing pass's name.
@@ -107,8 +96,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<Pass>> Passes;
-  std::vector<Hook> Before;
-  std::vector<Hook> After;
 };
 
 /// Builds the standard Figure-7 pipeline. With \p FromSource the pipeline
@@ -117,15 +104,6 @@ private:
 /// only when Options.Optimize asks for it — keeping the legacy
 /// compile(Fn) stage list (isel, cascade, place, codegen) intact.
 Pipeline buildPipeline(const CompileOptions &Options, bool FromSource);
-
-/// The canonical stage names in pipeline order, for driver flag
-/// validation (`--disable-pass=`, `--print-before=`).
-const std::vector<std::string> &pipelinePassNames();
-
-/// Whether \p Name is a stage the driver may disable. Only the optional
-/// stages qualify (opt, cascade, timing); parse, isel, place, and codegen
-/// are structural — skipping one leaves later stages without input.
-bool isPassDisableable(std::string_view Name);
 
 } // namespace core
 } // namespace reticle

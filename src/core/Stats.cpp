@@ -17,6 +17,15 @@ using obs::Json;
 Json reticle::core::statsJson(const CompileResult &Result,
                               std::string_view Program,
                               const obs::Context &Ctx) {
+  // One snapshot of the registry serves both the sim section and the
+  // counters section; reading it registers nothing, so the counters
+  // section lists only what the session recorded.
+  Json Counters = Ctx.Telem->countersJson();
+  auto Count = [&](const std::string &Name) -> uint64_t {
+    const Json *V = Counters.find(Name);
+    return V ? static_cast<uint64_t>(V->asInt()) : 0;
+  };
+
   Json Doc = Json::object();
   Doc.set("schema", "reticle-stats-v1");
   Doc.set("program", std::string(Program));
@@ -135,7 +144,6 @@ Json reticle::core::statsJson(const CompileResult &Result,
   // Simulation counters (populated by `reticlec --run` / the engines'
   // wave-enabled entry points; all zero when nothing was simulated).
   Json Sim = Json::object();
-  auto Count = [&](const char *Name) { return Ctx.counter(Name).load(); };
   Sim.set("cycles", Count("sim.cycles"));
   Sim.set("events", Count("sim.events"));
   Sim.set("toggles", Count("sim.toggles"));
@@ -163,7 +171,7 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Json OpHist = Json::object();
   for (uint32_t K = 0; K < sim::NumOps; ++K) {
     const char *Name = sim::opName(static_cast<sim::Op>(K));
-    uint64_t N = Count((std::string("sim.vm.op.") + Name).c_str());
+    uint64_t N = Count(std::string("sim.vm.op.") + Name);
     if (N != 0)
       OpHist.set(Name, N);
   }
@@ -175,11 +183,7 @@ Json reticle::core::statsJson(const CompileResult &Result,
   // pattern, and — after a --run — dynamic toggle coverage).
   Doc.set("coverage", obs::coverageJson(Ctx.coverage().snapshot()));
 
-  Json Registry = Ctx.Telem->countersJson();
-  if (const Json *Counters = Registry.find("counters"))
-    Doc.set("counters", *Counters);
-  if (const Json *Gauges = Registry.find("gauges"))
-    Doc.set("gauges", *Gauges);
+  Doc.set("counters", std::move(Counters));
   // Latency distributions (pipeline.pass_ms[.<pass>], sat.solve_ms,
   // sim.cycle_batch_ms): log-bucketed percentile estimates per name.
   Doc.set("histograms", Ctx.Telem->histogramsJson());

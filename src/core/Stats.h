@@ -28,9 +28,9 @@ namespace reticle {
 namespace core {
 
 /// Assembles the "reticle-stats-v1" document for one compilation of
-/// \p Program (a display name: source path or function name). Counters,
-/// gauges and coverage come from \p Ctx, the context of the session the
-/// compilation ran in.
+/// \p Program (a display name: source path or function name). Counters
+/// and coverage come from \p Ctx, the context of the session the
+/// compilation ran in; building the document registers no counter.
 obs::Json statsJson(const CompileResult &Result, std::string_view Program,
                     const obs::Context &Ctx);
 

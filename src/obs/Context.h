@@ -46,7 +46,6 @@ struct Context {
   Coverage *Cov;
 
   Counter &counter(std::string_view Name) const { return Telem->counter(Name); }
-  Gauge &gauge(std::string_view Name) const { return Telem->gauge(Name); }
   Histogram &histogram(std::string_view Name) const {
     return Telem->histogram(Name);
   }

@@ -9,7 +9,6 @@
 #include "obs/Context.h"
 
 #include <atomic>
-#include <fstream>
 #include <mutex>
 #include <vector>
 
@@ -94,27 +93,6 @@ std::string RemarkStream::jsonl(std::string_view Program) const {
     Out.push_back('\n');
   }
   return Out;
-}
-
-Status RemarkStream::writeText(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::failure("cannot write remarks file '" + Path + "'");
-  Out << text();
-  if (!Out)
-    return Status::failure("error writing remarks file '" + Path + "'");
-  return Status::success();
-}
-
-Status RemarkStream::writeJsonl(const std::string &Path,
-                                std::string_view Program) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::failure("cannot write remarks file '" + Path + "'");
-  Out << jsonl(Program);
-  if (!Out)
-    return Status::failure("error writing remarks file '" + Path + "'");
-  return Status::success();
 }
 
 Remark::Remark(RemarkStream &Stream, const char *Stage, const char *Kind)

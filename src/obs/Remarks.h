@@ -40,7 +40,6 @@
 #define RETICLE_OBS_REMARKS_H
 
 #include "obs/Json.h"
-#include "support/Result.h"
 
 #include <cstdint>
 #include <memory>
@@ -78,10 +77,6 @@ public:
   /// (`{"schema": "reticle-remarks-v1", "program": ...}`) followed by one
   /// compact JSON object per remark.
   std::string jsonl(std::string_view Program) const;
-
-  /// File writers; used by `reticlec --remarks=<file>` / `--remarks-json=`.
-  Status writeText(const std::string &Path) const;
-  Status writeJsonl(const std::string &Path, std::string_view Program) const;
 
 private:
   friend class Remark;

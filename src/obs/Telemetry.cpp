@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -39,12 +38,6 @@ struct CounterEntry {
   explicit CounterEntry(std::string Name) : Name(std::move(Name)) {}
 };
 
-struct GaugeEntry {
-  std::string Name;
-  Gauge Value;
-  explicit GaugeEntry(std::string Name) : Name(std::move(Name)) {}
-};
-
 struct HistogramEntry {
   std::string Name;
   Histogram Value;
@@ -62,13 +55,11 @@ uint32_t threadId() {
 } // namespace
 
 /// Per-instance telemetry state. Entries live in deques so references
-/// handed out by counter()/gauge() stay valid for the instance lifetime.
+/// handed out by counter()/histogram() stay valid for the instance lifetime.
 struct Telemetry::Impl {
   mutable std::mutex Mu;
   std::deque<CounterEntry> Counters;
   std::map<std::string, Counter *, std::less<>> CounterIndex;
-  std::deque<GaugeEntry> Gauges;
-  std::map<std::string, Gauge *, std::less<>> GaugeIndex;
   std::deque<HistogramEntry> Histograms;
   std::map<std::string, Histogram *, std::less<>> HistogramIndex;
   std::vector<TraceEvent> Events;
@@ -101,17 +92,6 @@ Counter &Telemetry::counter(std::string_view Name) {
   Counter *C = &I->Counters.back().Value;
   I->CounterIndex.emplace(std::string(Name), C);
   return *C;
-}
-
-Gauge &Telemetry::gauge(std::string_view Name) {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  auto It = I->GaugeIndex.find(Name);
-  if (It != I->GaugeIndex.end())
-    return *It->second;
-  I->Gauges.emplace_back(std::string(Name));
-  Gauge *G = &I->Gauges.back().Value;
-  I->GaugeIndex.emplace(std::string(Name), G);
-  return *G;
 }
 
 Histogram &Telemetry::histogram(std::string_view Name) {
@@ -172,16 +152,6 @@ std::string Telemetry::traceJson() const {
   }
   Out += "\n],\"displayTimeUnit\":\"ms\"}";
   return Out;
-}
-
-Status Telemetry::writeTrace(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::failure("cannot write trace file '" + Path + "'");
-  Out << traceJson() << "\n";
-  if (!Out)
-    return Status::failure("error writing trace file '" + Path + "'");
-  return Status::success();
 }
 
 std::string Telemetry::foldedStacks() const {
@@ -251,16 +221,10 @@ std::string Telemetry::foldedStacks() const {
 
 Json Telemetry::countersJson() const {
   std::lock_guard<std::mutex> Lock(I->Mu);
-  Json Doc = Json::object();
   Json Counters = Json::object();
   for (const CounterEntry &E : I->Counters)
     Counters.set(E.Name, E.Value.load());
-  Doc.set("counters", std::move(Counters));
-  Json Gauges = Json::object();
-  for (const GaugeEntry &E : I->Gauges)
-    Gauges.set(E.Name, E.Value.load());
-  Doc.set("gauges", std::move(Gauges));
-  return Doc;
+  return Counters;
 }
 
 Json Telemetry::histogramsJson() const {

@@ -11,16 +11,16 @@
 ///
 ///  - **Tracing spans** (`obs::Span`): RAII, nestable, thread-safe.
 ///    Enabled with `Telemetry::enableTracing()`, serialized as Chrome
-///    trace-event / Perfetto JSON by `Telemetry::writeTrace()`. When
+///    trace-event / Perfetto JSON by `Telemetry::traceJson()`. When
 ///    tracing is disabled a span costs one relaxed atomic load.
-///  - **Counters and gauges** (`Ctx.counter("isel.trees_covered")`):
-///    registry-backed monotone counters and last-value gauges. The lookup
+///  - **Counters** (`Ctx.counter("isel.trees_covered")`): registry-backed
+///    monotone counters. The lookup
 ///    takes a lock, so hot paths hoist the reference out of their loops:
 ///      obs::Counter &C = Ctx.counter("sat.conflicts");
 ///    after which every increment is one relaxed atomic add.
 ///
 /// Telemetry is **instance-based**: a `Telemetry` object owns one registry
-/// of counters/gauges and one trace-event buffer with its own clock epoch,
+/// of counters and histograms and one trace-event buffer with its own clock epoch,
 /// so concurrent compiles record into disjoint instances without
 /// contending. There is no process-wide instance: code reaches one
 /// through the `obs::Context` (Context.h) its caller passes.
@@ -34,7 +34,6 @@
 #ifndef RETICLE_OBS_TELEMETRY_H
 #define RETICLE_OBS_TELEMETRY_H
 
-#include "support/Result.h"
 
 #include <atomic>
 #include <cmath>
@@ -51,7 +50,7 @@ struct Context;
 
 /// A monotonically increasing event count. Increments are relaxed atomic
 /// adds; cross-thread visibility of the final totals is established by the
-/// read side (writeTrace / countersJson take the registry lock).
+/// read side (traceJson / countersJson take the registry lock).
 class Counter {
 public:
   uint64_t operator++() { return V.fetch_add(1, std::memory_order_relaxed) + 1; }
@@ -64,17 +63,6 @@ public:
 
 private:
   std::atomic<uint64_t> V{0};
-};
-
-/// A last-value-wins measurement (e.g. a high-water mark set by the code
-/// that knows it).
-class Gauge {
-public:
-  void set(double Value) { V.store(Value, std::memory_order_relaxed); }
-  double load() const { return V.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<double> V{0.0};
 };
 
 /// A log-bucketed latency distribution: samples land in power-of-two
@@ -153,10 +141,10 @@ private:
   std::atomic<double> Mx{0.0};
 };
 
-/// One telemetry domain: a registry of named counters/gauges plus a
-/// trace-event buffer with its own clock epoch and tracing switch. All
-/// operations are thread-safe; references returned by counter()/gauge()
-/// stay valid for the lifetime of the Telemetry object.
+/// One telemetry domain: a registry of named counters and histograms plus
+/// a trace-event buffer with its own clock epoch and tracing switch. All
+/// operations are thread-safe; references returned by counter() and
+/// histogram() stay valid for the lifetime of the Telemetry object.
 class Telemetry {
 public:
   Telemetry();
@@ -164,10 +152,9 @@ public:
   Telemetry(const Telemetry &) = delete;
   Telemetry &operator=(const Telemetry &) = delete;
 
-  /// Finds or registers the counter / gauge / histogram named \p Name.
+  /// Finds or registers the counter / histogram named \p Name.
   /// Hot paths should hoist the returned reference out of their loops.
   Counter &counter(std::string_view Name);
-  Gauge &gauge(std::string_view Name);
   Histogram &histogram(std::string_view Name);
 
   /// Trace switch. Spans and instants record only while enabled.
@@ -180,7 +167,6 @@ public:
   /// Serializes all recorded events as Chrome trace-event JSON
   /// (chrome://tracing and https://ui.perfetto.dev load it directly).
   std::string traceJson() const;
-  Status writeTrace(const std::string &Path) const;
 
   /// Folds the recorded span tree into collapsed-stack format — one
   /// `frame;frame;leaf <self_us>` line per distinct stack, sorted by
@@ -190,8 +176,8 @@ public:
   /// way trace viewers do it.
   std::string foldedStacks() const;
 
-  /// A snapshot of every registered counter and gauge, as
-  /// {"counters": {...}, "gauges": {...}}.
+  /// A snapshot of every registered counter, as {name: value, ...} in
+  /// registration order.
   Json countersJson() const;
 
   /// A snapshot of every registered histogram, as

@@ -107,11 +107,6 @@ constexpr const char *LutTint = "#cde2fb";
 constexpr const char *DspFill = "#eb6834";
 constexpr const char *DspTint = "#fbddcf";
 constexpr const char *CascadeStroke = "#4a3aa7";
-// Timeline frame outcome accents: green for accepted (SAT) probes, red for
-// refuted (UNSAT) ones, amber for budget-exhausted giveups.
-constexpr const char *SatStroke = "#2e7d32";
-constexpr const char *UnsatStroke = "#c62828";
-constexpr const char *BudgetStroke = "#b26a00";
 
 } // namespace
 
@@ -240,138 +235,6 @@ std::string reticle::place::floorplanSvg(const AsmProgram &Prog,
             CascadeStroke);
   }
 
-  Out += "</svg>\n";
-  return Out;
-}
-
-std::string reticle::place::floorplanTimelineSvg(const AsmProgram &Prog,
-                                                 const device::Device &Dev,
-                                                 const PlacementStats &Stats) {
-  const std::vector<ShrinkProbe> &Frames = Stats.Timeline;
-
-  unsigned Rows = 1;
-  for (const device::Column &C : Dev.columns())
-    Rows = std::max(Rows, C.Height);
-  unsigned NumCols = std::max(1u, Dev.numColumns());
-
-  // Small-multiple geometry: mini cells, up to six frames per band.
-  constexpr unsigned MiniW = 7, MiniH = 4, ColGap = 1;
-  constexpr unsigned HeaderH = 24, CaptionH = 24, FrameGap = 10;
-  constexpr unsigned PerBand = 6;
-  unsigned GridW = NumCols * (MiniW + ColGap);
-  unsigned FrameW = std::max(84u, GridW + 8);
-  unsigned FrameH = Rows * MiniH + CaptionH + 6;
-  size_t NumFrames = std::max<size_t>(1, Frames.size());
-  unsigned Bands = static_cast<unsigned>((NumFrames + PerBand - 1) / PerBand);
-  unsigned Width =
-      12 + static_cast<unsigned>(std::min<size_t>(NumFrames, PerBand)) *
-               (FrameW + FrameGap);
-  unsigned Height = HeaderH + Bands * (FrameH + FrameGap) + 8;
-
-  std::string Out;
-  appendf(Out,
-          "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%u\" "
-          "height=\"%u\" viewBox=\"0 0 %u %u\" font-family=\"system-ui, "
-          "sans-serif\">\n",
-          Width, Height, Width, Height);
-  appendf(Out, "<rect width=\"%u\" height=\"%u\" fill=\"%s\"/>\n", Width,
-          Height, SurfaceColor);
-  appendf(Out,
-          "<text x=\"12\" y=\"15\" font-size=\"12\" font-weight=\"600\" "
-          "fill=\"%s\">shrink timeline: %s on %s (%zu frame(s))</text>\n",
-          TextPrimary, xmlEscape(Prog.name()).c_str(),
-          xmlEscape(Dev.name()).c_str(), Frames.size());
-  if (Frames.empty()) {
-    appendf(Out,
-            "<text x=\"12\" y=\"%u\" font-size=\"10\" fill=\"%s\">no "
-            "placement timeline recorded (no placeable instructions or "
-            "shrinking disabled)</text>\n",
-            HeaderH + 12, TextSecondary);
-    Out += "</svg>\n";
-    return Out;
-  }
-
-  for (size_t F = 0; F < Frames.size(); ++F) {
-    const ShrinkProbe &P = Frames[F];
-    unsigned Tx = 12 + static_cast<unsigned>(F % PerBand) * (FrameW + FrameGap);
-    unsigned Ty =
-        HeaderH + static_cast<unsigned>(F / PerBand) * (FrameH + FrameGap);
-    const char *Accent = P.Result == ShrinkProbe::Outcome::Sat ? SatStroke
-                         : P.Result == ShrinkProbe::Outcome::Unsat
-                             ? UnsatStroke
-                             : BudgetStroke;
-    appendf(Out, "<g class=\"frame\" transform=\"translate(%u, %u)\">\n", Tx,
-            Ty);
-    appendf(Out,
-            "<rect x=\"0\" y=\"0\" width=\"%u\" height=\"%u\" rx=\"3\" "
-            "fill=\"none\" stroke=\"%s\" stroke-width=\"1\"/>\n",
-            FrameW, FrameH, Accent);
-
-    // Mini grid: column tints, then the accepted layout's occupied slots.
-    unsigned GridTop = 4;
-    auto MiniX = [&](unsigned X) { return 4 + X * (MiniW + ColGap); };
-    auto MiniY = [&](unsigned Y) { return GridTop + (Rows - 1 - Y) * MiniH; };
-    for (unsigned X = 0; X < Dev.numColumns(); ++X) {
-      const device::Column &C = Dev.columns()[X];
-      if (C.Height == 0)
-        continue;
-      appendf(Out,
-              "<rect x=\"%u\" y=\"%u\" width=\"%u\" height=\"%u\" "
-              "fill=\"%s\"/>\n",
-              MiniX(X), MiniY(C.Height - 1), MiniW, C.Height * MiniH,
-              C.Kind == ir::Resource::Dsp ? DspTint : LutTint);
-    }
-    for (const device::Slot &S : P.Slots) {
-      if (S.X >= Dev.numColumns())
-        continue;
-      bool IsDsp = Dev.columns()[S.X].Kind == ir::Resource::Dsp;
-      appendf(Out,
-              "<rect x=\"%u\" y=\"%u\" width=\"%u\" height=\"%u\" "
-              "fill=\"%s\"/>\n",
-              MiniX(S.X), MiniY(S.Y), MiniW, MiniH,
-              IsDsp ? DspFill : LutFill);
-    }
-    // The attempted bound as a dashed overlay over the allowed region.
-    if (P.ProbeAxis != ShrinkProbe::Axis::Initial) {
-      unsigned BCols = P.ProbeAxis == ShrinkProbe::Axis::Column
-                           ? std::min(P.Bound, NumCols - 1)
-                           : NumCols - 1;
-      unsigned BRows = P.ProbeAxis == ShrinkProbe::Axis::Row
-                           ? std::min(P.Bound, Rows - 1)
-                           : Rows - 1;
-      appendf(Out,
-              "<rect x=\"%u\" y=\"%u\" width=\"%u\" height=\"%u\" "
-              "fill=\"none\" stroke=\"%s\" stroke-width=\"1\" "
-              "stroke-dasharray=\"2,2\"/>\n",
-              MiniX(0), MiniY(BRows), (BCols + 1) * (MiniW + ColGap) - ColGap,
-              (BRows + 1) * MiniH, Accent);
-    }
-
-    // Caption: probe ordinal, what was tried, how it went, and the search
-    // effort it cost.
-    std::string What;
-    if (P.ProbeAxis == ShrinkProbe::Axis::Initial)
-      What = "initial";
-    else
-      What = std::string(P.ProbeAxis == ShrinkProbe::Axis::Column ? "cols"
-                                                                  : "rows") +
-             " &lt;= " + std::to_string(P.Bound);
-    const char *OutcomeName = P.Result == ShrinkProbe::Outcome::Sat ? "sat"
-                              : P.Result == ShrinkProbe::Outcome::Unsat
-                                  ? "unsat"
-                                  : "budget";
-    appendf(Out,
-            "<text x=\"4\" y=\"%u\" font-size=\"8\" fill=\"%s\">probe %zu: "
-            "%s %s</text>\n",
-            Rows * MiniH + 14, TextPrimary, F, What.c_str(), OutcomeName);
-    appendf(Out,
-            "<text x=\"4\" y=\"%u\" font-size=\"7\" fill=\"%s\">%llu "
-            "conflict(s), box %ux%u</text>\n",
-            Rows * MiniH + 23, TextSecondary,
-            static_cast<unsigned long long>(P.Conflicts), P.MaxColumn + 1,
-            P.MaxRow + 1);
-    Out += "</g>\n";
-  }
   Out += "</svg>\n";
   return Out;
 }

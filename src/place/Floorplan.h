@@ -22,7 +22,6 @@
 #define RETICLE_PLACE_FLOORPLAN_H
 
 #include "device/Device.h"
-#include "place/Place.h"
 #include "rasm/Asm.h"
 
 #include <string>
@@ -42,17 +41,6 @@ std::string floorplanSvg(const rasm::AsmProgram &Placed,
 /// are elided on tall devices.
 std::string floorplanAscii(const rasm::AsmProgram &Placed,
                            const device::Device &Dev);
-
-/// Renders the shrink-probe sequence recorded in \p Stats.Timeline as
-/// small-multiple SVG frames (`reticlec --floorplan-timeline=`): one mini
-/// floorplan per probe showing the accepted layout of that moment, the
-/// attempted bound as a dashed overlay, and the probe's outcome and
-/// conflict count as the caption. Frame 0 is the initial solution; the
-/// bounding box can be watched contracting probe by probe. Never fails: an
-/// empty timeline renders a single explanatory line.
-std::string floorplanTimelineSvg(const rasm::AsmProgram &Placed,
-                                 const device::Device &Dev,
-                                 const PlacementStats &Stats);
 
 } // namespace place
 } // namespace reticle

@@ -982,9 +982,8 @@ Result<AsmProgram> Placer::run() {
                             std::to_string(Clusters.size()) +
                             " cluster(s) on device '" + Dev.name() + "'");
 
-  // Timeline frame recorder: every frame carries the accepted layout so
-  // far, so the renderer can draw the best-known floorplan under each
-  // probe's attempted bound.
+  // Timeline frame recorder: every frame carries the bounding box of the
+  // layout accepted so far.
   auto RecordFrame = [&](ShrinkProbe::Axis Ax, unsigned Bound,
                          ShrinkProbe::Outcome Oc, const SolveInfo &SI) {
     if (!Stats)
@@ -995,16 +994,16 @@ Result<AsmProgram> Placer::run() {
     P.Result = Oc;
     P.Conflicts = SI.Conflicts;
     P.Decisions = SI.Decisions;
-    for (const Candidate &Cand : BestAssignment)
-      for (const device::Slot &S : Cand.Slots)
-        P.Slots.push_back(S);
-    for (const device::Slot &S : FixedSlots)
-      P.Slots.push_back(S);
-    for (const device::Slot &S : P.Slots) {
+    auto Cover = [&](const device::Slot &S) {
       P.MaxColumn = std::max(P.MaxColumn, S.X);
       P.MaxRow = std::max(P.MaxRow, S.Y);
-    }
-    Stats->Timeline.push_back(std::move(P));
+    };
+    for (const Candidate &Cand : BestAssignment)
+      for (const device::Slot &S : Cand.Slots)
+        Cover(S);
+    for (const device::Slot &S : FixedSlots)
+      Cover(S);
+    Stats->Timeline.push_back(P);
   };
   RecordFrame(ShrinkProbe::Axis::Initial, 0, ShrinkProbe::Outcome::Sat, Info);
   if (Ctx.remarksEnabled()) {

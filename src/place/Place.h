@@ -69,10 +69,10 @@ struct PlacementOptions {
 };
 
 /// One frame of the placement timeline: the initial solution or one probe
-/// of the binary-search shrink. Each frame carries the layout accepted so
-/// far (so failed probes still render the best-known floorplan) plus the
-/// search effort the probe cost, letting `--floorplan-timeline` draw the
-/// bounding box contracting probe by probe.
+/// of the binary-search shrink, with the search effort the probe cost and
+/// the bounding box of the layout accepted so far. The stats document's
+/// `sat.shrink_probes` array and the `place:shrink-probe` remarks report
+/// these frames.
 struct ShrinkProbe {
   enum class Axis : uint8_t { Initial, Column, Row };
   enum class Outcome : uint8_t { Sat, Unsat, Budget };
@@ -83,7 +83,6 @@ struct ShrinkProbe {
   uint64_t Decisions = 0; ///< solver decisions spent on this probe
   unsigned MaxColumn = 0; ///< bounding box of the accepted layout so far
   unsigned MaxRow = 0;
-  std::vector<device::Slot> Slots; ///< occupied slots of the accepted layout
 };
 
 /// One named constraint participating in an UNSAT explanation. Kind is one

@@ -157,8 +157,7 @@ private:
 
   /// Appends a debug mark when the attribution changed since the last
   /// emitted instruction. Names intern on first mark, so the interning
-  /// order is the mark order — the property the disassemble/assemble
-  /// round-trip relies on to reproduce encode() exactly.
+  /// order is the mark order, and equal programs encode identically.
   void mark() {
     if (!Marks)
       return;

@@ -1,4 +1,4 @@
-//===- sim/Program.cpp - Program verification, disassembly, assembly --------===//
+//===- sim/Program.cpp - Program verification and disassembly ---------------===//
 //
 // Part of the Reticle-C++ project.
 //
@@ -7,12 +7,8 @@
 #include "sim/Program.h"
 
 #include <array>
-#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <sstream>
-#include <string_view>
 
 using namespace reticle;
 using namespace reticle::sim;
@@ -56,21 +52,6 @@ constexpr std::array<OpDesc, NumOps> OpTable = {{
 }};
 
 const char *SegNames[3] = {"init", "eval", "commit"};
-
-/// Parses one numeric field of the text format into \p Out: decimal, or
-/// hex after "0x" (how disassemble writes pool constants). Rejects an
-/// empty value, a sign, any other character, and a value \p Out's type
-/// cannot hold.
-template <typename T> bool parseNumber(std::string_view Text, T &Out) {
-  int Base = 10;
-  if (Text.size() > 2 && Text[0] == '0' && (Text[1] == 'x' || Text[1] == 'X')) {
-    Base = 16;
-    Text.remove_prefix(2);
-  }
-  const char *End = Text.data() + Text.size();
-  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out, Base);
-  return Ec == std::errc() && Ptr == End;
-}
 
 void encodeU32(std::string &Out, uint32_t V) {
   for (unsigned I = 0; I < 4; ++I)
@@ -371,206 +352,4 @@ std::string reticle::sim::disassemble(const Program &P) {
   }
   Out << "end\n";
   return Out.str();
-}
-
-Result<Program> reticle::sim::assemble(const std::string &Text) {
-  std::istringstream In(Text);
-  std::string Line;
-  size_t LineNo = 0;
-  auto Fail = [&](const std::string &Msg) {
-    return fail<Program>("sim program text line " + std::to_string(LineNo) +
-                         ": " + Msg);
-  };
-  auto NextLine = [&](std::string &Out) {
-    while (std::getline(In, Out)) {
-      ++LineNo;
-      // Trim leading whitespace; skip blank lines.
-      size_t Start = Out.find_first_not_of(" \t");
-      if (Start == std::string::npos)
-        continue;
-      Out = Out.substr(Start);
-      return true;
-    }
-    return false;
-  };
-  auto KeyValue = [](const std::string &Tok, const std::string &Key,
-                     std::string &Val) {
-    if (Tok.rfind(Key + "=", 0) != 0)
-      return false;
-    Val = Tok.substr(Key.size() + 1);
-    return true;
-  };
-  auto BadNumber = [&](const std::string &Field, const std::string &Val) {
-    return Fail(Field + " '" + Val + "' is not an unsigned integer in range");
-  };
-
-  if (!NextLine(Line) || Line != "reticle-sim-program-v1")
-    return Fail("missing reticle-sim-program-v1 header");
-
-  Program P;
-  bool SawProgram = false;
-  int SegIx = -1;
-  std::vector<uint32_t> *Segs[3] = {&P.Init, &P.Eval, &P.Commit};
-  std::vector<SourceMark> *MarkSegs[3] = {&P.InitSrc, &P.EvalSrc,
-                                          &P.CommitSrc};
-  // Re-interns src names in first-appearance order, which matches the
-  // emitters' first-mark interning order, so a disassemble/assemble
-  // round-trip reproduces encode() byte for byte.
-  std::map<std::string, uint32_t> SrcIndex;
-  while (NextLine(Line)) {
-    std::istringstream Toks(Line);
-    std::string Head;
-    Toks >> Head;
-    if (Head == "end")
-      break;
-    if (Head == "program") {
-      SawProgram = true;
-      std::string Tok, Val;
-      while (Toks >> Tok) {
-        if (KeyValue(Tok, "name", Val))
-          P.Name = Val;
-        else if (KeyValue(Tok, "source", Val))
-          P.Source = Val;
-        else if (KeyValue(Tok, "words", Val)) {
-          if (!parseNumber(Val, P.NumWords))
-            return BadNumber("words", Val);
-        } else if (KeyValue(Tok, "stack", Val)) {
-          if (!parseNumber(Val, P.MaxStack))
-            return BadNumber("stack", Val);
-        } else
-          return Fail("unknown program field '" + Tok + "'");
-      }
-      continue;
-    }
-    if (Head == "const") {
-      std::string IndexText, Val;
-      if (!(Toks >> IndexText >> Val))
-        return Fail("malformed const line");
-      size_t Index = 0;
-      if (!parseNumber(IndexText, Index))
-        return BadNumber("const index", IndexText);
-      if (Index != P.Pool.size())
-        return Fail("const index out of order");
-      uint64_t Value = 0;
-      if (!parseNumber(Val, Value))
-        return BadNumber("const value", Val);
-      P.Pool.push_back(Value);
-      continue;
-    }
-    if (Head == "signal") {
-      SignalInfo S;
-      std::string Tok, Val;
-      while (Toks >> Tok) {
-        if (KeyValue(Tok, "name", Val))
-          S.Name = Val;
-        else if (KeyValue(Tok, "kind", Val)) {
-          if (Val == "input")
-            S.Kind = WaveSignal::Kind::Input;
-          else if (Val == "output")
-            S.Kind = WaveSignal::Kind::Output;
-          else if (Val == "internal")
-            S.Kind = WaveSignal::Kind::Internal;
-          else
-            return Fail("unknown signal kind '" + Val + "'");
-        } else if (KeyValue(Tok, "width", Val)) {
-          if (!parseNumber(Val, S.Width))
-            return BadNumber("width", Val);
-        } else if (KeyValue(Tok, "lanewidth", Val)) {
-          if (!parseNumber(Val, S.LaneWidth))
-            return BadNumber("lanewidth", Val);
-        } else if (KeyValue(Tok, "lanes", Val)) {
-          if (!parseNumber(Val, S.Lanes))
-            return BadNumber("lanes", Val);
-        } else if (KeyValue(Tok, "base", Val)) {
-          if (!parseNumber(Val, S.Base))
-            return BadNumber("base", Val);
-        } else
-          return Fail("unknown signal field '" + Tok + "'");
-      }
-      P.Signals.push_back(std::move(S));
-      continue;
-    }
-    if (Head == "input" || Head == "output") {
-      PortInfo I;
-      std::string Tok, Val;
-      while (Toks >> Tok) {
-        if (KeyValue(Tok, "name", Val))
-          I.Name = Val;
-        else if (KeyValue(Tok, "type", Val)) {
-          Result<ir::Type> Ty = ir::Type::parse(Val);
-          if (!Ty)
-            return Fail(Ty.error());
-          I.Ty = Ty.value();
-        } else if (KeyValue(Tok, "base", Val)) {
-          if (!parseNumber(Val, I.Base))
-            return BadNumber("base", Val);
-        } else if (KeyValue(Tok, "packed", Val))
-          I.Packed = Val != "0";
-        else
-          return Fail("unknown port field '" + Tok + "'");
-      }
-      (Head == "input" ? P.Inputs : P.Outputs).push_back(std::move(I));
-      continue;
-    }
-    if (Head == "segment") {
-      std::string Name;
-      if (!(Toks >> Name))
-        return Fail("segment without a name");
-      SegIx = -1;
-      for (int I = 0; I < 3; ++I)
-        if (Name == SegNames[I])
-          SegIx = I;
-      if (SegIx < 0)
-        return Fail("unknown segment '" + Name + "'");
-      continue;
-    }
-    if (Head == "src") {
-      if (SegIx < 0)
-        return Fail("src mark outside a segment");
-      std::string Name;
-      if (!(Toks >> Name))
-        return Fail("src mark without a name");
-      std::string Extra;
-      if (Toks >> Extra)
-        return Fail("trailing token '" + Extra + "' after src mark");
-      uint32_t Idx = SourceMark::NoSource;
-      if (Name != "-") {
-        auto [It, Inserted] = SrcIndex.try_emplace(
-            Name, static_cast<uint32_t>(P.SourceNames.size()));
-        if (Inserted)
-          P.SourceNames.push_back(Name);
-        Idx = It->second;
-      }
-      MarkSegs[SegIx]->push_back(
-          {static_cast<uint32_t>(Segs[SegIx]->size()), Idx});
-      continue;
-    }
-    // Anything else must be an instruction inside a segment.
-    if (SegIx < 0)
-      return Fail("instruction '" + Head + "' outside a segment");
-    int Found = -1;
-    for (uint32_t I = 0; I < NumOps; ++I)
-      if (Head == OpTable[I].Name)
-        Found = static_cast<int>(I);
-    if (Found < 0)
-      return Fail("unknown instruction '" + Head + "'");
-    Segs[SegIx]->push_back(static_cast<uint32_t>(Found));
-    for (unsigned A = 0; A < OpTable[Found].Operands; ++A) {
-      std::string Arg;
-      if (!(Toks >> Arg))
-        return Fail("instruction '" + Head + "' missing operand " +
-                    std::to_string(A));
-      uint32_t Operand = 0;
-      if (!parseNumber(Arg, Operand))
-        return BadNumber("operand " + std::to_string(A) + " of '" + Head + "'",
-                         Arg);
-      Segs[SegIx]->push_back(Operand);
-    }
-    std::string Extra;
-    if (Toks >> Extra)
-      return Fail("trailing token '" + Extra + "' after instruction");
-  }
-  if (!SawProgram)
-    return Fail("missing program header line");
-  return P;
 }

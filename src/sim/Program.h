@@ -32,8 +32,8 @@
 ///
 /// Instructions operate on an operand stack of 64-bit words; the verifier
 /// checks stack discipline and operand bounds ahead of execution, and the
-/// disassembler/assembler round-trips programs through a textual form for
-/// debugging (`reticlec --dump-sim-program`).
+/// disassembler renders programs as text for debugging
+/// (`reticlec --dump-sim-program`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -150,9 +150,8 @@ struct Program {
   /// Debug-info side table: interned attribution names plus one
   /// offset-sorted mark list per segment, mapping every bytecode range
   /// back to the IR instruction / netlist signal the lowering emitted it
-  /// for. Purely observational — execution never reads it — but it
-  /// round-trips through encode() and the text format so profiles of
-  /// reassembled programs still attribute.
+  /// for. Purely observational — execution never reads it — but encode()
+  /// and the text format both carry it.
   std::vector<std::string> SourceNames;
   std::vector<SourceMark> InitSrc;
   std::vector<SourceMark> EvalSrc;
@@ -168,7 +167,7 @@ struct Program {
   const char *sourceAt(unsigned SegIx, uint32_t Offset) const;
 
   /// A deterministic byte-for-byte serialization: equal programs encode
-  /// identically, so determinism and round-trip tests compare blobs.
+  /// identically, so determinism tests compare blobs.
   std::string encode() const;
 };
 
@@ -180,10 +179,6 @@ Status verify(const Program &P);
 
 /// Renders \p P as the `reticle-sim-program-v1` text format.
 std::string disassemble(const Program &P);
-
-/// Parses the `reticle-sim-program-v1` text format back into a program
-/// (the inverse of `disassemble`; round-tripping preserves `encode()`).
-Result<Program> assemble(const std::string &Text);
 
 } // namespace sim
 } // namespace reticle

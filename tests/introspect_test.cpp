@@ -140,21 +140,6 @@ TEST_F(Introspect, PipelineEmitsRemarksFromEveryStage) {
   EXPECT_TRUE(Stages.count("place")) << Rem.text();
 }
 
-TEST_F(Introspect, WriteRemarksFiles) {
-  Rem.enable();
-  obs::Remark(Rem, "isel", "pattern").message("covered");
-  std::filesystem::path Dir =
-      std::filesystem::temp_directory_path() / "reticle_remarks_test";
-  std::filesystem::create_directories(Dir);
-  std::string TextPath = (Dir / "r.txt").string();
-  std::string JsonPath = (Dir / "r.jsonl").string();
-  ASSERT_TRUE(Rem.writeText(TextPath).ok());
-  ASSERT_TRUE(Rem.writeJsonl(JsonPath, "p.ret").ok());
-  EXPECT_NE(readFile(TextPath).find("isel:pattern"), std::string::npos);
-  EXPECT_EQ(parseJsonl(readFile(JsonPath)).size(), 2u);
-  std::filesystem::remove_all(Dir);
-}
-
 TEST_F(Introspect, SnapshotSinkRecordsPipelineStages) {
   Session.captureSnapshots();
   Result<core::CompileResult> R = compileMac();
@@ -263,36 +248,6 @@ TEST_F(Introspect, FloorplanHandlesEmptyProgram) {
   EXPECT_EQ(Plan.rfind("floorplan:", 0), 0u) << Plan;
 }
 
-TEST_F(Introspect, FloorplanTimelineRendersOneFramePerProbe) {
-  Result<core::CompileResult> R = compileMac();
-  ASSERT_TRUE(R.ok()) << R.error();
-  ASSERT_FALSE(R.value().PlaceStats.Timeline.empty());
-  std::string Svg = place::floorplanTimelineSvg(
-      R.value().Placed, device::Device::small(), R.value().PlaceStats);
-  EXPECT_EQ(Svg.rfind("<svg", 0), 0u) << Svg.substr(0, 80);
-  EXPECT_NE(Svg.find("</svg>"), std::string::npos);
-  EXPECT_NE(Svg.find("shrink timeline: mac on small"), std::string::npos);
-  size_t Frames = 0;
-  for (size_t Pos = Svg.find("<g class=\"frame\"");
-       Pos != std::string::npos;
-       Pos = Svg.find("<g class=\"frame\"", Pos + 1))
-    ++Frames;
-  EXPECT_EQ(Frames, R.value().PlaceStats.Timeline.size());
-  // The initial frame's caption plus at least one probe outcome.
-  EXPECT_NE(Svg.find("probe 0: initial sat"), std::string::npos) << Svg;
-  EXPECT_NE(Svg.find("conflict(s)"), std::string::npos);
-}
-
-TEST_F(Introspect, FloorplanTimelineHandlesEmptyTimeline) {
-  rasm::AsmProgram Empty;
-  place::PlacementStats Stats;
-  std::string Svg = place::floorplanTimelineSvg(Empty, device::Device::tiny(),
-                                                Stats);
-  EXPECT_EQ(Svg.rfind("<svg", 0), 0u);
-  EXPECT_NE(Svg.find("</svg>"), std::string::npos);
-  EXPECT_EQ(Svg.find("<g class=\"frame\""), std::string::npos);
-}
-
 TEST_F(Introspect, StatsJsonCarriesTheSatProfile) {
   Result<core::CompileResult> R = compileMac();
   ASSERT_TRUE(R.ok()) << R.error();
@@ -314,7 +269,7 @@ TEST_F(Introspect, StatsJsonCarriesTheSatProfile) {
 TEST_F(Introspect, DisabledPassIsSkippedButStillSnapshots) {
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
-  Options.DisabledPasses.push_back("cascade");
+  Options.Cascade = false;
   Session.captureSnapshots();
   Result<core::CompileResult> R = core::compileSource(
       std::string(MacSource), "mac", Options, Session);

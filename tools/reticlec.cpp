@@ -9,96 +9,31 @@
 /// assembly, or structural Verilog with layout annotations. Also exposes
 /// the behavioral-Verilog translation backend used to build the paper's
 /// baselines, the built-in target description, the front-end optimization
-/// passes of Section 8.2, and the introspection surface: per-stage
-/// program snapshots, optimization remarks, and a placement floorplan.
+/// passes of Section 8.2, and the introspection surface. `reticlec --help`
+/// lists every flag.
 ///
-/// Usage:
-///   reticlec [options] <input.ret> [<input2.ret> ...]
-///     --emit=asm|placed|verilog|behavioral   artifact to print (verilog)
-///     --device=xczu3eg|small|tiny            placement target (xczu3eg)
-///     -O                                     run dce/fold/vectorize first
-///     --no-cascade                           skip the cascade rewrite
-///     --no-shrink                            skip placement shrinking
-///     --sat-proof=<file|->                   DRAT-style proof log of the
-///                                            placement SAT searches
-///     --stats                                per-stage report on stderr
-///     --stats-json=<file|->                  unified stats document
-///     --trace=<file|->                       Chrome/Perfetto trace of the run
-///     --dump-after-all=<dir>                 write every stage snapshot + manifest
-///     --dump-after=<stage>                   print one stage's program to stderr
-///                                            (parse, opt, isel, cascade, place,
-///                                            codegen)
-///     --remarks=<file|->                     human-readable optimization remarks
-///     --remarks-json=<file|->                remarks as JSONL (reticle-remarks-v1)
-///     --floorplan=<file|->                   placement floorplan; SVG by default,
-///                                            ASCII for "-" or a .txt path
-///     --floorplan-timeline=<file|->          shrink-probe timeline as SVG
-///                                            small multiples
-///     --coverage=<file|->                    coverage bins as a
-///                                            reticle-coverage-v1 doc
-///     --profile-folded=<file|->              collapsed-stack flamegraph fold
-///                                            of the recorded tracing spans
-///     --disable-pass=<name>                  skip an optional pass (opt,
-///                                            cascade, timing); repeatable
-///     --print-before=<name>                  print the program to stderr just
-///                                            before the named pass runs
-///     --dump-target                          print the UltraScale TDL
-///     --version                              print the version and exit
-///     -o <file>                              write output to a file
+/// The driver has four modes. A single input compiles through the
+/// pipeline; `--emit=behavioral` translates one input without it; `--run`
+/// compiles one input and executes it over an input trace; several inputs
+/// compile concurrently in batch mode, one session each, with per-input
+/// artifacts under `--out-dir` as `<stem>.*`. One flag table records which
+/// modes take each flag; a flag given outside its modes is a usage error.
 ///
-/// Run mode executes the compiled program instead of printing an
-/// artifact: the input trace (reticle-input-trace-v1 JSON) drives the
-/// reference interpreter, the bytecode VM (compiled from the source
-/// program or from the generated Verilog), or all of them:
-///     --run=<trace.json>                     execute over this input trace
-///     --cycles=N                             simulate only the first N cycles
-///     --sim=interp|vm-ir|vm-netlist|both     engine selection (both)
-///     --vcd=<file|->                         waveform as standard VCD
-///     --wave-json=<file|->                   waveform as reticle-wave-v1 JSONL
-///     --dump-sim-program=<file|->            compiled sim bytecode, as
-///                                            reticle-sim-program-v1 text
-///     --profile-sim=<file|->                 per-op VM execution profile as
-///                                            a reticle-profile-v1 doc
-///                                            (requires a VM engine; in
-///                                            --sim=both mode profiles vm-ir)
-/// Waveforms and sim profiles flush even when a run aborts
-/// mid-simulation. --sim=both runs all three engines and exits 1 on
-/// the first divergence of a VM engine from the interpreter (vm-ir vs
-/// interp, then vm-netlist vs interp). With --run, --coverage
-/// additionally carries sim.toggle bins: per-signal-bit 0->1/1->0
-/// transitions replayed from the captured waveforms of every engine that
-/// ran.
+/// After a pipeline compile, writeArtifacts writes everything the session
+/// holds, whether the compile succeeded or not: a failed placement's
+/// `sat:core` remarks and the snapshots of the stages before it are the
+/// output that explains the failure. Run mode writes its simulation
+/// artifacts beside it.
 ///
-/// With more than one input the driver switches to batch mode and
-/// compiles every program concurrently, one CompileSession per input:
-///     --jobs=N                               worker threads (default: cores)
-///     --out-dir=<dir>                        per-input artifacts land here (.)
-/// Each input <stem>.ret produces <out-dir>/<stem>.v (or .rasm), plus —
-/// when the corresponding flag is given — <stem>.stats.json,
-/// <stem>.remarks.txt, <stem>.remarks.jsonl, <stem>.trace.json,
-/// <stem>.coverage.json, and a <stem>/ snapshot directory under the
-/// --dump-after-all directory. The --coverage path receives the batch
-/// coverage union (also embedded in the summary's "coverage" key). The
-/// --stats-json path then receives the merged "reticle-batch-v1" summary
-/// (the per-input file paths of --remarks/--remarks-json/--trace are
-/// ignored; presence of the flag enables the per-input artifact).
-/// Single-input flags (-o, --dump-after, --floorplan,
-/// --floorplan-timeline, --print-before, --emit=behavioral) are rejected
-/// in batch mode.
-///
-/// Remarks and traces are flushed even when a compile fails: a failed
-/// placement's `sat:core` remarks are precisely the output that explains
-/// the failure.
-///
-/// Exit codes: 0 success, 1 an input failed to parse or compile, 2 the
-/// invocation itself was wrong (unknown flag or value, missing input,
-/// unreadable input file, unwritable output file).
+/// Exit codes: 0 success, 1 an input failed to parse, compile or simulate,
+/// 2 the invocation itself was wrong (unknown flag or value, a flag the
+/// mode does not take, missing input, unreadable input file, unwritable
+/// output file).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Batch.h"
 #include "core/Compiler.h"
-#include "core/Pipeline.h"
 #include "core/Session.h"
 #include "core/Stats.h"
 #include "interp/Interp.h"
@@ -106,10 +41,8 @@
 #include "interp/Wave.h"
 #include "ir/Parser.h"
 #include "obs/Coverage.h"
-#include "obs/Remarks.h"
 #include "obs/Report.h"
 #include "obs/Snapshots.h"
-#include "obs/Telemetry.h"
 #include "opt/Transforms.h"
 #include "place/Floorplan.h"
 #include "sim/Compile.h"
@@ -138,18 +71,6 @@ using namespace reticle;
 
 namespace {
 
-constexpr const char *EmitChoices = "asm, placed, verilog, behavioral";
-constexpr const char *DeviceChoices = "xczu3eg, small, tiny";
-constexpr const char *StageChoices =
-    "parse, opt, isel, cascade, place, codegen";
-constexpr const char *PassChoices =
-    "parse, opt, isel, cascade, place, codegen, timing";
-constexpr const char *DisableablePasses = "opt, cascade, timing";
-
-/// The complete flag inventory, one entry per flag the argument parser
-/// accepts. usage() renders it (and the --help e2e test asserts every
-/// accepted flag appears), so a flag added to main() without a row here
-/// is a test failure, not silent doc rot.
 void printUsage(std::FILE *Out, const char *Argv0) {
   std::fprintf(
       Out,
@@ -164,10 +85,6 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "  --sat-proof=<file|->                   DRAT-style proof log of the "
       "placement\n"
       "                                         SAT searches\n"
-      "  --disable-pass=<name>                  skip an optional pass "
-      "(repeatable)\n"
-      "  --print-before=<name>                  print the program before a "
-      "pass\n"
       "  -o <file>                              write output to a file\n"
       "\n"
       "observability:\n"
@@ -182,7 +99,6 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "  --remarks-json=<file|->                remarks as JSONL\n"
       "  --floorplan=<file|->                   placement floorplan "
       "(SVG/ASCII)\n"
-      "  --floorplan-timeline=<file|->          shrink-probe timeline SVG\n"
       "  --coverage=<file|->                    coverage bins as "
       "reticle-coverage-v1\n"
       "  --profile-folded=<file|->              collapsed-stack flamegraph "
@@ -229,34 +145,205 @@ int usageError(const std::string &Message) {
   return 2;
 }
 
-/// An input program failed to parse or compile.
+/// An input program failed to parse, compile or simulate.
 int compileError(const std::string &Message) {
   std::fprintf(stderr, "reticlec: error: %s\n", Message.c_str());
   return 1;
 }
 
-/// Parses a numeric flag value: decimal digits only (no sign, no blanks),
-/// the whole value consumed, and within [Min, Max].
-std::optional<uint64_t> parseCount(std::string_view Value, uint64_t Min,
-                                   uint64_t Max) {
-  uint64_t N = 0;
-  const char *End = Value.data() + Value.size();
-  auto [Ptr, Ec] = std::from_chars(Value.data(), End, N);
-  if (Ec != std::errc() || Ptr != End || N < Min || N > Max)
-    return std::nullopt;
-  return N;
+/// The driver's modes; each flag names the modes that take it.
+enum Mode : unsigned {
+  SingleMode = 1u << 0,     ///< one input through the pipeline
+  BehavioralMode = 1u << 1, ///< --emit=behavioral: the pipeline is bypassed
+  RunMode = 1u << 2,        ///< --run: compile one input, then execute it
+  BatchMode = 1u << 3,      ///< several inputs, one session each
+  PipelineModes = SingleMode | RunMode | BatchMode,
+  AllModes = PipelineModes | BehavioralMode,
+};
+
+/// Where the artifacts of one compile session go. An empty path leaves
+/// the artifact out; "-" streams it to stdout.
+struct ArtifactPaths {
+  bool StatsTable = false; ///< the stats document as a table on stderr
+  std::string Stats;
+  std::string SnapshotDir;
+  std::string DumpStage; ///< one stage's snapshot, printed to stderr
+  std::string Floorplan;
+  std::string SatProof;
+  std::string Remarks;
+  std::string RemarksJson;
+  std::string Trace;
+  std::string Folded;
+  std::string Coverage;
+
+  bool tracing() const { return !Trace.empty() || !Folded.empty(); }
+  bool remarks() const { return !Remarks.empty() || !RemarksJson.empty(); }
+  bool snapshots() const { return !SnapshotDir.empty() || !DumpStage.empty(); }
+};
+
+/// Everything parsed from the command line.
+struct DriverArgs {
+  std::vector<std::string> Inputs;
+  std::string Emit = "verilog";
+  std::string Device = "xczu3eg";
+  bool NoCascade = false;
+  bool NoShrink = false;
+  std::string OutputPath;
+  /// --stats sets StatsTable; in batch mode it prints one line per input
+  /// instead, and in behavioral mode the -O summary.
+  ArtifactPaths Artifacts;
+  std::string RunTracePath;
+  std::string SimEngine = "both";
+  std::optional<uint64_t> Cycles;
+  std::string VcdPath;
+  std::string WaveJsonPath;
+  std::string DumpSimProgramPath;
+  std::string ProfileSimPath;
+  std::optional<uint64_t> Jobs;
+  std::string OutDir = ".";
+  core::CompileOptions Options;
+};
+
+/// One command-line flag: where its value goes, how the value is checked,
+/// and which modes take it. A switch sets *Switch. A long flag takes its
+/// value as `--name=value`, a short one (`-o`) as the next argument.
+struct Flag {
+  const char *Name;
+  unsigned Modes;
+  bool *Switch = nullptr;
+  std::string *Text = nullptr;
+  std::optional<uint64_t> *Count = nullptr;
+  /// The bad-value message: "<Name>= requires <Needs>", or for a flag with
+  /// Choices, "unknown <Needs> '<value>' (valid: <Choices>)".
+  const char *Needs = nullptr;
+  const char *Choices = nullptr;
+  uint64_t Min = 0;
+  uint64_t Max = UINT64_MAX;
+};
+
+/// The flag table. `printUsage` is written by hand; the
+/// reticlec_help_lists_every_flag ctest names every flag here and checks
+/// that --help mentions each.
+std::vector<Flag> flagTable(DriverArgs &A) {
+  const char *File = "a file path or '-'";
+  ArtifactPaths &Out = A.Artifacts;
+  auto Switch = [](const char *Name, unsigned Modes, bool &V) {
+    return Flag{Name, Modes, &V};
+  };
+  auto Text = [](const char *Name, unsigned Modes, std::string &V,
+                 const char *Needs, const char *Choices = nullptr) {
+    return Flag{Name, Modes, nullptr, &V, nullptr, Needs, Choices};
+  };
+  auto Count = [](const char *Name, unsigned Modes, std::optional<uint64_t> &V,
+                  const char *Needs, uint64_t Min, uint64_t Max) {
+    return Flag{Name, Modes, nullptr, nullptr, &V, Needs, nullptr, Min, Max};
+  };
+  return {
+      Text("--emit", AllModes, A.Emit, "--emit kind",
+           "asm, placed, verilog, behavioral"),
+      Text("--device", AllModes, A.Device, "--device", "xczu3eg, small, tiny"),
+      Switch("-O", AllModes, A.Options.Optimize),
+      Switch("--no-cascade", AllModes, A.NoCascade),
+      Switch("--no-shrink", AllModes, A.NoShrink),
+      Text("--sat-proof", SingleMode, Out.SatProof, File),
+      Text("-o", SingleMode | BehavioralMode, A.OutputPath, nullptr),
+      Switch("--stats", AllModes, Out.StatsTable),
+      Text("--stats-json", PipelineModes, Out.Stats, File),
+      Text("--trace", PipelineModes, Out.Trace, File),
+      Text("--dump-after-all", SingleMode | BatchMode, Out.SnapshotDir,
+           "a directory"),
+      Text("--dump-after", SingleMode, Out.DumpStage, "stage",
+           "parse, opt, isel, cascade, place, codegen"),
+      Text("--remarks", PipelineModes, Out.Remarks, File),
+      Text("--remarks-json", PipelineModes, Out.RemarksJson, File),
+      Text("--floorplan", SingleMode, Out.Floorplan, File),
+      Text("--coverage", PipelineModes, Out.Coverage, File),
+      Text("--profile-folded", SingleMode | RunMode, Out.Folded, File),
+      Text("--run", RunMode, A.RunTracePath, "an input-trace file"),
+      Count("--cycles", RunMode, A.Cycles, "a cycle count", 0, UINT64_MAX),
+      Text("--sim", RunMode, A.SimEngine, "--sim engine",
+           "interp, vm-ir, vm-netlist, both"),
+      Text("--vcd", RunMode, A.VcdPath, File),
+      Text("--wave-json", RunMode, A.WaveJsonPath, File),
+      Text("--dump-sim-program", RunMode, A.DumpSimProgramPath, File),
+      Text("--profile-sim", RunMode, A.ProfileSimPath, File),
+      Count("--jobs", AllModes, A.Jobs, "a positive thread count", 1, 1024),
+      Text("--out-dir", AllModes, A.OutDir, "a directory"),
+  };
 }
 
-bool isKnownStage(const std::string &Stage) {
-  return Stage == "parse" || Stage == "opt" || Stage == "isel" ||
-         Stage == "cascade" || Stage == "place" || Stage == "codegen";
-}
-
-bool isKnownPass(const std::string &Name) {
-  for (const std::string &P : core::pipelinePassNames())
-    if (P == Name)
+bool isChoice(std::string_view Choices, std::string_view Value) {
+  for (size_t Start = 0; Start <= Choices.size();) {
+    size_t End = Choices.find(", ", Start);
+    if (End == std::string_view::npos)
+      End = Choices.size();
+    if (Choices.substr(Start, End - Start) == Value)
       return true;
+    Start = End + 2;
+  }
   return false;
+}
+
+/// Checks \p Value against \p F and stores it; returns the usage error,
+/// or an empty string when the value is good. A count is decimal digits
+/// only (no sign, no blanks), the whole value consumed, within [Min, Max].
+std::string setValue(const Flag &F, const std::string &Value) {
+  if (F.Count) {
+    uint64_t N = 0;
+    const char *End = Value.data() + Value.size();
+    auto [Ptr, Ec] = std::from_chars(Value.data(), End, N);
+    if (Ec != std::errc() || Ptr != End || N < F.Min || N > F.Max)
+      return std::string(F.Name) + "= requires " + F.Needs;
+    *F.Count = N;
+    return {};
+  }
+  if (F.Choices && !isChoice(F.Choices, Value))
+    return std::string("unknown ") + F.Needs + " '" + Value +
+           "' (valid: " + F.Choices + ")";
+  if (F.Needs && Value.empty())
+    return std::string(F.Name) + "= requires " + F.Needs;
+  *F.Text = Value;
+  return {};
+}
+
+/// Why \p F is refused in \p M, a mode outside F.Modes.
+std::string refusal(const Flag &F, unsigned M) {
+  std::string Name = F.Name;
+  if (F.Modes == RunMode)
+    return Name + " requires --run";
+  if (M == BatchMode)
+    return Name + " applies to a single input; with several inputs use "
+                  "--out-dir";
+  if (M == BehavioralMode)
+    return Name + " requires a pipeline emit kind (asm, placed, verilog)";
+  return Name + " does not apply with --run";
+}
+
+std::optional<std::string> readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return std::nullopt;
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
+}
+
+/// Writes \p Text to the file \p Path.
+Status writeFile(const std::string &Path, const std::string &Text) {
+  std::ofstream Out(Path);
+  if (Out)
+    Out << Text;
+  if (!Out)
+    return Status::failure("cannot write '" + Path + "'");
+  return Status::success();
+}
+
+/// Writes \p Text to \p Path, or to stdout when \p Path is "-".
+Status writeTextOutput(const std::string &Path, const std::string &Text) {
+  if (Path != "-")
+    return writeFile(Path, Text);
+  std::fputs(Text.c_str(), stdout);
+  return Status::success();
 }
 
 bool endsWith(const std::string &Text, const char *Suffix) {
@@ -265,59 +352,76 @@ bool endsWith(const std::string &Text, const char *Suffix) {
          Text.compare(Text.size() - N, N, Suffix) == 0;
 }
 
-/// Writes \p Text to \p Path, or to stdout when \p Path is "-".
-Status writeTextOutput(const std::string &Path, const std::string &Text) {
-  if (Path == "-") {
-    std::fputs(Text.c_str(), stdout);
-    return Status::success();
+/// Turns on the session sinks that the artifacts in \p Paths read.
+void enableSinks(const ArtifactPaths &Paths, core::CompileSession &Session) {
+  Session.telemetry().enableTracing(Paths.tracing());
+  Session.remarks().enable(Paths.remarks());
+  Session.captureSnapshots(Paths.snapshots());
+}
+
+/// Writes every artifact \p Paths asks for from \p Session, which compiled
+/// \p Program. \p R is the compile's result, or null when the compile
+/// failed or a run stopped before simulating: the stats document, the
+/// floorplan and the SAT proof describe a result, while the snapshots,
+/// remarks, trace, folded stacks and coverage hold whatever the session
+/// recorded. Stops at the first artifact it cannot write.
+Status writeArtifacts(const ArtifactPaths &Paths,
+                      const core::CompileSession &Session,
+                      const std::string &Program,
+                      const core::CompileResult *R,
+                      const device::Device &Dev) {
+  Status Written = Status::success();
+  auto Put = [&](const std::string &Path, auto Render) {
+    if (Written && !Path.empty())
+      Written = writeTextOutput(Path, Render());
+  };
+  if (R && (Paths.StatsTable || !Paths.Stats.empty())) {
+    obs::Json Doc = core::statsJson(*R, Program, Session.context());
+    if (Paths.StatsTable)
+      obs::printTable(Doc, stderr);
+    Put(Paths.Stats, [&] { return Doc.str(2) + "\n"; });
   }
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::failure("cannot write '" + Path + "'");
-  Out << Text;
-  return Status::success();
+  if (Written && !Paths.SnapshotDir.empty())
+    Written =
+        obs::writeSnapshots(Session.snapshots(), Paths.SnapshotDir, Program);
+  if (Written && !Paths.DumpStage.empty())
+    if (const obs::StageSnapshot *Snap =
+            Session.snapshots().find(Paths.DumpStage)) {
+      std::fprintf(stderr, "; after %s\n", Snap->Stage.c_str());
+      std::fputs(Snap->Text.c_str(), stderr);
+    }
+  if (R) {
+    Put(Paths.Floorplan, [&] {
+      return Paths.Floorplan == "-" || endsWith(Paths.Floorplan, ".txt")
+                 ? place::floorplanAscii(R->Placed, Dev)
+                 : place::floorplanSvg(R->Placed, Dev);
+    });
+    Put(Paths.SatProof, [&] { return R->SatProof; });
+  }
+  Put(Paths.Remarks, [&] { return Session.remarks().text(); });
+  Put(Paths.RemarksJson, [&] { return Session.remarks().jsonl(Program); });
+  Put(Paths.Trace, [&] { return Session.telemetry().traceJson() + "\n"; });
+  Put(Paths.Folded, [&] { return Session.telemetry().foldedStacks(); });
+  Put(Paths.Coverage, [&] {
+    return obs::coverageDoc(Program, Session.coverage().snapshot()).str(2) +
+           "\n";
+  });
+  return Written;
 }
 
-/// Writes the standalone `reticle-coverage-v1` document for \p Program
-/// over the bins in \p Spaces to \p Path ("-" streams to stdout); a no-op
-/// when no --coverage path was given.
-Status writeCoverage(const std::string &Path, const std::string &Program,
-                     const obs::CoverageSnapshot &Spaces) {
-  if (Path.empty())
-    return Status::success();
-  return writeTextOutput(Path, obs::coverageDoc(Program, Spaces).str(2) + "\n");
+/// Ends an invocation that failed after its compile started: writes what
+/// the session recorded, then reports \p Error with exit code \p Code. A
+/// write error is reported too but does not change the exit code.
+int flushAndFail(const DriverArgs &Args, const core::CompileSession &Session,
+                 const std::string &Program, int Code,
+                 const std::string &Error) {
+  if (Status S = writeArtifacts(Args.Artifacts, Session, Program, nullptr,
+                                Args.Options.Dev);
+      !S)
+    std::fprintf(stderr, "reticlec: error: %s\n", S.error().c_str());
+  std::fprintf(stderr, "reticlec: error: %s\n", Error.c_str());
+  return Code;
 }
-
-/// Everything parsed from the command line.
-struct DriverArgs {
-  std::string Emit = "verilog";
-  std::vector<std::string> Inputs;
-  std::string OutputPath;
-  std::string StatsJsonPath;
-  std::string TracePath;
-  std::string DumpDir;
-  std::string DumpStage;
-  std::string RemarksPath;
-  std::string RemarksJsonPath;
-  std::string FloorplanPath;
-  std::string FloorplanTimelinePath;
-  std::string OutDir = ".";
-  std::string SatProofPath;
-  unsigned Jobs = 0;
-  bool Stats = false;
-  core::CompileOptions Options;
-  std::string RunTracePath;
-  std::string SimEngine = "both";
-  std::string VcdPath;
-  std::string WaveJsonPath;
-  std::string DumpSimProgramPath;
-  std::string CoveragePath;
-  std::string ProfileSimPath;
-  std::string ProfileFoldedPath;
-  uint64_t Cycles = 0;
-  bool CyclesSet = false;
-  bool SimSet = false;
-};
 
 /// The compile error message for a failed pipeline run: parse failures
 /// carry the input path, later stages speak for themselves (matching the
@@ -340,179 +444,72 @@ std::string primaryArtifactText(const core::CompileResult &R,
   return R.Verilog.str();
 }
 
-/// Compiles one input inside its own session. This is the whole
-/// single-input driver minus argument parsing.
+/// The behavioral translation bypasses the Figure-7 pipeline: parse and
+/// optimize by hand, then emit.
+int runBehavioral(const DriverArgs &Args) {
+  const std::string &InputPath = Args.Inputs.front();
+  std::optional<std::string> Source = readFile(InputPath);
+  if (!Source)
+    return usageError("cannot open '" + InputPath + "'");
+  Result<ir::Function> Fn = ir::parseFunction(*Source);
+  if (!Fn)
+    return compileError(InputPath + ": " + Fn.error());
+  if (Args.Options.Optimize) {
+    // No observability artifact covers this path; the session only
+    // receives what the passes record.
+    core::CompileSession Session;
+    const obs::Context &Ctx = Session.context();
+    unsigned Folded = opt::constantFold(Fn.value(), Ctx);
+    unsigned Dead = opt::deadCodeElim(Fn.value(), Ctx);
+    unsigned Vectors = opt::vectorize(Fn.value(), 4, Ctx);
+    if (Args.Artifacts.StatsTable)
+      std::fprintf(stderr,
+                   "opt: folded %u, removed %u dead, formed %u vector "
+                   "op(s)\n",
+                   Folded, Dead, Vectors);
+  }
+  std::string Output =
+      synth::emitBehavioral(Fn.value(), synth::Mode::Hint).str();
+  if (Status S = writeTextOutput(
+          Args.OutputPath.empty() ? "-" : Args.OutputPath, Output);
+      !S)
+    return usageError(S.error());
+  return 0;
+}
+
+/// Compiles one input inside its own session.
 int runSingle(const DriverArgs &Args) {
   const std::string &InputPath = Args.Inputs.front();
-  std::ifstream In(InputPath);
-  if (!In)
+  std::optional<std::string> Source = readFile(InputPath);
+  if (!Source)
     return usageError("cannot open '" + InputPath + "'");
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-
-  if (Args.Emit == "behavioral") {
-    // The behavioral translation bypasses the Figure-7 pipeline: parse
-    // and optimize by hand, then emit.
-    Result<ir::Function> Fn = ir::parseFunction(Buffer.str());
-    if (!Fn)
-      return compileError(InputPath + ": " + Fn.error());
-    if (Args.Options.Optimize) {
-      // No observability artifact covers this path; the session only
-      // receives what the passes record.
-      core::CompileSession Session;
-      const obs::Context &Ctx = Session.context();
-      unsigned Folded = opt::constantFold(Fn.value(), Ctx);
-      unsigned Dead = opt::deadCodeElim(Fn.value(), Ctx);
-      unsigned Vectors = opt::vectorize(Fn.value(), 4, Ctx);
-      if (Args.Stats)
-        std::fprintf(stderr,
-                     "opt: folded %u, removed %u dead, formed %u vector "
-                     "op(s)\n",
-                     Folded, Dead, Vectors);
-    }
-    std::string Output =
-        synth::emitBehavioral(Fn.value(), synth::Mode::Hint).str();
-    if (Args.OutputPath.empty()) {
-      std::fputs(Output.c_str(), stdout);
-      return 0;
-    }
-    if (Status S = writeTextOutput(Args.OutputPath, Output); !S)
-      return usageError(S.error());
-    return 0;
-  }
 
   core::CompileSession Session;
-  if (!Args.TracePath.empty() || !Args.ProfileFoldedPath.empty())
-    Session.telemetry().enableTracing();
-  if (!Args.RemarksPath.empty() || !Args.RemarksJsonPath.empty())
-    Session.remarks().enable();
-  bool WantSnapshots = !Args.DumpDir.empty() || !Args.DumpStage.empty();
-  if (WantSnapshots)
-    Session.captureSnapshots();
-
+  enableSinks(Args.Artifacts, Session);
   Result<core::CompileResult> R =
-      core::compileSource(Buffer.str(), InputPath, Args.Options, Session);
+      core::compileSource(*Source, InputPath, Args.Options, Session);
+  if (!R)
+    return flushAndFail(Args, Session, InputPath, 1,
+                        pipelineErrorMessage(Session, InputPath, R.error()));
 
-  // Remarks and traces flush whether or not the compile succeeded: when a
-  // placement is infeasible, the sat:core remarks naming the binding
-  // constraints are the whole point of asking for remarks.
-  auto FlushDiagnostics = [&]() -> Status {
-    if (!Args.RemarksPath.empty()) {
-      if (Args.RemarksPath == "-") {
-        std::fputs(Session.remarks().text().c_str(), stdout);
-      } else if (Status S = Session.remarks().writeText(Args.RemarksPath);
-                 !S) {
-        return S;
-      }
-    }
-    if (!Args.RemarksJsonPath.empty()) {
-      if (Args.RemarksJsonPath == "-") {
-        std::fputs(Session.remarks().jsonl(InputPath).c_str(), stdout);
-      } else if (Status S = Session.remarks().writeJsonl(
-                     Args.RemarksJsonPath, InputPath);
-                 !S) {
-        return S;
-      }
-    }
-    if (!Args.TracePath.empty()) {
-      if (Args.TracePath == "-") {
-        std::fputs((Session.telemetry().traceJson() + "\n").c_str(), stdout);
-      } else if (Status S = Session.telemetry().writeTrace(Args.TracePath);
-                 !S) {
-        return S;
-      }
-    }
-    // The flamegraph fold flushes like the raw trace does: the spans of
-    // a failed compile are exactly what explains where it spent time.
-    if (!Args.ProfileFoldedPath.empty())
-      if (Status S = writeTextOutput(Args.ProfileFoldedPath,
-                                     Session.telemetry().foldedStacks());
-          !S)
-        return S;
-    // Coverage flushes like remarks do: a failed compile still reports
-    // the bins the stages it passed through recorded.
-    if (Status S = writeCoverage(Args.CoveragePath, InputPath,
-                                 Session.coverage().snapshot());
-        !S)
-      return S;
-    return Status::success();
-  };
-
-  if (!R) {
-    if (Status S = FlushDiagnostics(); !S)
-      std::fprintf(stderr, "reticlec: error: %s\n", S.error().c_str());
-    return compileError(pipelineErrorMessage(Session, InputPath, R.error()));
-  }
-
-  if (Args.Options.Optimize && Args.Stats)
+  if (Args.Options.Optimize && Args.Artifacts.StatsTable)
     std::fprintf(stderr,
                  "opt: folded %u, removed %u dead, formed %u vector "
                  "op(s)\n",
                  R.value().Opt.Folded, R.value().Opt.Dead,
                  R.value().Opt.Vectorized);
-
-  std::string Output = primaryArtifactText(R.value(), Args.Emit);
-
-  obs::Json Doc = core::statsJson(R.value(), InputPath, Session.context());
-  if (Args.Stats)
-    obs::printTable(Doc, stderr);
-  if (!Args.StatsJsonPath.empty()) {
-    if (Args.StatsJsonPath == "-") {
-      std::fputs((Doc.str(2) + "\n").c_str(), stdout);
-    } else if (Status S = obs::writeJsonFile(Doc, Args.StatsJsonPath); !S) {
-      return usageError(S.error());
-    }
-  }
-
-  if (!Args.DumpDir.empty())
-    if (Status S =
-            obs::writeSnapshots(Session.snapshots(), Args.DumpDir, InputPath);
-        !S)
-      return usageError(S.error());
-  if (!Args.DumpStage.empty()) {
-    const obs::StageSnapshot *Snap =
-        Session.snapshots().find(Args.DumpStage);
-    if (!Snap)
-      return compileError("no snapshot recorded for stage '" +
-                          Args.DumpStage + "'");
-    std::fprintf(stderr, "; after %s\n", Snap->Stage.c_str());
-    std::fputs(Snap->Text.c_str(), stderr);
-  }
-
-  if (!Args.FloorplanPath.empty()) {
-    bool Ascii =
-        Args.FloorplanPath == "-" || endsWith(Args.FloorplanPath, ".txt");
-    std::string Plan =
-        Ascii ? place::floorplanAscii(R.value().Placed, Args.Options.Dev)
-              : place::floorplanSvg(R.value().Placed, Args.Options.Dev);
-    if (Status S = writeTextOutput(Args.FloorplanPath, Plan); !S)
-      return usageError(S.error());
-  }
-  if (!Args.FloorplanTimelinePath.empty()) {
-    std::string Plan = place::floorplanTimelineSvg(
-        R.value().Placed, Args.Options.Dev, R.value().PlaceStats);
-    if (Status S = writeTextOutput(Args.FloorplanTimelinePath, Plan); !S)
-      return usageError(S.error());
-  }
-
-  // The proof log flushes with the other artifacts: DIMACS-notation learnt
-  // additions/deletions, one `c`-delimited section per placement solve.
-  if (!Args.SatProofPath.empty())
-    if (Status S = writeTextOutput(Args.SatProofPath, R.value().SatProof);
-        !S)
-      return usageError(S.error());
-
-  if (Status S = FlushDiagnostics(); !S)
+  if (Status S = writeArtifacts(Args.Artifacts, Session, InputPath,
+                                &R.value(), Args.Options.Dev);
+      !S)
     return usageError(S.error());
 
+  std::string Output = primaryArtifactText(R.value(), Args.Emit);
   if (Args.OutputPath.empty()) {
     std::fputs(Output.c_str(), stdout);
     return 0;
   }
-  std::ofstream Out(Args.OutputPath);
-  if (!Out)
-    return usageError("cannot write '" + Args.OutputPath + "'");
-  Out << Output;
+  if (Status S = writeFile(Args.OutputPath, Output); !S)
+    return usageError(S.error());
   return 0;
 }
 
@@ -521,99 +518,41 @@ int runSingle(const DriverArgs &Args) {
 /// against each other in --sim=both mode.
 int runExecute(const DriverArgs &Args) {
   const std::string &InputPath = Args.Inputs.front();
-  std::ifstream In(InputPath);
-  if (!In)
+  std::optional<std::string> Source = readFile(InputPath);
+  if (!Source)
     return usageError("cannot open '" + InputPath + "'");
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Source = Buffer.str();
-
-  std::ifstream TraceIn(Args.RunTracePath);
-  if (!TraceIn)
+  std::optional<std::string> TraceText = readFile(Args.RunTracePath);
+  if (!TraceText)
     return usageError("cannot open '" + Args.RunTracePath + "'");
-  std::stringstream TraceBuffer;
-  TraceBuffer << TraceIn.rdbuf();
 
   core::CompileSession Session;
-  if (!Args.TracePath.empty() || !Args.ProfileFoldedPath.empty())
-    Session.telemetry().enableTracing();
-  if (!Args.RemarksPath.empty() || !Args.RemarksJsonPath.empty())
-    Session.remarks().enable();
-
+  enableSinks(Args.Artifacts, Session);
   Result<core::CompileResult> R =
-      core::compileSource(Source, InputPath, Args.Options, Session);
-
-  // Remarks and traces flush whether or not the compile or the
-  // simulation succeeded, mirroring runSingle.
-  auto FlushDiagnostics = [&]() -> Status {
-    if (!Args.RemarksPath.empty()) {
-      if (Args.RemarksPath == "-") {
-        std::fputs(Session.remarks().text().c_str(), stdout);
-      } else if (Status S = Session.remarks().writeText(Args.RemarksPath);
-                 !S) {
-        return S;
-      }
-    }
-    if (!Args.RemarksJsonPath.empty()) {
-      if (Args.RemarksJsonPath == "-") {
-        std::fputs(Session.remarks().jsonl(InputPath).c_str(), stdout);
-      } else if (Status S = Session.remarks().writeJsonl(
-                     Args.RemarksJsonPath, InputPath);
-                 !S) {
-        return S;
-      }
-    }
-    if (!Args.TracePath.empty()) {
-      if (Args.TracePath == "-") {
-        std::fputs((Session.telemetry().traceJson() + "\n").c_str(), stdout);
-      } else if (Status S = Session.telemetry().writeTrace(Args.TracePath);
-                 !S) {
-        return S;
-      }
-    }
-    // The flamegraph fold flushes like the raw trace does, aborted runs
-    // included.
-    if (!Args.ProfileFoldedPath.empty())
-      if (Status S = writeTextOutput(Args.ProfileFoldedPath,
-                                     Session.telemetry().foldedStacks());
-          !S)
-        return S;
-    // Coverage flushes like remarks do; after a completed run it also
-    // carries the sim.toggle bins the replay below recorded.
-    if (Status S = writeCoverage(Args.CoveragePath, InputPath,
-                                 Session.coverage().snapshot());
-        !S)
-      return S;
-    return Status::success();
+      core::compileSource(*Source, InputPath, Args.Options, Session);
+  // Every exit from here on writes the session's artifacts first.
+  auto Fail = [&](int Code, const std::string &Error) {
+    return flushAndFail(Args, Session, InputPath, Code, Error);
   };
-
-  if (!R) {
-    if (Status S = FlushDiagnostics(); !S)
-      std::fprintf(stderr, "reticlec: error: %s\n", S.error().c_str());
-    return compileError(pipelineErrorMessage(Session, InputPath, R.error()));
-  }
+  if (!R)
+    return Fail(1, pipelineErrorMessage(Session, InputPath, R.error()));
 
   // The interpreter and vm-ir execute the source program; vm-netlist
   // executes the compiled structural Verilog.
-  Result<ir::Function> Fn = ir::parseFunction(Source);
+  Result<ir::Function> Fn = ir::parseFunction(*Source);
   if (!Fn)
-    return compileError(InputPath + ": " + Fn.error());
+    return Fail(1, InputPath + ": " + Fn.error());
 
   Result<interp::Trace> InputTrace =
-      sim::parseInputTrace(TraceBuffer.str(), Fn.value());
-  if (!InputTrace) {
-    if (Status S = FlushDiagnostics(); !S)
-      std::fprintf(stderr, "reticlec: error: %s\n", S.error().c_str());
-    return compileError(Args.RunTracePath + ": " + InputTrace.error());
-  }
+      sim::parseInputTrace(*TraceText, Fn.value());
+  if (!InputTrace)
+    return Fail(1, Args.RunTracePath + ": " + InputTrace.error());
   interp::Trace Drive = InputTrace.take();
-  if (Args.CyclesSet) {
-    if (Args.Cycles > Drive.size())
-      return compileError(Args.RunTracePath + ": trace has " +
-                          std::to_string(Drive.size()) +
-                          " cycle(s), --cycles=" +
-                          std::to_string(Args.Cycles) + " requested");
-    Drive.steps().resize(Args.Cycles);
+  if (Args.Cycles) {
+    if (*Args.Cycles > Drive.size())
+      return Fail(1, Args.RunTracePath + ": trace has " +
+                         std::to_string(Drive.size()) + " cycle(s), --cycles=" +
+                         std::to_string(*Args.Cycles) + " requested");
+    Drive.steps().resize(*Args.Cycles);
   }
 
   bool Both = Args.SimEngine == "both";
@@ -624,7 +563,7 @@ int runExecute(const DriverArgs &Args) {
   // Toggle coverage replays the same captures the waveform writers use,
   // so a coverage or stats request keeps the captures alive too.
   bool WantCoverage =
-      !Args.CoveragePath.empty() || !Args.StatsJsonPath.empty();
+      !Args.Artifacts.Coverage.empty() || !Args.Artifacts.Stats.empty();
   bool Capture = WantWave || WantCoverage;
 
   // The compiled-simulation programs: the VM engines execute them, and
@@ -639,13 +578,13 @@ int runExecute(const DriverArgs &Args) {
   }
   if (!Args.DumpSimProgramPath.empty()) {
     if (!IrProgram)
-      return compileError("vm-ir: " + IrProgram.error());
+      return Fail(1, "vm-ir: " + IrProgram.error());
     if (!NetProgram)
-      return compileError("vm-netlist: " + NetProgram.error());
+      return Fail(1, "vm-netlist: " + NetProgram.error());
     std::string Text = sim::disassemble(IrProgram.value()) +
                        sim::disassemble(NetProgram.value());
     if (Status S = writeTextOutput(Args.DumpSimProgramPath, Text); !S)
-      return usageError(S.error());
+      return Fail(2, S.error());
   }
 
   sim::WaveCapture InterpWave, VmIrWave, VmNetlistWave;
@@ -661,25 +600,20 @@ int runExecute(const DriverArgs &Args) {
   bool ProfileIr = !Args.ProfileSimPath.empty() && RunVmIr;
   bool ProfileNet = !Args.ProfileSimPath.empty() && !RunVmIr && RunVmNetlist;
   sim::VmProfile Profile;
+  auto Execute = [&](const Result<sim::Program> &Prog, bool Profiled,
+                     sim::WaveCapture &Wave) -> Result<interp::Trace> {
+    if (!Prog)
+      return fail<interp::Trace>(Prog.error());
+    sim::WaveCapture *Sink = Capture ? &Wave : nullptr;
+    return Profiled ? sim::execute(Prog.value(), Drive, Profile, Sink,
+                                   Session.context())
+                    : sim::execute(Prog.value(), Drive, Sink,
+                                   Session.context());
+  };
   if (RunVmIr)
-    VmIrOut = !IrProgram ? fail<interp::Trace>(IrProgram.error())
-              : ProfileIr
-                  ? sim::execute(IrProgram.value(), Drive, Profile,
-                                 Capture ? &VmIrWave : nullptr,
-                                 Session.context())
-                  : sim::execute(IrProgram.value(), Drive,
-                                 Capture ? &VmIrWave : nullptr,
-                                 Session.context());
+    VmIrOut = Execute(IrProgram, ProfileIr, VmIrWave);
   if (RunVmNetlist)
-    VmNetlistOut = !NetProgram
-                       ? fail<interp::Trace>(NetProgram.error())
-                   : ProfileNet
-                       ? sim::execute(NetProgram.value(), Drive, Profile,
-                                      Capture ? &VmNetlistWave : nullptr,
-                                      Session.context())
-                       : sim::execute(NetProgram.value(), Drive,
-                                      Capture ? &VmNetlistWave : nullptr,
-                                      Session.context());
+    VmNetlistOut = Execute(NetProgram, ProfileNet, VmNetlistWave);
 
   // The sim profile flushes before the engine-failure checks below, so an
   // aborted run still reports the ops it retired (Aborted marked true).
@@ -690,23 +624,19 @@ int runExecute(const DriverArgs &Args) {
               Args.ProfileSimPath,
               sim::profileJson(Prog.value(), Profile).str(2) + "\n");
           !S)
-        return usageError(S.error());
+        return Fail(2, S.error());
   }
 
-  auto CaptureSources =
-      [&]() -> std::vector<std::pair<const sim::WaveCapture *, std::string>> {
-    std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources;
-    if (RunInterp)
-      Sources.push_back({&InterpWave, "interp"});
-    if (RunVmIr)
-      Sources.push_back({&VmIrWave, "vm-ir"});
-    if (RunVmNetlist)
-      Sources.push_back({&VmNetlistWave, "vm-netlist"});
-    // A single engine streams unprefixed, matching the pre-VM layout.
-    if (Sources.size() == 1)
-      Sources.front().second = "";
-    return Sources;
-  };
+  std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources;
+  if (RunInterp)
+    Sources.push_back({&InterpWave, "interp"});
+  if (RunVmIr)
+    Sources.push_back({&VmIrWave, "vm-ir"});
+  if (RunVmNetlist)
+    Sources.push_back({&VmNetlistWave, "vm-netlist"});
+  // A single engine streams unprefixed, matching the pre-VM layout.
+  if (Sources.size() == 1)
+    Sources.front().second = "";
 
   // Dynamic toggle coverage: replay the captured run(s) — complete or
   // aborted — into the session's coverage registry as per-signal-bit
@@ -715,53 +645,38 @@ int runExecute(const DriverArgs &Args) {
   // sim.toggle space.
   if (Capture) {
     sim::ToggleCoverageSink Toggles(Session.coverage());
-    if (Status S = sim::replay(CaptureSources(), Toggles); !S)
-      return compileError(S.error());
+    if (Status S = sim::replay(Sources, Toggles); !S)
+      return Fail(1, S.error());
   }
 
   // Waveforms are written from the in-memory captures after the run —
   // including aborted runs, whose partial captures replay with the
   // aborted marker so the artifacts stay parseable.
-  auto WriteWaves = [&]() -> Status {
-    if (!WantWave)
-      return Status::success();
-    std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources =
-        CaptureSources();
-    std::string Top = std::filesystem::path(InputPath).stem().string();
-    if (Top.empty())
-      Top = "reticle";
-    if (!Args.VcdPath.empty()) {
-      sim::VcdWriter Vcd(Top);
-      if (Status S = sim::replay(Sources, Vcd); !S)
-        return S;
-      if (Status S = writeTextOutput(Args.VcdPath, Vcd.text()); !S)
-        return S;
-    }
-    if (!Args.WaveJsonPath.empty()) {
-      sim::WaveJsonWriter Wj(Top, Args.SimEngine.c_str());
-      if (Status S = sim::replay(Sources, Wj); !S)
-        return S;
-      if (Status S = writeTextOutput(Args.WaveJsonPath, Wj.text()); !S)
-        return S;
-    }
-    return Status::success();
-  };
-  if (Status S = WriteWaves(); !S)
-    return usageError(S.error());
-
-  // Stats render after the run so the sim.* counters are populated.
-  obs::Json Doc = core::statsJson(R.value(), InputPath, Session.context());
-  if (Args.Stats)
-    obs::printTable(Doc, stderr);
-  if (!Args.StatsJsonPath.empty()) {
-    if (Args.StatsJsonPath == "-") {
-      std::fputs((Doc.str(2) + "\n").c_str(), stdout);
-    } else if (Status S = obs::writeJsonFile(Doc, Args.StatsJsonPath); !S) {
-      return usageError(S.error());
-    }
+  std::string Top = std::filesystem::path(InputPath).stem().string();
+  if (Top.empty())
+    Top = "reticle";
+  if (!Args.VcdPath.empty()) {
+    sim::VcdWriter Vcd(Top);
+    Status S = sim::replay(Sources, Vcd);
+    if (S)
+      S = writeTextOutput(Args.VcdPath, Vcd.text());
+    if (!S)
+      return Fail(2, S.error());
+  }
+  if (!Args.WaveJsonPath.empty()) {
+    sim::WaveJsonWriter Wj(Top, Args.SimEngine.c_str());
+    Status S = sim::replay(Sources, Wj);
+    if (S)
+      S = writeTextOutput(Args.WaveJsonPath, Wj.text());
+    if (!S)
+      return Fail(2, S.error());
   }
 
-  if (Status S = FlushDiagnostics(); !S)
+  // The session's artifacts render after the run, so the stats document
+  // sees the sim.* counters.
+  if (Status S = writeArtifacts(Args.Artifacts, Session, InputPath,
+                                &R.value(), Args.Options.Dev);
+      !S)
     return usageError(S.error());
 
   if (RunInterp && !InterpOut)
@@ -805,33 +720,16 @@ int runExecute(const DriverArgs &Args) {
 /// Compiles every input concurrently and writes per-input artifacts plus
 /// the merged batch summary.
 int runBatch(const DriverArgs &Args) {
-  for (const auto &[Flag, Value] :
-       {std::pair<const char *, const std::string *>{"-o", &Args.OutputPath},
-        {"--dump-after", &Args.DumpStage},
-        {"--floorplan", &Args.FloorplanPath},
-        {"--floorplan-timeline", &Args.FloorplanTimelinePath},
-        {"--profile-folded", &Args.ProfileFoldedPath},
-        {"--sat-proof", &Args.SatProofPath},
-        {"--print-before", &Args.Options.PrintBefore}})
-    if (!Value->empty())
-      return usageError(std::string(Flag) +
-                        " applies to a single input; with several inputs "
-                        "use --out-dir");
-  if (Args.Emit == "behavioral")
-    return usageError("--emit=behavioral applies to a single input");
-
   // Read every input up front, and derive a unique artifact stem per
   // input from its file name.
   std::vector<core::BatchInput> Inputs;
   std::vector<std::string> Stems;
   std::set<std::string> SeenStems;
   for (const std::string &Path : Args.Inputs) {
-    std::ifstream In(Path);
-    if (!In)
+    std::optional<std::string> Source = readFile(Path);
+    if (!Source)
       return usageError("cannot open '" + Path + "'");
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Inputs.push_back({Path, Buffer.str()});
+    Inputs.push_back({Path, std::move(*Source)});
     std::string Stem = std::filesystem::path(Path).stem().string();
     if (Stem.empty())
       Stem = "input" + std::to_string(Stems.size());
@@ -848,13 +746,13 @@ int runBatch(const DriverArgs &Args) {
     return usageError("cannot create '" + Args.OutDir +
                       "': " + Ec.message());
 
+  const ArtifactPaths &Given = Args.Artifacts;
   core::BatchOptions Batch;
   Batch.Options = Args.Options;
-  Batch.Jobs = Args.Jobs;
-  Batch.CaptureSnapshots = !Args.DumpDir.empty();
-  Batch.EnableRemarks =
-      !Args.RemarksPath.empty() || !Args.RemarksJsonPath.empty();
-  Batch.EnableTracing = !Args.TracePath.empty();
+  Batch.Jobs = static_cast<unsigned>(Args.Jobs.value_or(0));
+  Batch.CaptureSnapshots = Given.snapshots();
+  Batch.EnableRemarks = Given.remarks();
+  Batch.EnableTracing = Given.tracing();
   unsigned Jobs = core::batchJobCount(Batch, Inputs.size());
 
   std::vector<core::BatchItem> Items = core::compileBatch(Inputs, Batch);
@@ -863,102 +761,58 @@ int runBatch(const DriverArgs &Args) {
   int Exit = 0;
   for (size_t I = 0; I < Items.size(); ++I) {
     const core::BatchItem &Item = Items[I];
-    std::filesystem::path Base =
-        std::filesystem::path(Args.OutDir) / Stems[I];
-    if (!Item.ok()) {
-      std::string Error =
-          Item.Outcome ? Item.Outcome->error() : std::string("not compiled");
-      compileError(pipelineErrorMessage(*Item.Session, Item.Name, Error));
-      // A failed item still flushes its remarks and trace — the sat:core
-      // remarks of an infeasible placement land there.
-      if (!Args.RemarksPath.empty())
-        if (Status S = Item.Session->remarks().writeText(Base.string() +
-                                                         ".remarks.txt");
-            !S)
-          return usageError(S.error());
-      if (!Args.RemarksJsonPath.empty())
-        if (Status S = Item.Session->remarks().writeJsonl(
-                Base.string() + ".remarks.jsonl", Item.Name);
-            !S)
-          return usageError(S.error());
-      if (!Args.TracePath.empty())
-        if (Status S = Item.Session->telemetry().writeTrace(
-                Base.string() + ".trace.json");
-            !S)
-          return usageError(S.error());
-      if (!Args.CoveragePath.empty())
-        if (Status S = writeCoverage(Base.string() + ".coverage.json",
-                                     Item.Name,
-                                     Item.Session->coverage().snapshot());
-            !S)
-          return usageError(S.error());
+    // The flags given name which artifacts each input writes; their
+    // paths are ignored in favour of <out-dir>/<stem>.*.
+    std::string Base = (std::filesystem::path(Args.OutDir) / Stems[I]).string();
+    auto At = [&](const std::string &Flag, const char *Suffix) {
+      return Flag.empty() ? std::string() : Base + Suffix;
+    };
+    ArtifactPaths Paths;
+    Paths.Stats = At(Given.Stats, ".stats.json");
+    Paths.Remarks = At(Given.Remarks, ".remarks.txt");
+    Paths.RemarksJson = At(Given.RemarksJson, ".remarks.jsonl");
+    Paths.Trace = At(Given.Trace, ".trace.json");
+    Paths.Coverage = At(Given.Coverage, ".coverage.json");
+    if (!Given.SnapshotDir.empty())
+      Paths.SnapshotDir =
+          (std::filesystem::path(Given.SnapshotDir) / Stems[I]).string();
+
+    const core::CompileResult *R = nullptr;
+    if (Item.ok()) {
+      R = &Item.Outcome->value();
+      if (Status S = writeFile(Base + Ext, primaryArtifactText(*R, Args.Emit));
+          !S)
+        return usageError(S.error());
+    } else {
+      compileError(pipelineErrorMessage(
+          *Item.Session, Item.Name,
+          Item.Outcome ? Item.Outcome->error() : "not compiled"));
       Exit = 1;
-      continue;
     }
-    const core::CompileResult &R = Item.Outcome->value();
-    if (Status S = writeTextOutput(Base.string() + Ext,
-                                   primaryArtifactText(R, Args.Emit));
+    if (Status S = writeArtifacts(Paths, *Item.Session, Item.Name, R,
+                                  Args.Options.Dev);
         !S)
       return usageError(S.error());
-    if (!Args.StatsJsonPath.empty()) {
-      obs::Json Doc =
-          core::statsJson(R, Item.Name, Item.Session->context());
-      if (Status S = obs::writeJsonFile(Doc, Base.string() + ".stats.json");
-          !S)
-        return usageError(S.error());
-    }
-    if (!Args.RemarksPath.empty())
-      if (Status S =
-              Item.Session->remarks().writeText(Base.string() +
-                                                ".remarks.txt");
-          !S)
-        return usageError(S.error());
-    if (!Args.RemarksJsonPath.empty())
-      if (Status S = Item.Session->remarks().writeJsonl(
-              Base.string() + ".remarks.jsonl", Item.Name);
-          !S)
-        return usageError(S.error());
-    if (!Args.TracePath.empty())
-      if (Status S = Item.Session->telemetry().writeTrace(Base.string() +
-                                                          ".trace.json");
-          !S)
-        return usageError(S.error());
-    if (!Args.CoveragePath.empty())
-      if (Status S = writeCoverage(Base.string() + ".coverage.json",
-                                   Item.Name,
-                                   Item.Session->coverage().snapshot());
-          !S)
-        return usageError(S.error());
-    if (!Args.DumpDir.empty()) {
-      std::filesystem::path StageDir =
-          std::filesystem::path(Args.DumpDir) / Stems[I];
-      if (Status S = obs::writeSnapshots(Item.Session->snapshots(),
-                                         StageDir.string(), Item.Name);
-          !S)
-        return usageError(S.error());
-    }
-    if (Args.Stats)
+    if (R && Given.StatsTable)
       std::fprintf(stderr, "%s: ok (%.1f ms, %u LUT, %u DSP)\n",
-                   Item.Name.c_str(), R.Times.TotalMs, R.Util.Luts,
-                   R.Util.Dsps);
+                   Item.Name.c_str(), R->Times.TotalMs, R->Util.Luts,
+                   R->Util.Dsps);
   }
 
-  if (!Args.StatsJsonPath.empty()) {
-    obs::Json Summary = core::batchStatsJson(Items, Jobs);
-    if (Args.StatsJsonPath == "-") {
-      std::fputs((Summary.str(2) + "\n").c_str(), stdout);
-    } else if (Status S = obs::writeJsonFile(Summary, Args.StatsJsonPath);
-               !S) {
+  // --stats-json receives the merged summary and --coverage the union of
+  // every input's bins (also embedded in the summary).
+  if (!Given.Stats.empty())
+    if (Status S = writeTextOutput(
+            Given.Stats, core::batchStatsJson(Items, Jobs).str(2) + "\n");
+        !S)
       return usageError(S.error());
-    }
-  }
-  // The --coverage path receives the batch union (per-input docs landed
-  // next to the other per-input artifacts above), mirroring how
-  // --stats-json holds the merged summary in batch mode.
-  if (Status S =
-          writeCoverage(Args.CoveragePath, "batch", core::batchCoverage(Items));
-      !S)
-    return usageError(S.error());
+  if (!Given.Coverage.empty())
+    if (Status S = writeTextOutput(
+            Given.Coverage,
+            obs::coverageDoc("batch", core::batchCoverage(Items)).str(2) +
+                "\n");
+        !S)
+      return usageError(S.error());
   return Exit;
 }
 
@@ -966,8 +820,8 @@ int runBatch(const DriverArgs &Args) {
 
 int main(int Argc, char **Argv) {
   DriverArgs Args;
-  std::string DeviceName = "xczu3eg";
-
+  const std::vector<Flag> Flags = flagTable(Args);
+  std::vector<const Flag *> Given;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--dump-target") {
@@ -982,211 +836,75 @@ int main(int Argc, char **Argv) {
       printUsage(stdout, Argv[0]);
       return 0;
     }
-    if (Arg.rfind("--emit=", 0) == 0) {
-      Args.Emit = Arg.substr(7);
-    } else if (Arg.rfind("--device=", 0) == 0) {
-      DeviceName = Arg.substr(9);
-    } else if (Arg.rfind("--stats-json=", 0) == 0) {
-      Args.StatsJsonPath = Arg.substr(13);
-      if (Args.StatsJsonPath.empty())
-        return usageError("--stats-json= requires a file path or '-'");
-    } else if (Arg.rfind("--trace=", 0) == 0) {
-      Args.TracePath = Arg.substr(8);
-      if (Args.TracePath.empty())
-        return usageError("--trace= requires a file path or '-'");
-    } else if (Arg.rfind("--dump-after-all=", 0) == 0) {
-      Args.DumpDir = Arg.substr(17);
-      if (Args.DumpDir.empty())
-        return usageError("--dump-after-all= requires a directory");
-    } else if (Arg.rfind("--dump-after=", 0) == 0) {
-      Args.DumpStage = Arg.substr(13);
-      if (!isKnownStage(Args.DumpStage))
-        return usageError("unknown stage '" + Args.DumpStage +
-                          "' (valid: " + std::string(StageChoices) + ")");
-    } else if (Arg.rfind("--remarks=", 0) == 0) {
-      Args.RemarksPath = Arg.substr(10);
-      if (Args.RemarksPath.empty())
-        return usageError("--remarks= requires a file path or '-'");
-    } else if (Arg.rfind("--remarks-json=", 0) == 0) {
-      Args.RemarksJsonPath = Arg.substr(15);
-      if (Args.RemarksJsonPath.empty())
-        return usageError("--remarks-json= requires a file path or '-'");
-    } else if (Arg.rfind("--floorplan=", 0) == 0) {
-      Args.FloorplanPath = Arg.substr(12);
-      if (Args.FloorplanPath.empty())
-        return usageError("--floorplan= requires a file path or '-'");
-    } else if (Arg.rfind("--floorplan-timeline=", 0) == 0) {
-      Args.FloorplanTimelinePath = Arg.substr(21);
-      if (Args.FloorplanTimelinePath.empty())
-        return usageError("--floorplan-timeline= requires a file path or "
-                          "'-'");
-    } else if (Arg.rfind("--disable-pass=", 0) == 0) {
-      std::string Name = Arg.substr(15);
-      if (!isKnownPass(Name))
-        return usageError("unknown pass '" + Name +
-                          "' (valid: " + std::string(PassChoices) + ")");
-      if (!core::isPassDisableable(Name))
-        return usageError("pass '" + Name +
-                          "' cannot be disabled (disableable: " +
-                          std::string(DisableablePasses) + ")");
-      if (!Args.Options.isPassDisabled(Name))
-        Args.Options.DisabledPasses.push_back(Name);
-    } else if (Arg.rfind("--print-before=", 0) == 0) {
-      std::string Name = Arg.substr(15);
-      if (!isKnownPass(Name))
-        return usageError("unknown pass '" + Name +
-                          "' (valid: " + std::string(PassChoices) + ")");
-      Args.Options.PrintBefore = Name;
-    } else if (Arg.rfind("--run=", 0) == 0) {
-      Args.RunTracePath = Arg.substr(6);
-      if (Args.RunTracePath.empty())
-        return usageError("--run= requires an input-trace file");
-    } else if (Arg.rfind("--cycles=", 0) == 0) {
-      std::optional<uint64_t> N =
-          parseCount(std::string_view(Arg).substr(9), 0, UINT64_MAX);
-      if (!N)
-        return usageError("--cycles= requires a cycle count");
-      Args.Cycles = *N;
-      Args.CyclesSet = true;
-    } else if (Arg.rfind("--sim=", 0) == 0) {
-      Args.SimEngine = Arg.substr(6);
-      Args.SimSet = true;
-      if (Args.SimEngine != "interp" && Args.SimEngine != "vm-ir" &&
-          Args.SimEngine != "vm-netlist" && Args.SimEngine != "both")
-        return usageError("unknown --sim engine '" + Args.SimEngine +
-                          "' (valid: interp, vm-ir, vm-netlist, both)");
-    } else if (Arg.rfind("--vcd=", 0) == 0) {
-      Args.VcdPath = Arg.substr(6);
-      if (Args.VcdPath.empty())
-        return usageError("--vcd= requires a file path or '-'");
-    } else if (Arg.rfind("--wave-json=", 0) == 0) {
-      Args.WaveJsonPath = Arg.substr(12);
-      if (Args.WaveJsonPath.empty())
-        return usageError("--wave-json= requires a file path or '-'");
-    } else if (Arg.rfind("--dump-sim-program=", 0) == 0) {
-      Args.DumpSimProgramPath = Arg.substr(19);
-      if (Args.DumpSimProgramPath.empty())
-        return usageError("--dump-sim-program= requires a file path or '-'");
-    } else if (Arg.rfind("--coverage=", 0) == 0) {
-      Args.CoveragePath = Arg.substr(11);
-      if (Args.CoveragePath.empty())
-        return usageError("--coverage= requires a file path or '-'");
-    } else if (Arg.rfind("--profile-sim=", 0) == 0) {
-      Args.ProfileSimPath = Arg.substr(14);
-      if (Args.ProfileSimPath.empty())
-        return usageError("--profile-sim= requires a file path or '-'");
-    } else if (Arg.rfind("--profile-folded=", 0) == 0) {
-      Args.ProfileFoldedPath = Arg.substr(17);
-      if (Args.ProfileFoldedPath.empty())
-        return usageError("--profile-folded= requires a file path or '-'");
-    } else if (Arg.rfind("--sat-proof=", 0) == 0) {
-      Args.SatProofPath = Arg.substr(12);
-      if (Args.SatProofPath.empty())
-        return usageError("--sat-proof= requires a file path or '-'");
-      Args.Options.SatProof = true;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      std::optional<uint64_t> Jobs =
-          parseCount(std::string_view(Arg).substr(7), 1, 1024);
-      if (!Jobs)
-        return usageError("--jobs= requires a positive thread count");
-      Args.Jobs = static_cast<unsigned>(*Jobs);
-    } else if (Arg.rfind("--out-dir=", 0) == 0) {
-      Args.OutDir = Arg.substr(10);
-      if (Args.OutDir.empty())
-        return usageError("--out-dir= requires a directory");
-    } else if (Arg == "-O") {
-      Args.Options.Optimize = true;
-    } else if (Arg == "--no-cascade") {
-      Args.Options.Cascade = false;
-    } else if (Arg == "--no-shrink") {
-      Args.Options.Shrink = false;
-    } else if (Arg == "--stats") {
-      Args.Stats = true;
-    } else if (Arg == "-o") {
-      if (++I >= Argc)
-        return usage(Argv[0]);
-      Args.OutputPath = Argv[I];
-    } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
+    if (Arg.empty() || Arg[0] != '-' || Arg == "-") {
+      Args.Inputs.push_back(Arg);
+      continue;
+    }
+    bool Long = Arg.rfind("--", 0) == 0;
+    size_t Eq = Long ? Arg.find('=') : std::string::npos;
+    std::string Name = Arg.substr(0, Eq);
+    const Flag *F = nullptr;
+    for (const Flag &Row : Flags)
+      if (Name == Row.Name)
+        F = &Row;
+    // Switches take no value; long flags take theirs after '='.
+    bool Known = F && (F->Switch ? Eq == std::string::npos
+                                 : !Long || Eq != std::string::npos);
+    if (!Known) {
       std::fprintf(stderr, "reticlec: unknown option '%s'\n", Arg.c_str());
       return usage(Argv[0]);
-    } else {
-      Args.Inputs.push_back(Arg);
     }
+    if (F->Switch) {
+      *F->Switch = true;
+    } else if (!Long && ++I >= Argc) {
+      return usage(Argv[0]);
+    } else if (std::string Error =
+                   setValue(*F, Long ? Arg.substr(Eq + 1) : Argv[I]);
+               !Error.empty()) {
+      return usageError(Error);
+    }
+    Given.push_back(F);
   }
   if (Args.Inputs.empty())
     return usage(Argv[0]);
 
-  if (Args.Emit != "asm" && Args.Emit != "placed" &&
-      Args.Emit != "verilog" && Args.Emit != "behavioral")
-    return usageError("unknown --emit kind '" + Args.Emit +
-                      "' (valid: " + EmitChoices + ")");
-
-  if (DeviceName == "xczu3eg")
-    Args.Options.Dev = device::Device::xczu3eg();
-  else if (DeviceName == "small")
-    Args.Options.Dev = device::Device::small();
-  else if (DeviceName == "tiny")
-    Args.Options.Dev = device::Device::tiny();
-  else
-    return usageError("unknown --device '" + DeviceName +
-                      "' (valid: " + DeviceChoices + ")");
-
-  if (Args.Emit == "behavioral") {
-    // Everything below observes the Figure-7 pipeline, which the
-    // behavioral translation bypasses entirely.
-    const std::pair<const char *, const std::string *> PipelineOnly[] = {
-        {"--stats-json", &Args.StatsJsonPath},
-        {"--dump-after-all", &Args.DumpDir},
-        {"--dump-after", &Args.DumpStage},
-        {"--remarks", &Args.RemarksPath},
-        {"--remarks-json", &Args.RemarksJsonPath},
-        {"--floorplan", &Args.FloorplanPath},
-        {"--floorplan-timeline", &Args.FloorplanTimelinePath},
-        {"--print-before", &Args.Options.PrintBefore},
-        {"--coverage", &Args.CoveragePath},
-        {"--profile-folded", &Args.ProfileFoldedPath},
-        {"--sat-proof", &Args.SatProofPath},
-    };
-    for (const auto &[Flag, Value] : PipelineOnly)
-      if (!Value->empty())
-        return usageError(std::string(Flag) +
-                          " requires a pipeline emit kind "
-                          "(asm, placed, verilog)");
-    if (!Args.Options.DisabledPasses.empty())
-      return usageError("--disable-pass requires a pipeline emit kind "
-                        "(asm, placed, verilog)");
-  }
-
-  if (Args.RunTracePath.empty()) {
-    if (Args.CyclesSet || Args.SimSet || !Args.VcdPath.empty() ||
-        !Args.WaveJsonPath.empty() || !Args.DumpSimProgramPath.empty() ||
-        !Args.ProfileSimPath.empty())
-      return usageError("--cycles/--sim/--vcd/--wave-json/"
-                        "--dump-sim-program/--profile-sim require --run");
-  } else {
+  bool Behavioral = Args.Emit == "behavioral";
+  Mode M = Behavioral ? BehavioralMode : SingleMode;
+  if (!Args.RunTracePath.empty()) {
     if (Args.Inputs.size() > 1)
       return usageError("--run applies to a single input");
-    if (Args.Emit == "behavioral")
+    if (Behavioral)
       return usageError("--run requires a pipeline emit kind "
                         "(asm, placed, verilog)");
-    const std::pair<const char *, const std::string *> NotInRunMode[] = {
-        {"-o", &Args.OutputPath},
-        {"--dump-after", &Args.DumpStage},
-        {"--dump-after-all", &Args.DumpDir},
-        {"--floorplan", &Args.FloorplanPath},
-        {"--floorplan-timeline", &Args.FloorplanTimelinePath},
-        {"--sat-proof", &Args.SatProofPath},
-        {"--print-before", &Args.Options.PrintBefore},
-    };
-    for (const auto &[Flag, Value] : NotInRunMode)
-      if (!Value->empty())
-        return usageError(std::string(Flag) + " does not apply with --run");
-    if (!Args.ProfileSimPath.empty() && Args.SimEngine != "both" &&
-        Args.SimEngine != "vm-ir" && Args.SimEngine != "vm-netlist")
-      return usageError("--profile-sim requires a VM engine "
-                        "(--sim=vm-ir, vm-netlist, or both)");
-    return runExecute(Args);
+    M = RunMode;
+  } else if (Args.Inputs.size() > 1) {
+    if (Behavioral)
+      return usageError("--emit=behavioral applies to a single input");
+    M = BatchMode;
   }
+  for (const Flag *F : Given)
+    if (!(F->Modes & M))
+      return usageError(refusal(*F, M));
+  if (!Args.ProfileSimPath.empty() && Args.SimEngine == "interp")
+    return usageError("--profile-sim requires a VM engine "
+                      "(--sim=vm-ir, vm-netlist, or both)");
 
-  return Args.Inputs.size() > 1 ? runBatch(Args) : runSingle(Args);
+  core::CompileOptions &Options = Args.Options;
+  Options.Dev = Args.Device == "small"  ? device::Device::small()
+                : Args.Device == "tiny" ? device::Device::tiny()
+                                        : device::Device::xczu3eg();
+  Options.Cascade = !Args.NoCascade;
+  Options.Shrink = !Args.NoShrink;
+  Options.SatProof = !Args.Artifacts.SatProof.empty();
+
+  switch (M) {
+  case BehavioralMode:
+    return runBehavioral(Args);
+  case RunMode:
+    return runExecute(Args);
+  case BatchMode:
+    return runBatch(Args);
+  default:
+    return runSingle(Args);
+  }
 }
