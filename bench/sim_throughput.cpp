@@ -13,12 +13,8 @@
 /// rather than folklore. Each vm-ir row carries `speedup_vs_tree`, its
 /// throughput relative to the same-mode interpreter run (programs are
 /// compiled once, outside the timed region); each bare VM row carries
-/// `speedup_vs_seed` against a recorded baseline. The VM engines additionally
-/// run a `profiled` mode — the per-op execution-profile variant of
-/// sim::execute — whose row carries `overhead_vs_none` (its wall time
-/// over the bare run's) and the profile's attribution fraction, so the
-/// cost of source-attributed profiling is tracked the same way. Writes
-/// `BENCH_sim.json` ("reticle-bench-v1") next to the binary.
+/// `speedup_vs_seed` against a recorded baseline. Writes `BENCH_sim.json`
+/// ("reticle-bench-v1") next to the binary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,9 +136,6 @@ int main() {
   // replaces as it performed when the VM work started.
   const double SeedInterpPerSec = 1493654.0;
   const double SeedNetlistPerSec = 149123.0;
-  // Bare-mode wall time per VM engine, so each profiled row can report
-  // the overhead its profiling adds.
-  std::map<std::string, double> NoneMs;
   // Modes: bare engine, wave capture attached, and capture replayed into
   // toggle-coverage bins (the full --run --coverage path).
   // Best of Reps runs per row: the machine is shared, so a single
@@ -151,13 +144,11 @@ int main() {
   const int Reps = 5;
   auto Measure = [&](const char *Engine, const char *Mode) {
     std::string Eng(Engine);
-    bool WithProfile = std::string(Mode) == "profiled";
-    bool WithWave = !WithProfile && std::string(Mode) != "none";
+    bool WithWave = std::string(Mode) != "none";
     bool WithCoverage = std::string(Mode) == "coverage";
     double Ms = 0.0;
     Result<Trace> Out = fail<Trace>("not run");
     uint64_t ToggleBins = 0;
-    sim::VmProfile Prof;
     for (int Rep = 0; Rep < Reps; ++Rep) {
       sim::WaveCapture Cap;
       sim::WaveSink *Sink = WithWave ? &Cap : nullptr;
@@ -167,10 +158,6 @@ int main() {
       auto Start = std::chrono::steady_clock::now();
       Out = Eng == "interp"
                 ? interp::interpret(Fn.value(), In, Sink, Ctx)
-            : WithProfile
-                ? sim::execute(Eng == "vm-ir" ? IrProg.value()
-                                              : NetProg.value(),
-                               In, Prof, Sink, Ctx)
                 : sim::execute(Eng == "vm-ir" ? IrProg.value()
                                               : NetProg.value(),
                                In, Sink, Ctx);
@@ -212,24 +199,7 @@ int main() {
         InterpMs[Mode] = Ms;
         std::printf("  %-10s %-8s %10.1f %14.0f %10s\n", Engine, Mode, Ms,
                     PerSec, "-");
-      } else if (WithProfile) {
-        // The profiled row reports the cost of profiling, not a speedup:
-        // its wall time over the same engine's bare run.
-        double Overhead =
-            Ms > 0.0 && NoneMs.count(Eng) ? Ms / NoneMs[Eng] : 0.0;
-        Row.set("overhead_vs_none", Overhead);
-        Row.set("ops", Prof.TotalOps);
-        Row.set("ops_attributed", Prof.AttributedOps);
-        Row.set("attributed_frac",
-                Prof.TotalOps == 0
-                    ? 0.0
-                    : static_cast<double>(Prof.AttributedOps) /
-                          static_cast<double>(Prof.TotalOps));
-        std::printf("  %-10s %-8s %10.1f %14.0f %9.2fx\n", Engine, Mode, Ms,
-                    PerSec, Overhead);
       } else {
-        if (!WithWave)
-          NoneMs[Eng] = Ms;
         // vm-ir compares with the same-mode interpreter run; vm-netlist
         // has no live engine to compare with, only its seed baseline.
         bool IsIr = Eng == "vm-ir";
@@ -253,10 +223,6 @@ int main() {
   for (const char *Engine : {"interp", "vm-ir", "vm-netlist"})
     for (const char *Mode : {"none", "wave", "coverage"})
       Measure(Engine, Mode);
-  // Only the VM engines have a profiled executor; the interpreter has no
-  // bytecode sites to attribute.
-  for (const char *Engine : {"vm-ir", "vm-netlist"})
-    Measure(Engine, "profiled");
 
   obs::Json Doc = obs::Json::object();
   Doc.set("schema", "reticle-bench-v1");

@@ -5,8 +5,8 @@
 # summary) with json_check, including a remark_diff of two identical
 # runs to pin down pipeline determinism, a coverage_diff of the merged
 # example-program coverage against the checked-in golden
-# (tests/goldens/coverage.json), and a profile_diff of two identical
-# profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
+# (tests/goldens/coverage.json), and a cmp of two identical runs'
+# compiled-simulation programs to pin down lowering determinism. RUN_BENCH=1
 # additionally runs the microbenchmarks. After the primary build, two
 # hardening builds run: one under ThreadSanitizer exercising the
 # concurrent batch-compile path (including uneven cascade chains placed
@@ -49,7 +49,7 @@ trap 'rm -rf "$out"' EXIT
 
 "$build/tools/json_check" --require=schema --require=program \
     --require=timings.total_ms --require=timings.parse_ms \
-    --require=place.sat.decisions \
+    --require=sat.decisions \
     --require=sat.shrink_ms \
     --require=sat.sat_probes --require=sat.precheck_probes \
     --require=utilization.luts "$out/stats.json"
@@ -175,31 +175,18 @@ done
 "$build/tools/json_check" --nonempty=spaces.sim.toggle.bins \
     "$out/mac.run.coverage.json"
 
-echo "== sim-VM profile (reticle-profile-v1) + hot-set determinism =="
-# Two identical profiled runs must agree on every hot instruction and
-# every count — only the sampled wall times are machine-dependent, and
-# profile_diff ignores those. The join is the determinism gate: a drift
-# in the hot set means the lowering or the attribution table changed.
-"$build/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=both \
-    --profile-sim="$out/mac.profile-a.json" \
-    "$repo/examples/programs/mac.ret"
-"$build/tools/json_check" --require=schema --require=program \
-    --require=cycles --require=ops.total --require=ops.attributed \
-    --require=ops.attributed_frac --nonempty=hot_instructions \
-    --nonempty=hot_signals "$out/mac.profile-a.json"
-"$build/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=both \
-    --profile-sim="$out/mac.profile-b.json" \
-    "$repo/examples/programs/mac.ret"
-"$build/tools/json_check" profile_diff \
-    "$out/mac.profile-a.json" "$out/mac.profile-b.json"
-# A profile streamed to stdout must carry the schema marker, and the
-# flamegraph fold must reconstruct at least one nested compile stack.
-"$build/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=vm-netlist \
-    --profile-sim=- \
-    "$repo/examples/programs/mac.ret" | grep -q "reticle-profile-v1"
+echo "== sim-VM program determinism + span fold =="
+# Two identical runs must lower to the same bytecode: every op and every
+# source mark of both VM programs. A drift means the lowering or its
+# source table changed. The flamegraph fold must reconstruct at least
+# one nested compile stack.
+for run in a b; do
+    "$build/tools/reticlec" --device=small \
+        --run="$repo/examples/traces/mac.trace.json" --sim=both \
+        --dump-sim-program="$out/mac.sim-program-$run" \
+        "$repo/examples/programs/mac.ret"
+done
+cmp "$out/mac.sim-program-a" "$out/mac.sim-program-b"
 "$build/tools/reticlec" --device=small --emit=placed \
     --profile-folded=- \
     "$repo/examples/programs/mac.ret" | grep -q "^compile;"
@@ -219,16 +206,13 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
     done
     # The sim bench doc is a contract: schema, the seed baseline both
     # speedup_vs_seed numbers divide by, one cycles_per_sec per series
-    # row (every engine/mode pair), and the profiled VM rows with their
-    # overhead_vs_none cost figure.
+    # row (every engine/mode pair).
     "$build/tools/json_check" --require=schema --require=figure \
         --require=baseline.interp_cycles_per_sec \
         --require=baseline.netlist_cycles_per_sec \
         --nonempty=series "$out/BENCH_sim.json"
     test "$(grep -c '"engine"' "$out/BENCH_sim.json")" = \
          "$(grep -c '"cycles_per_sec"' "$out/BENCH_sim.json")"
-    grep -q '"profiled"' "$out/BENCH_sim.json"
-    grep -q '"overhead_vs_none"' "$out/BENCH_sim.json"
 fi
 
 echo "== ThreadSanitizer build: concurrent batch compile =="
@@ -298,7 +282,8 @@ echo "== ASan+UBSan build: packed waveforms, gate level, malformed input, clause
 # artifact through one reader into keyed rows for one join: each diff
 # preset runs over this section's artifacts (wide-wire waves of the
 # interpreter and vm-netlist, the mac remark golden against a live
-# stream, a coverage merge and its ratchet, two mac profiles), and each
+# stream, a coverage merge and its ratchet), two mac runs lower to the
+# same bytecode, and each
 # malformed input (a bad line, a missing file, a wave pair with no shared
 # port, a negative or fractional coverage count, a raw newline inside a
 # JSON string) must be exit 2, the diagnostic, with no sanitizer report.
@@ -397,11 +382,10 @@ for run in a b; do
     "$repo/build-asan/tools/reticlec" --device=small \
         --run="$repo/examples/traces/mac.trace.json" --sim=both \
         --wave-json="$out/mac.asan.wave.jsonl" \
-        --profile-sim="$out/mac.asan.profile-$run.json" \
+        --dump-sim-program="$out/mac.asan.sim-program-$run" \
         "$repo/examples/programs/mac.ret"
 done
-"$asan_jc" profile_diff \
-    "$out/mac.asan.profile-a.json" "$out/mac.asan.profile-b.json"
+cmp "$out/mac.asan.sim-program-a" "$out/mac.asan.sim-program-b"
 
 # json_check <args> must exit 2 with no sanitizer report.
 expect_unusable() {
@@ -418,7 +402,6 @@ sed '3s/.*/oops/' "$out/wide.asan.interp.wave.jsonl" \
     > "$out/malformed.wave.jsonl"
 sed '3s/.*/oops/' "$repo/tests/goldens/coverage.json" \
     > "$out/malformed.coverage.json"
-sed '3s/.*/oops/' "$out/mac.asan.profile-a.json" > "$out/malformed.profile.json"
 sed '0,/"add": [0-9]*/s//"add": -1/' "$repo/tests/goldens/coverage.json" \
     > "$out/negative.coverage.json"
 sed '0,/"add": [0-9]*/s//"add": 1.5/' "$repo/tests/goldens/coverage.json" \
@@ -439,8 +422,5 @@ expect_unusable coverage_diff \
 expect_unusable coverage_merge "$out/negative.coverage.json"
 expect_unusable coverage_diff "$repo/tests/goldens/coverage.json" \
     "$repo/tests/inputs/raw_newline.coverage.json"
-expect_unusable profile_diff \
-    "$out/mac.asan.profile-a.json" "$out/malformed.profile.json"
-expect_unusable profile_diff "$out/missing.json" "$out/mac.asan.profile-a.json"
 
 echo "ok: build, tests, and all emitted artifacts check out"

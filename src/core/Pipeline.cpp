@@ -235,21 +235,11 @@ Status Pipeline::run(CompileState &State, CompileSession &Session,
   for (const std::unique_ptr<Pass> &P : Passes) {
     auto Start = std::chrono::steady_clock::now();
     Status Outcome = Status::success();
-    bool Ran = P->enabled(Options);
-    if (Ran) {
+    if (P->enabled(Options)) {
       obs::Span Sp(Session.context(), P->spanName());
       Outcome = P->run(State, Session, Options);
       if (Outcome)
         P->spanArgs(Sp, State);
-    }
-    if (Ran) {
-      // Latency distributions: every pass execution lands one sample in
-      // the aggregate pass histogram and one in its per-pass histogram,
-      // so batch compiles expose real p50/p90/p99 per stage.
-      double Ms = msSince(Start);
-      obs::Telemetry &Telem = Session.telemetry();
-      Telem.histogram("pipeline.pass_ms").record(Ms);
-      Telem.histogram(std::string("pipeline.pass_ms.") + P->name()).record(Ms);
     }
     if (double StageTimings::*Slot = P->timingSlot())
       State.Result.Times.*Slot = msSince(Start);

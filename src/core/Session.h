@@ -7,7 +7,7 @@
 /// \file
 /// A CompileSession owns every piece of mutable state one run of the
 /// Figure-7 pipeline produces or consumes: the telemetry registry
-/// (counters, histograms, trace spans), the remark stream, the per-stage
+/// (counters and trace spans), the remark stream, the per-stage
 /// program snapshots, and the diagnostics the pipeline raised. Stages
 /// receive the session's obs::Context explicitly, so two sessions in one
 /// process never touch each other's state — which is what makes

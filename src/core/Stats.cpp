@@ -61,27 +61,18 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Doc.set("cascade", std::move(Cascade));
 
   Json Place = Json::object();
-  Place.set("solves", Result.PlaceStats.Solves);
   Place.set("shrink_iterations", Result.PlaceStats.ShrinkIterations);
   Place.set("max_column", Result.PlaceStats.MaxColumn);
   Place.set("max_row", Result.PlaceStats.MaxRow);
-  Json Sat = Json::object();
-  Sat.set("vars", Result.PlaceStats.Vars);
-  Sat.set("clauses", Result.PlaceStats.Clauses);
-  Sat.set("decisions", Result.PlaceStats.Decisions);
-  Sat.set("propagations", Result.PlaceStats.Propagations);
-  Sat.set("conflicts", Result.PlaceStats.Conflicts);
-  Sat.set("restarts", Result.PlaceStats.Restarts);
-  Sat.set("learned", Result.PlaceStats.Learned);
-  Place.set("sat", std::move(Sat));
   Doc.set("place", std::move(Place));
 
-  // The solver-level search profile: solve counts, learned-clause quality
-  // histograms, time, and the per-probe shrink record. The `place.sat`
-  // block above stays as the compact aggregate consumers already depend
-  // on; this section carries the full profile.
+  // The solver-level search profile: encoding size, solve counts,
+  // learned-clause quality histograms, time, and the per-probe shrink
+  // record.
   Json SatProfile = Json::object();
   SatProfile.set("solves", Result.PlaceStats.Solves);
+  SatProfile.set("vars", Result.PlaceStats.Vars);
+  SatProfile.set("clauses", Result.PlaceStats.Clauses);
   SatProfile.set("budget_exhausted", Result.PlaceStats.BudgetExhausted);
   SatProfile.set("time_ms", Result.PlaceStats.SatMs);
   SatProfile.set("shrink_ms", Result.PlaceStats.ShrinkMs);
@@ -184,8 +175,5 @@ Json reticle::core::statsJson(const CompileResult &Result,
   Doc.set("coverage", obs::coverageJson(Ctx.coverage().snapshot()));
 
   Doc.set("counters", std::move(Counters));
-  // Latency distributions (pipeline.pass_ms[.<pass>], sat.solve_ms,
-  // sim.cycle_batch_ms): log-bucketed percentile estimates per name.
-  Doc.set("histograms", Ctx.Telem->histogramsJson());
   return Doc;
 }

@@ -8,7 +8,7 @@
 /// Builds the machine-readable stats document ("reticle-stats-v1") that
 /// `reticlec --stats-json=` writes and `--stats` renders as a table. One
 /// JSON object unifies every per-stage statistic the pipeline produces:
-/// selection, cascading, placement (with the aggregated SAT solver effort),
+/// selection, cascading, placement, the aggregated SAT solver effort,
 /// utilization, timing, the StageTimings wall-clock breakdown, and the
 /// counter registry of the session the compilation ran in. See
 /// docs/OBSERVABILITY.md for the schema.

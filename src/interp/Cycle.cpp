@@ -32,16 +32,7 @@ void OutputProto::seal() {
 EngineFrame::EngineFrame(WaveSink *Wave, const obs::Context &Ctx,
                          const char *OwnCounter)
     : SimCycles(&Ctx.counter("sim.cycles")),
-      OwnCycles(&Ctx.counter(OwnCounter)),
-      BatchMs(&Ctx.histogram("sim.cycle_batch_ms")),
-      BatchStart(std::chrono::steady_clock::now()), Rec(Wave, Ctx) {}
-
-void EngineFrame::batchTick() {
-  auto Now = std::chrono::steady_clock::now();
-  BatchMs->record(
-      std::chrono::duration<double, std::milli>(Now - BatchStart).count());
-  BatchStart = Now;
-}
+      OwnCycles(&Ctx.counter(OwnCounter)), Rec(Wave, Ctx) {}
 
 EngineFrame::~EngineFrame() {
   if (Pending == 0)

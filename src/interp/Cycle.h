@@ -37,7 +37,6 @@
 #include "obs/Context.h"
 #include "support/Result.h"
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -144,14 +143,8 @@ public:
   bool waveActive() const { return Rec.active(); }
 
   /// Counts one cycle; the totals land in `sim.cycles` and the engine
-  /// counter when the frame is destroyed. Every `BatchCycles` cycles the
-  /// elapsed wall time since the previous batch boundary lands one sample
-  /// in the `sim.cycle_batch_ms` histogram, so long runs expose a real
-  /// latency distribution instead of a single total.
-  void beginCycle() {
-    if ((++Pending & (BatchCycles - 1)) == 0)
-      batchTick();
-  }
+  /// counter when the frame is destroyed.
+  void beginCycle() { ++Pending; }
 
   /// Flushes a partial waveform and passes \p Msg back for the engine to
   /// wrap into its failing result.
@@ -161,19 +154,9 @@ public:
   Status finish();
 
 private:
-  /// Batch size for the cycle-time histogram; a power of two so the hot
-  /// check in beginCycle() is one mask.
-  static constexpr uint64_t BatchCycles = 1024;
-
-  /// Out of the hot path: records the elapsed time for the completed
-  /// 1k-cycle batch and restarts the batch clock.
-  void batchTick();
-
   obs::Counter *SimCycles;
   obs::Counter *OwnCycles;
-  obs::Histogram *BatchMs;
   uint64_t Pending = 0;
-  std::chrono::steady_clock::time_point BatchStart;
   WaveRecorder Rec;
 };
 

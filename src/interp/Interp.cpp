@@ -24,6 +24,7 @@ Result<Trace> reticle::interp::interpret(const Function &Fn,
                                          const Trace &Input,
                                          sim::WaveSink *Wave,
                                          const obs::Context &Ctx) {
+  obs::Span Sp(Ctx, "interp.execute");
   // WellFormedCheck (Algorithm 1, line 2): verify and split the body into a
   // topologically ordered pure queue P and a register queue R, seeding the
   // environment with register initial values.

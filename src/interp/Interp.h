@@ -33,9 +33,9 @@ namespace interp {
 ///
 /// Streams every value (inputs, internal instruction results, registers,
 /// outputs) into \p Wave cycle by cycle (null for no waveform). The
-/// verifier, the def-use analysis, `sim.cycles` and `interp.*` record
-/// into \p Ctx. A failing run still finishes the sink (aborted) so
-/// partial waveforms flush.
+/// verifier, the def-use analysis, the `interp.execute` span,
+/// `sim.cycles` and `interp.*` record into \p Ctx. A failing run still
+/// finishes the sink (aborted) so partial waveforms flush.
 Result<Trace> interpret(const ir::Function &Fn, const Trace &Input,
                         sim::WaveSink *Wave, const obs::Context &Ctx);
 

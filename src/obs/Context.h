@@ -46,9 +46,6 @@ struct Context {
   Coverage *Cov;
 
   Counter &counter(std::string_view Name) const { return Telem->counter(Name); }
-  Histogram &histogram(std::string_view Name) const {
-    return Telem->histogram(Name);
-  }
   bool tracingEnabled() const { return Telem->tracingEnabled(); }
   bool remarksEnabled() const { return Rem->enabled(); }
   void instant(const char *Name) const { Telem->instant(Name); }

@@ -38,12 +38,6 @@ struct CounterEntry {
   explicit CounterEntry(std::string Name) : Name(std::move(Name)) {}
 };
 
-struct HistogramEntry {
-  std::string Name;
-  Histogram Value;
-  explicit HistogramEntry(std::string Name) : Name(std::move(Name)) {}
-};
-
 /// Trace tids are process-wide so events from several Telemetry instances
 /// viewed side by side still distinguish the recording threads.
 uint32_t threadId() {
@@ -55,13 +49,11 @@ uint32_t threadId() {
 } // namespace
 
 /// Per-instance telemetry state. Entries live in deques so references
-/// handed out by counter()/histogram() stay valid for the instance lifetime.
+/// handed out by counter() stay valid for the instance lifetime.
 struct Telemetry::Impl {
   mutable std::mutex Mu;
   std::deque<CounterEntry> Counters;
   std::map<std::string, Counter *, std::less<>> CounterIndex;
-  std::deque<HistogramEntry> Histograms;
-  std::map<std::string, Histogram *, std::less<>> HistogramIndex;
   std::vector<TraceEvent> Events;
   std::atomic<bool> Tracing{false};
   std::chrono::steady_clock::time_point Epoch =
@@ -92,17 +84,6 @@ Counter &Telemetry::counter(std::string_view Name) {
   Counter *C = &I->Counters.back().Value;
   I->CounterIndex.emplace(std::string(Name), C);
   return *C;
-}
-
-Histogram &Telemetry::histogram(std::string_view Name) {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  auto It = I->HistogramIndex.find(Name);
-  if (It != I->HistogramIndex.end())
-    return *It->second;
-  I->Histograms.emplace_back(std::string(Name));
-  Histogram *H = &I->Histograms.back().Value;
-  I->HistogramIndex.emplace(std::string(Name), H);
-  return *H;
 }
 
 bool Telemetry::tracingEnabled() const {
@@ -225,24 +206,6 @@ Json Telemetry::countersJson() const {
   for (const CounterEntry &E : I->Counters)
     Counters.set(E.Name, E.Value.load());
   return Counters;
-}
-
-Json Telemetry::histogramsJson() const {
-  std::lock_guard<std::mutex> Lock(I->Mu);
-  Json Doc = Json::object();
-  for (const HistogramEntry &E : I->Histograms) {
-    if (!E.Value.count())
-      continue;
-    Json H = Json::object();
-    H.set("count", E.Value.count());
-    H.set("sum", E.Value.sum());
-    H.set("p50", E.Value.percentile(50.0));
-    H.set("p90", E.Value.percentile(90.0));
-    H.set("p99", E.Value.percentile(99.0));
-    H.set("max", E.Value.max());
-    Doc.set(E.Name, std::move(H));
-  }
-  return Doc;
 }
 
 Span::Span(Telemetry &Telem, const char *Name) : Telem(&Telem), Name(Name) {

@@ -20,7 +20,7 @@
 ///    after which every increment is one relaxed atomic add.
 ///
 /// Telemetry is **instance-based**: a `Telemetry` object owns one registry
-/// of counters and histograms and one trace-event buffer with its own clock epoch,
+/// of counters and one trace-event buffer with its own clock epoch,
 /// so concurrent compiles record into disjoint instances without
 /// contending. There is no process-wide instance: code reaches one
 /// through the `obs::Context` (Context.h) its caller passes.
@@ -36,7 +36,6 @@
 
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -65,86 +64,10 @@ private:
   std::atomic<uint64_t> V{0};
 };
 
-/// A log-bucketed latency distribution: samples land in power-of-two
-/// buckets spanning 2^-32 .. 2^32 (the recording unit is by convention
-/// milliseconds), so percentile queries are a bucket walk with log-2
-/// resolution. Recording is lock-free — one relaxed bucket add plus CAS
-/// loops for the running sum and max — so distinct threads can record into
-/// the same histogram; reads (count/percentile/max) are registry-export
-/// paths and take relaxed snapshots.
-class Histogram {
-public:
-  void record(double Value) {
-    Buckets[bucketOf(Value)].fetch_add(1, std::memory_order_relaxed);
-    N.fetch_add(1, std::memory_order_relaxed);
-    atomicAdd(Sum, Value);
-    atomicMax(Mx, Value);
-  }
-
-  uint64_t count() const { return N.load(std::memory_order_relaxed); }
-  double sum() const { return Sum.load(std::memory_order_relaxed); }
-  double max() const { return Mx.load(std::memory_order_relaxed); }
-
-  /// The \p Q-th percentile (0..100) estimated as the upper bound of the
-  /// bucket holding the rank-Q sample, clamped to the observed max.
-  double percentile(double Q) const {
-    uint64_t Total = N.load(std::memory_order_relaxed);
-    if (!Total)
-      return 0.0;
-    auto Rank = static_cast<uint64_t>(std::ceil(Q / 100.0 * Total));
-    if (Rank < 1)
-      Rank = 1;
-    uint64_t Seen = 0;
-    for (unsigned I = 0; I < NumBuckets; ++I) {
-      Seen += Buckets[I].load(std::memory_order_relaxed);
-      if (Seen >= Rank)
-        return std::min(upperOf(I), max());
-    }
-    return max();
-  }
-
-private:
-  static constexpr unsigned NumBuckets = 64;
-
-  /// Bucket I holds values in [2^(I-33), 2^(I-32)); non-positive values
-  /// land in bucket 0.
-  static unsigned bucketOf(double V) {
-    if (!(V > 0.0))
-      return 0;
-    int Exp = 0;
-    std::frexp(V, &Exp); // V = m * 2^Exp, m in [0.5, 1)
-    int Index = Exp + 32;
-    if (Index < 0)
-      return 0;
-    if (Index >= static_cast<int>(NumBuckets))
-      return NumBuckets - 1;
-    return static_cast<unsigned>(Index);
-  }
-  static double upperOf(unsigned I) {
-    return std::ldexp(1.0, static_cast<int>(I) - 32);
-  }
-  static void atomicAdd(std::atomic<double> &A, double V) {
-    double Cur = A.load(std::memory_order_relaxed);
-    while (!A.compare_exchange_weak(Cur, Cur + V, std::memory_order_relaxed)) {
-    }
-  }
-  static void atomicMax(std::atomic<double> &A, double V) {
-    double Cur = A.load(std::memory_order_relaxed);
-    while (Cur < V &&
-           !A.compare_exchange_weak(Cur, V, std::memory_order_relaxed)) {
-    }
-  }
-
-  std::atomic<uint64_t> Buckets[NumBuckets]{};
-  std::atomic<uint64_t> N{0};
-  std::atomic<double> Sum{0.0};
-  std::atomic<double> Mx{0.0};
-};
-
-/// One telemetry domain: a registry of named counters and histograms plus
-/// a trace-event buffer with its own clock epoch and tracing switch. All
-/// operations are thread-safe; references returned by counter() and
-/// histogram() stay valid for the lifetime of the Telemetry object.
+/// One telemetry domain: a registry of named counters plus a trace-event
+/// buffer with its own clock epoch and tracing switch. All operations are
+/// thread-safe; references returned by counter() stay valid for the
+/// lifetime of the Telemetry object.
 class Telemetry {
 public:
   Telemetry();
@@ -152,10 +75,9 @@ public:
   Telemetry(const Telemetry &) = delete;
   Telemetry &operator=(const Telemetry &) = delete;
 
-  /// Finds or registers the counter / histogram named \p Name.
+  /// Finds or registers the counter named \p Name.
   /// Hot paths should hoist the returned reference out of their loops.
   Counter &counter(std::string_view Name);
-  Histogram &histogram(std::string_view Name);
 
   /// Trace switch. Spans and instants record only while enabled.
   bool tracingEnabled() const;
@@ -179,11 +101,6 @@ public:
   /// A snapshot of every registered counter, as {name: value, ...} in
   /// registration order.
   Json countersJson() const;
-
-  /// A snapshot of every registered histogram, as
-  /// {name: {"count": N, "sum": S, "p50": ..., "p90": ..., "p99": ...,
-  /// "max": ...}}. Empty (zero-sample) histograms are skipped.
-  Json histogramsJson() const;
 
 private:
   friend class Span;

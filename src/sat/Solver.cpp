@@ -515,27 +515,20 @@ Outcome Solver::runSolve(const std::vector<Lit> *Assumptions,
   double Ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - T0)
                   .count();
-  // The per-solve delta profile is filled for every outcome — a budget-
-  // exhausted (Unknown) probe still reports the conflicts it burned.
-  Profile.Result = O;
-  Profile.Decisions = Stats.Decisions - Before.Decisions;
-  Profile.Propagations = Stats.Propagations - Before.Propagations;
-  Profile.Conflicts = Stats.Conflicts - Before.Conflicts;
-  Profile.Restarts = Stats.Restarts - Before.Restarts;
-  Profile.Learned = Stats.Learned - Before.Learned;
-  Profile.TimeMs = Ms;
   ++Stats.Solves;
   if (O == Outcome::Unknown)
     ++Stats.Unknowns;
   Stats.SolveMs += Ms;
-  Ctx.histogram("sat.solve_ms").record(Ms);
+  // This search's work, for every outcome — a budget-exhausted (Unknown)
+  // probe still reports the conflicts it burned.
+  Statistics D = Statistics::delta(Stats, Before);
   ++Solves;
-  Decisions += Profile.Decisions;
-  Propagations += Profile.Propagations;
-  Conflicts += Profile.Conflicts;
-  Restarts += Profile.Restarts;
-  Learned += Profile.Learned;
-  Sp.arg("conflicts", Profile.Conflicts);
+  Decisions += D.Decisions;
+  Propagations += D.Propagations;
+  Conflicts += D.Conflicts;
+  Restarts += D.Restarts;
+  Learned += D.Learned;
+  Sp.arg("conflicts", D.Conflicts);
   Sp.arg("outcome", O == Outcome::Sat     ? "sat"
                     : O == Outcome::Unsat ? "unsat"
                                           : "unknown");
@@ -545,10 +538,10 @@ Outcome Solver::runSolve(const std::vector<Lit> *Assumptions,
               std::to_string(Clauses.size()) + " clause(s) is unsatisfiable")
         .arg("vars", static_cast<uint64_t>(VarCount))
         .arg("clauses", static_cast<uint64_t>(Clauses.size()))
-        .arg("conflicts", Profile.Conflicts)
-        .arg("decisions", Profile.Decisions)
-        .arg("propagations", Profile.Propagations)
-        .arg("restarts", Profile.Restarts);
+        .arg("conflicts", D.Conflicts)
+        .arg("decisions", D.Decisions)
+        .arg("propagations", D.Propagations)
+        .arg("restarts", D.Restarts);
     if (Assumptions)
       R.arg("core_size", static_cast<uint64_t>(Core.size()));
   }

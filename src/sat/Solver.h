@@ -240,21 +240,6 @@ public:
   };
   const Statistics &stats() const { return Stats; }
 
-  /// The delta-profile of the most recent solve. Unlike the accumulated
-  /// Statistics, this isolates one search — and it is filled for *every*
-  /// outcome, Unknown included, so budget-exhausted probes still report
-  /// the work they did.
-  struct SolveProfile {
-    Outcome Result = Outcome::Unknown;
-    uint64_t Decisions = 0;
-    uint64_t Propagations = 0;
-    uint64_t Conflicts = 0;
-    uint64_t Restarts = 0;
-    uint64_t Learned = 0;
-    double TimeMs = 0.0;
-  };
-  const SolveProfile &lastProfile() const { return Profile; }
-
 private:
   /// A clause is a slice of the shared literal arena,
   /// Arena[Offset, Offset + Size). Propagation reorders a clause's
@@ -377,7 +362,6 @@ private:
   std::vector<bool> Model;
   std::vector<Lit> Core;
   Statistics Stats;
-  SolveProfile Profile;
   ProofWriter *Proof = nullptr;
   const obs::Context &Ctx;
 };

@@ -564,7 +564,7 @@ private:
     return Status::success();
   }
 
-  /// The profile-attribution label of an item: the signal it drives (the
+  /// The source-mark label of an item: the signal it drives (the
   /// assign target, LUT/CARRY8 O, FDRE Q, DSP P/PCOUT). Empty when the
   /// target cannot be resolved — those items stay unattributed rather
   /// than failing the lowering here (the emission path reports the real

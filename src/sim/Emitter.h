@@ -157,7 +157,7 @@ private:
 
   /// Appends a debug mark when the attribution changed since the last
   /// emitted instruction. Names intern on first mark, so the interning
-  /// order is the mark order, and equal programs encode identically.
+  /// order is the mark order, and equal programs disassemble identically.
   void mark() {
     if (!Marks)
       return;

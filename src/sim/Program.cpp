@@ -53,27 +53,6 @@ constexpr std::array<OpDesc, NumOps> OpTable = {{
 
 const char *SegNames[3] = {"init", "eval", "commit"};
 
-void encodeU32(std::string &Out, uint32_t V) {
-  for (unsigned I = 0; I < 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void encodeU64(std::string &Out, uint64_t V) {
-  for (unsigned I = 0; I < 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void encodeStr(std::string &Out, const std::string &S) {
-  encodeU32(Out, static_cast<uint32_t>(S.size()));
-  Out += S;
-}
-
-void encodeType(std::string &Out, ir::Type Ty) {
-  Out.push_back(Ty.isBool() ? 'b' : 'i');
-  encodeU32(Out, Ty.width());
-  encodeU32(Out, Ty.lanes());
-}
-
 const char *kindName(WaveSignal::Kind K) {
   switch (K) {
   case WaveSignal::Kind::Input:
@@ -190,67 +169,6 @@ unsigned reticle::sim::opPops(Op O) { return OpTable[uint32_t(O)].Pops; }
 
 unsigned reticle::sim::opPushes(Op O) { return OpTable[uint32_t(O)].Pushes; }
 
-const char *Program::sourceAt(unsigned SegIx, uint32_t Offset) const {
-  const std::vector<SourceMark> &Marks = marks(SegIx);
-  // The covering mark is the last one at or before Offset.
-  const SourceMark *Found = nullptr;
-  for (const SourceMark &M : Marks) {
-    if (M.Offset > Offset)
-      break;
-    Found = &M;
-  }
-  if (!Found || Found->Name == SourceMark::NoSource ||
-      Found->Name >= SourceNames.size())
-    return nullptr;
-  return SourceNames[Found->Name].c_str();
-}
-
-std::string Program::encode() const {
-  std::string Out;
-  Out += "RSIM1";
-  encodeStr(Out, Name);
-  encodeStr(Out, Source);
-  encodeU32(Out, NumWords);
-  encodeU32(Out, MaxStack);
-  encodeU32(Out, static_cast<uint32_t>(Pool.size()));
-  for (uint64_t C : Pool)
-    encodeU64(Out, C);
-  for (const std::vector<uint32_t> *Seg : {&Init, &Eval, &Commit}) {
-    encodeU32(Out, static_cast<uint32_t>(Seg->size()));
-    for (uint32_t W : *Seg)
-      encodeU32(Out, W);
-  }
-  encodeU32(Out, static_cast<uint32_t>(Signals.size()));
-  for (const SignalInfo &S : Signals) {
-    encodeStr(Out, S.Name);
-    encodeU32(Out, S.Width);
-    encodeU32(Out, S.LaneWidth);
-    encodeU32(Out, S.Lanes);
-    encodeU32(Out, S.Base);
-    Out.push_back(static_cast<char>(S.Kind));
-  }
-  for (const std::vector<PortInfo> *Ports : {&Inputs, &Outputs}) {
-    encodeU32(Out, static_cast<uint32_t>(Ports->size()));
-    for (const PortInfo &Port : *Ports) {
-      encodeStr(Out, Port.Name);
-      encodeType(Out, Port.Ty);
-      encodeU32(Out, Port.Base);
-      Out.push_back(Port.Packed ? 1 : 0);
-    }
-  }
-  encodeU32(Out, static_cast<uint32_t>(SourceNames.size()));
-  for (const std::string &S : SourceNames)
-    encodeStr(Out, S);
-  for (const std::vector<SourceMark> *Marks : {&InitSrc, &EvalSrc, &CommitSrc}) {
-    encodeU32(Out, static_cast<uint32_t>(Marks->size()));
-    for (const SourceMark &M : *Marks) {
-      encodeU32(Out, M.Offset);
-      encodeU32(Out, M.Name);
-    }
-  }
-  return Out;
-}
-
 Status reticle::sim::verify(const Program &P) {
   if (P.Source != "ir" && P.Source != "netlist")
     return Status::failure("sim program '" + P.Name + "': unknown source '" +
@@ -274,7 +192,7 @@ Status reticle::sim::verify(const Program &P) {
     return S;
   // Debug-info side table: marks must stay offset-sorted within their
   // segment and reference interned names (or the explicit no-source
-  // sentinel), so profile attribution never walks garbage.
+  // sentinel), so every printed mark names a real source.
   for (unsigned SegIx = 0; SegIx < 3; ++SegIx) {
     const std::vector<SourceMark> &Marks = P.marks(SegIx);
     for (size_t I = 0; I < Marks.size(); ++I) {

@@ -84,7 +84,7 @@ enum class Op : uint32_t {
   Select,     ///< pop cond, ifTrue, ifFalse; push cond ? ifTrue : ifFalse
 };
 
-/// Number of distinct opcodes (for histograms and validation).
+/// Number of distinct opcodes (for opcode counts and validation).
 constexpr uint32_t NumOps = uint32_t(Op::Select) + 1;
 
 /// The lowercase mnemonic of \p O ("loadfield", "cmpeq", ...).
@@ -150,8 +150,8 @@ struct Program {
   /// Debug-info side table: interned attribution names plus one
   /// offset-sorted mark list per segment, mapping every bytecode range
   /// back to the IR instruction / netlist signal the lowering emitted it
-  /// for. Purely observational — execution never reads it — but encode()
-  /// and the text format both carry it.
+  /// for. Purely observational — execution never reads it — but the
+  /// verifier checks it and the text format carries it.
   std::vector<std::string> SourceNames;
   std::vector<SourceMark> InitSrc;
   std::vector<SourceMark> EvalSrc;
@@ -161,14 +161,6 @@ struct Program {
   const std::vector<SourceMark> &marks(unsigned SegIx) const {
     return SegIx == 0 ? InitSrc : SegIx == 1 ? EvalSrc : CommitSrc;
   }
-
-  /// The source name covering word \p Offset of segment \p SegIx, or
-  /// nullptr when the range is unattributed.
-  const char *sourceAt(unsigned SegIx, uint32_t Offset) const;
-
-  /// A deterministic byte-for-byte serialization: equal programs encode
-  /// identically, so determinism tests compare blobs.
-  std::string encode() const;
 };
 
 /// Structural verification: every segment is `EndSeg`-terminated, opcodes

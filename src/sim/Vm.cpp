@@ -11,8 +11,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <map>
 
 using namespace reticle;
 using namespace reticle::sim;
@@ -36,16 +34,15 @@ uint64_t instrCount(const std::vector<uint32_t> &Code) {
 }
 
 /// The threaded dispatch loop. The program is verified before execution,
-/// so operand bounds and stack discipline hold by construction. On GCC
-/// and Clang the loop uses computed-goto dispatch: one indirect branch
-/// per opcode with its own prediction slot, instead of a shared switch
-/// branch that mispredicts on every opcode change.
+/// so operand bounds and stack discipline hold by construction. The loop
+/// uses computed-goto dispatch (a GNU extension GCC and Clang provide):
+/// one indirect branch per opcode with its own prediction slot, instead
+/// of a shared switch branch that mispredicts on every opcode change.
 void exec(const std::vector<uint32_t> &Code, uint64_t *Words,
           const uint64_t *Pool, uint64_t *Stack) {
   const uint32_t *Pc = Code.data();
   uint64_t *Sp = Stack; // empty ascending
 
-#if defined(__GNUC__) || defined(__clang__)
   // Table order must match the Op enumerator values exactly; the
   // verifier has already rejected any opcode >= NumOps.
   static const void *Targets[] = {
@@ -176,128 +173,6 @@ L_Select : {
   DISPATCH();
 }
 #undef DISPATCH
-#else
-  for (;;) {
-    switch (static_cast<Op>(*Pc++)) {
-    case Op::EndSeg:
-      return;
-    case Op::LoadConst:
-      *Sp++ = Pool[*Pc++];
-      break;
-    case Op::LoadField: {
-      uint64_t V = Words[Pc[0]] >> Pc[1];
-      if (Pc[2] < 64)
-        V &= maskOf(Pc[2]);
-      *Sp++ = V;
-      Pc += 3;
-      break;
-    }
-    case Op::StoreField: {
-      uint64_t V = *--Sp;
-      if (Pc[2] == 64) {
-        Words[Pc[0]] = V;
-      } else {
-        uint64_t M = maskOf(Pc[2]) << Pc[1];
-        Words[Pc[0]] = (Words[Pc[0]] & ~M) | ((V << Pc[1]) & M);
-      }
-      Pc += 3;
-      break;
-    }
-    case Op::Dup:
-      Sp[0] = Sp[-1];
-      ++Sp;
-      break;
-    case Op::Canon: {
-      uint32_t W = *Pc++;
-      if (W < 64) {
-        unsigned Sh = 64 - W;
-        Sp[-1] = static_cast<uint64_t>(
-            static_cast<int64_t>(Sp[-1] << Sh) >> Sh);
-      }
-      break;
-    }
-    case Op::Bool:
-      Sp[-1] = Sp[-1] != 0 ? 1 : 0;
-      break;
-    case Op::Mask:
-      Sp[-1] &= maskOf(*Pc++);
-      break;
-    case Op::Add:
-      --Sp;
-      Sp[-1] += Sp[0];
-      break;
-    case Op::Sub:
-      --Sp;
-      Sp[-1] -= Sp[0];
-      break;
-    case Op::Mul:
-      --Sp;
-      Sp[-1] *= Sp[0];
-      break;
-    case Op::NotB:
-      Sp[-1] = ~Sp[-1];
-      break;
-    case Op::AndB:
-      --Sp;
-      Sp[-1] &= Sp[0];
-      break;
-    case Op::OrB:
-      --Sp;
-      Sp[-1] |= Sp[0];
-      break;
-    case Op::XorB:
-      --Sp;
-      Sp[-1] ^= Sp[0];
-      break;
-    case Op::Shl:
-      Sp[-1] <<= *Pc++;
-      break;
-    case Op::Shr:
-      Sp[-1] >>= *Pc++;
-      break;
-    case Op::Sar:
-      Sp[-1] = static_cast<uint64_t>(static_cast<int64_t>(Sp[-1]) >>
-                                     *Pc++);
-      break;
-    case Op::ShrV: {
-      uint64_t Amt = *--Sp;
-      Sp[-1] = Amt < 64 ? Sp[-1] >> Amt : 0;
-      break;
-    }
-    case Op::CmpEq:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) == static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::CmpNe:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) != static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::CmpLt:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) < static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::CmpGt:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) > static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::CmpLe:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) <= static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::CmpGe:
-      --Sp;
-      Sp[-1] = static_cast<int64_t>(Sp[-1]) >= static_cast<int64_t>(Sp[0]);
-      break;
-    case Op::Select: {
-      uint64_t Cond = *--Sp;
-      uint64_t IfTrue = *--Sp;
-      if (Cond)
-        Sp[-1] = IfTrue;
-      break;
-    }
-    }
-  }
-#endif
 }
 
 /// Rebuilds a packed port wider than one word from its table words (64
@@ -338,14 +213,11 @@ void packSignal(const SignalInfo &S, const uint64_t *Words, uint64_t *Out) {
     Out[N - 1] &= maskOf(S.Width % 64);
 }
 
-/// Every SampleEvery-th cycle of a profiled run times its eval and
-/// commit segment executions; the others run untimed, keeping the
-/// clock-read overhead off the hot path.
-constexpr uint64_t SampleEvery = 32;
+} // namespace
 
-Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
-                          WaveSink *Wave, const obs::Context &Ctx,
-                          VmProfile *Prof) {
+Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs,
+                                    WaveSink *Wave,
+                                    const obs::Context &Ctx) {
   obs::Span Sp(Ctx, "sim.vm.execute");
   Sp.arg("program", P.Name);
   Sp.arg("source", P.Source);
@@ -388,46 +260,6 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
   const uint64_t EvalOps = instrCount(P.Eval);
   const uint64_t CommitOps = instrCount(P.Commit);
   uint64_t OpsRun = instrCount(P.Init);
-  uint64_t EvalRuns = 0;
-  uint64_t CommitRuns = 0;
-
-  // Segments are straight-line, so a site's dynamic count is exactly the
-  // number of times its segment ran: the profile reconstructs per-op
-  // counts from one static walk instead of counting in the hot loop.
-  auto FillProfile = [&](uint64_t CyclesDone, bool Aborted) {
-    if (!Prof)
-      return;
-    Prof->Cycles = CyclesDone;
-    Prof->Aborted = Aborted;
-    Prof->Sites.clear();
-    Prof->TotalOps = 0;
-    Prof->AttributedOps = 0;
-    auto Walk = [&](unsigned SegIx, const std::vector<uint32_t> &Code,
-                    uint64_t Runs) {
-      for (size_t Pc = 0; Pc < Code.size();
-           Pc += 1 + opOperands(static_cast<Op>(Code[Pc]))) {
-        ProfileSite Site;
-        Site.Segment = SegIx;
-        Site.Offset = static_cast<uint32_t>(Pc);
-        Site.Opcode = static_cast<Op>(Code[Pc]);
-        Site.Count = Runs;
-        if (const char *Src = P.sourceAt(SegIx, Site.Offset))
-          Site.Source = Src;
-        Prof->TotalOps += Runs;
-        if (!Site.Source.empty())
-          Prof->AttributedOps += Runs;
-        Prof->Sites.push_back(std::move(Site));
-      }
-    };
-    Walk(0, P.Init, 1);
-    Walk(1, P.Eval, EvalRuns);
-    Walk(2, P.Commit, CommitRuns);
-    ++Ctx.counter("obs.profile.vm_runs");
-    Ctx.counter("obs.profile.ops_attributed") += Prof->AttributedOps;
-    Ctx.counter("obs.profile.ops_unattributed") +=
-        Prof->TotalOps - Prof->AttributedOps;
-    Ctx.counter("obs.profile.sampled_cycles") += Prof->SampledCycles;
-  };
 
   Trace Out;
   Out.steps().reserve(Inputs.size());
@@ -468,21 +300,10 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
               Words[Pi.Base + B / 64] |= uint64_t(1) << (B % 64);
           return Status::success();
         });
-    if (!Bound) {
-      FillProfile(Cycle, /*Aborted=*/true);
+    if (!Bound)
       return fail<Trace>(Frame.abort(Bound.error()));
-    }
 
-    const bool Sampled = Prof && (Cycle % SampleEvery) == 0;
-    std::chrono::steady_clock::time_point T0;
-    if (Sampled)
-      T0 = std::chrono::steady_clock::now();
     exec(P.Eval, Words.data(), Pool, Stack.data());
-    if (Sampled)
-      Prof->EvalMs += std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - T0)
-                          .count();
-    ++EvalRuns;
 
     Proto.emit(Out, [&](unsigned Slot) {
       const PortInfo &Po = P.Outputs[Slot];
@@ -515,124 +336,16 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
       }
     }
 
-    if (Sampled)
-      T0 = std::chrono::steady_clock::now();
     exec(P.Commit, Words.data(), Pool, Stack.data());
-    if (Sampled) {
-      Prof->CommitMs += std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - T0)
-                            .count();
-      ++Prof->SampledCycles;
-    }
-    ++CommitRuns;
     OpsRun += EvalOps + CommitOps;
   }
 
-  FillProfile(Inputs.size(), /*Aborted=*/false);
   if (Status S = Frame.finish(); !S)
     return fail<Trace>(S.error());
   Ctx.counter("sim.vm.ops") += OpsRun;
   return Out;
 }
 
-const char *segName(unsigned SegIx) {
-  return SegIx == 0 ? "init" : SegIx == 1 ? "eval" : "commit";
-}
-
-} // namespace
-
-Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs,
-                                    WaveSink *Wave,
-                                    const obs::Context &Ctx) {
-  return executeImpl(P, Inputs, Wave, Ctx, nullptr);
-}
-
 Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs) {
   return execute(P, Inputs, nullptr, obs::Sinks().context());
-}
-
-Result<Trace> reticle::sim::execute(const Program &P, const Trace &Inputs,
-                                    VmProfile &Profile, WaveSink *Wave,
-                                    const obs::Context &Ctx) {
-  Profile = VmProfile();
-  Result<Trace> R = executeImpl(P, Inputs, Wave, Ctx, &Profile);
-  if (!R)
-    Profile.Aborted = true;
-  return R;
-}
-
-obs::Json reticle::sim::profileJson(const Program &P, const VmProfile &Prof) {
-  obs::Json Doc = obs::Json::object();
-  Doc.set("schema", "reticle-profile-v1");
-  Doc.set("program", P.Name);
-  Doc.set("source", P.Source);
-  Doc.set("cycles", Prof.Cycles);
-  Doc.set("aborted", Prof.Aborted);
-
-  obs::Json Ops = obs::Json::object();
-  Ops.set("total", Prof.TotalOps);
-  Ops.set("attributed", Prof.AttributedOps);
-  Ops.set("attributed_frac",
-          Prof.TotalOps == 0 ? 0.0
-                             : static_cast<double>(Prof.AttributedOps) /
-                                   static_cast<double>(Prof.TotalOps));
-  Doc.set("ops", std::move(Ops));
-
-  // Sampled wall time is machine- and run-dependent; consumers comparing
-  // profiles for determinism (json_check profile_diff) ignore it.
-  obs::Json Sampling = obs::Json::object();
-  Sampling.set("cycles", Prof.SampledCycles);
-  Sampling.set("eval_ms", Prof.EvalMs);
-  Sampling.set("commit_ms", Prof.CommitMs);
-  Doc.set("sampling", std::move(Sampling));
-
-  std::vector<const ProfileSite *> Ranked;
-  Ranked.reserve(Prof.Sites.size());
-  for (const ProfileSite &S : Prof.Sites)
-    Ranked.push_back(&S);
-  std::stable_sort(Ranked.begin(), Ranked.end(),
-                   [](const ProfileSite *A, const ProfileSite *B) {
-                     if (A->Count != B->Count)
-                       return A->Count > B->Count;
-                     if (A->Segment != B->Segment)
-                       return A->Segment < B->Segment;
-                     return A->Offset < B->Offset;
-                   });
-  obs::Json Hot = obs::Json::array();
-  for (const ProfileSite *S : Ranked) {
-    obs::Json Row = obs::Json::object();
-    Row.set("segment", segName(S->Segment));
-    Row.set("offset", S->Offset);
-    Row.set("op", opName(S->Opcode));
-    Row.set("count", S->Count);
-    Row.set("source", S->Source.empty() ? obs::Json() : obs::Json(S->Source));
-    Hot.push(std::move(Row));
-  }
-  Doc.set("hot_instructions", std::move(Hot));
-
-  std::map<std::string, uint64_t> BySource;
-  for (const ProfileSite &S : Prof.Sites)
-    if (!S.Source.empty())
-      BySource[S.Source] += S.Count;
-  std::vector<std::pair<std::string, uint64_t>> Sigs(BySource.begin(),
-                                                     BySource.end());
-  std::stable_sort(Sigs.begin(), Sigs.end(),
-                   [](const auto &A, const auto &B) {
-                     if (A.second != B.second)
-                       return A.second > B.second;
-                     return A.first < B.first;
-                   });
-  obs::Json Signals = obs::Json::array();
-  for (const auto &[Name, Count] : Sigs) {
-    obs::Json Row = obs::Json::object();
-    Row.set("source", Name);
-    Row.set("count", Count);
-    Row.set("frac", Prof.TotalOps == 0
-                        ? 0.0
-                        : static_cast<double>(Count) /
-                              static_cast<double>(Prof.TotalOps));
-    Signals.push(std::move(Row));
-  }
-  Doc.set("hot_signals", std::move(Signals));
-  return Doc;
 }

@@ -264,6 +264,20 @@ TEST_F(Introspect, StatsJsonCarriesTheSatProfile) {
   const Json *Probes = Sat->find("shrink_probes");
   ASSERT_NE(Probes, nullptr);
   EXPECT_EQ(Probes->size(), R.value().PlaceStats.Timeline.size());
+  // The encoding size lives here, once: `place` keeps only the placement
+  // geometry, and no second latency record rides along.
+  const Json *Vars = Sat->find("vars");
+  ASSERT_NE(Vars, nullptr);
+  EXPECT_EQ(Vars->asInt(), static_cast<int64_t>(R.value().PlaceStats.Vars));
+  const Json *Clauses = Sat->find("clauses");
+  ASSERT_NE(Clauses, nullptr);
+  EXPECT_EQ(Clauses->asInt(),
+            static_cast<int64_t>(R.value().PlaceStats.Clauses));
+  const Json *Place = Doc.find("place");
+  ASSERT_NE(Place, nullptr);
+  EXPECT_EQ(Place->find("sat"), nullptr);
+  EXPECT_EQ(Place->find("solves"), nullptr);
+  EXPECT_EQ(Doc.find("histograms"), nullptr);
 }
 
 TEST_F(Introspect, DisabledPassIsSkippedButStillSnapshots) {

@@ -430,10 +430,10 @@ TEST(Sat, MinimizeCoreDropsRedundantAssumptions) {
   EXPECT_EQ(S.solveWith({Lit(A), Lit(B)}), Outcome::Sat);
 }
 
-TEST(Sat, ProfileSurvivesBudgetExhaustion) {
+TEST(Sat, BudgetExhaustedSolveReportsItsWork) {
   // PHP(4,3) cannot be refuted within one conflict; the probe must come
-  // back Unknown while still reporting the work it did — the shrink-probe
-  // remarks depend on this.
+  // back Unknown while its Statistics delta still reports the work it
+  // did — the shrink-probe remarks depend on this.
   constexpr unsigned Pigeons = 4, Holes = 3;
   obs::Sinks Sinks;
   Solver S(Sinks.context());
@@ -451,10 +451,12 @@ TEST(Sat, ProfileSurvivesBudgetExhaustion) {
     for (unsigned I1 = 0; I1 < Pigeons; ++I1)
       for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2)
         ASSERT_TRUE(S.addBinary(Lit(P[I1][J], true), Lit(P[I2][J], true)));
-  ASSERT_EQ(S.solve(/*ConflictBudget=*/1), Outcome::Unknown);
-  EXPECT_EQ(S.lastProfile().Result, Outcome::Unknown);
-  EXPECT_GE(S.lastProfile().Conflicts, 1u);
-  EXPECT_GT(S.lastProfile().Decisions, 0u);
+  Solver::Statistics Before = S.stats();
+  Outcome O = S.solve(/*ConflictBudget=*/1);
+  Solver::Statistics D = Solver::Statistics::delta(S.stats(), Before);
+  ASSERT_EQ(O, Outcome::Unknown);
+  EXPECT_GE(D.Conflicts, 1u);
+  EXPECT_GT(D.Decisions, 0u);
   EXPECT_EQ(S.stats().Unknowns, 1u);
   EXPECT_EQ(S.stats().Solves, 1u);
   // And without the budget the same solver still refutes the formula.

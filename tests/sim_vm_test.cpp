@@ -304,7 +304,7 @@ TEST(SimVm, CompileIsDeterministic) {
   Result<sim::Program> B = sim::compile(Fn, Session.context());
   ASSERT_TRUE(A.ok()) << A.error();
   ASSERT_TRUE(B.ok()) << B.error();
-  EXPECT_EQ(A.value().encode(), B.value().encode());
+  EXPECT_EQ(sim::disassemble(A.value()), sim::disassemble(B.value()));
 
   core::CompileOptions Options;
   Options.Dev = Device::small();
@@ -314,9 +314,9 @@ TEST(SimVm, CompileIsDeterministic) {
   Result<sim::Program> Nb = sim::compile(R.value().Verilog);
   ASSERT_TRUE(Na.ok()) << Na.error();
   ASSERT_TRUE(Nb.ok()) << Nb.error();
-  EXPECT_EQ(Na.value().encode(), Nb.value().encode());
+  EXPECT_EQ(sim::disassemble(Na.value()), sim::disassemble(Nb.value()));
   // IR and netlist lowerings of the same design are distinct programs.
-  EXPECT_NE(A.value().encode(), Na.value().encode());
+  EXPECT_NE(sim::disassemble(A.value()), sim::disassemble(Na.value()));
 }
 
 TEST(SimVm, DisassemblyCarriesTheFormatHeader) {
@@ -511,10 +511,10 @@ TEST(SimVm, EmitterPeepholeShiftsDebugMarks) {
   EXPECT_EQ(P.SourceNames[0], "x");
   EXPECT_EQ(P.SourceNames[1], "y");
   ASSERT_EQ(P.EvalSrc.size(), 2u);
-  EXPECT_EQ(P.EvalSrc[0].Offset, 0u);
+  EXPECT_EQ(P.EvalSrc[0].Offset, 0u); // the dup joins this range
+  EXPECT_EQ(P.EvalSrc[0].Name, 0u);
   EXPECT_EQ(P.EvalSrc[1].Offset, 3u); // the store, shifted by the dup
-  EXPECT_STREQ(P.sourceAt(1, 2), "x"); // the dup joins the preceding range
-  EXPECT_STREQ(P.sourceAt(1, 3), "y");
+  EXPECT_EQ(P.EvalSrc[1].Name, 1u);
 }
 
 TEST(SimVm, EmitterCountsStaticOpcodeHistogram) {
@@ -587,7 +587,7 @@ TEST(SimVm, StatsDocReadsTheSimCountersWithoutRegisteringThem) {
 }
 
 //===----------------------------------------------------------------------===//
-// Debug-info side table and the profiled executor.
+// Debug-info side table.
 //===----------------------------------------------------------------------===//
 
 TEST(SimVm, SourceTableNamesTheLoweredInstructions) {
@@ -611,80 +611,15 @@ TEST(SimVm, SourceTableNamesTheLoweredInstructions) {
   EXPECT_TRUE(Has("t0"));
   EXPECT_TRUE(Has("t1"));
   EXPECT_TRUE(Has("y"));
-}
-
-TEST(SimVm, ProfiledExecuteAttributesAndMatchesPlainRun) {
-  ir::Function Fn = parseOk(R"(
-    def mac(a:i8, b:i8, c:i8, en:bool) -> (y:i8) {
-      t0:i8 = mul(a, b) @??;
-      t1:i8 = add(t0, c) @??;
-      y:i8 = reg[0](t1, en) @??;
-    }
-  )");
-  obs::Sinks Sinks;
-  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
-  ASSERT_TRUE(P.ok()) << P.error();
-  Trace In = randomTrace(Fn, 20000, 9);
-
-  Result<Trace> Plain = sim::execute(P.value(), In);
-  ASSERT_TRUE(Plain.ok()) << Plain.error();
-  sim::VmProfile Prof;
-  Result<Trace> Out =
-      sim::execute(P.value(), In, Prof, nullptr, Sinks.context());
-  ASSERT_TRUE(Out.ok()) << Out.error();
-  EXPECT_TRUE(Plain.value() == Out.value()) << "profiling changed the run";
-
-  EXPECT_EQ(Prof.Cycles, 20000u);
-  EXPECT_FALSE(Prof.Aborted);
-  EXPECT_GT(Prof.TotalOps, 0u);
-  // The acceptance bar: at least 95% of executed ops attribute to a
-  // source (mac attributes every one).
-  EXPECT_GE(Prof.AttributedOps * 100, Prof.TotalOps * 95);
-  uint64_t SiteSum = 0;
-  for (const sim::ProfileSite &S : Prof.Sites)
-    SiteSum += S.Count;
-  EXPECT_EQ(SiteSum, Prof.TotalOps) << "sites must partition the op count";
-  EXPECT_GT(Prof.SampledCycles, 0u);
-
-  obs::Json Doc = sim::profileJson(P.value(), Prof);
-  const obs::Json *Schema = Doc.find("schema");
-  ASSERT_NE(Schema, nullptr);
-  EXPECT_EQ(Schema->asString(), "reticle-profile-v1");
-  const obs::Json *Ops = Doc.find("ops");
-  ASSERT_NE(Ops, nullptr);
-  EXPECT_EQ(Ops->find("total")->asInt(),
-            static_cast<int64_t>(Prof.TotalOps));
-  const obs::Json *Hot = Doc.find("hot_instructions");
-  ASSERT_NE(Hot, nullptr);
-  EXPECT_GT(Hot->size(), 0u);
-  const obs::Json *Signals = Doc.find("hot_signals");
-  ASSERT_NE(Signals, nullptr);
-  EXPECT_GT(Signals->size(), 0u);
-}
-
-TEST(SimVm, ProfiledExecuteFlushesOnAbort) {
-  ir::Function Fn = parseOk(R"(
-    def adder(a:i8, b:i8) -> (y:i8) {
-      y:i8 = add(a, b) @??;
-    }
-  )");
-  obs::Sinks Sinks;
-  Result<sim::Program> P = sim::compile(Fn, Sinks.context());
-  ASSERT_TRUE(P.ok()) << P.error();
-  Trace In;
-  interp::Step &S0 = In.appendStep();
-  S0["a"] = Value::splat(ir::Type::makeInt(8), 1);
-  S0["b"] = Value::splat(ir::Type::makeInt(8), 2);
-  interp::Step &S1 = In.appendStep();
-  S1["a"] = Value::splat(ir::Type::makeInt(8), 3); // "b" missing: abort
-
-  sim::VmProfile Prof;
-  Result<Trace> Out =
-      sim::execute(P.value(), In, Prof, nullptr, Sinks.context());
-  ASSERT_FALSE(Out.ok());
-  EXPECT_TRUE(Prof.Aborted);
-  EXPECT_EQ(Prof.Cycles, 1u) << "one cycle completed before the abort";
-  EXPECT_GT(Prof.TotalOps, 0u) << "the partial run still attributes";
+  // Every op of mac, endseg included, lies under a named mark: each
+  // segment's first mark is at offset 0 and none ends an attributed range.
+  for (unsigned SegIx = 0; SegIx < 3; ++SegIx) {
+    const std::vector<sim::SourceMark> &Marks = P.value().marks(SegIx);
+    ASSERT_FALSE(Marks.empty()) << "segment " << SegIx;
+    EXPECT_EQ(Marks.front().Offset, 0u) << "segment " << SegIx;
+    for (const sim::SourceMark &M : Marks)
+      EXPECT_NE(M.Name, sim::SourceMark::NoSource) << "segment " << SegIx;
+  }
 }
 
 TEST(SimVm, MissingInputReportsCycle) {

@@ -25,11 +25,10 @@
 ///
 /// The bare invocation only checks that the file parses as strict JSON.
 ///
-/// Four presets diff two runs' artifacts:
+/// Three presets diff two runs' artifacts:
 ///   json_check remark_diff   [--json] <a.jsonl> <b.jsonl>
 ///   json_check wave_diff     [--json] [--all-signals] <a.jsonl> <b.jsonl>
 ///   json_check coverage_diff [--json] <golden.json> <new.json>
-///   json_check profile_diff  [--json] <a.json> <b.json>
 /// A preset turns each input into keyed rows (key, label, value) in
 /// document order. One join groups the rows of both inputs by key and
 /// pairs them by position within a key (a remark stream repeats keys);
@@ -52,11 +51,6 @@
 ///   coverage_diff  reticle-coverage-v1 bins with a count > 0, keyed
 ///                  {space, bin}. The ratchet: only removed (lost) rows
 ///                  fail; a newly hit bin is added and passes.
-///   profile_diff   reticle-profile-v1 hot instructions keyed {segment,
-///                  offset} with op, source and count, plus rows for
-///                  cycles, ops.total and ops.attributed. The sampled wall
-///                  times are machine-dependent and not read, so two runs
-///                  of one program over one trace diff clean.
 ///
 ///   json_check coverage_merge <a.json> [<b.json> ...]
 /// sums the bins of reticle-coverage-v1 documents and prints the merged
@@ -91,7 +85,7 @@ int failCheck(const std::string &Path, const std::string &Message) {
   return 1;
 }
 
-/// Walks a dotted path ("place.sat.decisions") through nested objects.
+/// Walks a dotted path ("sat.decisions") through nested objects.
 const Json *lookup(const Json &Root, const std::string &DottedPath) {
   const Json *Node = &Root;
   size_t Pos = 0;
@@ -445,40 +439,6 @@ Result<Rows> coverageRows(const Input &In) {
   return Out;
 }
 
-/// profile_diff: the three deterministic scalars, then one row per hot
-/// instruction keyed {segment, offset}. "sampling" is not read.
-Result<Rows> profileRows(const Input &In) {
-  const Json &R = In.Docs.front().Value;
-  if (!hasSchema(R, "reticle-profile-v1"))
-    return fail<Rows>(In.Path + ": schema is not \"reticle-profile-v1\"");
-  Rows Out;
-  for (const char *Path : {"cycles", "ops.total", "ops.attributed"}) {
-    const Json *N = lookup(R, Path);
-    Out.push_back(
-        {Path, Path, std::to_string(N && N->isNumber() ? N->asInt() : 0)});
-  }
-  const Json *Hot = R.find("hot_instructions");
-  if (!Hot || !Hot->isArray())
-    return fail<Rows>(In.Path + ": missing 'hot_instructions' array");
-  for (const Json &Entry : Hot->items()) {
-    const Json *Segment = Entry.isObject() ? Entry.find("segment") : nullptr;
-    const Json *Offset = Entry.isObject() ? Entry.find("offset") : nullptr;
-    if (!Segment || !Segment->isString() || !Offset || !Offset->isNumber())
-      return fail<Rows>(In.Path +
-                        ": a hot_instructions entry lacks segment/offset");
-    const Json *Count = Entry.find("count");
-    std::string Value =
-        member(Entry, "op") + " x" +
-        std::to_string(Count && Count->isNumber() ? Count->asInt() : 0);
-    if (std::string Source = member(Entry, "source"); !Source.empty())
-      Value += " (" + Source + ")";
-    std::string At = std::to_string(Offset->asInt());
-    Out.push_back({Segment->asString() + '\0' + At,
-                   Segment->asString() + "+" + At, std::move(Value)});
-  }
-  return Out;
-}
-
 /// Adapts a preset that reads each input on its own.
 template <Result<Rows> (*PerInput)(const Input &)>
 Result<RowPair> eachInput(const std::array<Input, 2> &In, bool) {
@@ -510,8 +470,6 @@ const Preset Presets[] = {
     {"wave_diff", "<a.jsonl> <b.jsonl>", true, true, false, waveRows},
     {"coverage_diff", "<golden.json> <new.json>", false, false, true,
      eachInput<coverageRows>},
-    {"profile_diff", "<a.json> <b.json>", false, false, false,
-     eachInput<profileRows>},
 };
 
 std::string presetUsage(const Preset &P) {

@@ -116,9 +116,6 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "JSONL\n"
       "  --dump-sim-program=<file|->            compiled sim bytecode "
       "disassembly\n"
-      "  --profile-sim=<file|->                 per-op VM execution profile "
-      "as a\n"
-      "                                         reticle-profile-v1 doc\n"
       "\n"
       "batch mode (several inputs):\n"
       "  --jobs=N                               worker threads (default: "
@@ -198,7 +195,6 @@ struct DriverArgs {
   std::string VcdPath;
   std::string WaveJsonPath;
   std::string DumpSimProgramPath;
-  std::string ProfileSimPath;
   std::optional<uint64_t> Jobs;
   std::string OutDir = ".";
   core::CompileOptions Options;
@@ -241,10 +237,11 @@ std::vector<Flag> flagTable(DriverArgs &A) {
   return {
       Text("--emit", AllModes, A.Emit, "--emit kind",
            "asm, placed, verilog, behavioral"),
-      Text("--device", AllModes, A.Device, "--device", "xczu3eg, small, tiny"),
+      Text("--device", PipelineModes, A.Device, "--device",
+           "xczu3eg, small, tiny"),
       Switch("-O", AllModes, A.Options.Optimize),
-      Switch("--no-cascade", AllModes, A.NoCascade),
-      Switch("--no-shrink", AllModes, A.NoShrink),
+      Switch("--no-cascade", PipelineModes, A.NoCascade),
+      Switch("--no-shrink", PipelineModes, A.NoShrink),
       Text("--sat-proof", SingleMode, Out.SatProof, File),
       Text("-o", SingleMode | BehavioralMode, A.OutputPath, nullptr),
       Switch("--stats", AllModes, Out.StatsTable),
@@ -266,9 +263,8 @@ std::vector<Flag> flagTable(DriverArgs &A) {
       Text("--vcd", RunMode, A.VcdPath, File),
       Text("--wave-json", RunMode, A.WaveJsonPath, File),
       Text("--dump-sim-program", RunMode, A.DumpSimProgramPath, File),
-      Text("--profile-sim", RunMode, A.ProfileSimPath, File),
-      Count("--jobs", AllModes, A.Jobs, "a positive thread count", 1, 1024),
-      Text("--out-dir", AllModes, A.OutDir, "a directory"),
+      Count("--jobs", BatchMode, A.Jobs, "a positive thread count", 1, 1024),
+      Text("--out-dir", BatchMode, A.OutDir, "a directory"),
   };
 }
 
@@ -311,6 +307,8 @@ std::string refusal(const Flag &F, unsigned M) {
   std::string Name = F.Name;
   if (F.Modes == RunMode)
     return Name + " requires --run";
+  if (F.Modes == BatchMode)
+    return Name + " applies to several inputs";
   if (M == BatchMode)
     return Name + " applies to a single input; with several inputs use "
                   "--out-dir";
@@ -503,12 +501,10 @@ int runSingle(const DriverArgs &Args) {
       !S)
     return usageError(S.error());
 
-  std::string Output = primaryArtifactText(R.value(), Args.Emit);
-  if (Args.OutputPath.empty()) {
-    std::fputs(Output.c_str(), stdout);
-    return 0;
-  }
-  if (Status S = writeFile(Args.OutputPath, Output); !S)
+  if (Status S = writeTextOutput(
+          Args.OutputPath.empty() ? "-" : Args.OutputPath,
+          primaryArtifactText(R.value(), Args.Emit));
+      !S)
     return usageError(S.error());
   return 0;
 }
@@ -595,37 +591,17 @@ int runExecute(const DriverArgs &Args) {
     InterpOut = interp::interpret(Fn.value(), Drive,
                                   Capture ? &InterpWave : nullptr,
                                   Session.context());
-  // --profile-sim attaches the profiled executor to one VM engine: vm-ir
-  // when it runs (the primary in --sim=both mode), vm-netlist otherwise.
-  bool ProfileIr = !Args.ProfileSimPath.empty() && RunVmIr;
-  bool ProfileNet = !Args.ProfileSimPath.empty() && !RunVmIr && RunVmNetlist;
-  sim::VmProfile Profile;
-  auto Execute = [&](const Result<sim::Program> &Prog, bool Profiled,
+  auto Execute = [&](const Result<sim::Program> &Prog,
                      sim::WaveCapture &Wave) -> Result<interp::Trace> {
     if (!Prog)
       return fail<interp::Trace>(Prog.error());
-    sim::WaveCapture *Sink = Capture ? &Wave : nullptr;
-    return Profiled ? sim::execute(Prog.value(), Drive, Profile, Sink,
-                                   Session.context())
-                    : sim::execute(Prog.value(), Drive, Sink,
-                                   Session.context());
+    return sim::execute(Prog.value(), Drive, Capture ? &Wave : nullptr,
+                        Session.context());
   };
   if (RunVmIr)
-    VmIrOut = Execute(IrProgram, ProfileIr, VmIrWave);
+    VmIrOut = Execute(IrProgram, VmIrWave);
   if (RunVmNetlist)
-    VmNetlistOut = Execute(NetProgram, ProfileNet, VmNetlistWave);
-
-  // The sim profile flushes before the engine-failure checks below, so an
-  // aborted run still reports the ops it retired (Aborted marked true).
-  if (ProfileIr || ProfileNet) {
-    const Result<sim::Program> &Prog = ProfileIr ? IrProgram : NetProgram;
-    if (Prog)
-      if (Status S = writeTextOutput(
-              Args.ProfileSimPath,
-              sim::profileJson(Prog.value(), Profile).str(2) + "\n");
-          !S)
-        return Fail(2, S.error());
-  }
+    VmNetlistOut = Execute(NetProgram, VmNetlistWave);
 
   std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources;
   if (RunInterp)
@@ -885,9 +861,6 @@ int main(int Argc, char **Argv) {
   for (const Flag *F : Given)
     if (!(F->Modes & M))
       return usageError(refusal(*F, M));
-  if (!Args.ProfileSimPath.empty() && Args.SimEngine == "interp")
-    return usageError("--profile-sim requires a VM engine "
-                      "(--sim=vm-ir, vm-netlist, or both)");
 
   core::CompileOptions &Options = Args.Options;
   Options.Dev = Args.Device == "small"  ? device::Device::small()
